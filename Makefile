@@ -54,11 +54,13 @@ bench:
 bench-json:
 	$(GO) run ./cmd/fleabench -json .
 
-# bench-smoke is the simulator-speed regression gate: the allocation test
-# fails if the cycle loop regresses to allocating per instruction, and the
+# bench-smoke is the simulator-speed regression gate: the allocation tests
+# fail if the cycle loop regresses to allocating per instruction or a
+# lattice cell's set-up to rebuilding the memory hierarchy, and the
 # single-iteration SimSpeed run catches gross slowdowns and bench bit-rot.
 bench-smoke:
 	$(GO) test -run='^TestSteadyStateAllocationFree$$' ./internal/core/
+	$(GO) test -run='^TestCheckerSetupBytes$$' ./internal/diffsim/
 	$(GO) test -bench=BenchmarkSimSpeed -benchtime=1x -run=^$$ .
 
 # ckpt-smoke is the checkpoint-equivalence gate: a machine-snapshot resume

@@ -36,8 +36,9 @@ type Config struct {
 	FUs        [isa.NumFUClasses]int
 	// MaxCycles aborts runaway simulations.
 	MaxCycles int64
-	// Arena, when non-nil, supplies the machine's DynInst storage so
-	// back-to-back simulations reuse records (see pipeline.NewFrontEnd).
+	// Arena, when non-nil, supplies the machine's DynInst storage and
+	// memory hierarchy so back-to-back simulations reuse them (see
+	// pipeline.Arena).
 	Arena *pipeline.Arena `json:"-"`
 }
 
@@ -98,16 +99,23 @@ const modelTag = "base"
 // New builds a machine over a fresh copy of the program's memory. The
 // program must satisfy Validate for the configured widths.
 func New(cfg Config, prog *program.Program) (*Machine, error) {
+	return NewWithImage(cfg, prog, prog.InitialImage())
+}
+
+// NewWithImage builds a machine whose memory starts as img, which the
+// machine takes over. A nil img starts from empty memory: the choice for a
+// machine about to RestoreSnapshot, which installs the snapshot's memory.
+func NewWithImage(cfg Config, prog *program.Program, img *mem.Image) (*Machine, error) {
 	if err := prog.Validate(cfg.IssueWidth, cfg.FUs); err != nil {
 		return nil, fmt.Errorf("baseline: %w", err)
 	}
-	hier := mem.NewHierarchy(cfg.Mem)
+	hier := cfg.Arena.Hierarchy(cfg.Mem)
 	m := &Machine{
 		cfg:  cfg,
 		prog: prog,
 		fe:   pipeline.NewFrontEnd(cfg.Front, prog, hier, bpred.New(cfg.Bpred), cfg.Arena),
 		hier: hier,
-		st:   arch.NewState(prog.InitialImage()),
+		st:   arch.NewState(img),
 	}
 	m.arena = m.fe.Arena()
 	m.col = stats.NewCollector(metrics.NewRegistry(), prog.Name, "base")

@@ -20,6 +20,43 @@ import (
 // testing.AllocsPerRun is unusable here because it invokes its body
 // multiple times and a Machine can only Run once, so the test reads the
 // runtime's Mallocs counter directly.
+func TestSteadyStateAllocationFree(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation accounting differs under the race detector")
+	}
+	if testing.Short() {
+		t.Skip("full-benchmark run")
+	}
+	bench, err := workload.ByName("300.twolf")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := DefaultConfig()
+	for _, model := range Models() {
+		t.Run(model.String(), func(t *testing.T) {
+			m, err := build(model, cfg, bench.Program(), bench.Program().InitialImage())
+			if err != nil {
+				t.Fatal(err)
+			}
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			r, err := m.Run()
+			runtime.ReadMemStats(&after)
+			if err != nil {
+				t.Fatal(err)
+			}
+			allocs := after.Mallocs - before.Mallocs
+			perInstr := float64(allocs) / float64(r.Instructions)
+			t.Logf("%s: %d allocs / %d instructions = %.5f allocs/instr",
+				model, allocs, r.Instructions, perInstr)
+			if perInstr >= 0.01 {
+				t.Errorf("%s: %.5f allocs per instruction (%d allocs over %d instructions); steady-state cycle loop must not allocate",
+					model, perInstr, allocs, r.Instructions)
+			}
+		})
+	}
+}
+
 // TestResumedSteadyStateAllocationFree is the same gate for the
 // checkpoint-resume path: after RestoreSnapshot (whose one-time cost —
 // page-table materialization, counter priming — is excluded along with
@@ -57,7 +94,7 @@ func TestResumedSteadyStateAllocationFree(t *testing.T) {
 	snap := ref.Checkpoints[0] // the halfway point; later ones sit near the halt
 	for _, model := range Models() {
 		t.Run(model.String(), func(t *testing.T) {
-			m, err := build(model, cfg, bench.Program())
+			m, err := build(model, cfg, bench.Program(), bench.Program().InitialImage())
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -87,43 +124,6 @@ func TestResumedSteadyStateAllocationFree(t *testing.T) {
 			if perInstr >= 0.01 {
 				t.Errorf("%s: %.5f allocs per resumed instruction (%d allocs over %d instructions); the resumed cycle loop must not allocate",
 					model, perInstr, allocs, delta)
-			}
-		})
-	}
-}
-
-func TestSteadyStateAllocationFree(t *testing.T) {
-	if raceEnabled {
-		t.Skip("allocation accounting differs under the race detector")
-	}
-	if testing.Short() {
-		t.Skip("full-benchmark run")
-	}
-	bench, err := workload.ByName("300.twolf")
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg := DefaultConfig()
-	for _, model := range Models() {
-		t.Run(model.String(), func(t *testing.T) {
-			m, err := build(model, cfg, bench.Program())
-			if err != nil {
-				t.Fatal(err)
-			}
-			var before, after runtime.MemStats
-			runtime.ReadMemStats(&before)
-			r, err := m.Run()
-			runtime.ReadMemStats(&after)
-			if err != nil {
-				t.Fatal(err)
-			}
-			allocs := after.Mallocs - before.Mallocs
-			perInstr := float64(allocs) / float64(r.Instructions)
-			t.Logf("%s: %d allocs / %d instructions = %.5f allocs/instr",
-				model, allocs, r.Instructions, perInstr)
-			if perInstr >= 0.01 {
-				t.Errorf("%s: %.5f allocs per instruction (%d allocs over %d instructions); steady-state cycle loop must not allocate",
-					model, perInstr, allocs, r.Instructions)
 			}
 		})
 	}

@@ -87,11 +87,12 @@ type Config struct {
 
 	MaxCycles int64
 
-	// Arena, when non-nil, supplies the machine's DynInst storage so
-	// repeated simulations (the differential fuzzer's inner loop) reuse
-	// records instead of growing fresh slabs per program. Excluded from
-	// serialization: it is an execution resource, not a machine parameter,
-	// so configs that differ only here are the same cache key.
+	// Arena, when non-nil, supplies the machine's DynInst storage and
+	// memory hierarchy so repeated simulations (the differential fuzzer's
+	// inner loop) reuse them instead of growing fresh slabs and rebuilding
+	// the Table 1 caches per program. Excluded from serialization: it is an
+	// execution resource, not a machine parameter, so configs that differ
+	// only here are the same cache key.
 	Arena *pipeline.Arena `json:"-"`
 }
 
@@ -153,16 +154,19 @@ type machine interface {
 	Attach(ctx context.Context, reg *metrics.Registry, tr *trace.Tracer)
 }
 
-func build(model Model, cfg Config, prog *program.Program) (machine, error) {
+// build constructs model's machine over prog with memory img, which the
+// machine takes over; a nil img starts from empty memory, for a machine that
+// RestoreSnapshot will give a snapshot's.
+func build(model Model, cfg Config, prog *program.Program, img *mem.Image) (machine, error) {
 	switch model {
 	case Baseline:
-		return baseline.New(cfg.BaselineConfig(), prog)
+		return baseline.NewWithImage(cfg.BaselineConfig(), prog, img)
 	case TwoPass:
-		return twopass.New(cfg.TwoPassConfig(false), prog)
+		return twopass.NewWithImage(cfg.TwoPassConfig(false), prog, img)
 	case TwoPassRegroup:
-		return twopass.New(cfg.TwoPassConfig(true), prog)
+		return twopass.NewWithImage(cfg.TwoPassConfig(true), prog, img)
 	case Runahead:
-		return runahead.New(cfg.RunaheadConfig(), prog)
+		return runahead.NewWithImage(cfg.RunaheadConfig(), prog, img)
 	}
 	return nil, fmt.Errorf("core: unknown model %d", model)
 }

@@ -173,7 +173,14 @@ func Simulate(ctx context.Context, model Model, prog *program.Program, opts ...O
 		ref = r
 	}
 
-	m, err := build(model, o.cfg, prog)
+	// A resumed machine takes its memory from the snapshot, so it starts
+	// empty rather than from a copy of the program's data that
+	// RestoreSnapshot would throw away.
+	var img *mem.Image
+	if o.resume == nil {
+		img = prog.InitialImage()
+	}
+	m, err := build(model, o.cfg, prog, img)
 	if err != nil {
 		return nil, err
 	}

@@ -25,6 +25,7 @@ import (
 	"fleaflicker/internal/mem"
 	"fleaflicker/internal/pipeline"
 	"fleaflicker/internal/program"
+	"fleaflicker/internal/stats"
 )
 
 // Cell is one point of the configuration lattice: a machine model plus the
@@ -86,12 +87,18 @@ func SmokeLattice() []Cell {
 type Runner func(ctx context.Context, cell Cell, cfg core.Config, prog *program.Program, ref *core.Reference, resume *checkpoint.Snapshot, log *mem.StoreLog) error
 
 func productionRunner(ctx context.Context, cell Cell, cfg core.Config, prog *program.Program, ref *core.Reference, resume *checkpoint.Snapshot, log *mem.StoreLog) error {
+	_, err := simulateCell(ctx, cell, cfg, prog, ref, resume, log)
+	return err
+}
+
+// simulateCell is productionRunner's simulation, returning the run's
+// measurements as well.
+func simulateCell(ctx context.Context, cell Cell, cfg core.Config, prog *program.Program, ref *core.Reference, resume *checkpoint.Snapshot, log *mem.StoreLog) (*stats.Run, error) {
 	opts := []core.Option{core.WithConfig(cfg), core.WithReference(ref), core.WithStoreLog(log)}
 	if resume != nil {
 		opts = append(opts, core.ResumeFrom(resume))
 	}
-	_, err := core.Simulate(ctx, cell.Model, prog, opts...)
-	return err
+	return core.Simulate(ctx, cell.Model, prog, opts...)
 }
 
 // Divergence is one cell's disagreement with the reference.
@@ -156,8 +163,9 @@ func WithCheckpointing(every int64) CheckerOption {
 }
 
 // Checker runs programs across a configuration lattice. It owns a pipeline
-// arena and a store log that are reused across every simulation of every
-// program, keeping the fuzzing inner loop allocation-flat.
+// arena (DynInst records and the memory hierarchy) and a store log that are
+// reused across every simulation of every program, keeping the fuzzing
+// inner loop allocation-flat. A Checker is not safe for concurrent use.
 type Checker struct {
 	cells     []Cell
 	base      core.Config
@@ -192,7 +200,7 @@ func (c *Checker) Cells() []Cell { return c.cells }
 
 // cellConfig specializes the base configuration for one lattice cell,
 // threading the shared arena through so every machine reuses the same
-// DynInst storage.
+// DynInst storage and memory hierarchy.
 func (c *Checker) cellConfig(cell Cell) core.Config {
 	cfg := c.base
 	if cell.CQSize > 0 {

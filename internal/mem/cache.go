@@ -1,6 +1,9 @@
 package mem
 
-import "fmt"
+import (
+	"fmt"
+	"math/bits"
+)
 
 // CacheConfig describes one cache level.
 type CacheConfig struct {
@@ -53,6 +56,11 @@ type cache struct {
 	sets      [][]way
 	tick      uint64
 	stats     CacheStats
+	// touched has one bit per set, set by every fill into that set. Only
+	// fill and restoreState (which marks every set) write an invalid way;
+	// lookup and setDirty update valid ways alone. So the sets whose bits
+	// are clear still hold their zero value, and reset skips them.
+	touched []uint64
 }
 
 func newCache(cfg CacheConfig, name string) *cache {
@@ -73,7 +81,29 @@ func newCache(cfg CacheConfig, name string) *cache {
 	for i := range sets {
 		sets[i], backing = backing[:cfg.Assoc:cfg.Assoc], backing[cfg.Assoc:]
 	}
-	return &cache{cfg: cfg, lineShift: shift, setShift: setShift, setMask: uint32(nsets - 1), sets: sets}
+	return &cache{cfg: cfg, lineShift: shift, setShift: setShift, setMask: uint32(nsets - 1), sets: sets,
+		touched: make([]uint64, (nsets+63)/64)}
+}
+
+// reset returns the cache to newCache's state, clearing only the sets a fill
+// or a restore may have written.
+func (c *cache) reset() {
+	for i, word := range c.touched {
+		for word != 0 {
+			clear(c.sets[i*64+bits.TrailingZeros64(word)])
+			word &= word - 1
+		}
+		c.touched[i] = 0
+	}
+	c.tick = 0
+	c.stats = CacheStats{}
+}
+
+// touchAll marks every set as possibly written.
+func (c *cache) touchAll() {
+	for s := range c.sets {
+		c.touched[s>>6] |= 1 << (s & 63)
+	}
 }
 
 //flea:hotpath
@@ -112,6 +142,7 @@ func (c *cache) lookup(addr uint32) bool {
 func (c *cache) fill(addr uint32, dirty bool) (writeback bool) {
 	c.tick++
 	set, tag := c.index(addr)
+	c.touched[set>>6] |= 1 << (set & 63)
 	victim := 0
 	for i := range c.sets[set] {
 		w := &c.sets[set][i]

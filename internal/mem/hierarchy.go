@@ -120,6 +120,21 @@ func NewHierarchy(cfg Config) *Hierarchy {
 	}
 }
 
+// Reset returns the hierarchy to exactly the state NewHierarchy(h.Config())
+// builds — cold caches, zero LRU clocks and statistics, no fills in flight —
+// without reallocating it. Its cost follows the sets the previous run
+// touched, not the configured capacity, which is what lets repeated short
+// simulations recycle one hierarchy (see pipeline.Arena.Hierarchy).
+func (h *Hierarchy) Reset() {
+	h.l1i.reset()
+	h.l1d.reset()
+	h.l2.reset()
+	h.l3.reset()
+	h.stats = Stats{}
+	h.inflight = h.inflight[:0]
+	h.needScratch = h.needScratch[:0]
+}
+
 // Config returns the configuration the hierarchy was built with.
 func (h *Hierarchy) Config() Config { return h.cfg }
 

@@ -55,6 +55,7 @@ func (c *cache) restoreState(s CacheState, name string) error {
 		return fmt.Errorf("mem: %s snapshot has %d ways, cache has %d (geometry mismatch)",
 			name, len(s.Ways), len(c.sets)*c.cfg.Assoc)
 	}
+	c.touchAll()
 	i := 0
 	for _, set := range c.sets {
 		for j := range set {

@@ -1,27 +1,51 @@
 package pipeline
 
+import "fleaflicker/internal/mem"
+
 // arenaSlab is the number of DynInst records allocated per slab. The live
 // set of a machine is bounded by its coupling-queue and fetch-queue
 // capacities, so a handful of slabs cover steady state and the freelist
 // absorbs all further traffic.
 const arenaSlab = 64
 
-// Arena recycles DynInst records so the steady-state cycle loop performs no
-// heap allocation per fetched instruction. The front end allocates from it
-// in Tick; machines return records when an instruction retires or is
-// squashed (the front end itself returns the records of groups it flushes
-// on Redirect).
+// Arena recycles a machine's per-run storage. It holds DynInst records, so
+// the steady-state cycle loop performs no heap allocation per fetched
+// instruction: the front end allocates from it in Tick, and machines return
+// records when an instruction retires or is squashed (the front end itself
+// returns the records of groups it flushes on Redirect). It also holds the
+// last memory hierarchy it handed out (see Hierarchy), so a sequence of
+// short simulations does not rebuild the Table 1 caches for each one.
 //
-// An arena belongs to one machine and is not safe for concurrent use —
+// An arena serves one machine at a time and is not safe for concurrent use —
 // machines are single-goroutine, so no sync.Pool-style synchronization is
-// needed. A record handed to Put must not be referenced again: it is reused,
-// fully reset, by a later Get.
+// needed. Machines may reuse one arena in sequence (the differential checker
+// shares one across every cell of its lattice) as long as a machine is done
+// before the next is built from the same arena: building the next resets the
+// hierarchy the previous one ran on. A record handed to Put must not be
+// referenced again: it is reused, fully reset, by a later Get.
 type Arena struct {
 	free []*DynInst
+	hier *mem.Hierarchy
 }
 
 // NewArena returns an empty arena; slabs are allocated on demand.
 func NewArena() *Arena { return &Arena{} }
+
+// Hierarchy returns a cold memory hierarchy for cfg: the arena's previous
+// one, reset, when it was built for the same configuration, and otherwise a
+// new one that the arena keeps for next time. A nil arena always builds a
+// new hierarchy.
+func (a *Arena) Hierarchy(cfg mem.Config) *mem.Hierarchy {
+	if a == nil {
+		return mem.NewHierarchy(cfg)
+	}
+	if a.hier != nil && a.hier.Config() == cfg {
+		a.hier.Reset()
+		return a.hier
+	}
+	a.hier = mem.NewHierarchy(cfg)
+	return a.hier
+}
 
 // Get returns a zeroed DynInst, reusing a recycled record when one is free.
 //

@@ -361,3 +361,25 @@ func TestHeadNotAvailableBeforeAvailAt(t *testing.T) {
 		t.Errorf("group visible before its AvailAt")
 	}
 }
+
+func TestArenaHierarchyReusesOnlyMatchingConfig(t *testing.T) {
+	cfg := mem.DefaultConfig()
+	a := NewArena()
+	h := a.Hierarchy(cfg)
+	h.Load(0x1000, 0)
+	if a.Hierarchy(cfg) != h {
+		t.Fatal("same configuration: arena built a new hierarchy instead of resetting its own")
+	}
+	if _, lvl := h.Load(0x1000, 1000); lvl != mem.LevelMem {
+		t.Errorf("recycled hierarchy served a cold line from %v; Reset left it warm", lvl)
+	}
+	other := cfg
+	other.L2.Latency++
+	if h2 := a.Hierarchy(other); h2 == h || h2.Config() != other {
+		t.Fatal("changed configuration: arena handed out its old hierarchy")
+	}
+	var none *Arena
+	if none.Hierarchy(cfg) == none.Hierarchy(cfg) {
+		t.Fatal("nil arena returned the same hierarchy twice")
+	}
+}

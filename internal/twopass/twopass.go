@@ -89,8 +89,9 @@ type Config struct {
 
 	MaxCycles int64
 
-	// Arena, when non-nil, supplies the machine's DynInst storage so
-	// back-to-back simulations reuse records (see pipeline.NewFrontEnd).
+	// Arena, when non-nil, supplies the machine's DynInst storage and
+	// memory hierarchy so back-to-back simulations reuse them (see
+	// pipeline.Arena).
 	Arena *pipeline.Arena `json:"-"`
 }
 
@@ -264,6 +265,13 @@ type Machine struct {
 
 // New builds a machine over a fresh copy of the program's memory.
 func New(cfg Config, prog *program.Program) (*Machine, error) {
+	return NewWithImage(cfg, prog, prog.InitialImage())
+}
+
+// NewWithImage builds a machine whose memory starts as img, which the
+// machine takes over. A nil img starts from empty memory: the choice for a
+// machine about to RestoreSnapshot, which installs the snapshot's memory.
+func NewWithImage(cfg Config, prog *program.Program, img *mem.Image) (*Machine, error) {
 	if err := prog.Validate(cfg.IssueWidth, cfg.FUs); err != nil {
 		return nil, fmt.Errorf("twopass: %w", err)
 	}
@@ -271,13 +279,13 @@ func New(cfg Config, prog *program.Program) (*Machine, error) {
 		return nil, fmt.Errorf("twopass: coupling queue (%d) smaller than one issue group (%d)",
 			cfg.CQSize, cfg.IssueWidth)
 	}
-	hier := mem.NewHierarchy(cfg.Mem)
+	hier := cfg.Arena.Hierarchy(cfg.Mem)
 	m := &Machine{
 		cfg:  cfg,
 		prog: prog,
 		fe:   pipeline.NewFrontEnd(cfg.Front, prog, hier, bpred.New(cfg.Bpred), cfg.Arena),
 		hier: hier,
-		bst:  arch.NewState(prog.InitialImage()),
+		bst:  arch.NewState(img),
 		cq:   newCQRing(cfg.CQSize),
 	}
 	m.arena = m.fe.Arena()
