@@ -192,3 +192,35 @@ func TestCOWIsolation(t *testing.T) {
 		}
 	})
 }
+
+// TestMachineSnapshotRejectedAcrossModels checks that a KindMachine snapshot
+// restores only on the model that took it: for every ordered pair of
+// distinct models, RestoreSnapshot must fail rather than resume from state
+// whose sections mean something else.
+func TestMachineSnapshotRejectedAcrossModels(t *testing.T) {
+	p := ckptProg(t)
+	snaps := make(map[Model]*checkpoint.Snapshot)
+	for _, model := range Models() {
+		if _, err := Simulate(context.Background(), model, p,
+			WithSnapshots(100, func(s *checkpoint.Snapshot) { snaps[model] = s })); err != nil {
+			t.Fatalf("%v: %v", model, err)
+		}
+		if snaps[model] == nil {
+			t.Fatalf("%v: no machine snapshot taken", model)
+		}
+	}
+	for _, from := range Models() {
+		for _, to := range Models() {
+			if from == to {
+				continue
+			}
+			m, err := build(to, DefaultConfig(), p, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := m.(Snapshotter).RestoreSnapshot(snaps[from]); err == nil {
+				t.Errorf("%v restored a machine snapshot taken by %v", to, from)
+			}
+		}
+	}
+}
