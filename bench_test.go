@@ -64,7 +64,7 @@ func BenchmarkFig6(b *testing.B) {
 	cfg := core.DefaultConfig()
 	for _, bench := range workload.Suite() {
 		bench := bench
-		base, err := core.Run(core.Baseline, cfg, bench.Program())
+		base, err := core.Simulate(context.Background(), core.Baseline, bench.Program(), core.WithConfig(cfg))
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -74,7 +74,7 @@ func BenchmarkFig6(b *testing.B) {
 				var r *stats.Run
 				for i := 0; i < b.N; i++ {
 					var err error
-					r, err = core.Run(model, cfg, bench.Program())
+					r, err = core.Simulate(context.Background(), model, bench.Program(), core.WithConfig(cfg))
 					if err != nil {
 						b.Fatal(err)
 					}
@@ -95,7 +95,7 @@ func BenchmarkFig7(b *testing.B) {
 			var r *stats.Run
 			for i := 0; i < b.N; i++ {
 				var err error
-				r, err = core.Run(core.TwoPass, cfg, bench.Program())
+				r, err = core.Simulate(context.Background(), core.TwoPass, bench.Program(), core.WithConfig(cfg))
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -133,7 +133,7 @@ func BenchmarkFig8(b *testing.B) {
 				var r *stats.Run
 				for i := 0; i < b.N; i++ {
 					var err error
-					r, err = core.Run(core.TwoPass, c, bench.Program())
+					r, err = core.Simulate(context.Background(), core.TwoPass, bench.Program(), core.WithConfig(c))
 					if err != nil {
 						b.Fatal(err)
 					}
@@ -156,7 +156,7 @@ func BenchmarkRunahead(b *testing.B) {
 			var r *stats.Run
 			for i := 0; i < b.N; i++ {
 				var err error
-				r, err = core.Run(core.Runahead, cfg, bench.Program())
+				r, err = core.Simulate(context.Background(), core.Runahead, bench.Program(), core.WithConfig(cfg))
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -176,7 +176,7 @@ func BenchmarkCQSweep(b *testing.B) {
 			var r *stats.Run
 			for i := 0; i < b.N; i++ {
 				var err error
-				r, err = core.Run(core.TwoPass, cfg, bench.Program())
+				r, err = core.Simulate(context.Background(), core.TwoPass, bench.Program(), core.WithConfig(cfg))
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -200,7 +200,7 @@ func BenchmarkALATSweep(b *testing.B) {
 			var r *stats.Run
 			for i := 0; i < b.N; i++ {
 				var err error
-				r, err = core.Run(core.TwoPass, cfg, bench.Program())
+				r, err = core.Simulate(context.Background(), core.TwoPass, bench.Program(), core.WithConfig(cfg))
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -221,7 +221,7 @@ func BenchmarkThrottleSweep(b *testing.B) {
 			var r *stats.Run
 			for i := 0; i < b.N; i++ {
 				var err error
-				r, err = core.Run(core.TwoPass, cfg, bench.Program())
+				r, err = core.Simulate(context.Background(), core.TwoPass, bench.Program(), core.WithConfig(cfg))
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -250,7 +250,7 @@ func BenchmarkSimSpeed(b *testing.B) {
 		b.Run(model.String(), func(b *testing.B) {
 			var instrs int64
 			for i := 0; i < b.N; i++ {
-				r, err := core.Run(model, cfg, bench.Program())
+				r, err := core.Simulate(context.Background(), model, bench.Program(), core.WithConfig(cfg))
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -302,7 +302,7 @@ func BenchmarkCheckpointRepair(b *testing.B) {
 			var r *stats.Run
 			for i := 0; i < b.N; i++ {
 				var err error
-				r, err = core.Run(core.TwoPass, cfg, bench.Program())
+				r, err = core.Simulate(context.Background(), core.TwoPass, bench.Program(), core.WithConfig(cfg))
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -313,12 +313,12 @@ func BenchmarkCheckpointRepair(b *testing.B) {
 }
 
 func BenchmarkIfConvert(b *testing.B) {
-	rows, err := experiments.IfConvertStudy(core.DefaultConfig(), []string{"300.twolf"})
+	rows, err := experiments.IfConvertStudy(context.Background(), core.DefaultConfig(), []string{"300.twolf"})
 	if err != nil {
 		b.Fatal(err)
 	}
 	for i := 0; i < b.N; i++ {
-		if _, err := experiments.IfConvertStudy(core.DefaultConfig(), []string{"300.twolf"}); err != nil {
+		if _, err := experiments.IfConvertStudy(context.Background(), core.DefaultConfig(), []string{"300.twolf"}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -342,11 +342,11 @@ func BenchmarkFutureMachine(b *testing.B) {
 			var base, tp *stats.Run
 			for i := 0; i < b.N; i++ {
 				var err error
-				base, err = core.Run(core.Baseline, tc.cfg, bench.Program())
+				base, err = core.Simulate(context.Background(), core.Baseline, bench.Program(), core.WithConfig(tc.cfg))
 				if err != nil {
 					b.Fatal(err)
 				}
-				tp, err = core.Run(core.TwoPass, tc.cfg, bench.Program())
+				tp, err = core.Simulate(context.Background(), core.TwoPass, bench.Program(), core.WithConfig(tc.cfg))
 				if err != nil {
 					b.Fatal(err)
 				}

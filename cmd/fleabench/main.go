@@ -149,7 +149,7 @@ func run(ctx context.Context) error {
 		if *benchName != "" {
 			names = []string{*benchName}
 		}
-		points, err := experiments.Fig8(cfg, names)
+		points, err := experiments.Fig8(ctx, cfg, names)
 		if err != nil {
 			return err
 		}
@@ -175,13 +175,13 @@ func run(ctx context.Context) error {
 				subset = append(subset, b)
 			}
 		}
-		fut, err := experiments.CompareMachines(cfg, experiments.FutureConfig(), subset)
+		fut, err := experiments.CompareMachines(ctx, cfg, experiments.FutureConfig(), subset)
 		if err != nil {
 			return err
 		}
 		fmt.Println(experiments.RenderMachineComparison(
 			"Futuristic machine (§4): smaller low-level caches, longer latencies", "future", fut))
-		perf, err := experiments.CompareMachines(cfg, experiments.PerfectMemoryConfig(), subset)
+		perf, err := experiments.CompareMachines(ctx, cfg, experiments.PerfectMemoryConfig(), subset)
 		if err != nil {
 			return err
 		}
@@ -212,7 +212,7 @@ func run(ctx context.Context) error {
 		if *benchName != "" {
 			names = []string{*benchName}
 		}
-		rows, err := experiments.IfConvertStudy(cfg, names)
+		rows, err := experiments.IfConvertStudy(ctx, cfg, names)
 		if err != nil {
 			return err
 		}
@@ -223,17 +223,17 @@ func run(ctx context.Context) error {
 		if *benchName != "" {
 			name = *benchName
 		}
-		cq, err := experiments.CQSweep(cfg, name, []int{16, 32, 64, 128, 256})
+		cq, err := experiments.CQSweep(ctx, cfg, name, []int{16, 32, 64, 128, 256})
 		if err != nil {
 			return err
 		}
 		fmt.Println(experiments.RenderSweep("Coupling-queue size sweep (paper: insensitive near 64)", "CQ", "deferred", cq))
-		al, err := experiments.ALATSweep(cfg, name, []int{0, 8, 16, 32, 64})
+		al, err := experiments.ALATSweep(ctx, cfg, name, []int{0, 8, 16, 32, 64})
 		if err != nil {
 			return err
 		}
 		fmt.Println(experiments.RenderSweep("ALAT capacity sweep (0 = perfect, Table 1)", "entries", "flushes", al))
-		th, err := experiments.ThrottleSweep(cfg, name, []int{0, 8, 16, 32})
+		th, err := experiments.ThrottleSweep(ctx, cfg, name, []int{0, 8, 16, 32})
 		if err != nil {
 			return err
 		}

@@ -26,7 +26,7 @@
 // The analyzer checks annotated function bodies only — it does not chase
 // calls. The repository convention is therefore to annotate every function a
 // hotpath function calls on its steady-state path, which the self-applied
-// annotations in internal/{baseline,pipeline,twopass,runahead,mem,stats} do.
+// annotations in internal/{baseline,pipeline,twopass,mem,stats} do.
 package hotalloc
 
 import (

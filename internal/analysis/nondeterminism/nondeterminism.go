@@ -2,7 +2,7 @@
 // byte-determinism invariant: two runs of the same program on the same
 // configuration must evolve identical simulation state and emit identical
 // traces and metrics. Inside the simulation packages
-// (internal/{pipeline,twopass,runahead,baseline,core,mem,stats}) it reports:
+// (internal/{pipeline,twopass,baseline,core,mem,stats}) it reports:
 //
 //   - range statements over maps, whose iteration order varies run to run
 //     and can leak into simulation state or emitted output. A range whose

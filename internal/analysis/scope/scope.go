@@ -22,7 +22,6 @@ package scope
 var Simulation = []string{
 	"internal/pipeline",
 	"internal/twopass",
-	"internal/runahead",
 	"internal/baseline",
 	"internal/core",
 	"internal/mem",
@@ -53,7 +52,6 @@ var Simulation = []string{
 var Arena = []string{
 	"internal/pipeline",
 	"internal/twopass",
-	"internal/runahead",
 	"internal/baseline",
 	// Snapshot capture/restore runs inside the machines' cycle loops (at
 	// drain barriers), so it is held to the same ownership rules.
@@ -65,7 +63,6 @@ var Arena = []string{
 var Traced = []string{
 	"internal/pipeline",
 	"internal/twopass",
-	"internal/runahead",
 	"internal/baseline",
 	"internal/core",
 	"internal/mem",
@@ -84,8 +81,10 @@ var Stats = []string{
 var Snapshotting = []string{
 	"internal/mem",
 	"internal/checkpoint",
+	// The shared drain barrier (pipeline.Barrier) captures and restores the
+	// machines' common snapshot state.
+	"internal/pipeline",
 	"internal/twopass",
-	"internal/runahead",
 	"internal/baseline",
 	"internal/core",
 	"internal/diffsim",
@@ -108,7 +107,6 @@ var Guarded = []string{
 var Looping = []string{
 	"internal/pipeline",
 	"internal/twopass",
-	"internal/runahead",
 	"internal/baseline",
 	"internal/core",
 	"internal/service",

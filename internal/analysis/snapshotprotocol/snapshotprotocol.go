@@ -1,29 +1,30 @@
 // Package snapshotprotocol defines the analyzer enforcing the machines'
-// drain-barrier discipline around checkpoint capture (see the Checkpoint
-// support comment in internal/twopass/snapshot.go). A core.Snapshotter
-// machine quiesces before encoding: it sets its draining flag, pauses fetch
-// until the in-flight window empties, and only then serializes state. Two
-// rules, checked in every package that declares a ConfigureSnapshots method:
+// drain-barrier discipline around checkpoint capture (see pipeline.Barrier).
+// A core.Snapshotter machine quiesces before encoding: it sets its draining
+// flag, pauses fetch until the in-flight window empties, and only then
+// serializes state. Two rules, checked in every package declaring a type
+// whose method set has ConfigureSnapshots — declared directly or promoted
+// from an embedded barrier:
 //
 //  1. Snapshot encoding happens only at the drain barrier. A "snapshot
 //     encoder" is any function whose body builds a checkpoint.Snapshot or
 //     calls checkpoint.NewEncoder (takeSnapshot in the machines). Every
 //     same-package call to an encoder must sit under an if whose condition
-//     guarantees the machine is draining — a positive `draining` conjunct
-//     (or the else branch of a `!draining` test). Encoding off the barrier
+//     guarantees the machine is draining — a positive `Draining` conjunct
+//     (or the else branch of a `!Draining` test). Encoding off the barrier
 //     captures a machine with speculative state in flight: the snapshot can
 //     never be restored to an equivalent machine.
 //
 //  2. Speculation is suppressed while draining. Every call to a method
 //     marked //flea:specentry (run-ahead episode entry) must sit under a
-//     condition guaranteeing `!draining` — a negated conjunct or the else
+//     condition guaranteeing `!Draining` — a negated conjunct or the else
 //     branch of a positive test. An episode begun while draining keeps
 //     speculative registers and fetched groups alive past the quiesce
 //     point, poisoning the snapshot taken there.
 //
 // Guard recognition is syntactic over the enclosing if chain: a conjunct of
-// the condition must be the (possibly negated) `draining` field selector.
-// Disjunctions (`a || draining`) guarantee nothing and do not count. Test
+// the condition must be the (possibly negated) `Draining` field selector.
+// Disjunctions (`a || Draining`) guarantee nothing and do not count. Test
 // files are exempt.
 package snapshotprotocol
 
@@ -57,7 +58,7 @@ func run(pass *analysis.Pass) (interface{}, error) {
 	// The rules govern snapshotter machines only: packages that merely
 	// serialize (checkpoint itself) or store pages (mem) build Snapshot
 	// values as their ordinary business.
-	isSnapshotter := false
+	isSnapshotter := declaresSnapshotter(pass.Pkg)
 	encoders := make(map[*types.Func]bool)
 	specEntries := make(map[*types.Func]bool)
 	for _, f := range pass.Files {
@@ -69,9 +70,6 @@ func run(pass *analysis.Pass) (interface{}, error) {
 			fn, ok := pass.TypesInfo.Defs[fd.Name].(*types.Func)
 			if !ok {
 				continue
-			}
-			if fd.Name.Name == "ConfigureSnapshots" && fd.Recv != nil {
-				isSnapshotter = true
 			}
 			if fd.Body != nil && encodesSnapshot(pass.TypesInfo, fd.Body) {
 				encoders[fn] = true
@@ -114,6 +112,25 @@ func run(pass *analysis.Pass) (interface{}, error) {
 		return true
 	})
 	return nil, nil
+}
+
+// declaresSnapshotter reports whether pkg declares a named type whose
+// pointer method set includes ConfigureSnapshots, so a machine that gets the
+// method from an embedded pipeline.Barrier counts as well as one that
+// declares it.
+func declaresSnapshotter(pkg *types.Package) bool {
+	scope := pkg.Scope()
+	for _, name := range scope.Names() {
+		tn, ok := scope.Lookup(name).(*types.TypeName)
+		if !ok || tn.IsAlias() {
+			continue
+		}
+		ms := types.NewMethodSet(types.NewPointer(tn.Type()))
+		if ms.Lookup(pkg, "ConfigureSnapshots") != nil {
+			return true
+		}
+	}
+	return false
 }
 
 // encodesSnapshot reports whether a function body serializes checkpoint
@@ -203,14 +220,9 @@ func drainPolarity(c ast.Expr) (pos, neg bool) {
 	return isDrainingRef(c), false
 }
 
-// isDrainingRef reports whether e is the draining flag: the bare identifier
-// or a field selector of that name.
+// isDrainingRef reports whether e is the draining flag: a selector of the
+// Draining field every machine embeds with its pipeline.Barrier.
 func isDrainingRef(e ast.Expr) bool {
-	switch e := ast.Unparen(e).(type) {
-	case *ast.Ident:
-		return e.Name == "draining"
-	case *ast.SelectorExpr:
-		return e.Sel.Name == "draining"
-	}
-	return false
+	sel, ok := ast.Unparen(e).(*ast.SelectorExpr)
+	return ok && sel.Sel.Name == "Draining"
 }

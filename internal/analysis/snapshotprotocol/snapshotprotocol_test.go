@@ -9,5 +9,5 @@ import (
 
 func TestSnapshotprotocol(t *testing.T) {
 	analyzertest.Run(t, "testdata", snapshotprotocol.Analyzer,
-		"internal/checkpoint", "internal/runahead")
+		"internal/checkpoint", "internal/pipeline", "internal/baseline")
 }

@@ -9,6 +9,10 @@
 // scoreboard carries the timing (a value written with latency L may not be
 // consumed for L cycles). Because dispatch is strictly in program order this
 // yields exact architectural state, verified against internal/arch.
+//
+// The run-ahead comparator of the paper's §2 is the same machine plus
+// checkpointed pre-execution episodes (see runahead.go); NewRunahead builds
+// it.
 package baseline
 
 import (
@@ -17,7 +21,6 @@ import (
 
 	"fleaflicker/internal/arch"
 	"fleaflicker/internal/bpred"
-	"fleaflicker/internal/checkpoint"
 	"fleaflicker/internal/isa"
 	"fleaflicker/internal/mem"
 	"fleaflicker/internal/metrics"
@@ -54,7 +57,7 @@ func DefaultConfig() Config {
 	}
 }
 
-// Machine is one baseline simulation instance.
+// Machine is one baseline or run-ahead simulation instance.
 type Machine struct {
 	cfg  Config
 	prog *program.Program
@@ -75,26 +78,23 @@ type Machine struct {
 	srcScratch  []isa.Reg
 	addrScratch []uint32
 
+	// ra is the run-ahead episode state, nil on the baseline machine.
+	// RunaheadEntries/RunaheadInsts count run-ahead activity; they mirror
+	// the "runahead.entries"/"runahead.insts" registry counters.
+	ra              *episode
+	RunaheadEntries int64
+	RunaheadInsts   int64
+
 	now    int64
 	halted bool
 	col    *stats.Collector
 	tr     *trace.Tracer
 	ctx    context.Context
 
-	// Checkpoint state (see snapshot.go). retired counts architecturally
-	// retired instructions; archPC tracks the next architectural PC so a
-	// drain barrier knows where to restart fetch.
-	retired   int64
-	archPC    int32
-	snapEvery int64
-	nextSnap  int64
-	draining  bool
-	onSnap    func(*checkpoint.Snapshot)
-	resume    *checkpoint.Snapshot
+	// Barrier carries the retired count, the architectural PC and the
+	// drain-barrier checkpoint protocol (see snapshot.go).
+	pipeline.Barrier
 }
-
-// modelTag identifies baseline machine snapshots.
-const modelTag = "base"
 
 // New builds a machine over a fresh copy of the program's memory. The
 // program must satisfy Validate for the configured widths.
@@ -106,8 +106,25 @@ func New(cfg Config, prog *program.Program) (*Machine, error) {
 // machine takes over. A nil img starts from empty memory: the choice for a
 // machine about to RestoreSnapshot, which installs the snapshot's memory.
 func NewWithImage(cfg Config, prog *program.Program, img *mem.Image) (*Machine, error) {
+	return newMachine("base", cfg, prog, img)
+}
+
+// NewRunahead builds the run-ahead comparator over memory img (see
+// NewWithImage): the baseline machine plus pre-execution episodes. An
+// episode begins when a load-use stall has more than minStall cycles left
+// and costs exitPenalty cycles on top of the front-end refill when it ends.
+func NewRunahead(cfg Config, exitPenalty, minStall int, prog *program.Program, img *mem.Image) (*Machine, error) {
+	m, err := newMachine("runahead", cfg, prog, img)
+	if err != nil {
+		return nil, err
+	}
+	m.ra = &episode{exitPenalty: exitPenalty, minStall: minStall}
+	return m, nil
+}
+
+func newMachine(model string, cfg Config, prog *program.Program, img *mem.Image) (*Machine, error) {
 	if err := prog.Validate(cfg.IssueWidth, cfg.FUs); err != nil {
-		return nil, fmt.Errorf("baseline: %w", err)
+		return nil, fmt.Errorf("%s: %w", model, err)
 	}
 	hier := cfg.Arena.Hierarchy(cfg.Mem)
 	m := &Machine{
@@ -118,7 +135,8 @@ func NewWithImage(cfg Config, prog *program.Program, img *mem.Image) (*Machine, 
 		st:   arch.NewState(img),
 	}
 	m.arena = m.fe.Arena()
-	m.col = stats.NewCollector(metrics.NewRegistry(), prog.Name, "base")
+	m.Barrier = pipeline.NewBarrier(model, m.fe, m.st)
+	m.col = stats.NewCollector(metrics.NewRegistry(), prog.Name, model)
 	return m, nil
 }
 
@@ -131,7 +149,7 @@ func (m *Machine) State() *arch.State { return m.st }
 // has started.
 func (m *Machine) Attach(ctx context.Context, reg *metrics.Registry, tr *trace.Tracer) {
 	if reg != nil {
-		m.col = stats.NewCollector(reg, m.prog.Name, "base")
+		m.col = stats.NewCollector(reg, m.prog.Name, m.Model())
 	}
 	m.ctx = ctx
 	m.tr = tr
@@ -139,32 +157,43 @@ func (m *Machine) Attach(ctx context.Context, reg *metrics.Registry, tr *trace.T
 
 // Run simulates to completion and returns the measurements.
 func (m *Machine) Run() (*stats.Run, error) {
-	m.primeCounters()
+	m.PrimeCounters(m.col.Registry())
+	if m.ra != nil {
+		m.syncEpisodeCounters()
+	}
 	for !m.halted {
 		if m.now >= m.cfg.MaxCycles {
-			return nil, fmt.Errorf("baseline: %q exceeded %d cycles", m.prog.Name, m.cfg.MaxCycles)
+			return nil, fmt.Errorf("%s: %q exceeded %d cycles", m.Model(), m.prog.Name, m.cfg.MaxCycles)
 		}
 		if m.ctx != nil && m.now&4095 == 0 {
 			if err := m.ctx.Err(); err != nil {
-				return nil, fmt.Errorf("baseline: %q: %w", m.prog.Name, err)
+				return nil, fmt.Errorf("%s: %q: %w", m.Model(), m.prog.Name, err)
 			}
 		}
-		if m.draining {
-			// Fetch pauses until every fetched group has dispatched; then the
-			// machine is quiesced and the snapshot is architecturally exact.
+		if m.Draining {
+			// Fetch pauses (and run-ahead entry is suppressed in step) until
+			// every fetched group has dispatched; then the machine is
+			// quiesced and the snapshot is architecturally exact.
 			if !m.fe.Pending() {
 				m.takeSnapshot()
-				m.fe.Redirect(m.archPC, m.now)
-				m.draining = false
+				m.fe.Redirect(m.ArchPC, m.now)
+				m.Draining = false
 			}
 		} else {
 			m.fe.Tick(m.now)
 		}
-		m.step()
-		if m.snapshotDue() {
-			m.draining = true
+		if m.ra != nil && m.ra.active {
+			m.stepRunahead()
+		} else {
+			m.step()
+		}
+		if m.SnapshotDue() {
+			m.Draining = true
 		}
 		m.now++
+	}
+	if m.ra != nil {
+		m.syncEpisodeCounters()
 	}
 	r := m.col.Snapshot(m.hier.Stats())
 	if err := r.CheckInvariants(); err != nil {
@@ -174,6 +203,7 @@ func (m *Machine) Run() (*stats.Run, error) {
 }
 
 // step attempts to dispatch the head issue group and classifies the cycle.
+// On the run-ahead machine a long enough load-use stall begins an episode.
 //
 //flea:hotpath
 func (m *Machine) step() {
@@ -186,11 +216,17 @@ func (m *Machine) step() {
 		}
 		return
 	}
-	if cls, blocked := m.groupBlocked(g); blocked {
+	if cls, until, blocked := m.groupBlocked(g); blocked {
 		m.col.Cycle(cls)
 		if m.tr.Enabled() {
 			m.tr.Emit(trace.Event{Cycle: m.now, Type: trace.EvStall, Pipe: trace.PipeA,
 				PC: g.FetchPC, Arg: int64(cls), Note: cls.String()})
+		}
+		// No episodes while draining toward a snapshot barrier: an episode
+		// would keep speculative state (and fetched groups) in flight past
+		// the quiesce point.
+		if cls == stats.LoadStall && m.ra != nil && until-m.now > int64(m.ra.minStall) && !m.Draining {
+			m.enterRunahead(g, until)
 		}
 		return
 	}
@@ -205,10 +241,11 @@ func (m *Machine) step() {
 // instruction in the group must be ready (group-granularity stall), every
 // destination must be free of a pending longer-latency write (the WAW stall
 // condition typical of EPIC scoreboards, §3.3), and the memory system must
-// be able to accept the group's loads.
+// be able to accept the group's loads. A blocked group also reports the
+// cycle the stall clears.
 //
 //flea:hotpath
-func (m *Machine) groupBlocked(g *pipeline.Group) (stats.CycleClass, bool) {
+func (m *Machine) groupBlocked(g *pipeline.Group) (cls stats.CycleClass, until int64, blocked bool) {
 	blockedUntil := int64(-1)
 	blockedByLoad := false
 	consider := func(r isa.Reg) {
@@ -233,9 +270,9 @@ func (m *Machine) groupBlocked(g *pipeline.Group) (stats.CycleClass, bool) {
 	m.srcScratch = srcs
 	if blockedUntil > m.now {
 		if blockedByLoad {
-			return stats.LoadStall, true
+			return stats.LoadStall, blockedUntil, true
 		}
-		return stats.NonLoadDepStall, true
+		return stats.NonLoadDepStall, blockedUntil, true
 	}
 	// Operands ready: compute load addresses to check outstanding-load
 	// capacity as a group. (Address operands are ready by construction
@@ -249,9 +286,9 @@ func (m *Machine) groupBlocked(g *pipeline.Group) (stats.CycleClass, bool) {
 	}
 	m.addrScratch = addrs
 	if len(addrs) > 0 && !m.hier.CanAcceptLoads(addrs, m.now) {
-		return stats.ResourceStall, true
+		return stats.ResourceStall, m.now + 1, true
 	}
-	return 0, false
+	return 0, 0, false
 }
 
 // dispatch executes an issue group whose operands are all ready.
@@ -261,7 +298,7 @@ func (m *Machine) dispatch(g *pipeline.Group) {
 	for _, d := range g.Insts {
 		in := d.In
 		m.col.Instruction()
-		m.retired++
+		m.Retired++
 		if m.tr.Enabled() {
 			m.tr.Emit(trace.Event{Cycle: m.now, Type: trace.EvDispatch, Pipe: trace.PipeA,
 				ID: d.ID, PC: d.PC, Note: in.String()})
@@ -274,7 +311,7 @@ func (m *Machine) dispatch(g *pipeline.Group) {
 			}
 			continue
 		}
-		m.archPC = d.PC + 1
+		m.ArchPC = d.PC + 1
 		if !predOn {
 			continue // retires as a no-op
 		}
@@ -337,7 +374,7 @@ func (m *Machine) resolveBranch(d *pipeline.DynInst, predOn bool) (squash bool) 
 	if taken {
 		actualNext = target
 	}
-	m.archPC = actualNext
+	m.ArchPC = actualNext
 	// Train the predictor.
 	pred := m.fe.Predictor()
 	if d.HasCP {

@@ -19,11 +19,19 @@ func runBoth(t *testing.T, src string) *stats.Run {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ref, err := arch.Run(p, 10_000_000)
+	m, err := New(DefaultConfig(), p)
 	if err != nil {
 		t.Fatal(err)
 	}
-	m, err := New(DefaultConfig(), p)
+	return runChecked(t, m, p)
+}
+
+// runChecked runs m, built over p, and fails the test unless its final
+// architectural state and retired-instruction count match the reference
+// executor's.
+func runChecked(t *testing.T, m *Machine, p *program.Program) *stats.Run {
+	t.Helper()
+	ref, err := arch.Run(p, 50_000_000)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -32,7 +40,7 @@ func runBoth(t *testing.T, src string) *stats.Run {
 		t.Fatal(err)
 	}
 	if !m.State().Equal(ref.State) {
-		t.Fatalf("baseline state diverges from reference: %s", m.State().Diff(ref.State))
+		t.Fatalf("%s state diverges from reference: %s", m.Model(), m.State().Diff(ref.State))
 	}
 	if r.Instructions != ref.Instructions {
 		t.Errorf("retired %d instructions, reference retired %d", r.Instructions, ref.Instructions)

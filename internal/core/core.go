@@ -18,7 +18,6 @@ import (
 	"fleaflicker/internal/metrics"
 	"fleaflicker/internal/pipeline"
 	"fleaflicker/internal/program"
-	"fleaflicker/internal/runahead"
 	"fleaflicker/internal/stats"
 	"fleaflicker/internal/trace"
 	"fleaflicker/internal/twopass"
@@ -136,17 +135,6 @@ func (c Config) TwoPassConfig(regroup bool) twopass.Config {
 	}
 }
 
-// RunaheadConfig converts to the run-ahead machine's configuration.
-func (c Config) RunaheadConfig() runahead.Config {
-	return runahead.Config{
-		Front: c.Front, Mem: c.Mem, Bpred: c.Bpred,
-		IssueWidth: c.IssueWidth, FUs: c.FUs,
-		ExitPenalty: c.RunaheadExitPenalty, MinStallCycles: c.RunaheadMinStall,
-		MaxCycles: c.MaxCycles,
-		Arena:     c.Arena,
-	}
-}
-
 // machine is what every model implementation provides.
 type machine interface {
 	Run() (*stats.Run, error)
@@ -166,23 +154,7 @@ func build(model Model, cfg Config, prog *program.Program, img *mem.Image) (mach
 	case TwoPassRegroup:
 		return twopass.NewWithImage(cfg.TwoPassConfig(true), prog, img)
 	case Runahead:
-		return runahead.NewWithImage(cfg.RunaheadConfig(), prog, img)
+		return baseline.NewRunahead(cfg.BaselineConfig(), cfg.RunaheadExitPenalty, cfg.RunaheadMinStall, prog, img)
 	}
 	return nil, fmt.Errorf("core: unknown model %d", model)
-}
-
-// Run simulates prog to completion on the selected machine model.
-//
-// Deprecated: use Simulate(ctx, model, prog, WithConfig(cfg)).
-func Run(model Model, cfg Config, prog *program.Program) (*stats.Run, error) {
-	return Simulate(context.Background(), model, prog, WithConfig(cfg))
-}
-
-// RunVerified simulates prog and additionally checks that the machine's
-// final architectural state matches the functional reference executor —
-// the repository's golden correctness invariant.
-//
-// Deprecated: use Simulate(ctx, model, prog, WithConfig(cfg), WithVerify()).
-func RunVerified(model Model, cfg Config, prog *program.Program) (*stats.Run, error) {
-	return Simulate(context.Background(), model, prog, WithConfig(cfg), WithVerify())
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -51,7 +52,7 @@ func TestDefaultConfigMatchesTable1(t *testing.T) {
 func TestRunAllModels(t *testing.T) {
 	p := program.MustAssemble("tiny", tiny)
 	for _, m := range Models() {
-		r, err := Run(m, DefaultConfig(), p)
+		r, err := Simulate(context.Background(), m, p)
 		if err != nil {
 			t.Fatalf("%v: %v", m, err)
 		}
@@ -61,10 +62,10 @@ func TestRunAllModels(t *testing.T) {
 	}
 }
 
-func TestRunVerifiedCatchesNothingOnCorrectMachines(t *testing.T) {
+func TestVerifyCatchesNothingOnCorrectMachines(t *testing.T) {
 	p := program.MustAssemble("tiny", tiny)
 	for _, m := range Models() {
-		if _, err := RunVerified(m, DefaultConfig(), p); err != nil {
+		if _, err := Simulate(context.Background(), m, p, WithVerify()); err != nil {
 			t.Errorf("%v: %v", m, err)
 		}
 	}
@@ -72,7 +73,7 @@ func TestRunVerifiedCatchesNothingOnCorrectMachines(t *testing.T) {
 
 func TestUnknownModelRejected(t *testing.T) {
 	p := program.MustAssemble("tiny", tiny)
-	if _, err := Run(Model(99), DefaultConfig(), p); err == nil || !strings.Contains(err.Error(), "unknown model") {
+	if _, err := Simulate(context.Background(), Model(99), p); err == nil || !strings.Contains(err.Error(), "unknown model") {
 		t.Errorf("unknown model should error, got %v", err)
 	}
 }
@@ -92,9 +93,26 @@ func TestConfigConversions(t *testing.T) {
 	if bl.IssueWidth != 8 || bl.Mem.MemLatency != 145 {
 		t.Errorf("BaselineConfig lost fields")
 	}
-	c.RunaheadExitPenalty = 3
-	ra := c.RunaheadConfig()
-	if ra.ExitPenalty != 3 || ra.MinStallCycles != c.RunaheadMinStall {
-		t.Errorf("RunaheadConfig lost fields")
+	// The run-ahead parameters reach the machine: an entry threshold no
+	// stall exceeds leaves the baseline's timing, and an exit penalty costs
+	// cycles on every episode.
+	p := simProg(t)
+	cycles := func(model Model, cfg Config) int64 {
+		t.Helper()
+		r, err := Simulate(context.Background(), model, p, WithConfig(cfg))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return r.Cycles
+	}
+	never := DefaultConfig()
+	never.RunaheadMinStall = 1 << 30
+	if ra, base := cycles(Runahead, never), cycles(Baseline, never); ra != base {
+		t.Errorf("run-ahead with no episodes took %d cycles, baseline %d", ra, base)
+	}
+	penalty := DefaultConfig()
+	penalty.RunaheadExitPenalty = 3
+	if slow, fast := cycles(Runahead, penalty), cycles(Runahead, DefaultConfig()); slow <= fast {
+		t.Errorf("exit penalty did not cost cycles: %d vs %d", slow, fast)
 	}
 }

@@ -1,6 +1,7 @@
 package core_test
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -22,7 +23,7 @@ func Example() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	r, err := core.RunVerified(core.TwoPass, core.DefaultConfig(), p)
+	r, err := core.Simulate(context.Background(), core.TwoPass, p, core.WithVerify())
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"testing"
 
 	"fleaflicker/internal/program"
@@ -31,7 +32,7 @@ loop:   ld4 r2 = [r1] ;;
 		Runahead:       1238, // prefetches under the stalls, pays refills
 	}
 	for model, cycles := range want {
-		r, err := RunVerified(model, DefaultConfig(), p)
+		r, err := Simulate(context.Background(), model, p, WithVerify())
 		if err != nil {
 			t.Fatalf("%v: %v", model, err)
 		}

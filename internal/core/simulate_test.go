@@ -29,13 +29,17 @@ loop:   ld4 r2 = [r1] ;;
 `)
 }
 
-// Simulate with no options must agree exactly with the legacy Run entry
-// point (which is now a wrapper over it, but the equality also pins that
-// attaching a background context costs no cycles).
+// Simulate with no options must agree exactly with running a machine built
+// directly with DefaultConfig: attaching a background context costs no
+// cycles.
 func TestSimulateMatchesRun(t *testing.T) {
 	p := simProg(t)
 	for _, model := range Models() {
-		want, err := Run(model, DefaultConfig(), p)
+		m, err := build(model, DefaultConfig(), p, p.InitialImage())
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := m.Run()
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -88,7 +88,7 @@ func BuildBenchReport(ctx context.Context, cfg core.Config, models []core.Model,
 		if wall > 0 {
 			row.InstrPerSec = float64(row.Instructions) / wall.Seconds()
 		}
-		allocs, err := allocsPerRun(m, cfg, ab)
+		allocs, err := allocsPerRun(ctx, m, cfg, ab)
 		if err != nil {
 			return nil, err
 		}
@@ -100,13 +100,13 @@ func BuildBenchReport(ctx context.Context, cfg core.Config, models []core.Model,
 
 // allocsPerRun measures the heap allocations of one full simulation after a
 // warm-up run (which pays one-time costs like lazily building the kernel).
-func allocsPerRun(m core.Model, cfg core.Config, b *workload.Benchmark) (uint64, error) {
-	if _, err := core.Run(m, cfg, b.Program()); err != nil {
+func allocsPerRun(ctx context.Context, m core.Model, cfg core.Config, b *workload.Benchmark) (uint64, error) {
+	if _, err := core.Simulate(ctx, m, b.Program(), core.WithConfig(cfg)); err != nil {
 		return 0, err
 	}
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
-	if _, err := core.Run(m, cfg, b.Program()); err != nil {
+	if _, err := core.Simulate(ctx, m, b.Program(), core.WithConfig(cfg)); err != nil {
 		return 0, err
 	}
 	runtime.ReadMemStats(&after)

@@ -312,7 +312,7 @@ type Fig8Point struct {
 var Fig8Latencies = []int{0, 1, 2, 4, 8, -1}
 
 // Fig8 sweeps the B→A feedback latency for the named benchmarks.
-func Fig8(cfg core.Config, names []string) ([]Fig8Point, error) {
+func Fig8(ctx context.Context, cfg core.Config, names []string) ([]Fig8Point, error) {
 	var out []Fig8Point
 	for _, name := range names {
 		b, err := workload.ByName(name)
@@ -322,7 +322,7 @@ func Fig8(cfg core.Config, names []string) ([]Fig8Point, error) {
 		for _, lat := range Fig8Latencies {
 			c := cfg
 			c.FeedbackLatency = lat
-			r, err := core.Run(core.TwoPass, c, b.Program())
+			r, err := core.Simulate(ctx, core.TwoPass, b.Program(), core.WithConfig(c))
 			if err != nil {
 				return nil, fmt.Errorf("fig8 %s lat %d: %w", name, lat, err)
 			}
@@ -494,59 +494,41 @@ type SweepPoint struct {
 
 // CQSweep varies the coupling-queue size (the paper reports insensitivity
 // around 64).
-func CQSweep(cfg core.Config, name string, sizes []int) ([]SweepPoint, error) {
-	b, err := workload.ByName(name)
-	if err != nil {
-		return nil, err
-	}
-	var out []SweepPoint
-	for _, size := range sizes {
-		c := cfg
-		c.CQSize = size
-		r, err := core.Run(core.TwoPass, c, b.Program())
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, SweepPoint{name, size, r.Cycles, r.Deferred})
-	}
-	return out, nil
+func CQSweep(ctx context.Context, cfg core.Config, name string, sizes []int) ([]SweepPoint, error) {
+	return sweep(ctx, cfg, name, sizes, func(c *core.Config, v int) { c.CQSize = v },
+		func(r *stats.Run) int64 { return r.Deferred })
 }
 
 // ALATSweep varies ALAT capacity (0 = perfect), showing the cost of
 // false-positive conflict flushes.
-func ALATSweep(cfg core.Config, name string, capacities []int) ([]SweepPoint, error) {
-	b, err := workload.ByName(name)
-	if err != nil {
-		return nil, err
-	}
-	var out []SweepPoint
-	for _, capa := range capacities {
-		c := cfg
-		c.ALATCapacity = capa
-		r, err := core.Run(core.TwoPass, c, b.Program())
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, SweepPoint{name, capa, r.Cycles, r.ConflictFlushes})
-	}
-	return out, nil
+func ALATSweep(ctx context.Context, cfg core.Config, name string, capacities []int) ([]SweepPoint, error) {
+	return sweep(ctx, cfg, name, capacities, func(c *core.Config, v int) { c.ALATCapacity = v },
+		func(r *stats.Run) int64 { return r.ConflictFlushes })
 }
 
 // ThrottleSweep varies the A-pipe deferral throttle (§3.5 future work).
-func ThrottleSweep(cfg core.Config, name string, limits []int) ([]SweepPoint, error) {
+func ThrottleSweep(ctx context.Context, cfg core.Config, name string, limits []int) ([]SweepPoint, error) {
+	return sweep(ctx, cfg, name, limits, func(c *core.Config, v int) { c.DeferThrottle = v },
+		func(r *stats.Run) int64 { return r.Deferred })
+}
+
+// sweep runs the named benchmark on the two-pass machine once per value,
+// applying each with set and recording extra as the secondary metric.
+func sweep(ctx context.Context, cfg core.Config, name string, values []int,
+	set func(*core.Config, int), extra func(*stats.Run) int64) ([]SweepPoint, error) {
 	b, err := workload.ByName(name)
 	if err != nil {
 		return nil, err
 	}
 	var out []SweepPoint
-	for _, lim := range limits {
+	for _, v := range values {
 		c := cfg
-		c.DeferThrottle = lim
-		r, err := core.Run(core.TwoPass, c, b.Program())
+		set(&c, v)
+		r, err := core.Simulate(ctx, core.TwoPass, b.Program(), core.WithConfig(c))
 		if err != nil {
 			return nil, err
 		}
-		out = append(out, SweepPoint{name, lim, r.Cycles, r.Deferred})
+		out = append(out, SweepPoint{name, v, r.Cycles, extra(r)})
 	}
 	return out, nil
 }

@@ -108,7 +108,7 @@ func TestSpeedupSummary(t *testing.T) {
 }
 
 func TestFig8Driver(t *testing.T) {
-	points, err := Fig8(core.DefaultConfig(), []string{"300.twolf"})
+	points, err := Fig8(context.Background(), core.DefaultConfig(), []string{"300.twolf"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -143,15 +143,15 @@ func TestTables(t *testing.T) {
 
 func TestSweeps(t *testing.T) {
 	cfg := core.DefaultConfig()
-	cq, err := CQSweep(cfg, "300.twolf", []int{16, 64})
+	cq, err := CQSweep(context.Background(), cfg, "300.twolf", []int{16, 64})
 	if err != nil || len(cq) != 2 {
 		t.Fatalf("CQSweep: %v %v", cq, err)
 	}
-	al, err := ALATSweep(cfg, "300.twolf", []int{0, 8})
+	al, err := ALATSweep(context.Background(), cfg, "300.twolf", []int{0, 8})
 	if err != nil || len(al) != 2 {
 		t.Fatalf("ALATSweep: %v %v", al, err)
 	}
-	th, err := ThrottleSweep(cfg, "300.twolf", []int{0, 8})
+	th, err := ThrottleSweep(context.Background(), cfg, "300.twolf", []int{0, 8})
 	if err != nil || len(th) != 2 {
 		t.Fatalf("ThrottleSweep: %v %v", th, err)
 	}
@@ -159,8 +159,33 @@ func TestSweeps(t *testing.T) {
 	if !strings.Contains(out, "title") || !strings.Contains(out, "300.twolf") {
 		t.Errorf("sweep render incomplete:\n%s", out)
 	}
-	if _, err := CQSweep(cfg, "no.such", []int{16}); err == nil {
+	if _, err := CQSweep(context.Background(), cfg, "no.such", []int{16}); err == nil {
 		t.Errorf("unknown benchmark should error")
+	}
+}
+
+// TestDriversHonourCancellation: every sweep and study driver passes its
+// context into the simulations it runs, so a cancelled caller stops it.
+func TestDriversHonourCancellation(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	cfg := core.DefaultConfig()
+	bench := []string{"254.gap"}
+	drivers := map[string]func() error{
+		"Fig8":          func() error { _, err := Fig8(ctx, cfg, bench); return err },
+		"CQSweep":       func() error { _, err := CQSweep(ctx, cfg, bench[0], []int{64}); return err },
+		"ALATSweep":     func() error { _, err := ALATSweep(ctx, cfg, bench[0], []int{0}); return err },
+		"ThrottleSweep": func() error { _, err := ThrottleSweep(ctx, cfg, bench[0], []int{0}); return err },
+		"CompareMachines": func() error {
+			_, err := CompareMachines(ctx, cfg, PerfectMemoryConfig(), fastBenches(t))
+			return err
+		},
+		"IfConvertStudy": func() error { _, err := IfConvertStudy(ctx, cfg, bench); return err },
+	}
+	for name, run := range drivers {
+		if err := run(); !errors.Is(err, context.Canceled) {
+			t.Errorf("%s with a cancelled context: err = %v, want context.Canceled", name, err)
+		}
 	}
 }
 
@@ -225,7 +250,7 @@ func TestCSVExport(t *testing.T) {
 			t.Errorf("%s missing expected rows:\n%s", name, text[:min(400, len(text))])
 		}
 	}
-	points, err := Fig8(core.DefaultConfig(), []string{"300.twolf"})
+	points, err := Fig8(context.Background(), core.DefaultConfig(), []string{"300.twolf"})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"strings"
 
@@ -48,15 +49,15 @@ type MachineComparison struct {
 
 // CompareMachines runs base and 2P on both the reference and an alternative
 // configuration and reports the normalized 2P cycles under each.
-func CompareMachines(ref, alt core.Config, benches []*workload.Benchmark) ([]MachineComparison, error) {
+func CompareMachines(ctx context.Context, ref, alt core.Config, benches []*workload.Benchmark) ([]MachineComparison, error) {
 	var out []MachineComparison
 	for _, b := range benches {
 		ratio := func(cfg core.Config) (float64, error) {
-			base, err := core.Run(core.Baseline, cfg, b.Program())
+			base, err := core.Simulate(ctx, core.Baseline, b.Program(), core.WithConfig(cfg))
 			if err != nil {
 				return 0, err
 			}
-			tp, err := core.Run(core.TwoPass, cfg, b.Program())
+			tp, err := core.Simulate(ctx, core.TwoPass, b.Program(), core.WithConfig(cfg))
 			if err != nil {
 				return 0, err
 			}
@@ -102,7 +103,7 @@ type IfConvertRow struct {
 // implies: converting branch hammocks/diamonds to predication removes
 // branches whose mispredictions would otherwise resolve expensively at
 // B-DET on the two-pass machine.
-func IfConvertStudy(cfg core.Config, names []string) ([]IfConvertRow, error) {
+func IfConvertStudy(ctx context.Context, cfg core.Config, names []string) ([]IfConvertRow, error) {
 	var out []IfConvertRow
 	for _, name := range names {
 		b, err := workload.ByName(name)
@@ -110,7 +111,7 @@ func IfConvertStudy(cfg core.Config, names []string) ([]IfConvertRow, error) {
 			return nil, err
 		}
 		prog := b.Program()
-		plain, err := core.Run(core.TwoPass, cfg, prog)
+		plain, err := core.Simulate(ctx, core.TwoPass, prog, core.WithConfig(cfg))
 		if err != nil {
 			return nil, err
 		}
@@ -122,7 +123,7 @@ func IfConvertStudy(cfg core.Config, names []string) ([]IfConvertRow, error) {
 		if err != nil {
 			return nil, err
 		}
-		conv, err := core.RunVerified(core.TwoPass, cfg, convProg)
+		conv, err := core.Simulate(ctx, core.TwoPass, convProg, core.WithConfig(cfg), core.WithVerify())
 		if err != nil {
 			return nil, err
 		}

@@ -98,7 +98,7 @@ func TestFigure7Shape(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		r, err := core.Run(core.TwoPass, cfg, b.Program())
+		r, err := core.Simulate(context.Background(), core.TwoPass, b.Program(), core.WithConfig(cfg))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -130,11 +130,11 @@ func TestDeterminism(t *testing.T) {
 	}
 	cfg := core.DefaultConfig()
 	for _, model := range core.Models() {
-		r1, err := core.Run(model, cfg, b.Program())
+		r1, err := core.Simulate(context.Background(), model, b.Program(), core.WithConfig(cfg))
 		if err != nil {
 			t.Fatal(err)
 		}
-		r2, err := core.Run(model, cfg, b.Program())
+		r2, err := core.Simulate(context.Background(), model, b.Program(), core.WithConfig(cfg))
 		if err != nil {
 			t.Fatal(err)
 		}

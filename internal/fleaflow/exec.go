@@ -97,11 +97,11 @@ func runSweepStage(ctx context.Context, env Env, cfg core.Config, kind, bench st
 	if env.Service == nil {
 		switch kind {
 		case "cq":
-			return experiments.CQSweep(cfg, bench, values)
+			return experiments.CQSweep(ctx, cfg, bench, values)
 		case "alat":
-			return experiments.ALATSweep(cfg, bench, values)
+			return experiments.ALATSweep(ctx, cfg, bench, values)
 		case "throttle":
-			return experiments.ThrottleSweep(cfg, bench, values)
+			return experiments.ThrottleSweep(ctx, cfg, bench, values)
 		}
 		return nil, fmt.Errorf("fleaflow: unknown sweep kind %q", kind)
 	}
@@ -137,7 +137,7 @@ func runSweepStage(ctx context.Context, env Env, cfg core.Config, kind, bench st
 // runFig8Stage produces the B→A feedback-latency sweep of Figure 8.
 func runFig8Stage(ctx context.Context, env Env, cfg core.Config, names []string) ([]experiments.Fig8Point, error) {
 	if env.Service == nil {
-		return experiments.Fig8(cfg, names)
+		return experiments.Fig8(ctx, cfg, names)
 	}
 	var out []experiments.Fig8Point
 	for _, name := range names {

@@ -633,7 +633,7 @@ func Smoke(env Env) *Pipeline {
 				if err != nil {
 					return nil, err
 				}
-				r, err = core.Run(core.Baseline, cfg, b.Program())
+				r, err = core.Simulate(ctx, core.Baseline, b.Program(), core.WithConfig(cfg))
 				if err != nil {
 					return nil, err
 				}

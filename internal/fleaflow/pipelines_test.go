@@ -2,9 +2,11 @@ package fleaflow
 
 import (
 	"context"
+	"errors"
 	"strings"
 	"testing"
 
+	"fleaflicker/internal/core"
 	"fleaflicker/internal/metrics"
 )
 
@@ -140,5 +142,26 @@ func TestGraphRenderers(t *testing.T) {
 	// Rendering is deterministic.
 	if DOT(p) != dot || ASCII(p) != ascii {
 		t.Error("graph rendering not stable across calls")
+	}
+}
+
+// TestLocalStagesHonourCancellation: the local (no-service) sweep, Figure 8
+// and smoke-probe stages pass the stage context into their simulations, so
+// a stage timeout or an interrupt stops them.
+func TestLocalStagesHonourCancellation(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	cfg := core.DefaultConfig()
+	for _, kind := range []string{"cq", "alat", "throttle"} {
+		if _, err := runSweepStage(ctx, Env{}, cfg, kind, "254.gap", []int{16}); !errors.Is(err, context.Canceled) {
+			t.Errorf("%s sweep: err = %v, want context.Canceled", kind, err)
+		}
+	}
+	if _, err := runFig8Stage(ctx, Env{}, cfg, []string{"254.gap"}); !errors.Is(err, context.Canceled) {
+		t.Errorf("fig8: err = %v, want context.Canceled", err)
+	}
+	probe := Smoke(Env{}).Stages[0]
+	if _, err := probe.Run(ctx, nil); !errors.Is(err, context.Canceled) {
+		t.Errorf("smoke %s: err = %v, want context.Canceled", probe.Name, err)
 	}
 }

@@ -1,0 +1,181 @@
+package pipeline
+
+import (
+	"fmt"
+
+	"fleaflicker/internal/arch"
+	"fleaflicker/internal/checkpoint"
+	"fleaflicker/internal/metrics"
+)
+
+// Barrier is the drain-barrier checkpoint protocol every timed machine
+// shares. A machine embeds one, counts architecturally retired instructions
+// in Retired, keeps its next architectural PC in ArchPC, and drives the
+// protocol from its cycle loop:
+//
+//	if m.Draining {
+//		if the in-flight window is empty {
+//			m.takeSnapshot() // encodes the machine's section, calls Capture
+//			m.fe.Redirect(m.ArchPC, m.now)
+//			m.Draining = false
+//		}
+//	} else {
+//		m.fe.Tick(m.now)
+//	}
+//	... one cycle of the machine ...
+//	if m.SnapshotDue() {
+//		m.Draining = true
+//	}
+//
+// While a snapshot is due, fetch pauses until every fetched instruction has
+// retired; the quiesced machine is captured and fetch restarts at ArchPC, so
+// the producing run and a run resumed from the snapshot see identical
+// futures. The barrier owns what the machines have in common — the snapshot
+// schedule, counter priming, the snapshot header (registers, memory, caches,
+// predictor, front-end stream, counters) and its restore — and each machine
+// encodes only its own section: the state that is live at a quiesce point
+// and not shared.
+type Barrier struct {
+	// Retired counts architecturally retired instructions.
+	Retired int64
+	// ArchPC is the next architectural PC, where fetch restarts after a
+	// barrier.
+	ArchPC int32
+	// Draining is set while fetch pauses toward a barrier.
+	Draining bool
+
+	model     string
+	fe        *FrontEnd
+	st        *arch.State
+	snapEvery int64
+	nextSnap  int64
+	onSnap    func(*checkpoint.Snapshot)
+	resume    *checkpoint.Snapshot
+}
+
+// NewBarrier returns the barrier of a machine whose snapshots carry the
+// model tag model, whose front end is fe and whose architectural state is st.
+func NewBarrier(model string, fe *FrontEnd, st *arch.State) Barrier {
+	return Barrier{model: model, fe: fe, st: st}
+}
+
+// Model returns the model tag the barrier stamps on snapshots.
+func (b *Barrier) Model() string { return b.model }
+
+// ConfigureSnapshots implements core.Snapshotter: capture a KindMachine
+// snapshot at the first drain barrier after every `every` retired
+// instructions. Call after RestoreSnapshot (if any) and before Run.
+func (b *Barrier) ConfigureSnapshots(every int64, fn func(*checkpoint.Snapshot)) {
+	b.snapEvery = every
+	b.onSnap = fn
+	b.nextSnap = every
+	b.schedule()
+}
+
+// schedule moves the next snapshot point past the instructions already
+// retired.
+func (b *Barrier) schedule() {
+	for b.nextSnap <= b.Retired {
+		b.nextSnap += b.snapEvery
+	}
+}
+
+// SnapshotDue reports whether the machine has crossed its snapshot interval
+// and should begin draining toward a barrier. It runs every cycle of the
+// machines' Run loops, so it must stay allocation-free and inlinable.
+//
+//flea:hotpath
+//flea:inline
+//flea:noescape
+func (b *Barrier) SnapshotDue() bool {
+	return b.snapEvery > 0 && !b.Draining && b.Retired >= b.nextSnap
+}
+
+// PrimeCounters seeds reg with a restored snapshot's counter values so
+// end-of-run aggregates equal prefix + delta. Machines call it in their Run
+// prologue — after Attach, which may have swapped the registry.
+func (b *Barrier) PrimeCounters(reg *metrics.Registry) {
+	if b.resume == nil {
+		return
+	}
+	for _, c := range b.resume.Counters {
+		reg.RestoreCounter(c.Name, c.Value)
+	}
+	b.resume = nil
+}
+
+// Capture takes the snapshot of a quiesced machine: the common header from
+// the shared state and reg's counters, plus the machine's own section data
+// under the name section. It hands the snapshot to the ConfigureSnapshots
+// callback and schedules the next one.
+func (b *Barrier) Capture(now int64, reg *metrics.Registry, section string, data []byte) {
+	s := &checkpoint.Snapshot{
+		Kind:    checkpoint.KindMachine,
+		Model:   b.model,
+		Program: b.fe.prog.Name,
+		Cycle:   now,
+		Retired: b.Retired,
+		PC:      b.ArchPC,
+		Regs:    b.st.Regs,
+		Mem:     b.st.Mem.Snapshot(),
+		Hier:    b.fe.hier.CaptureState(),
+		Pred:    b.fe.pred.CaptureState(),
+	}
+	s.FeNextID, s.FeFetchStalls = b.fe.StreamState()
+	var cs []checkpoint.Counter
+	reg.EachCounter(func(name string, value int64) {
+		cs = append(cs, checkpoint.Counter{Name: name, Value: value})
+	})
+	s.SetCounters(cs)
+	s.AddSection(section, data)
+	b.schedule()
+	if b.onSnap != nil {
+		b.onSnap(s)
+	}
+}
+
+// Restore installs the shared part of snap and returns a decoder over the
+// machine's section, from which the machine reads its own state. A
+// KindFunctional snapshot fast-forwards the architectural state (registers,
+// memory, PC, retired count) and leaves timing structures cold; Restore
+// returns a nil decoder for it. A KindMachine snapshot must carry the
+// barrier's model tag and also reinstates the caches, the predictor and the
+// front-end stream; the machine resumes at snap.Cycle.
+func (b *Barrier) Restore(snap *checkpoint.Snapshot, section string) (*checkpoint.Decoder, error) {
+	if snap.Program != "" && snap.Program != b.fe.prog.Name {
+		return nil, fmt.Errorf("%s: snapshot is for program %q, machine runs %q", b.model, snap.Program, b.fe.prog.Name)
+	}
+	b.st.Regs = snap.Regs
+	b.st.Mem = snap.Mem.Image()
+	b.Retired = snap.Retired
+	b.ArchPC = snap.PC
+	b.resume = snap
+
+	switch snap.Kind {
+	case checkpoint.KindFunctional:
+		// Timing state stays cold; start fetching at the snapshot PC on
+		// cycle 0.
+		//flea:handoff Redirect returns every in-flight group's records to the arena before refetching
+		b.fe.Redirect(snap.PC, -1)
+		return nil, nil
+	case checkpoint.KindMachine:
+		if snap.Model != b.model {
+			return nil, fmt.Errorf("%s: snapshot is from model %q", b.model, snap.Model)
+		}
+		if err := b.fe.hier.RestoreState(snap.Hier); err != nil {
+			return nil, err
+		}
+		if err := b.fe.pred.RestoreState(snap.Pred); err != nil {
+			return nil, err
+		}
+		b.fe.RestoreStream(snap.FeNextID, snap.FeFetchStalls)
+		//flea:handoff Redirect returns every in-flight group's records to the arena before refetching
+		b.fe.Redirect(snap.PC, snap.Cycle)
+		data, ok := snap.Section(section)
+		if !ok {
+			return nil, fmt.Errorf("%s: snapshot has no %s section", b.model, section)
+		}
+		return checkpoint.NewDecoder(data), nil
+	}
+	return nil, fmt.Errorf("%s: unknown snapshot kind %d", b.model, snap.Kind)
+}

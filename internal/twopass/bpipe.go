@@ -293,16 +293,16 @@ func (m *Machine) mergeB(d *pipeline.DynInst) bStatus {
 			}
 			// The load re-executes from fetch: it is the next instruction
 			// to retire architecturally.
-			m.archPC = d.PC
+			m.ArchPC = d.PC
 			return bStatus{flushFrom: d.ID, retired: false, redirect: d.PC}
 		}
 	}
 	m.col.Instruction()
-	m.retired++
+	m.Retired++
 	if d.BrResolved && d.BrTaken {
-		m.archPC = d.BrTarget
+		m.ArchPC = d.BrTarget
 	} else {
-		m.archPC = d.PC + 1
+		m.ArchPC = d.PC + 1
 	}
 	if d.PredOn && sanityChecks && m.bst.Read(in.Pred) == 0 {
 		panic(fmt.Sprintf("twopass: inst %d (%s) pre-executed with wrong predicate", d.ID, in))
@@ -340,8 +340,8 @@ func (m *Machine) mergeB(d *pipeline.DynInst) bStatus {
 func (m *Machine) executeDeferredB(d *pipeline.DynInst) bStatus {
 	in := d.In
 	m.col.Instruction()
-	m.retired++
-	m.archPC = d.PC + 1 // branches override with the resolved target
+	m.Retired++
+	m.ArchPC = d.PC + 1 // branches override with the resolved target
 	m.deferred--
 	if in.Op.IsStore() {
 		m.deferredStores--
@@ -433,7 +433,7 @@ func (m *Machine) resolveBranchB(d *pipeline.DynInst, predOn bool) bStatus {
 	if taken {
 		actualNext = target
 	}
-	m.archPC = actualNext
+	m.ArchPC = actualNext
 	pred := m.fe.Predictor()
 	if d.HasCP {
 		pred.Resolve(d.PC, d.CP, d.PredTaken, taken)

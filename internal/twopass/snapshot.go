@@ -7,144 +7,65 @@ import (
 	"fleaflicker/internal/isa"
 )
 
-// Checkpoint support. Snapshots are taken at drain barriers: fetch pauses
-// until both the front-end queue and the coupling queue are empty, i.e. every
-// dispatched instruction has passed the B-pipe. At that point the speculative
-// structures are empty by construction — the store buffer holds only entries
-// for queued stores, the ALAT only entries for queued loads, and A-file
-// checkpoints only entries for queued branches — so the persistent machine
-// state is the A-file, the B-side scoreboard, the ALAT eviction count, and
-// the conflict predictor's table.
+// Checkpoint support. At a drain barrier (see pipeline.Barrier) the machine
+// waits until both the front-end queue and the coupling queue are empty,
+// i.e. every dispatched instruction has passed the B-pipe. At that point the
+// speculative structures are empty by construction — the store buffer holds
+// only entries for queued stores, the ALAT only entries for queued loads,
+// and A-file checkpoints only entries for queued branches — so the machine's
+// own state is the A-file, the B-side scoreboard, the ALAT eviction count,
+// and the conflict predictor's table.
 
 const stateSection = "twopass.state"
 
-// ConfigureSnapshots implements core.Snapshotter.
-func (m *Machine) ConfigureSnapshots(every int64, fn func(*checkpoint.Snapshot)) {
-	m.snapEvery = every
-	m.onSnap = fn
-	m.nextSnap = every
-	for m.nextSnap <= m.retired {
-		m.nextSnap += every
-	}
-}
-
-// snapshotDue reports whether the machine has crossed its snapshot interval
-// and should begin draining toward a barrier. It runs every cycle of the
-// Run loop, so it must stay allocation-free and inlinable.
-//
-//flea:hotpath
-//flea:inline
-//flea:noescape
-func (m *Machine) snapshotDue() bool {
-	return m.snapEvery > 0 && !m.draining && m.retired >= m.nextSnap
-}
-
 // RestoreSnapshot implements core.Snapshotter.
 func (m *Machine) RestoreSnapshot(snap *checkpoint.Snapshot) error {
-	if snap.Program != "" && snap.Program != m.prog.Name {
-		return fmt.Errorf("twopass: snapshot is for program %q, machine runs %q", snap.Program, m.prog.Name)
+	d, err := m.Restore(snap, stateSection)
+	if err != nil {
+		return err
 	}
-	m.bst.Regs = snap.Regs
-	m.bst.Mem = snap.Mem.Image()
-	m.retired = snap.Retired
-	m.archPC = snap.PC
-	m.resume = snap
-
-	switch snap.Kind {
-	case checkpoint.KindFunctional:
+	if d == nil {
 		// Re-seed the A-file as a coherent copy of the restored register
 		// file (the same state New builds, with the restored values).
 		for r := range m.afile {
 			m.afile[r] = aEntry{val: snap.Regs[r], valid: true}
 		}
-		//flea:handoff Redirect returns every in-flight group's records to the arena before refetching
-		m.fe.Redirect(snap.PC, -1)
 		return nil
-	case checkpoint.KindMachine:
-		if snap.Model != m.modelName() {
-			return fmt.Errorf("twopass: snapshot is from model %q, machine is %q", snap.Model, m.modelName())
-		}
-		m.now = snap.Cycle
-		if err := m.hier.RestoreState(snap.Hier); err != nil {
-			return err
-		}
-		if err := m.fe.Predictor().RestoreState(snap.Pred); err != nil {
-			return err
-		}
-		m.fe.RestoreStream(snap.FeNextID, snap.FeFetchStalls)
-		//flea:handoff Redirect returns every in-flight group's records to the arena before refetching
-		m.fe.Redirect(snap.PC, snap.Cycle)
-		b, ok := snap.Section(stateSection)
-		if !ok {
-			return fmt.Errorf("twopass: snapshot has no %s section", stateSection)
-		}
-		d := checkpoint.NewDecoder(b)
-		for r := range m.afile {
-			m.afile[r] = aEntry{
-				val:      isa.Value(d.U64()),
-				valid:    d.Bool(),
-				spec:     d.Bool(),
-				dynID:    d.U64(),
-				readyAt:  d.I64(),
-				fromLoad: d.Bool(),
-			}
-		}
-		for r := range m.bready {
-			m.bready[r] = d.I64()
-			m.bIsLoad[r] = d.Bool()
-		}
-		m.alat.Evictions = d.I64()
-		if d.Bool() { // conflict-predictor table present
-			n := d.Int()
-			if m.conflictPC == nil || n != len(m.conflictPC) {
-				return fmt.Errorf("twopass: snapshot conflict table has %d entries, machine has %d",
-					n, len(m.conflictPC))
-			}
-			for i := range m.conflictPC {
-				m.conflictPC[i] = d.Bool()
-			}
-		} else if m.conflictPC != nil {
-			return fmt.Errorf("twopass: snapshot lacks the conflict-predictor table this configuration needs")
-		}
-		return d.Err()
 	}
-	return fmt.Errorf("twopass: unknown snapshot kind %d", snap.Kind)
-}
-
-// primeCounters seeds the registry from a restored snapshot (Run prologue,
-// after Attach).
-func (m *Machine) primeCounters() {
-	if m.resume == nil {
-		return
+	m.now = snap.Cycle
+	for r := range m.afile {
+		m.afile[r] = aEntry{
+			val:      isa.Value(d.U64()),
+			valid:    d.Bool(),
+			spec:     d.Bool(),
+			dynID:    d.U64(),
+			readyAt:  d.I64(),
+			fromLoad: d.Bool(),
+		}
 	}
-	reg := m.col.Registry()
-	for _, c := range m.resume.Counters {
-		reg.RestoreCounter(c.Name, c.Value)
+	for r := range m.bready {
+		m.bready[r] = d.I64()
+		m.bIsLoad[r] = d.Bool()
 	}
-	m.resume = nil
+	m.alat.Evictions = d.I64()
+	if d.Bool() { // conflict-predictor table present
+		n := d.Int()
+		if m.conflictPC == nil || n != len(m.conflictPC) {
+			return fmt.Errorf("twopass: snapshot conflict table has %d entries, machine has %d",
+				n, len(m.conflictPC))
+		}
+		for i := range m.conflictPC {
+			m.conflictPC[i] = d.Bool()
+		}
+	} else if m.conflictPC != nil {
+		return fmt.Errorf("twopass: snapshot lacks the conflict-predictor table this configuration needs")
+	}
+	return d.Err()
 }
 
 // takeSnapshot captures the quiesced machine at a drain barrier (front-end
 // and coupling queues both empty).
 func (m *Machine) takeSnapshot() {
-	s := &checkpoint.Snapshot{
-		Kind:    checkpoint.KindMachine,
-		Model:   m.modelName(),
-		Program: m.prog.Name,
-		Cycle:   m.now,
-		Retired: m.retired,
-		PC:      m.archPC,
-		Regs:    m.bst.Regs,
-		Mem:     m.bst.Mem.Snapshot(),
-		Hier:    m.hier.CaptureState(),
-		Pred:    m.fe.Predictor().CaptureState(),
-	}
-	s.FeNextID, s.FeFetchStalls = m.fe.StreamState()
-	var cs []checkpoint.Counter
-	m.col.Registry().EachCounter(func(name string, value int64) {
-		cs = append(cs, checkpoint.Counter{Name: name, Value: value})
-	})
-	s.SetCounters(cs)
 	e := checkpoint.NewEncoder(isa.NumRegs*36 + 16 + len(m.conflictPC))
 	for r := range m.afile {
 		a := &m.afile[r]
@@ -167,11 +88,5 @@ func (m *Machine) takeSnapshot() {
 			e.Bool(v)
 		}
 	}
-	s.AddSection(stateSection, e.Bytes())
-	for m.nextSnap <= m.retired {
-		m.nextSnap += m.snapEvery
-	}
-	if m.onSnap != nil {
-		m.onSnap(s)
-	}
+	m.Capture(m.now, m.col.Registry(), stateSection, e.Bytes())
 }

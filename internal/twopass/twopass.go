@@ -29,7 +29,6 @@ import (
 
 	"fleaflicker/internal/arch"
 	"fleaflicker/internal/bpred"
-	"fleaflicker/internal/checkpoint"
 	"fleaflicker/internal/isa"
 	"fleaflicker/internal/mem"
 	"fleaflicker/internal/metrics"
@@ -251,16 +250,10 @@ type Machine struct {
 	tr  *trace.Tracer
 	ctx context.Context
 
-	// Checkpoint state (see snapshot.go). retired counts architecturally
-	// retired (B-pipe) instructions; archPC tracks the next architectural PC
-	// so a drain barrier knows where to restart fetch.
-	retired   int64
-	archPC    int32
-	snapEvery int64
-	nextSnap  int64
-	draining  bool
-	onSnap    func(*checkpoint.Snapshot)
-	resume    *checkpoint.Snapshot
+	// Barrier carries the architecturally retired (B-pipe) instruction
+	// count, the architectural PC and the drain-barrier checkpoint protocol
+	// (see snapshot.go).
+	pipeline.Barrier
 }
 
 // New builds a machine over a fresh copy of the program's memory.
@@ -299,15 +292,13 @@ func NewWithImage(cfg Config, prog *program.Program, img *mem.Image) (*Machine, 
 	for r := range m.afile {
 		m.afile[r] = aEntry{valid: true}
 	}
-	m.col = stats.NewCollector(metrics.NewRegistry(), prog.Name, m.modelName())
-	return m, nil
-}
-
-func (m *Machine) modelName() string {
-	if m.cfg.Regroup {
-		return "2Pre"
+	model := "2P"
+	if cfg.Regroup {
+		model = "2Pre"
 	}
-	return "2P"
+	m.Barrier = pipeline.NewBarrier(model, m.fe, m.bst)
+	m.col = stats.NewCollector(metrics.NewRegistry(), prog.Name, model)
+	return m, nil
 }
 
 // State exposes the architectural (B-file) state for correctness checks.
@@ -319,7 +310,7 @@ func (m *Machine) State() *arch.State { return m.bst }
 // has started.
 func (m *Machine) Attach(ctx context.Context, reg *metrics.Registry, tr *trace.Tracer) {
 	if reg != nil {
-		m.col = stats.NewCollector(reg, m.prog.Name, m.modelName())
+		m.col = stats.NewCollector(reg, m.prog.Name, m.Model())
 	}
 	m.ctx = ctx
 	m.tr = tr
@@ -327,7 +318,7 @@ func (m *Machine) Attach(ctx context.Context, reg *metrics.Registry, tr *trace.T
 
 // Run simulates to completion and returns the measurements.
 func (m *Machine) Run() (*stats.Run, error) {
-	m.primeCounters()
+	m.PrimeCounters(m.col.Registry())
 	for !m.halted {
 		if m.now >= m.cfg.MaxCycles {
 			return nil, fmt.Errorf("twopass: %q exceeded %d cycles", m.prog.Name, m.cfg.MaxCycles)
@@ -337,15 +328,15 @@ func (m *Machine) Run() (*stats.Run, error) {
 				return nil, fmt.Errorf("twopass: %q: %w", m.prog.Name, err)
 			}
 		}
-		if m.draining {
+		if m.Draining {
 			// Fetch pauses until both queues empty — every dispatched
 			// instruction has passed the B-pipe and the speculative
 			// structures (store buffer, ALAT entries, A-file checkpoints)
 			// are empty by construction. Then snapshot and refetch.
 			if !m.fe.Pending() && m.cq.len() == 0 {
 				m.takeSnapshot()
-				m.fe.Redirect(m.archPC, m.now)
-				m.draining = false
+				m.fe.Redirect(m.ArchPC, m.now)
+				m.Draining = false
 			}
 		} else {
 			m.fe.Tick(m.now)
@@ -353,8 +344,8 @@ func (m *Machine) Run() (*stats.Run, error) {
 		m.stepA()
 		m.stepB()
 		m.col.CQOccupancy(m.cqCount)
-		if m.snapshotDue() {
-			m.draining = true
+		if m.SnapshotDue() {
+			m.Draining = true
 		}
 		m.now++
 	}
