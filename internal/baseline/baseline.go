@@ -94,6 +94,9 @@ type Machine struct {
 	// Barrier carries the retired count, the architectural PC and the
 	// drain-barrier checkpoint protocol (see snapshot.go).
 	pipeline.Barrier
+	// Idle fast-forwards quiescent stall cycles and counts them in
+	// SkippedCycles.
+	pipeline.Idle
 }
 
 // New builds a machine over a fresh copy of the program's memory. The
@@ -165,11 +168,12 @@ func (m *Machine) Run() (*stats.Run, error) {
 		if m.now >= m.cfg.MaxCycles {
 			return nil, fmt.Errorf("%s: %q exceeded %d cycles", m.Model(), m.prog.Name, m.cfg.MaxCycles)
 		}
-		if m.ctx != nil && m.now&4095 == 0 {
+		if m.ctx != nil && m.now&(pipeline.PollInterval-1) == 0 {
 			if err := m.ctx.Err(); err != nil {
 				return nil, fmt.Errorf("%s: %q: %w", m.Model(), m.prog.Name, err)
 			}
 		}
+		quiet := false
 		if m.Draining {
 			// Fetch pauses (and run-ahead entry is suppressed in step) until
 			// every fetched group has dispatched; then the machine is
@@ -180,17 +184,27 @@ func (m *Machine) Run() (*stats.Run, error) {
 				m.Draining = false
 			}
 		} else {
-			m.fe.Tick(m.now)
+			quiet = !m.fe.Tick(m.now)
 		}
+		var wake int64
 		if m.ra != nil && m.ra.active {
-			m.stepRunahead()
+			wake = m.stepRunahead()
 		} else {
-			m.step()
+			wake = m.step()
 		}
 		if m.SnapshotDue() {
 			m.Draining = true
 		}
+		// A cycle that changed nothing repeats until the first wake of the
+		// front end or the stalled stage: account those cycles in bulk.
+		quiet = quiet && !m.Draining
+		if quiet {
+			wake = min(wake, m.fe.Wake(m.now))
+		}
 		m.now++
+		if quiet {
+			m.now += m.Idle.Skip(m.col, m.tr, m.now, wake, m.cfg.MaxCycles)
+		}
 	}
 	if m.ra != nil {
 		m.syncEpisodeCounters()
@@ -204,22 +218,24 @@ func (m *Machine) Run() (*stats.Run, error) {
 
 // step attempts to dispatch the head issue group and classifies the cycle.
 // On the run-ahead machine a long enough load-use stall begins an episode.
+// It returns the cycle's wake: the first cycle at which its verdict could
+// differ, m.now+1 when it changed machine state.
 //
 //flea:hotpath
-func (m *Machine) step() {
+func (m *Machine) step() (wake int64) {
 	g := m.fe.Head(m.now)
 	if g == nil {
-		m.col.Cycle(stats.FrontEndStall)
+		m.Idle.Stall(m.col, stats.FrontEndStall)
 		if m.tr.Enabled() {
-			m.tr.Emit(trace.Event{Cycle: m.now, Type: trace.EvStall, Pipe: trace.PipeFront,
+			m.Idle.Emit(m.tr, trace.Event{Cycle: m.now, Type: trace.EvStall, Pipe: trace.PipeFront,
 				PC: -1, Arg: int64(stats.FrontEndStall), Note: stats.FrontEndStall.String()})
 		}
-		return
+		return pipeline.Never // the front end's own wake covers the head group
 	}
 	if cls, until, blocked := m.groupBlocked(g); blocked {
-		m.col.Cycle(cls)
+		m.Idle.Stall(m.col, cls)
 		if m.tr.Enabled() {
-			m.tr.Emit(trace.Event{Cycle: m.now, Type: trace.EvStall, Pipe: trace.PipeA,
+			m.Idle.Emit(m.tr, trace.Event{Cycle: m.now, Type: trace.EvStall, Pipe: trace.PipeA,
 				PC: g.FetchPC, Arg: int64(cls), Note: cls.String()})
 		}
 		// No episodes while draining toward a snapshot barrier: an episode
@@ -227,14 +243,18 @@ func (m *Machine) step() {
 		// the quiesce point.
 		if cls == stats.LoadStall && m.ra != nil && until-m.now > int64(m.ra.minStall) && !m.Draining {
 			m.enterRunahead(g, until)
+			return m.now + 1
 		}
-		return
+		// The remaining stall only shrinks, so a stall too short to begin
+		// an episode stays too short until it clears.
+		return until
 	}
 	m.fe.Pop() // before dispatch: a mispredicted branch flushes the queue
 	m.dispatch(g)
 	m.arena.PutAll(g.Insts) // the group retires (or squashes) whole
 	g.Insts = g.Insts[:0]
 	m.col.Cycle(stats.Unstalled)
+	return m.now + 1
 }
 
 // groupBlocked applies the REG-stage interlocks: every source of every
@@ -242,7 +262,8 @@ func (m *Machine) step() {
 // destination must be free of a pending longer-latency write (the WAW stall
 // condition typical of EPIC scoreboards, §3.3), and the memory system must
 // be able to accept the group's loads. A blocked group also reports the
-// cycle the stall clears.
+// cycle the stall clears — the register stall's verdict and class hold until
+// then — or m.now+1 for a resource stall, which may clear any cycle.
 //
 //flea:hotpath
 func (m *Machine) groupBlocked(g *pipeline.Group) (cls stats.CycleClass, until int64, blocked bool) {

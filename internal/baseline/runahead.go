@@ -80,21 +80,24 @@ func (m *Machine) enterRunahead(g *pipeline.Group, until int64) {
 	g.Insts = g.Insts[:0]
 }
 
-// stepRunahead executes one cycle of run-ahead mode.
+// stepRunahead executes one cycle of run-ahead mode and returns its wake
+// (see step): the episode's end while no group waits to pre-execute.
 //
 //flea:hotpath
-func (m *Machine) stepRunahead() {
-	m.col.Cycle(stats.LoadStall) // the architectural pipe is stalled
+func (m *Machine) stepRunahead() (wake int64) {
+	m.Idle.Stall(m.col, stats.LoadStall) // the architectural pipe is stalled
 	if m.now >= m.ra.exitAt {
 		m.exitRunahead()
-		return
+		return m.now + 1
 	}
 	if g := m.fe.Head(m.now); g != nil {
 		m.fe.Pop()
 		m.runaheadGroup(g)
 		m.arena.PutAll(g.Insts)
 		g.Insts = g.Insts[:0]
+		return m.now + 1
 	}
+	return m.ra.exitAt
 }
 
 // exitRunahead restores the checkpoint and redirects fetch to the stalled

@@ -353,9 +353,7 @@ func (c *Coordinator) execute(b int, t *unitTask) {
 			c.met.peerLookups.Inc()
 			if res, ok := c.clients[p].cacheLookup(ctx, t.key); ok {
 				c.met.peerHits.Inc()
-				if c.fed.complete(t.entry, res, "peer:"+c.clients[p].id, nil) {
-					c.met.unitsCompleted.Inc()
-				}
+				c.fed.complete(t.entry, res, "peer:"+c.clients[p].id, nil, c.met.unitsCompleted)
 				outcome = taskPeerServed
 				return
 			}
@@ -382,9 +380,7 @@ func (c *Coordinator) execute(b int, t *unitTask) {
 		c.failTask(t, fmt.Errorf("cluster: unit failed on %s: %s", c.clients[b].id, msg))
 		return
 	}
-	if c.fed.complete(t.entry, st.Units[0].Result, c.clients[b].id, nil) {
-		c.met.unitsCompleted.Inc()
-	}
+	c.fed.complete(t.entry, st.Units[0].Result, c.clients[b].id, nil, c.met.unitsCompleted)
 	outcome = taskExecuted
 }
 
@@ -448,9 +444,7 @@ func (c *Coordinator) retryTask(b int, t *unitTask, err error) {
 
 // failTask seals a task's entry with an error.
 func (c *Coordinator) failTask(t *unitTask, err error) {
-	if c.fed.complete(t.entry, nil, "", err) {
-		c.met.unitsFailed.Inc()
-	}
+	c.fed.complete(t.entry, nil, "", err, c.met.unitsFailed)
 }
 
 // noteBackendFailure records one passive health failure for backend b —

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"sync"
 
+	"fleaflicker/internal/metrics"
 	"fleaflicker/internal/service"
 )
 
@@ -90,17 +91,20 @@ func (f *fedCache) abandon(e *fedEntry) {
 }
 
 // complete seals an entry with the first result (or error) to arrive and
-// reports whether this call won. A losing concurrent completion — a stolen
-// or re-routed unit finishing twice — is dropped and counted; the stored
-// result never changes after sealing. Completing with an error removes the
-// entry so a later submission can retry the key.
-func (f *fedCache) complete(e *fedEntry, res *service.UnitResult, origin string, err error) bool {
+// counts it in won. A losing concurrent completion — a stolen or re-routed
+// unit finishing twice — is dropped and counted; the stored result never
+// changes after sealing. Completing with an error removes the entry so a
+// later submission can retry the key. won is bumped before the entry's
+// waiters are released, so a job that observes all its units done also
+// observes every one of them counted.
+func (f *fedCache) complete(e *fedEntry, res *service.UnitResult, origin string, err error, won *metrics.SharedCounter) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	if e.sealed {
 		f.met.fedDupDrops.Inc()
-		return false
+		return
 	}
+	won.Inc()
 	if err != nil {
 		delete(f.entries, e.key)
 	}
@@ -108,5 +112,4 @@ func (f *fedCache) complete(e *fedEntry, res *service.UnitResult, origin string,
 	e.result, e.origin, e.err = res, origin, err
 	e.sealed = true
 	close(e.done)
-	return true
 }

@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"errors"
+	"fmt"
 	"sync"
 	"testing"
 
@@ -33,7 +34,7 @@ func TestFedCacheCoalesces(t *testing.T) {
 	if got := met.fedCoalesced.Value(); got != 5 {
 		t.Fatalf("coalesced = %d, want 5", got)
 	}
-	f.complete(e0, &service.UnitResult{Key: "k"}, "b0", nil)
+	f.complete(e0, &service.UnitResult{Key: "k"}, "b0", nil, new(metrics.SharedCounter))
 	if _, claimed := f.acquire("k"); claimed {
 		t.Fatalf("acquire after completion claimed; want hit")
 	}
@@ -53,24 +54,25 @@ func TestFedCacheFirstWriterWins(t *testing.T) {
 	resA := &service.UnitResult{Key: "k", DurationMS: 1}
 	resB := &service.UnitResult{Key: "k", DurationMS: 2}
 	var wg sync.WaitGroup
-	wins := make(chan string, 2)
-	for _, w := range []struct {
+	completers := []struct {
 		res    *service.UnitResult
 		origin string
-	}{{resA, "b0"}, {resB, "b1"}} {
+		won    metrics.SharedCounter
+	}{{res: resA, origin: "b0"}, {res: resB, origin: "b1"}}
+	for i := range completers {
+		w := &completers[i]
 		wg.Add(1)
-		go func(res *service.UnitResult, origin string) {
+		go func() {
 			defer wg.Done()
-			if f.complete(e, res, origin, nil) {
-				wins <- origin
-			}
-		}(w.res, w.origin)
+			f.complete(e, w.res, w.origin, nil, &w.won)
+		}()
 	}
 	wg.Wait()
-	close(wins)
 	var winners []string
-	for w := range wins {
-		winners = append(winners, w)
+	for i := range completers {
+		if completers[i].won.Value() == 1 {
+			winners = append(winners, completers[i].origin)
+		}
 	}
 	if len(winners) != 1 {
 		t.Fatalf("winners = %v, want exactly one", winners)
@@ -92,12 +94,29 @@ func TestFedCacheFirstWriterWins(t *testing.T) {
 func TestFedCacheErrorRetries(t *testing.T) {
 	f, _ := newTestFed()
 	e, _ := f.acquire("k")
-	f.complete(e, nil, "", errors.New("backend exploded"))
+	f.complete(e, nil, "", errors.New("backend exploded"), new(metrics.SharedCounter))
 	if e.err == nil {
 		t.Fatalf("entry error not recorded")
 	}
 	if _, claimed := f.acquire("k"); !claimed {
 		t.Fatalf("key not reclaimable after error completion")
+	}
+}
+
+// TestFedCacheCountsBeforeRelease checks that a completion is counted
+// before the entry's waiters are released: a job that sees its last unit
+// done must also see that unit among the completions.
+func TestFedCacheCountsBeforeRelease(t *testing.T) {
+	f, _ := newTestFed()
+	for i := 0; i < 100; i++ {
+		key := fmt.Sprint("k", i)
+		e, _ := f.acquire(key)
+		var won metrics.SharedCounter
+		go f.complete(e, &service.UnitResult{Key: key}, "b0", nil, &won)
+		<-e.done
+		if won.Value() != 1 {
+			t.Fatalf("round %d: entry released with the completion uncounted", i)
+		}
 	}
 }
 

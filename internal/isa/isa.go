@@ -67,9 +67,13 @@ func (r Reg) IsFP() bool { return r >= fpBase && r < predBase }
 func (r Reg) IsPred() bool { return r >= predBase && r != RegNone }
 
 // Hardwired reports whether writes to r are discarded and reads return a
-// fixed value (r0=0, f0=0.0, f1=1.0, p0=true).
+// fixed value (r0=0, f0=0.0, f1=1.0, p0=true). It compares against the
+// namespace layout directly: R, F and P range-check, and their panic paths
+// would keep this per-operand check from inlining.
+//
+//flea:inline
 func (r Reg) Hardwired() bool {
-	return r == R(0) || r == F(0) || r == F(1) || r == P(0)
+	return r == 0 || r == fpBase || r == fpBase+1 || r == predBase
 }
 
 // String renders the register in assembly syntax (r7, f3, p1).

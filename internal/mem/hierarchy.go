@@ -313,6 +313,13 @@ func (h *Hierarchy) Fetch(addr uint32, now int64) (latency int, served Level) {
 	return lat, served
 }
 
+// L1ILatency returns the instruction-cache hit latency: the part of a
+// Fetch latency the front-end pipeline depth already covers.
+//
+//flea:hotpath
+//flea:inline
+func (h *Hierarchy) L1ILatency() int { return h.cfg.L1I.Latency }
+
 // LineBytesI returns the instruction-cache line size, used by fetch engines
 // to detect line crossings.
 func (h *Hierarchy) LineBytesI() int { return h.cfg.L1I.LineBytes }

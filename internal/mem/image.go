@@ -122,8 +122,25 @@ func (m *Image) SetByte(addr uint32, b byte) {
 }
 
 // Read returns size bytes starting at addr as a little-endian integer.
-// size must be 1, 2, 4 or 8. Accesses may cross page boundaries.
+// size must be 1, 2, 4 or 8. Accesses may cross page boundaries; one that
+// does not looks its page up once.
 func (m *Image) Read(addr uint32, size int) uint64 {
+	if off := addr & (pageSize - 1); int(off)+size <= pageSize {
+		p := m.page(addr, false)
+		if p == nil {
+			return 0
+		}
+		switch size {
+		case 1:
+			return uint64(p[off])
+		case 2:
+			return uint64(binary.LittleEndian.Uint16(p[off:]))
+		case 4:
+			return uint64(binary.LittleEndian.Uint32(p[off:]))
+		case 8:
+			return binary.LittleEndian.Uint64(p[off:])
+		}
+	}
 	var buf [8]byte
 	for i := 0; i < size; i++ {
 		buf[i] = m.Byte(addr + uint32(i))
@@ -131,10 +148,29 @@ func (m *Image) Read(addr uint32, size int) uint64 {
 	return binary.LittleEndian.Uint64(buf[:])
 }
 
-// Write stores the low size bytes of v at addr, little-endian.
+// Write stores the low size bytes of v at addr, little-endian. Like Read,
+// an access within one page looks the page up (and faults it, if shared)
+// once.
 func (m *Image) Write(addr uint32, size int, v uint64) {
 	if m.onWrite != nil {
 		m.onWrite(addr, size, v)
+	}
+	if off := addr & (pageSize - 1); int(off)+size <= pageSize {
+		p := m.page(addr, true)
+		switch size {
+		case 1:
+			p[off] = byte(v)
+			return
+		case 2:
+			binary.LittleEndian.PutUint16(p[off:], uint16(v))
+			return
+		case 4:
+			binary.LittleEndian.PutUint32(p[off:], uint32(v))
+			return
+		case 8:
+			binary.LittleEndian.PutUint64(p[off:], v)
+			return
+		}
 	}
 	var buf [8]byte
 	binary.LittleEndian.PutUint64(buf[:], v)

@@ -113,3 +113,52 @@ func TestImageRoundTripProperty(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// TestImageAccessMatchesBytes checks the one-lookup page path of Read and
+// Write against byte-by-byte composition at every size and at every offset
+// near a page's end, where accesses begin to cross into the next page.
+func TestImageAccessMatchesBytes(t *testing.T) {
+	for _, size := range []int{1, 2, 4, 8} {
+		for addr := uint32(2*pageSize - 10); addr < 2*pageSize+2; addr++ {
+			m := NewImage()
+			const v = 0x8877665544332211
+			m.Write(addr, size, v)
+			var want, got uint64
+			for i := 0; i < size; i++ {
+				got |= uint64(m.Byte(addr+uint32(i))) << (8 * i)
+			}
+			want = v & (1<<(8*size) - 1)
+			if size == 8 {
+				want = v
+			}
+			if got != want {
+				t.Errorf("Write(%#x, %d): bytes hold %#x, want %#x", addr, size, got, want)
+			}
+			if r := m.Read(addr, size); r != want {
+				t.Errorf("Read(%#x, %d) = %#x, want %#x", addr, size, r, want)
+			}
+			if m.Byte(addr-1) != 0 || m.Byte(addr+uint32(size)) != 0 {
+				t.Errorf("Write(%#x, %d) touched a neighbouring byte", addr, size)
+			}
+		}
+	}
+}
+
+// TestImageWriteFaultsSharedPage checks that an in-page write to a page a
+// snapshot shares copies the page first, leaving the snapshot intact.
+func TestImageWriteFaultsSharedPage(t *testing.T) {
+	m := NewImage()
+	m.Write(0x2000, 8, 1)
+	snap := m.Snapshot()
+	m.Write(0x2000, 8, 2)
+	m.Write(0x2010, 4, 3)
+	if got := snap.Image().Read(0x2000, 8); got != 1 {
+		t.Errorf("snapshot reads %d after the image was written, want 1", got)
+	}
+	if got := snap.Image().Read(0x2010, 4); got != 0 {
+		t.Errorf("snapshot reads %d at an address only the image wrote, want 0", got)
+	}
+	if got := m.Read(0x2000, 8); got != 2 {
+		t.Errorf("image reads %d, want 2", got)
+	}
+}

@@ -13,6 +13,7 @@ import (
 // in Retired, keeps its next architectural PC in ArchPC, and drives the
 // protocol from its cycle loop:
 //
+//	quiet := false
 //	if m.Draining {
 //		if the in-flight window is empty {
 //			m.takeSnapshot() // encodes the machine's section, calls Capture
@@ -20,12 +21,13 @@ import (
 //			m.Draining = false
 //		}
 //	} else {
-//		m.fe.Tick(m.now)
+//		quiet = !m.fe.Tick(m.now)
 //	}
 //	... one cycle of the machine ...
 //	if m.SnapshotDue() {
 //		m.Draining = true
 //	}
+//	... a quiet cycle may fast-forward (see Idle), never while Draining ...
 //
 // While a snapshot is due, fetch pauses until every fetched instruction has
 // retired; the quiesced machine is captured and fetch restarts at ArchPC, so

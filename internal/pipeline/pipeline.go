@@ -136,22 +136,23 @@ func (f *FrontEnd) Predictor() *bpred.Predictor { return f.pred }
 func (f *FrontEnd) Arena() *Arena { return f.arena }
 
 // Tick advances fetch by one cycle: at most one issue group is fetched along
-// the predicted path.
+// the predicted path. It reports whether the front end changed state; a Tick
+// that did not leaves it idle until Wake.
 //
 //flea:hotpath
-func (f *FrontEnd) Tick(now int64) {
+func (f *FrontEnd) Tick(now int64) (acted bool) {
 	if f.stalled || f.halted || now < f.nextFetchAt || f.qlen >= f.cfg.QueueCap {
-		return
+		return false
 	}
 	if f.pc < 0 || int(f.pc) >= len(f.prog.Insts) {
 		// Fetch wandered off the program (wrong-path); stall until a
 		// redirect arrives.
 		f.stalled = true
-		return
+		return true
 	}
 	start := f.pc
 	end := f.prog.GroupBounds(start)
-	g := &f.queue[(f.qhead+f.qlen)%f.cfg.QueueCap]
+	g := &f.queue[f.slot(f.qlen)]
 	//flea:handoff the slot's previous records were handed to the machine at Pop; only the backing array is reused
 	g.Insts = g.Insts[:0]
 	g.FetchPC = start
@@ -197,7 +198,7 @@ func (f *FrontEnd) Tick(now int64) {
 	lastLine := program.InstAddr(start+int32(len(g.Insts))-1) &^ (lineBytes - 1)
 	for line := firstLine; ; line += lineBytes {
 		lat, _ := f.hier.Fetch(line, now)
-		if e := lat - f.hier.Config().L1I.Latency; e > extra {
+		if e := lat - f.hier.L1ILatency(); e > extra {
 			extra = e
 		}
 		if line == lastLine {
@@ -209,6 +210,43 @@ func (f *FrontEnd) Tick(now int64) {
 	f.FetchStallCycles += int64(extra)
 	f.qlen++
 	f.pc = next
+	return true
+}
+
+// slot returns the ring index of the i-th oldest queued group, i <
+// QueueCap. It wraps by compare-and-subtract: the capacity is not a
+// constant, so % would divide.
+//
+//flea:hotpath
+//flea:inline
+func (f *FrontEnd) slot(i int) int {
+	j := f.qhead + i
+	if j >= len(f.queue) {
+		j -= len(f.queue)
+	}
+	return j
+}
+
+// Wake returns the first cycle after now at which Tick could fetch or Head
+// could deliver a group it does not deliver at now: the next fetch slot or
+// the head group's AvailAt. It returns Never when neither can happen before
+// the machine pops or redirects the front end — fetch stalled behind an
+// indirect branch, halted, or with its queue full, and no queued group still
+// on its way to dispersal. Machines call it after a cycle in which Tick did
+// not act.
+//
+//flea:hotpath
+func (f *FrontEnd) Wake(now int64) int64 {
+	w := Never
+	if !f.stalled && !f.halted && f.qlen < f.cfg.QueueCap {
+		w = f.nextFetchAt
+	}
+	if f.qlen > 0 {
+		if a := f.queue[f.qhead].AvailAt; a > now && a < w {
+			w = a
+		}
+	}
+	return w
 }
 
 // predictBranch predicts direction and target for branch d at fetch.
@@ -269,7 +307,7 @@ func (f *FrontEnd) Pending() bool { return f.qlen > 0 }
 //
 //flea:hotpath
 func (f *FrontEnd) Pop() {
-	f.qhead = (f.qhead + 1) % f.cfg.QueueCap
+	f.qhead = f.slot(1)
 	f.qlen--
 }
 
@@ -281,7 +319,7 @@ func (f *FrontEnd) Pop() {
 //flea:hotpath
 func (f *FrontEnd) Redirect(pc int32, now int64) {
 	for i := 0; i < f.qlen; i++ {
-		g := &f.queue[(f.qhead+i)%f.cfg.QueueCap]
+		g := &f.queue[f.slot(i)]
 		f.arena.PutAll(g.Insts)
 		g.Insts = g.Insts[:0]
 	}

@@ -140,6 +140,17 @@ func (c *Collector) Cycle(cls CycleClass) {
 	c.byClass[cls].Inc()
 }
 
+// Cycles classifies n consecutive cycles of one class: the bulk form of
+// Cycle for the quiescent cycles a machine fast-forwards. Like Cycle it
+// bumps the total with the class, so the invariant still holds by
+// construction.
+//
+//flea:hotpath
+func (c *Collector) Cycles(cls CycleClass, n int64) {
+	c.cycles.Add(n)
+	c.byClass[cls].Add(n)
+}
+
 // Instruction counts one architecturally retired instruction.
 //
 //flea:hotpath
@@ -205,6 +216,15 @@ func (c *Collector) Regroup(n int) { c.regrouped.Add(int64(n)) }
 //flea:hotpath
 func (c *Collector) CQOccupancy(n int) {
 	c.cqOccupancySum.Add(int64(n))
+	c.cqOccupancy.Set(int64(n))
+}
+
+// CQOccupancyCycles accumulates occupancy n for each of cycles consecutive
+// cycles: the bulk form of CQOccupancy for fast-forwarded cycles.
+//
+//flea:hotpath
+func (c *Collector) CQOccupancyCycles(n int, cycles int64) {
+	c.cqOccupancySum.Add(int64(n) * cycles)
 	c.cqOccupancy.Set(int64(n))
 }
 

@@ -12,26 +12,29 @@ import (
 // is dispatched. The A-pipe never stalls on unready operands — unready
 // instructions are deferred into the coupling queue — but it does stop for
 // structural reasons: a full coupling queue, the optional deferral throttle,
-// or the optional anticipable-latency stall.
+// or the optional anticipable-latency stall. It returns the cycle's wake:
+// the first cycle at which its verdict could differ, m.now+1 when it changed
+// machine state. Every structural stop but the anticipable stall lasts until
+// the B-pipe retires or the front end delivers, which are their own wakes.
 //
 //flea:hotpath
-func (m *Machine) stepA() {
+func (m *Machine) stepA() (wake int64) {
 	if m.aHalted {
-		return
+		return pipeline.Never
 	}
 	g := m.fe.Head(m.now)
 	if g == nil {
-		return
+		return pipeline.Never
 	}
 	if m.cqCount+len(g.Insts) > m.cfg.CQSize {
-		return // coupling-queue backpressure
+		return pipeline.Never // coupling-queue backpressure
 	}
 	if m.cfg.DeferThrottle > 0 && m.deferred > m.cfg.DeferThrottle {
-		return // §3.5 moderation: let the B-pipe clear the backlog
+		return pipeline.Never // §3.5 moderation: let the B-pipe clear the backlog
 	}
 	if m.cfg.StallOnAnticipable && m.blockedOnAnticipable(g) {
 		m.aBlockedAnticipable = true
-		return
+		return m.now + 1 // the anticipated latencies clear at unrelated cycles
 	}
 	m.aBlockedAnticipable = false
 	m.fe.Pop()
@@ -63,6 +66,7 @@ func (m *Machine) stepA() {
 		m.tr.Emit(trace.Event{Cycle: m.now, Type: trace.EvCQEnqueue, Pipe: trace.PipeA,
 			ID: grp.insts[0].ID, PC: grp.insts[0].PC, Arg: int64(len(grp.insts))})
 	}
+	return m.now + 1
 }
 
 // emitA reports one A-pipe dispatch outcome to the trace sink: a deferral

@@ -22,39 +22,43 @@ type bStatus struct {
 }
 
 // stepB advances the backup (architectural) pipeline by one cycle and
-// classifies the cycle into one of the six Figure 6 classes.
+// classifies the cycle into one of the six Figure 6 classes. It returns the
+// cycle's wake, as stepA does.
 //
 //flea:hotpath
-func (m *Machine) stepB() {
+func (m *Machine) stepB() (wake int64) {
 	if m.cq.len() == 0 {
 		cls := stats.FrontEndStall
 		if m.aBlockedAnticipable {
 			cls = stats.NonLoadDepStall
 		}
-		m.col.Cycle(cls)
+		m.Idle.Stall(m.col, cls)
 		if m.tr.Enabled() {
-			m.tr.Emit(trace.Event{Cycle: m.now, Type: trace.EvStall, Pipe: trace.PipeB,
+			m.Idle.Emit(m.tr, trace.Event{Cycle: m.now, Type: trace.EvStall, Pipe: trace.PipeB,
 				PC: -1, Arg: int64(cls), Note: cls.String()})
 		}
-		return
+		return pipeline.Never // until the A-pipe enqueues
 	}
 	if m.cq.at(0).enq >= m.now {
 		// The A-pipe must stay at least one cycle ahead.
-		m.col.Cycle(stats.APipeStall)
+		m.Idle.Stall(m.col, stats.APipeStall)
 		if m.tr.Enabled() {
-			m.tr.Emit(trace.Event{Cycle: m.now, Type: trace.EvStall, Pipe: trace.PipeB,
+			m.Idle.Emit(m.tr, trace.Event{Cycle: m.now, Type: trace.EvStall, Pipe: trace.PipeB,
 				PC: -1, Arg: int64(stats.APipeStall), Note: stats.APipeStall.String()})
 		}
-		return
+		return m.now + 1
 	}
 	set, ngroups := m.buildDispatchSet()
-	if cls, blocked := m.bBlocked(set); blocked {
-		m.col.Cycle(cls)
+	if cls, until, blocked := m.bBlocked(set); blocked {
+		m.Idle.Stall(m.col, cls)
 		if m.tr.Enabled() {
-			m.tr.Emit(trace.Event{Cycle: m.now, Type: trace.EvStall, Pipe: trace.PipeB,
+			m.Idle.Emit(m.tr, trace.Event{Cycle: m.now, Type: trace.EvStall, Pipe: trace.PipeB,
 				ID: set[0].ID, PC: set[0].PC, Arg: int64(cls), Note: cls.String()})
 		}
-		return
+		if m.cfg.Regroup {
+			until = min(until, m.regroupWake(set, ngroups))
+		}
+		return until
 	}
 	m.col.Regroup(ngroups - 1)
 	if m.tr.Enabled() {
@@ -111,6 +115,7 @@ func (m *Machine) stepB() {
 		// A flush before anything retired: a recovery cycle.
 		m.col.Cycle(stats.FrontEndStall)
 	}
+	return m.now + 1
 }
 
 // popHead removes the first n instructions from the coupling queue,
@@ -157,6 +162,25 @@ func (m *Machine) buildDispatchSet() (set []*pipeline.DynInst, ngroups int) {
 		ngroups++
 	}
 	return m.dispatchSet, ngroups
+}
+
+// regroupWake returns the first cycle after now at which the regrouper
+// could build a larger dispatch set than set, which spans ngroups queue
+// groups. canMerge depends on time only through the arrival of the set's
+// pre-executed results, and only when a queued group is left to merge.
+//
+//flea:hotpath
+func (m *Machine) regroupWake(set []*pipeline.DynInst, ngroups int) int64 {
+	w := pipeline.Never
+	if ngroups == m.cq.len() {
+		return w // nothing to merge before the A-pipe enqueues
+	}
+	for _, d := range set {
+		if d.Done && d.ReadyAt > m.now && d.ReadyAt < w {
+			w = d.ReadyAt
+		}
+	}
+	return w
 }
 
 // canMerge reports whether the next queue group may issue together with the
@@ -208,10 +232,12 @@ func (m *Machine) canMerge(set, next []*pipeline.DynInst) bool {
 // bBlocked applies the B-pipe REG-stage interlocks to the dispatch set.
 // Pre-executed instructions never block dispatch (dangling results dispatch
 // with scoreboarded destinations); deferred instructions need ready sources,
-// a WAW-free destination, and — for loads — an outstanding-load slot.
+// a WAW-free destination, and — for loads — an outstanding-load slot. Like
+// the baseline's groupBlocked, a blocked set reports the cycle the stall
+// clears, or m.now+1 for a resource stall.
 //
 //flea:hotpath
-func (m *Machine) bBlocked(set []*pipeline.DynInst) (stats.CycleClass, bool) {
+func (m *Machine) bBlocked(set []*pipeline.DynInst) (cls stats.CycleClass, until int64, blocked bool) {
 	blockedUntil := int64(-1)
 	blockedByLoad := false
 	consider := func(r isa.Reg) {
@@ -239,9 +265,9 @@ func (m *Machine) bBlocked(set []*pipeline.DynInst) (stats.CycleClass, bool) {
 	m.srcScratch = srcs
 	if blockedUntil > m.now {
 		if blockedByLoad {
-			return stats.LoadStall, true
+			return stats.LoadStall, blockedUntil, true
 		}
-		return stats.NonLoadDepStall, true
+		return stats.NonLoadDepStall, blockedUntil, true
 	}
 	addrs := m.addrScratch[:0]
 	for _, d := range set {
@@ -255,9 +281,9 @@ func (m *Machine) bBlocked(set []*pipeline.DynInst) (stats.CycleClass, bool) {
 	}
 	m.addrScratch = addrs
 	if len(addrs) > 0 && !m.hier.CanAcceptLoads(addrs, m.now) {
-		return stats.ResourceStall, true
+		return stats.ResourceStall, m.now + 1, true
 	}
-	return 0, false
+	return 0, 0, false
 }
 
 // processB retires one instruction: merging an A-pipe result, or executing a

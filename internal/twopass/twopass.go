@@ -161,7 +161,21 @@ func (q *cqRing) len() int { return q.count }
 //
 //flea:hotpath
 func (q *cqRing) at(i int) *cqGroup {
-	return &q.groups[(q.headIdx+i)%len(q.groups)]
+	return &q.groups[q.slot(i)]
+}
+
+// slot returns the ring index of the i-th oldest group, i < capacity. It
+// wraps by compare-and-subtract: the capacity is not a constant, so % would
+// divide.
+//
+//flea:hotpath
+//flea:inline
+func (q *cqRing) slot(i int) int {
+	j := q.headIdx + i
+	if j >= len(q.groups) {
+		j -= len(q.groups)
+	}
+	return j
 }
 
 // pushTail claims the next free slot, reset to an empty group. The caller
@@ -182,7 +196,7 @@ func (q *cqRing) pushTail() *cqGroup {
 //
 //flea:hotpath
 func (q *cqRing) popHead() {
-	q.headIdx = (q.headIdx + 1) % len(q.groups)
+	q.headIdx = q.slot(1)
 	q.count--
 }
 
@@ -254,6 +268,9 @@ type Machine struct {
 	// count, the architectural PC and the drain-barrier checkpoint protocol
 	// (see snapshot.go).
 	pipeline.Barrier
+	// Idle fast-forwards quiescent stall cycles and counts them in
+	// SkippedCycles.
+	pipeline.Idle
 }
 
 // New builds a machine over a fresh copy of the program's memory.
@@ -323,11 +340,12 @@ func (m *Machine) Run() (*stats.Run, error) {
 		if m.now >= m.cfg.MaxCycles {
 			return nil, fmt.Errorf("twopass: %q exceeded %d cycles", m.prog.Name, m.cfg.MaxCycles)
 		}
-		if m.ctx != nil && m.now&4095 == 0 {
+		if m.ctx != nil && m.now&(pipeline.PollInterval-1) == 0 {
 			if err := m.ctx.Err(); err != nil {
 				return nil, fmt.Errorf("twopass: %q: %w", m.prog.Name, err)
 			}
 		}
+		quiet := false
 		if m.Draining {
 			// Fetch pauses until both queues empty — every dispatched
 			// instruction has passed the B-pipe and the speculative
@@ -339,15 +357,26 @@ func (m *Machine) Run() (*stats.Run, error) {
 				m.Draining = false
 			}
 		} else {
-			m.fe.Tick(m.now)
+			quiet = !m.fe.Tick(m.now)
 		}
-		m.stepA()
-		m.stepB()
+		wake := m.stepA()
+		wake = min(wake, m.stepB())
 		m.col.CQOccupancy(m.cqCount)
 		if m.SnapshotDue() {
 			m.Draining = true
 		}
+		// A cycle that changed nothing repeats until the first wake of the
+		// front end or either pipe: account those cycles in bulk.
+		quiet = quiet && !m.Draining
+		if quiet {
+			wake = min(wake, m.fe.Wake(m.now))
+		}
 		m.now++
+		if quiet {
+			n := m.Idle.Skip(m.col, m.tr, m.now, wake, m.cfg.MaxCycles)
+			m.col.CQOccupancyCycles(m.cqCount, n)
+			m.now += n
+		}
 	}
 	r := m.col.Snapshot(m.hier.Stats())
 	if err := r.CheckInvariants(); err != nil {
