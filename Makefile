@@ -3,9 +3,9 @@
 
 GO ?= go
 
-.PHONY: ci vet lint gcassert build test race bench bench-json bench-smoke ckpt-smoke race-service fuzz-smoke fuzz cluster-smoke flow-smoke
+.PHONY: ci vet lint gcassert build test race perfbench-test bench bench-json bench-smoke ckpt-smoke race-service fuzz-smoke fuzz cluster-smoke flow-smoke
 
-ci: vet lint gcassert build race bench-smoke ckpt-smoke fuzz-smoke cluster-smoke flow-smoke
+ci: vet lint gcassert build race perfbench-test bench-smoke ckpt-smoke fuzz-smoke cluster-smoke flow-smoke
 
 vet:
 	$(GO) vet ./...
@@ -38,6 +38,13 @@ test:
 race:
 	$(GO) test -race ./...
 
+# perfbench-test vets and tests the benchmark module. perfbench/ is its own
+# Go module, so the targets above never build it: without this step a
+# change to an internal API the benchmark imports would break only the
+# benchmark.
+perfbench-test:
+	cd perfbench && GOFLAGS= $(GO) vet ./... && GOFLAGS= $(GO) test ./...
+
 # race-service is the focused variant CI also runs: the serving subsystem is
 # the one heavily concurrent package, so its tests get a second, repeated
 # pass under the race detector.
@@ -47,12 +54,14 @@ race-service:
 bench:
 	$(GO) test -bench=. -benchtime=1x -run=^$$ .
 
-# bench-json writes the machine-readable perf snapshot (BENCH_<rev>.json:
-# instructions/second and allocations per run for every model) into the repo
+# bench-json writes the performance snapshot BENCH_<rev>.json into the repo
 # root, to commit alongside perf-sensitive changes so regressions diff in
-# review.
+# review: three untraced runs and one traced run of every perfbench workload
+# on seed 1 and on the held-out seed 20261017, with each end-to-end metric's
+# median and coefficient of variation. It refuses a tree with uncommitted
+# changes and any incorrect run (scripts/bench-json.sh).
 bench-json:
-	$(GO) run ./cmd/fleabench -json .
+	bash scripts/bench-json.sh
 
 # bench-smoke is the simulator-speed regression gate: the allocation tests
 # fail if the cycle loop regresses to allocating per instruction or a

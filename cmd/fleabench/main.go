@@ -5,7 +5,7 @@
 //
 //	fleabench [-fig6] [-fig7] [-fig8] [-table1] [-table2] [-scalars]
 //	          [-motivation] [-runahead] [-sweeps] [-bench name] [-verify]
-//	          [-json dir] [-cpuprofile file] [-memprofile file]
+//	          [-csv dir] [-cpuprofile file] [-memprofile file]
 package main
 
 import (
@@ -13,11 +13,9 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"os/exec"
 	"os/signal"
 	"runtime"
 	"runtime/pprof"
-	"strings"
 
 	"fleaflicker/internal/core"
 	"fleaflicker/internal/experiments"
@@ -58,10 +56,9 @@ func run(ctx context.Context) error {
 		benchName  = flag.String("bench", "", "restrict to one benchmark")
 		verify     = flag.Bool("verify", false, "verify every run against the reference executor")
 		csvDir     = flag.String("csv", "", "also write machine-readable CSVs (fig6/fig7/fig8) to this directory")
-		jsonDir    = flag.String("json", "", "write a machine-readable BENCH_<rev>.json perf snapshot (instr/s and allocs/run per model) to this directory")
 	)
 	flag.Parse()
-	all := !(*fig6 || *fig7 || *fig8 || *table1 || *table2 || *scalars || *motivation || *runaheadC || *sweeps || *future || *ifconv || *jsonDir != "")
+	all := !(*fig6 || *fig7 || *fig8 || *table1 || *table2 || *scalars || *motivation || *runaheadC || *sweeps || *future || *ifconv)
 
 	if *cpuprofile != "" {
 		f, err := os.Create(*cpuprofile)
@@ -188,25 +185,6 @@ func run(ctx context.Context) error {
 		fmt.Println(experiments.RenderMachineComparison(
 			"Perfect-memory ablation: with no misses, two-pass collapses to baseline", "perfect", perf))
 	}
-	if *jsonDir != "" {
-		allocBench := "300.twolf"
-		if *benchName != "" {
-			allocBench = *benchName
-		}
-		rep, err := experiments.BuildBenchReport(ctx, cfg, core.Models(), benches, allocBench)
-		if err != nil {
-			return err
-		}
-		rep.Cluster, err = experiments.ClusterBench(2000, 50)
-		if err != nil {
-			return err
-		}
-		path, err := experiments.WriteBenchReport(rep, *jsonDir, revision())
-		if err != nil {
-			return err
-		}
-		fmt.Printf("wrote %s\n\n", path)
-	}
 	if all || *ifconv {
 		names := []string{"300.twolf", "099.go", "130.li"}
 		if *benchName != "" {
@@ -240,16 +218,6 @@ func run(ctx context.Context) error {
 		fmt.Println(experiments.RenderSweep("A-pipe deferral throttle sweep (§3.5 future work; 0 = off)", "limit", "deferred", th))
 	}
 	return nil
-}
-
-// revision names the snapshot file: the working tree's short commit hash,
-// or "dev" outside a git checkout.
-func revision() string {
-	out, err := exec.Command("git", "rev-parse", "--short", "HEAD").Output()
-	if err != nil {
-		return "dev"
-	}
-	return strings.TrimSpace(string(out))
 }
 
 func fatal(err error) {

@@ -8,21 +8,19 @@
 //	fleaflow list
 //	fleaflow graph <pipeline> [-dot]
 //	fleaflow run <pipeline> [-store dir] [-service URL] [-par n] [-fresh]
-//	             [-resume] [-out dir] [-experiments path]
+//	             [-out dir] [-experiments path]
 //	             [-fuzz-programs n] [-fuzz-shards n] [-fuzz-smoke]
 //
 // `run` is SIGINT-safe: interrupting a campaign cancels in-flight stages,
-// keeps every completed artifact, and a rerun (resume is the default —
-// that is what content addressing buys) redoes only unfinished work.
+// keeps every completed artifact, and a plain rerun redoes only unfinished
+// work — that is what content addressing buys.
 package main
 
 import (
 	"context"
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
-	"os/exec"
 	"os/signal"
 	"path/filepath"
 	"runtime"
@@ -136,8 +134,7 @@ func runCmd(ctx context.Context, args []string) error {
 		storeDir = fs.String("store", ".fleaflow", "artifact store directory")
 		par      = fs.Int("par", runtime.GOMAXPROCS(0), "max concurrently executing stages")
 		fresh    = fs.Bool("fresh", false, "ignore existing artifacts; re-run every stage")
-		resume   = fs.Bool("resume", false, "resume an interrupted campaign (the default behaviour; rejects -fresh)")
-		outDir   = fs.String("out", "", "write campaign outputs (CSVs, BENCH_<rev>.json) to this directory")
+		outDir   = fs.String("out", "", "write campaign outputs (fig6/fig7/fig8 CSVs) to this directory")
 		expPath  = fs.String("experiments", "", "patch this EXPERIMENTS.md's fleaflow sections (figure6 only)")
 		quiet    = fs.Bool("q", false, "suppress per-stage progress lines")
 	)
@@ -145,9 +142,6 @@ func runCmd(ctx context.Context, args []string) error {
 	name, err := pipelineArg(fs, args)
 	if err != nil {
 		return err
-	}
-	if *resume && *fresh {
-		return fmt.Errorf("-resume and -fresh conflict: resume means reusing artifacts")
 	}
 	env, err := buildEnv()
 	if err != nil {
@@ -217,8 +211,7 @@ func pipelineArg(fs *flag.FlagSet, args []string) (string, error) {
 }
 
 // finish post-processes a completed campaign: prints its terminal document
-// and, for figure6, writes the EXPERIMENTS.md sections, CSVs, and the
-// BENCH-style JSON snapshot.
+// and, for figure6, writes the EXPERIMENTS.md sections and CSVs.
 func finish(name string, store *fleaflow.Store, rep *fleaflow.Report, outDir, expPath string) error {
 	switch name {
 	case "figure6":
@@ -272,62 +265,8 @@ func finishFigure6(store *fleaflow.Store, rep *fleaflow.Report, outDir, expPath 
 			}
 			fmt.Printf("wrote %s\n", path)
 		}
-		path, err := writeBenchJSON(outDir, doc.Bench)
-		if err != nil {
-			return err
-		}
-		fmt.Printf("wrote %s\n", path)
 	}
 	return nil
-}
-
-// benchSnapshot is the BENCH-style JSON written next to the fleabench
-// snapshots: per-model simulated-instruction throughput over the verified
-// figure6 suite. Revision and timestamp are stamped here, at write-out —
-// the orchestrator itself is clock-free, so its artifacts stay
-// byte-reproducible.
-type benchSnapshot struct {
-	Revision   string                `json:"revision"`
-	Timestamp  time.Time             `json:"timestamp"`
-	GoVersion  string                `json:"go_version"`
-	GOOS       string                `json:"goos"`
-	GOARCH     string                `json:"goarch"`
-	Source     string                `json:"source"`
-	Benchmarks []string              `json:"benchmarks"`
-	Models     []fleaflow.ModelSpeed `json:"models"`
-}
-
-func writeBenchJSON(dir string, sum fleaflow.BenchSummary) (string, error) {
-	rev := revision()
-	snap := benchSnapshot{
-		Revision:   rev,
-		Timestamp:  time.Now().UTC(),
-		GoVersion:  runtime.Version(),
-		GOOS:       runtime.GOOS,
-		GOARCH:     runtime.GOARCH,
-		Source:     "fleaflow run figure6",
-		Benchmarks: sum.Benchmarks,
-		Models:     sum.Models,
-	}
-	path := filepath.Join(dir, fmt.Sprintf("BENCH_%s.json", rev))
-	data, err := json.MarshalIndent(snap, "", "  ")
-	if err != nil {
-		return "", err
-	}
-	if err := os.WriteFile(path, append(data, '\n'), 0o644); err != nil {
-		return "", err
-	}
-	return path, nil
-}
-
-// revision names the snapshot: the working tree's short commit hash, or
-// "dev" outside a git checkout.
-func revision() string {
-	out, err := exec.Command("git", "rev-parse", "--short", "HEAD").Output()
-	if err != nil {
-		return "dev"
-	}
-	return strings.TrimSpace(string(out))
 }
 
 // EXPERIMENTS.md carries two fleaflow-maintained regions: the

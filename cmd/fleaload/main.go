@@ -128,9 +128,9 @@ func makeSpec(rng *rand.Rand, dup float64, bench, model string, client, req int,
 
 // oneJob drives a single closed-loop interaction: submit (absorbing
 // backpressure through the shared client's retry loop, which parses the
-// server's retryAfterSeconds hint new-name-first), then poll to a terminal
-// state, recording end-to-end latency. The pause is capped so a load test
-// never sleeps the full server hint.
+// server's retryAfterSeconds hint), then poll to a terminal state,
+// recording end-to-end latency. The pause is capped so a load test never
+// sleeps the full server hint.
 func oneJob(cl *client.Client, spec service.JobSpec, c *counters) error {
 	ctx := context.Background()
 	start := time.Now()

@@ -20,8 +20,8 @@ type backendClient struct {
 }
 
 // backendError is a non-2xx backend response; the shared client parses the
-// machine-readable retry hint (retryAfterSeconds, its deprecated
-// retry_after_seconds spelling, then the Retry-After header).
+// machine-readable retry hint (retryAfterSeconds, then the Retry-After
+// header).
 type backendError = client.HTTPError
 
 // NormalizeBackendURL canonicalizes a member URL the way backend clients do

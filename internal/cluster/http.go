@@ -72,17 +72,9 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 
 // errorBody mirrors the backend error payload: retryAfterSeconds carries the
 // machine-readable retry hint alongside the Retry-After header.
-// retry_after_seconds repeats it under the pre-rename name for clients built
-// against the old wire format (deprecated; will be dropped).
 type errorBody struct {
-	Error            string `json:"error"`
-	RetryAfter       int    `json:"retryAfterSeconds,omitempty"`
-	RetryAfterLegacy int    `json:"retry_after_seconds,omitempty"`
-}
-
-// retryBody builds an errorBody carrying the retry hint under both names.
-func retryBody(msg string, secs int) errorBody {
-	return errorBody{Error: msg, RetryAfter: secs, RetryAfterLegacy: secs}
+	Error      string `json:"error"`
+	RetryAfter int    `json:"retryAfterSeconds,omitempty"`
 }
 
 // submitResponse acknowledges an admitted job in the backend wire shape.
@@ -115,10 +107,10 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 				secs = 1
 			}
 			w.Header().Set("Retry-After", strconv.Itoa(secs))
-			writeJSON(w, http.StatusTooManyRequests, retryBody(err.Error(), secs))
+			writeJSON(w, http.StatusTooManyRequests, errorBody{Error: err.Error(), RetryAfter: secs})
 		case errors.Is(err, ErrDraining), errors.Is(err, ErrNoBackends):
 			w.Header().Set("Retry-After", "5")
-			writeJSON(w, http.StatusServiceUnavailable, retryBody(err.Error(), 5))
+			writeJSON(w, http.StatusServiceUnavailable, errorBody{Error: err.Error(), RetryAfter: 5})
 		case errors.Is(err, service.ErrInvalidSpec):
 			writeJSON(w, http.StatusBadRequest, errorBody{Error: err.Error()})
 		default:

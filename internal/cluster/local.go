@@ -14,9 +14,10 @@ import (
 // Local is an in-process cluster: n real fleasimd backends, each a
 // service.Manager behind a real TCP listener on a loopback port, and one
 // Coordinator routing across them. It is the harness `make cluster-smoke`,
-// the race tests and fleabench all drive — everything above the sockets is
-// exactly the production stack, so a kill here exercises the same probe,
-// mark-down and re-route paths a dead daemon would.
+// the race tests and perfbench's serve-cluster workload all drive —
+// everything above the sockets is exactly the production stack, so a kill
+// here exercises the same probe, mark-down and re-route paths a dead daemon
+// would.
 type Local struct {
 	Coordinator *Coordinator
 

@@ -32,8 +32,8 @@ type SuiteRuns struct {
 	Runs       map[string]map[core.Model]*stats.Run
 	// Durations holds the wall-clock time each cell's core.Simulate call
 	// took (including reference verification when enabled), so callers such
-	// as the serving layer and fleabench can report real job-latency
-	// numbers instead of discarding them.
+	// as the serving layer and fleaflow's speed table can report real
+	// job-latency numbers instead of discarding them.
 	Durations map[string]map[core.Model]time.Duration
 }
 

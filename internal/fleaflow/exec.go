@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"sort"
 	"strings"
 	"time"
 
@@ -156,40 +155,27 @@ func runFig8Stage(ctx context.Context, env Env, cfg core.Config, names []string)
 	return out, nil
 }
 
-// speedSummary aggregates the suite's per-cell wall-clock measurements
-// into per-model simulated-instruction throughput.
-func speedSummary(s *experiments.SuiteRuns, models []core.Model) BenchSummary {
-	sum := BenchSummary{Benchmarks: append([]string(nil), s.Benchmarks...)}
-	sort.Strings(sum.Benchmarks)
-	for _, m := range models {
-		var instr int64
-		var dur time.Duration
-		for _, bench := range sum.Benchmarks {
-			r := s.Get(bench, m)
-			if r == nil {
-				continue
-			}
-			instr += r.Instructions
-			dur += s.Duration(bench, m)
-		}
-		ms := ModelSpeed{Model: m.String(), Instructions: instr, DurationMS: float64(dur) / float64(time.Millisecond)}
-		if dur > 0 {
-			ms.InstrPerSec = float64(instr) / dur.Seconds()
-		}
-		sum.Models = append(sum.Models, ms)
-	}
-	return sum
-}
-
-// renderSpeed formats the measured throughput table (wall-clock data: not
-// byte-reproducible across machines or runs).
-func renderSpeed(sum BenchSummary) string {
+// renderSpeed formats the measured simulated-instruction throughput of
+// each model over the whole suite (wall-clock data: not byte-reproducible
+// across machines or runs).
+func renderSpeed(s *experiments.SuiteRuns, models []core.Model) string {
 	var b strings.Builder
 	b.WriteString("Simulator throughput over the verified suite (measured, varies by machine)\n")
 	fmt.Fprintf(&b, "%-10s %16s %14s %14s\n", "model", "instructions", "duration", "instr/s")
-	for _, m := range sum.Models {
-		d := time.Duration(m.DurationMS * float64(time.Millisecond)).Round(time.Millisecond)
-		fmt.Fprintf(&b, "%-10s %16d %14s %14.0f\n", m.Model, m.Instructions, d, math.Round(m.InstrPerSec))
+	for _, m := range models {
+		var instr int64
+		var dur time.Duration
+		for _, bench := range s.Benchmarks {
+			if r := s.Get(bench, m); r != nil {
+				instr += r.Instructions
+				dur += s.Duration(bench, m)
+			}
+		}
+		var perSec float64
+		if dur > 0 {
+			perSec = float64(instr) / dur.Seconds()
+		}
+		fmt.Fprintf(&b, "%-10s %16d %14s %14.0f\n", m, instr, dur.Round(time.Millisecond), math.Round(perSec))
 	}
 	return b.String()
 }

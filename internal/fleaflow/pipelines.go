@@ -81,23 +81,6 @@ type Doc struct {
 	Markdown string `json:"markdown"`
 }
 
-// ModelSpeed is one model's aggregate simulator-speed measurement.
-type ModelSpeed struct {
-	Model        string  `json:"model"`
-	Instructions int64   `json:"instructions"`
-	DurationMS   float64 `json:"duration_ms"`
-	InstrPerSec  float64 `json:"instr_per_sec"`
-}
-
-// BenchSummary is the BENCH-style machine-readable view of a figure6 run:
-// per-model simulated-instruction throughput over the whole suite. The
-// orchestrator is clock-free, so revision and timestamp stamping is the
-// caller's job (cmd/fleaflow) at write-out time.
-type BenchSummary struct {
-	Benchmarks []string     `json:"benchmarks"`
-	Models     []ModelSpeed `json:"models"`
-}
-
 // Figure6Doc is the figure6 pipeline's final artifact. Deterministic holds
 // the byte-reproducible EXPERIMENTS.md block (pure simulation results);
 // Speed holds the measured simulator-throughput table, which is honest
@@ -107,7 +90,6 @@ type Figure6Doc struct {
 	Deterministic string            `json:"deterministic"`
 	Speed         string            `json:"speed"`
 	CSV           map[string]string `json:"csv"`
-	Bench         BenchSummary      `json:"bench"`
 }
 
 // suiteStageDef keys a per-benchmark verified suite stage.
@@ -273,11 +255,7 @@ func Figure6(env Env) *Pipeline {
 			if err := in.Decode("aggregate", &s); err != nil {
 				return nil, err
 			}
-			sum := speedSummary(&s, models)
-			return struct {
-				Markdown string       `json:"markdown"`
-				Bench    BenchSummary `json:"bench"`
-			}{renderSpeed(sum), sum}, nil
+			return Doc{Markdown: renderSpeed(&s, models)}, nil
 		},
 	})
 	stages = append(stages, &Stage{
@@ -374,10 +352,7 @@ func buildFigure6Doc(in *Inputs) (*Figure6Doc, error) {
 		}
 	}
 
-	var speed struct {
-		Markdown string       `json:"markdown"`
-		Bench    BenchSummary `json:"bench"`
-	}
+	var speed Doc
 	if err := in.Decode("speed", &speed); err != nil {
 		return nil, err
 	}
@@ -392,7 +367,6 @@ func buildFigure6Doc(in *Inputs) (*Figure6Doc, error) {
 		Deterministic: strings.TrimRight(det.String(), "\n") + "\n",
 		Speed:         speed.Markdown,
 		CSV:           map[string]string{"fig6.csv": csv.Fig6, "fig7.csv": csv.Fig7, "fig8.csv": fig8.CSV},
-		Bench:         speed.Bench,
 	}, nil
 }
 

@@ -1,13 +1,13 @@
 // Package client is the one fleasimd HTTP client in the repository. The
 // wire idioms it owns — job and unit submission, terminal-state polling, the
 // 429/503 backpressure protocol with its machine-readable retry hint (the
-// retryAfterSeconds body field, its deprecated retry_after_seconds spelling,
-// and the Retry-After header, in that order), the cache-federation peer
-// lookup, and the /metricsz scrape — used to be duplicated between
-// cmd/fleaload and the cluster coordinator's backend handles, which meant a
-// wire change (the retry-hint rename, once) had to be fixed in two parsers.
-// The load harness, the coordinator (internal/cluster) and the experiment
-// orchestrator (internal/fleaflow) all speak through this package now.
+// retryAfterSeconds body field, then the Retry-After header), the
+// cache-federation peer lookup, and the /metricsz scrape — used to be
+// duplicated between cmd/fleaload and the cluster coordinator's backend
+// handles, which meant a wire change (the retry-hint rename, once) had to be
+// fixed in two parsers. The load harness, the coordinator (internal/cluster)
+// and the experiment orchestrator (internal/fleaflow) all speak through this
+// package now.
 package client
 
 import (
@@ -102,22 +102,17 @@ func (e *HTTPError) Backpressured() bool {
 }
 
 // DecodeError turns a non-2xx response into an HTTPError. The retry hint is
-// resolved new-name first (retryAfterSeconds), then the deprecated
-// retry_after_seconds spelling from pre-rename servers, then the Retry-After
-// header. It consumes (a bounded prefix of) resp.Body.
+// the body's retryAfterSeconds, else the Retry-After header. It consumes (a
+// bounded prefix of) resp.Body.
 func DecodeError(resp *http.Response) *HTTPError {
 	he := &HTTPError{Status: resp.StatusCode}
 	raw, _ := io.ReadAll(io.LimitReader(resp.Body, maxErrorBody))
 	var body struct {
-		Error            string `json:"error"`
-		RetryAfter       int    `json:"retryAfterSeconds"`
-		RetryAfterLegacy int    `json:"retry_after_seconds"`
+		Error      string `json:"error"`
+		RetryAfter int    `json:"retryAfterSeconds"`
 	}
 	if err := json.Unmarshal(raw, &body); err == nil && body.Error != "" {
 		he.Msg = body.Error
-		if body.RetryAfter == 0 {
-			body.RetryAfter = body.RetryAfterLegacy
-		}
 		if body.RetryAfter > 0 {
 			he.RetryAfter = time.Duration(body.RetryAfter) * time.Second
 		}

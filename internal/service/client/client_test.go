@@ -51,19 +51,10 @@ func TestDecodeErrorRetryHintParsing(t *testing.T) {
 			msg:    "queue full",
 		},
 		{
-			// A pre-rename backend sends only the deprecated spelling.
-			name:   "legacy name only",
-			status: http.StatusTooManyRequests,
-			body:   `{"error":"queue full","retry_after_seconds":4}`,
-			want:   4 * time.Second,
-			msg:    "queue full",
-		},
-		{
-			// Both names present (the transition shape servers emit today):
-			// the new name wins.
-			name:   "both names, new wins",
+			// A draining server sends the same hint on a 503.
+			name:   "draining",
 			status: http.StatusServiceUnavailable,
-			body:   `{"error":"draining","retryAfterSeconds":2,"retry_after_seconds":9}`,
+			body:   `{"error":"draining","retryAfterSeconds":2}`,
 			want:   2 * time.Second,
 			msg:    "draining",
 		},
@@ -139,18 +130,14 @@ func TestNormalizeBaseURL(t *testing.T) {
 }
 
 // TestSubmitJobRetryBackoff drives the retry loop against a server that
-// backpressures twice (once with the new hint name, once legacy) before
-// admitting, and checks the policy's pause cap and observer.
+// backpressures twice before admitting, and checks the policy's pause cap and observer.
 func TestSubmitJobRetryBackoff(t *testing.T) {
 	var calls atomic.Int64
 	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		switch calls.Add(1) {
-		case 1:
+		case 1, 2:
 			w.WriteHeader(http.StatusTooManyRequests)
 			w.Write([]byte(`{"error":"queue full","retryAfterSeconds":1}`))
-		case 2:
-			w.WriteHeader(http.StatusTooManyRequests)
-			w.Write([]byte(`{"error":"queue full","retry_after_seconds":1}`))
 		default:
 			w.WriteHeader(http.StatusAccepted)
 			w.Write([]byte(`{"id":"j-1","state":"queued","location":"/v1/jobs/j-1","total_units":1}`))

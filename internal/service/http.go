@@ -56,18 +56,10 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 
 // errorBody is the uniform error payload. RetryAfter mirrors the
 // Retry-After header machine-readably, so clients parse one JSON body
-// instead of a header plus a body. retry_after_seconds repeats the hint
-// under the pre-rename name for clients built against the old wire format
-// (deprecated; will be dropped).
+// instead of a header plus a body.
 type errorBody struct {
-	Error            string `json:"error"`
-	RetryAfter       int    `json:"retryAfterSeconds,omitempty"`
-	RetryAfterLegacy int    `json:"retry_after_seconds,omitempty"`
-}
-
-// retryBody builds an errorBody carrying the retry hint under both names.
-func retryBody(msg string, secs int) errorBody {
-	return errorBody{Error: msg, RetryAfter: secs, RetryAfterLegacy: secs}
+	Error      string `json:"error"`
+	RetryAfter int    `json:"retryAfterSeconds,omitempty"`
 }
 
 // submitResponse acknowledges an admitted job.
@@ -111,10 +103,10 @@ func writeSubmitError(w http.ResponseWriter, err error) {
 			secs = 1
 		}
 		w.Header().Set("Retry-After", strconv.Itoa(secs))
-		writeJSON(w, http.StatusTooManyRequests, retryBody(err.Error(), secs))
+		writeJSON(w, http.StatusTooManyRequests, errorBody{Error: err.Error(), RetryAfter: secs})
 	case errors.Is(err, ErrDraining):
 		w.Header().Set("Retry-After", "5")
-		writeJSON(w, http.StatusServiceUnavailable, retryBody(err.Error(), 5))
+		writeJSON(w, http.StatusServiceUnavailable, errorBody{Error: err.Error(), RetryAfter: 5})
 	case errors.Is(err, ErrInvalidSpec):
 		writeJSON(w, http.StatusBadRequest, errorBody{Error: err.Error()})
 	default:

@@ -218,7 +218,7 @@ func TestHTTPQueueFullReturns429(t *testing.T) {
 		t.Fatal(err)
 	}
 	if eb.RetryAfter < 1 {
-		t.Fatalf("retry_after_seconds = %d, want >= 1", eb.RetryAfter)
+		t.Fatalf("retryAfterSeconds = %d, want >= 1", eb.RetryAfter)
 	}
 }
 
