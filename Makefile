@@ -46,10 +46,11 @@ perfbench-test:
 	cd perfbench && GOFLAGS= $(GO) vet ./... && GOFLAGS= $(GO) test ./...
 
 # race-service is the focused variant CI also runs: the serving subsystem is
-# the one heavily concurrent package, so its tests get a second, repeated
-# pass under the race detector.
+# the one heavily concurrent code, so its tests get a second, repeated pass
+# under the race detector. It covers the coordinator too, whose admission is
+# the service's Manager with units run on backends.
 race-service:
-	$(GO) test -race -count=2 ./internal/service/...
+	$(GO) test -race -count=2 ./internal/service/... ./internal/cluster/...
 
 bench:
 	$(GO) test -bench=. -benchtime=1x -run=^$$ .

@@ -7,6 +7,10 @@
 //	fleasimd [-addr :8080] [-workers N] [-queue-depth N] [-cache N]
 //	         [-job-timeout 2m] [-max-units N] [-drain-timeout 30s]
 //
+// -addr, -queue-depth, -cache, -job-timeout, -max-units and -drain-timeout
+// apply in both modes; -workers only to a backend. A flag that does not
+// apply to the chosen mode is an error, not silently ignored.
+//
 // Endpoints:
 //
 //	POST /v1/jobs            submit a run, a server-side-expanded sweep, or
@@ -19,16 +23,20 @@
 //	GET  /healthz            liveness (503 while draining)
 //	GET  /metricsz           counters, gauges and job-latency quantiles
 //
-// Coordinator mode (-coordinator) serves the same job API but routes units
-// across a set of backend fleasimd daemons by consistent hashing, federates
-// their result caches, health-checks membership and steals queued work from
-// stragglers:
+// Coordinator mode (-coordinator) runs the same job manager — admission
+// queue, result cache, job records — but executes each unit on one of a set
+// of backend fleasimd daemons: it routes units by consistent hashing, asks
+// the backends' caches before simulating, health-checks membership and
+// steals queued work from stragglers. It takes -backends, -membership,
+// -replicas and -probe-interval, which a backend rejects:
 //
 //	fleasimd -coordinator -backends host1:8080,host2:8080,host3:8080
 //	fleasimd -coordinator -membership members.txt   # one URL per line
 //
-// and additionally exposes GET /clusterz (per-backend routing, stealing and
-// cache breakdown).
+// A coordinator serves every endpoint above (-queue-depth bounds the units
+// queued across its backends) plus GET /clusterz (per-backend routing,
+// stealing and cache breakdown); its /healthz also answers 503 while no
+// backend is live.
 //
 // SIGINT/SIGTERM triggers a graceful drain: intake stops, admitted jobs
 // finish (up to -drain-timeout), then the listener closes.
@@ -50,6 +58,7 @@ import (
 
 	"fleaflicker/internal/cluster"
 	"fleaflicker/internal/service"
+	"fleaflicker/internal/service/client"
 )
 
 func main() {
@@ -70,32 +79,60 @@ func main() {
 	)
 	flag.Parse()
 
-	var err error
-	if *coordinator {
+	svcCfg := service.Config{
+		Workers:        *workers,
+		QueueDepth:     *queueDepth,
+		CacheEntries:   *cacheEntries,
+		DefaultTimeout: *jobTimeout,
+		MaxUnitsPerJob: *maxUnits,
+	}
+	err := checkModeFlags(flag.Visit, *coordinator)
+	switch {
+	case err != nil:
+	case *coordinator:
 		var members []string
 		members, err = membershipList(*backends, *membership)
 		if err == nil {
-			err = runCoordinator(*addr, cluster.Config{
-				Backends:       members,
-				Replicas:       *replicas,
-				QueueDepth:     *queueDepth,
-				MaxUnitsPerJob: *maxUnits,
-				ProbeInterval:  *probeEvery,
+			err = runCoordinator(*addr, svcCfg, cluster.Config{
+				Backends:      members,
+				Replicas:      *replicas,
+				ProbeInterval: *probeEvery,
 			}, *drainTimeout)
 		}
-	} else {
-		err = run(*addr, service.Config{
-			Workers:        *workers,
-			QueueDepth:     *queueDepth,
-			CacheEntries:   *cacheEntries,
-			DefaultTimeout: *jobTimeout,
-			MaxUnitsPerJob: *maxUnits,
-		}, *drainTimeout)
+	default:
+		err = run(*addr, svcCfg, *drainTimeout)
 	}
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "fleasimd: %v\n", err)
 		os.Exit(1)
 	}
+}
+
+// coordinatorOnly maps each flag that applies in one mode only to whether
+// that mode is the coordinator.
+var coordinatorOnly = map[string]bool{
+	"workers":        false,
+	"backends":       true,
+	"membership":     true,
+	"replicas":       true,
+	"probe-interval": true,
+}
+
+// checkModeFlags rejects a flag set on the command line (visit is
+// flag.Visit) that does not apply in the chosen mode.
+func checkModeFlags(visit func(func(*flag.Flag)), coordinator bool) error {
+	var err error
+	visit(func(f *flag.Flag) {
+		only, ok := coordinatorOnly[f.Name]
+		switch {
+		case !ok || only == coordinator || err != nil:
+		case only:
+			err = fmt.Errorf("-%s applies only with -coordinator", f.Name)
+		default:
+			err = fmt.Errorf("-%s does not apply with -coordinator", f.Name)
+		}
+	})
+	return err
 }
 
 // membershipList resolves the coordinator's member set from -backends and/or
@@ -135,7 +172,7 @@ func membershipList(backendsFlag, membershipFile string) ([]string, error) {
 	// placement and double-probing the same daemon.
 	seen := make(map[string]bool, len(members))
 	for i, m := range members {
-		m = cluster.NormalizeBackendURL(m)
+		m = client.NormalizeBaseURL(m)
 		if seen[m] {
 			return nil, fmt.Errorf("duplicate backend %s in membership", m)
 		}
@@ -191,8 +228,8 @@ func run(addr string, cfg service.Config, drainTimeout time.Duration) error {
 	return serve(addr, "backend", service.NewServer(m), m.Drain, drainTimeout)
 }
 
-func runCoordinator(addr string, cfg cluster.Config, drainTimeout time.Duration) error {
-	c, err := cluster.New(cfg)
+func runCoordinator(addr string, svcCfg service.Config, cfg cluster.Config, drainTimeout time.Duration) error {
+	c, err := cluster.New(svcCfg, cfg)
 	if err != nil {
 		return err
 	}

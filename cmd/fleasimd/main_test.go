@@ -1,6 +1,7 @@
 package main
 
 import (
+	"flag"
 	"os"
 	"path/filepath"
 	"strings"
@@ -40,5 +41,40 @@ func TestMembershipListRejectsDuplicates(t *testing.T) {
 	}
 	if _, err := membershipList("http://host1:8081", file); err == nil || !strings.Contains(err.Error(), "duplicate") {
 		t.Fatalf("-backends repeated in -membership: err = %v, want duplicate error", err)
+	}
+}
+
+// TestCheckModeFlagsRejectsOtherMode checks a flag that applies to one mode
+// only is refused in the other instead of being silently ignored, while
+// flags of the chosen mode and flags of both modes pass.
+func TestCheckModeFlagsRejectsOtherMode(t *testing.T) {
+	cases := []struct {
+		args        []string
+		coordinator bool
+		wantErr     string
+	}{
+		{[]string{"-workers", "2", "-queue-depth", "8"}, false, ""},
+		{[]string{"-backends", "h:1", "-replicas", "8", "-cache", "16"}, true, ""},
+		{[]string{"-workers", "2"}, true, "-workers does not apply with -coordinator"},
+		{[]string{"-backends", "h:1"}, false, "-backends applies only with -coordinator"},
+		{[]string{"-membership", "m.txt"}, false, "-membership applies only with -coordinator"},
+		{[]string{"-replicas", "8"}, false, "-replicas applies only with -coordinator"},
+		{[]string{"-probe-interval", "2s"}, false, "-probe-interval applies only with -coordinator"},
+	}
+	for _, c := range cases {
+		fs := flag.NewFlagSet("fleasimd", flag.ContinueOnError)
+		for _, name := range []string{"workers", "queue-depth", "cache", "backends", "membership", "replicas", "probe-interval"} {
+			fs.String(name, "", "")
+		}
+		if err := fs.Parse(c.args); err != nil {
+			t.Fatalf("%v: parse: %v", c.args, err)
+		}
+		err := checkModeFlags(fs.Visit, c.coordinator)
+		switch {
+		case c.wantErr == "" && err != nil:
+			t.Errorf("%v (coordinator=%v): err = %v, want none", c.args, c.coordinator, err)
+		case c.wantErr != "" && (err == nil || err.Error() != c.wantErr):
+			t.Errorf("%v (coordinator=%v): err = %v, want %q", c.args, c.coordinator, err, c.wantErr)
+		}
 	}
 }

@@ -1,11 +1,13 @@
 // Package cluster turns N fleasimd backends into one logical simulation
-// service. A Coordinator consistent-hash-routes content-addressed units
-// (JobSpec expansion reuses the backend code, so both sides agree on every
-// cache key), federates the backends' result caches behind one coalescing
-// view (a result computed anywhere in the cluster is computed once), health-
-// checks membership with mark-down/mark-up, re-routes work lost to dead
-// nodes, and steals queued units from stragglers when a dispatch slot goes
-// idle.
+// service. A Coordinator is a service.Manager — the daemon's admission,
+// coalescing result cache and job reporting, unchanged — whose executor
+// runs each claimed unit on a backend instead of a local worker: it
+// consistent-hash-routes content-addressed units (JobSpec expansion is the
+// backend code, so both sides agree on every cache key), asks peer caches
+// before simulating (a result computed anywhere in the cluster is computed
+// once), health-checks membership with mark-down/mark-up, re-routes work
+// lost to dead nodes, and steals queued units from stragglers when a
+// dispatch slot goes idle.
 //
 // The package is in the nondeterminism analyzer's scope: placement and
 // steal-victim choice are pure functions of membership and queue state, and
@@ -22,15 +24,15 @@ import (
 
 	"fleaflicker/internal/metrics"
 	"fleaflicker/internal/service"
+	"fleaflicker/internal/service/client"
 )
 
 // ErrNoBackends rejects submissions while every backend is marked down.
-var ErrNoBackends = errors.New("cluster: no live backends")
+var ErrNoBackends = fmt.Errorf("cluster: no live backends (%w)", service.ErrUnavailable)
 
-// ErrDraining rejects submissions once a drain has begun.
-var ErrDraining = errors.New("cluster: draining, not accepting jobs")
-
-// Config sizes a Coordinator. Zero values take defaults.
+// Config sizes a Coordinator's dispatch over its backends; admission
+// (queue bound, per-job unit limit, job timeout, retained jobs, cache size)
+// is the service.Config passed alongside it. Zero values take defaults.
 type Config struct {
 	// Backends are the member base URLs (order defines backend indices).
 	Backends []string
@@ -41,13 +43,6 @@ type Config struct {
 	// backend (default 4): enough to cover submit+poll latency, small enough
 	// that queue depth — the steal signal — stays visible coordinator-side.
 	SlotsPerBackend int
-	// QueueDepth bounds the total queued-unit count across backends
-	// (default 1024); admission is all-or-nothing per job against it.
-	QueueDepth int
-	// MaxUnitsPerJob rejects grids larger than this (default 1024).
-	MaxUnitsPerJob int
-	// MaxJobs bounds retained job records (default 4096).
-	MaxJobs int
 	// ProbeInterval paces the health prober (default 1s).
 	ProbeInterval time.Duration
 	// ProbeTimeout bounds one health probe (default 2s).
@@ -67,8 +62,8 @@ type Config struct {
 	// at its default, a persistently full backend stalls a unit at most ~20s
 	// instead of requeueing it forever).
 	MaxBackoffsPerUnit int
-	// PeerLookup disables the federation peer probe when false is forced;
-	// the default (nil-like zero value) enables it.
+	// DisablePeerLookup skips the federation peer probe, so every claimed
+	// unit is dispatched to its backend (default false: probe peers first).
 	DisablePeerLookup bool
 }
 
@@ -78,15 +73,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.SlotsPerBackend <= 0 {
 		c.SlotsPerBackend = 4
-	}
-	if c.QueueDepth <= 0 {
-		c.QueueDepth = 1024
-	}
-	if c.MaxUnitsPerJob <= 0 {
-		c.MaxUnitsPerJob = 1024
-	}
-	if c.MaxJobs <= 0 {
-		c.MaxJobs = 4096
 	}
 	if c.ProbeInterval <= 0 {
 		c.ProbeInterval = time.Second
@@ -112,61 +98,46 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// Coordinator is the cluster control plane: admission, placement, dispatch,
-// federation, health and stealing over a static membership.
+// Coordinator is the cluster control plane: a service.Manager for
+// admission, caching and jobs, plus placement, dispatch, federation, health
+// and stealing over a static membership.
 type Coordinator struct {
-	cfg     Config
-	reg     *metrics.Registry
-	met     *clusterMetrics
-	ring    *ring
-	clients []*backendClient
-	fed     *fedCache
-	sched   *scheduler
+	*service.Manager
 
-	baseCtx    context.Context
-	baseCancel context.CancelFunc
-	slotWG     sync.WaitGroup
-	probeWG    sync.WaitGroup
-	jobWG      sync.WaitGroup
+	cfg        Config
+	queueDepth int // the service.Config bound on units queued across backends
+	met        *clusterMetrics
+	ring       *ring
+	clients    []*client.Client
+	sched      *scheduler
 
-	mu sync.Mutex
-	//flea:guardedby(mu)
-	draining bool
-	//flea:guardedby(mu)
-	jobs map[string]*Job
-	//flea:guardedby(mu)
-	jobOrder []string
-	//flea:guardedby(mu)
-	nextID uint64
+	ctx     context.Context // ends dispatch and probing; cancelled by Seal
+	cancel  context.CancelFunc
+	slotWG  sync.WaitGroup
+	probeWG sync.WaitGroup
 }
 
-// New builds a coordinator over the configured backends and starts its
-// dispatch slots and health prober.
-func New(cfg Config) (*Coordinator, error) {
+// New builds a coordinator over the configured backends, with svcCfg's
+// admission settings, and starts its dispatch slots and health prober.
+func New(svcCfg service.Config, cfg Config) (*Coordinator, error) {
 	cfg = cfg.withDefaults()
 	if len(cfg.Backends) == 0 {
 		return nil, fmt.Errorf("cluster: no backends configured")
 	}
-	reg := metrics.NewRegistry()
-	met := newClusterMetrics(reg)
-	clients := make([]*backendClient, len(cfg.Backends))
-	ids := make([]string, len(cfg.Backends))
+	c := &Coordinator{cfg: cfg, clients: make([]*client.Client, len(cfg.Backends))}
 	for i, u := range cfg.Backends {
-		clients[i] = newBackendClient(u)
-		ids[i] = clients[i].id
+		c.clients[i] = client.New(u)
 	}
-	c := &Coordinator{
-		cfg:     cfg,
-		reg:     reg,
-		met:     met,
-		ring:    newRing(ids, cfg.Replicas),
-		clients: clients,
-		fed:     newFedCache(met),
-		sched:   newScheduler(len(clients), met),
-		jobs:    make(map[string]*Job),
-	}
-	c.baseCtx, c.baseCancel = context.WithCancel(context.Background())
-	for b := range clients {
+	c.ring = newRing(c.Backends(), cfg.Replicas)
+	c.ctx, c.cancel = context.WithCancel(context.Background())
+	c.Manager = service.New(svcCfg, service.WithExecutor(
+		func(resolved service.Config, reg *metrics.Registry) service.Executor {
+			c.queueDepth = resolved.QueueDepth
+			c.met = newClusterMetrics(reg)
+			c.sched = newScheduler(len(c.clients), c.met)
+			return executor{c}
+		}))
+	for b := range c.clients {
 		for s := 0; s < cfg.SlotsPerBackend; s++ {
 			c.slotWG.Add(1)
 			go c.dispatchSlot(b)
@@ -177,24 +148,13 @@ func New(cfg Config) (*Coordinator, error) {
 	return c, nil
 }
 
-// Registry exposes the coordinator metrics registry (rendered by /metricsz
-// and /clusterz).
-func (c *Coordinator) Registry() *metrics.Registry { return c.reg }
-
 // Backends returns the member ids in index order.
 func (c *Coordinator) Backends() []string {
 	ids := make([]string, len(c.clients))
 	for i, cl := range c.clients {
-		ids[i] = cl.id
+		ids[i] = cl.ID()
 	}
 	return ids
-}
-
-// Draining reports whether a drain has begun.
-func (c *Coordinator) Draining() bool {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.draining
 }
 
 // LiveBackends returns how many backends are currently marked up.
@@ -202,109 +162,41 @@ func (c *Coordinator) LiveBackends() int {
 	return int(c.met.backendsUp.Value())
 }
 
-// Submit validates and admits one job cluster-wide: the spec expands into
-// units with the exact backend code, each unit resolves against the
-// federated cache (hit, coalesce, or claim), and every claimed unit is
-// routed onto a backend queue all-or-nothing.
-func (c *Coordinator) Submit(spec service.JobSpec) (*Job, error) {
-	units, err := service.ExpandUnits(spec)
-	if err != nil {
-		return nil, err
-	}
-	if len(units) == 0 {
-		return nil, fmt.Errorf("%w: spec expands to zero units", service.ErrInvalidSpec)
-	}
-	if len(units) > c.cfg.MaxUnitsPerJob {
-		return nil, fmt.Errorf("%w: %d units exceeds the per-job limit of %d",
-			service.ErrInvalidSpec, len(units), c.cfg.MaxUnitsPerJob)
-	}
+// executor is the Coordinator's service.Executor: claimed units queue per
+// backend by ring placement and run on the dispatch slots.
+type executor struct{ *Coordinator }
 
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.draining {
-		c.met.jobsRejected.Inc()
-		return nil, ErrDraining
+// Enqueue routes a submission's claimed units onto backend queues
+// all-or-nothing against the cluster-wide queue bound.
+func (e executor) Enqueue(tasks []*service.Task) error {
+	ts := make([]*unitTask, len(tasks))
+	for i, t := range tasks {
+		ts[i] = &unitTask{Task: t, prefs: e.ring.preference(t.Key())}
 	}
-
-	job := &Job{
-		units:          units,
-		entries:        make([]*fedEntry, len(units)),
-		cachedAtSubmit: make([]bool, len(units)),
-		done:           make(chan struct{}),
+	if e.sched.tryEnqueueAll(ts, e.queueDepth) {
+		return nil
 	}
-	job.ctx, job.cancel = context.WithCancel(c.baseCtx)
-
-	var fresh []*unitTask
-	for i := range units {
-		key := units[i].Key()
-		e, claimed := c.fed.acquire(key)
-		job.entries[i] = e
-		if claimed {
-			fresh = append(fresh, &unitTask{
-				wire:      units[i].Wire(),
-				key:       key,
-				entry:     e,
-				prefs:     c.ring.preference(key),
-				timeoutMS: spec.TimeoutMS,
-				job:       job,
-			})
-		} else {
-			job.cachedAtSubmit[i] = true
-		}
+	if e.LiveBackends() == 0 {
+		return ErrNoBackends
 	}
-	if len(fresh) > 0 && !c.sched.tryEnqueueAll(fresh, c.cfg.QueueDepth) {
-		for _, t := range fresh {
-			c.fed.abandon(t.entry)
-		}
-		job.cancel()
-		c.met.jobsRejected.Inc()
-		if c.LiveBackends() == 0 {
-			return nil, ErrNoBackends
-		}
-		return nil, &service.QueueFullError{RetryAfter: time.Second}
-	}
-
-	c.nextID++
-	job.id = fmt.Sprintf("c-%06d-%.8s", c.nextID, job.entries[0].key)
-	c.jobs[job.id] = job
-	c.jobOrder = append(c.jobOrder, job.id)
-	c.forgetOldJobsLocked()
-
-	c.met.jobsSubmitted.Inc()
-	c.met.jobsActive.Add(1)
-	c.jobWG.Add(1)
-	go c.collect(job)
-	return job, nil
+	return &service.QueueFullError{RetryAfter: time.Second}
 }
 
-// forgetOldJobsLocked drops the oldest finished job records beyond MaxJobs.
-// Caller holds c.mu.
-//
-//flea:locked(mu)
-func (c *Coordinator) forgetOldJobsLocked() {
-	for len(c.jobOrder) > c.cfg.MaxJobs {
-		dropped := false
-		for i, id := range c.jobOrder {
-			j := c.jobs[id]
-			if s := j.State(); s == service.JobDone || s == service.JobFailed {
-				delete(c.jobs, id)
-				c.jobOrder = append(c.jobOrder[:i], c.jobOrder[i+1:]...)
-				dropped = true
-				break
-			}
-		}
-		if !dropped {
-			return
-		}
-	}
-}
+// Close stops intake; queued units still dispatch.
+func (e executor) Close() { e.sched.close() }
 
-// Job returns the job registered under id.
-func (c *Coordinator) Job(id string) (*Job, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	j, ok := c.jobs[id]
-	return j, ok
+// Seal ends dispatch and probing. Units still queued fail with err: the
+// stopped slots will never pop them, and an unsealed unit would block its
+// job forever. In-flight units seal themselves — their jobs' contexts are
+// already cancelled, so execute fails fast — and after stop no requeue
+// path can put a unit back.
+func (e executor) Seal(err error) {
+	e.cancel()
+	for _, t := range e.sched.stop() {
+		e.failTask(t, err)
+	}
+	e.slotWG.Wait()
+	e.probeWG.Wait()
 }
 
 // dispatchSlot is one unit-execution slot bound to backend b: it drains b's
@@ -312,7 +204,7 @@ func (c *Coordinator) Job(id string) (*Job, bool) {
 // otherwise.
 func (c *Coordinator) dispatchSlot(b int) {
 	defer c.slotWG.Done()
-	ctx := c.baseCtx
+	ctx := c.ctx
 	for {
 		if ctx.Err() != nil {
 			return
@@ -333,7 +225,7 @@ func (c *Coordinator) dispatchSlot(b int) {
 // execute runs one task attempt on backend b: federation peer lookup first,
 // then submit + poll, with backpressure backoff and failure re-routing.
 func (c *Coordinator) execute(b int, t *unitTask) {
-	ctx := t.job.ctx
+	ctx := t.Ctx
 	outcome := taskAbandoned
 	defer func() { c.sched.taskDone(b, outcome) }()
 
@@ -351,21 +243,21 @@ func (c *Coordinator) execute(b int, t *unitTask) {
 				continue
 			}
 			c.met.peerLookups.Inc()
-			if res, ok := c.clients[p].cacheLookup(ctx, t.key); ok {
+			if res, ok := c.clients[p].CacheLookup(ctx, t.Key()); ok {
 				c.met.peerHits.Inc()
-				c.fed.complete(t.entry, res, "peer:"+c.clients[p].id, nil, c.met.unitsCompleted)
+				c.finishTask(t, res, nil, c.met.unitsCompleted)
 				outcome = taskPeerServed
 				return
 			}
 		}
 	}
 
-	loc, err := c.clients[b].submitUnit(ctx, t.wire, t.timeoutMS)
+	loc, err := c.clients[b].SubmitUnits(ctx, []service.WireUnit{t.Spec.Wire()}, t.TimeoutMS)
 	if err != nil {
 		c.retryTask(b, t, err)
 		return
 	}
-	st, err := c.clients[b].waitJob(ctx, loc, c.cfg.PollInterval)
+	st, err := c.clients[b].WaitJob(ctx, loc, c.cfg.PollInterval)
 	if err != nil {
 		c.retryTask(b, t, err)
 		return
@@ -377,10 +269,10 @@ func (c *Coordinator) execute(b int, t *unitTask) {
 		if msg == "" {
 			msg = "backend returned no result"
 		}
-		c.failTask(t, fmt.Errorf("cluster: unit failed on %s: %s", c.clients[b].id, msg))
+		c.failTask(t, fmt.Errorf("cluster: unit failed on %s: %s", c.clients[b].ID(), msg))
 		return
 	}
-	c.fed.complete(t.entry, st.Units[0].Result, c.clients[b].id, nil, c.met.unitsCompleted)
+	c.finishTask(t, st.Units[0].Result, nil, c.met.unitsCompleted)
 	outcome = taskExecuted
 }
 
@@ -388,11 +280,11 @@ func (c *Coordinator) execute(b int, t *unitTask) {
 // same backend; transport errors re-route to the next preference; exhausted
 // or cancelled tasks fail.
 func (c *Coordinator) retryTask(b int, t *unitTask, err error) {
-	if t.job.ctx.Err() != nil {
-		c.failTask(t, t.job.ctx.Err())
+	if t.Ctx.Err() != nil {
+		c.failTask(t, t.Ctx.Err())
 		return
 	}
-	var be *backendError
+	var be *client.HTTPError
 	if errors.As(err, &be) && be.Backpressured() {
 		// Backpressure retries don't consume the re-route attempt budget, but
 		// they are bounded separately so a persistently full backend fails the
@@ -410,9 +302,9 @@ func (c *Coordinator) retryTask(b int, t *unitTask, err error) {
 		}
 		timer := time.NewTimer(pause)
 		select {
-		case <-t.job.ctx.Done():
+		case <-t.Ctx.Done():
 			timer.Stop()
-			c.failTask(t, t.job.ctx.Err())
+			c.failTask(t, t.Ctx.Err())
 			return
 		case <-timer.C:
 		}
@@ -442,9 +334,17 @@ func (c *Coordinator) retryTask(b int, t *unitTask, err error) {
 	}
 }
 
-// failTask seals a task's entry with an error.
+// finishTask seals a task's unit, counting it in won; a losing completion —
+// the unit already sealed by another writer — is dropped and counted.
+func (c *Coordinator) finishTask(t *unitTask, res *service.UnitResult, err error, won *metrics.SharedCounter) {
+	if !t.Complete(res, err, won) {
+		c.met.fedDupDrops.Inc()
+	}
+}
+
+// failTask seals a task's unit with an error.
 func (c *Coordinator) failTask(t *unitTask, err error) {
-	c.fed.complete(t.entry, nil, "", err, c.met.unitsFailed)
+	c.finishTask(t, nil, err, c.met.unitsFailed)
 }
 
 // noteBackendFailure records one passive health failure for backend b —
@@ -472,12 +372,12 @@ func (c *Coordinator) probe(b int) {
 	defer ticker.Stop()
 	for {
 		select {
-		case <-c.baseCtx.Done():
+		case <-c.ctx.Done():
 			return
 		case <-ticker.C:
 		}
-		probeCtx, cancel := context.WithTimeout(c.baseCtx, c.cfg.ProbeTimeout)
-		err := c.clients[b].health(probeCtx)
+		probeCtx, cancel := context.WithTimeout(c.ctx, c.cfg.ProbeTimeout)
+		err := c.clients[b].Health(probeCtx)
 		cancel()
 		if err != nil {
 			c.noteBackendFailure(b)
@@ -490,45 +390,4 @@ func (c *Coordinator) probe(b int) {
 			c.sched.signalAll()
 		}
 	}
-}
-
-// Drain gracefully shuts the coordinator down: intake stops, queued and
-// in-flight units finish, every job reaches a terminal state. When ctx
-// expires first, remaining work is cancelled — queued units that no slot
-// will ever pop are failed here, so every job still terminates — and Drain
-// returns ctx.Err after the slots unwind.
-func (c *Coordinator) Drain(ctx context.Context) error {
-	c.mu.Lock()
-	c.draining = true
-	c.mu.Unlock()
-	c.sched.close()
-
-	idle := make(chan struct{})
-	go func() {
-		c.jobWG.Wait()
-		close(idle)
-	}()
-	var err error
-	select {
-	case <-idle:
-	case <-ctx.Done():
-		err = ctx.Err()
-	}
-	c.baseCancel()
-	// Seal every still-queued task: the cancelled base context makes the
-	// dispatch slots exit without popping them, and an unsealed entry would
-	// block its job's collector — and the <-idle below — forever. In-flight
-	// tasks seal themselves (execute fails fast on a dead ctx), and after
-	// stop() no requeue path can put a task back.
-	cause := err
-	if cause == nil {
-		cause = ErrDraining // unreachable: idle closed, so no task is queued
-	}
-	for _, t := range c.sched.stop() {
-		c.failTask(t, cause)
-	}
-	<-idle
-	c.slotWG.Wait()
-	c.probeWG.Wait()
-	return err
 }

@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"fleaflicker/internal/metrics"
 	"fleaflicker/internal/service"
 	"fleaflicker/internal/stats"
 )
@@ -46,7 +47,7 @@ func stubRunner(executions *atomic.Int64, pause time.Duration) service.Option {
 
 // waitClusterDone fails the test when the job does not reach a terminal
 // state soon.
-func waitClusterDone(t *testing.T, j *Job) {
+func waitClusterDone(t *testing.T, j *service.Job) {
 	t.Helper()
 	select {
 	case <-j.Done():
@@ -200,6 +201,87 @@ func TestClusterStealVsComplete(t *testing.T) {
 	}
 }
 
+// recordingExecutor admits every task and leaves its completion to the
+// test.
+type recordingExecutor struct{ tasks []*service.Task }
+
+func (r *recordingExecutor) Enqueue(ts []*service.Task) error {
+	r.tasks = append(r.tasks, ts...)
+	return nil
+}
+func (r *recordingExecutor) Close() {}
+func (r *recordingExecutor) Seal(err error) {
+	for _, t := range r.tasks {
+		t.Complete(nil, err, nil)
+	}
+}
+
+// TestFinishTaskFirstWriterWins is the coordinator's side of the
+// duplicate-store invariant: when a stolen or re-routed unit finishes
+// twice, the first completion seals the unit and is counted as completed,
+// and the second is dropped and counted as a duplicate drop — the stored
+// result never changes.
+func TestFinishTaskFirstWriterWins(t *testing.T) {
+	rec := &recordingExecutor{}
+	c := &Coordinator{}
+	m := service.New(service.Config{}, service.WithExecutor(
+		func(_ service.Config, reg *metrics.Registry) service.Executor {
+			c.met = newClusterMetrics(reg)
+			return rec
+		}))
+	defer func() {
+		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+		defer cancel()
+		_ = m.Drain(ctx)
+	}()
+
+	job, err := m.Submit(service.JobSpec{Model: "2P", Bench: "300.twolf", Seed: 1})
+	if err != nil {
+		t.Fatalf("submit: %v", err)
+	}
+	if len(rec.tasks) != 1 {
+		t.Fatalf("executor received %d tasks, want 1", len(rec.tasks))
+	}
+	task := &unitTask{Task: rec.tasks[0]}
+	resA := &service.UnitResult{Key: task.Key(), DurationMS: 1}
+	resB := &service.UnitResult{Key: task.Key(), DurationMS: 2}
+	c.finishTask(task, resA, nil, c.met.unitsCompleted)
+	c.finishTask(task, resB, nil, c.met.unitsCompleted)
+	waitClusterDone(t, job)
+
+	if got := c.met.unitsCompleted.Value(); got != 1 {
+		t.Fatalf("units completed = %d, want 1", got)
+	}
+	if got := c.met.fedDupDrops.Value(); got != 1 {
+		t.Fatalf("duplicate drops = %d, want 1", got)
+	}
+	stored, ok := m.CachedResult(task.Key())
+	if !ok || stored != resA {
+		t.Fatalf("stored result = %+v, want the first completion %+v", stored, resA)
+	}
+	if st := job.Status(); len(st.Units) != 1 || st.Units[0].Result != resA {
+		t.Fatalf("job reports %+v, want the first completion", st.Units)
+	}
+}
+
+// TestExecutorManagerHasNoWorkerMetrics checks that a Manager built with
+// another executor — a coordinator — registers none of the local worker
+// pool's metrics, which would read 0 there forever.
+func TestExecutorManagerHasNoWorkerMetrics(t *testing.T) {
+	m := service.New(service.Config{}, service.WithExecutor(
+		func(service.Config, *metrics.Registry) service.Executor { return &recordingExecutor{} }))
+	defer m.Drain(context.Background())
+	counters, gauges := m.Registry().Snapshot()
+	for _, name := range []string{service.MetricUnitsExecuted, service.MetricUnitErrors} {
+		if _, ok := counters[name]; ok {
+			t.Errorf("counter %s registered on an executor-backed manager", name)
+		}
+	}
+	if _, ok := gauges[service.GaugeWorkersBusy]; ok {
+		t.Errorf("gauge %s registered on an executor-backed manager", service.GaugeWorkersBusy)
+	}
+}
+
 // TestClusterFederationPeerHit seeds a result on a non-owner backend and
 // checks the coordinator finds it through the peer lookup instead of
 // scheduling a fresh simulation on the owner.
@@ -226,11 +308,11 @@ func TestClusterFederationPeerHit(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
 	seeder := l.Coordinator.clients[prefs[1]]
-	loc, err := seeder.submitUnit(ctx, units[0].Wire(), 0)
+	loc, err := seeder.SubmitUnits(ctx, []service.WireUnit{units[0].Wire()}, 0)
 	if err != nil {
-		t.Fatalf("seeding %s: %v", seeder.id, err)
+		t.Fatalf("seeding %s: %v", seeder.ID(), err)
 	}
-	if _, err := seeder.waitJob(ctx, loc, 2*time.Millisecond); err != nil {
+	if _, err := seeder.WaitJob(ctx, loc, 2*time.Millisecond); err != nil {
 		t.Fatalf("seed job: %v", err)
 	}
 	if got := executions.Load(); got != 1 {
@@ -247,7 +329,7 @@ func TestClusterFederationPeerHit(t *testing.T) {
 	}
 	met := l.Coordinator.met
 	if met.peerHits.Value() == 0 {
-		t.Fatalf("peer hits = 0, want >0 (result was cached on %s)", seeder.id)
+		t.Fatalf("peer hits = 0, want >0 (result was cached on %s)", seeder.ID())
 	}
 	if got := executions.Load(); got != 1 {
 		t.Fatalf("executions = %d, want 1 (peer hit must not re-execute)", got)
@@ -331,7 +413,7 @@ func TestClusterDrainRejectsNewJobs(t *testing.T) {
 		}
 		time.Sleep(time.Millisecond)
 	}
-	if _, err := l.Coordinator.Submit(sweepSpec(1)); !errors.Is(err, ErrDraining) {
+	if _, err := l.Coordinator.Submit(sweepSpec(1)); !errors.Is(err, service.ErrDraining) {
 		t.Fatalf("submit while draining: err = %v, want ErrDraining", err)
 	}
 	if err := <-drained; err != nil {
@@ -385,8 +467,8 @@ func TestClusterStatusWireShape(t *testing.T) {
 
 // TestClusterDrainTimeoutSealsQueuedUnits expires the drain deadline while
 // units are still queued coordinator-side: Drain must fail them — sealing
-// their federated entries so every job's collector finishes — and return
-// ctx.Err instead of deadlocking on <-idle forever.
+// their units so every job finishes — and return ctx.Err instead of
+// deadlocking on <-idle forever.
 func TestClusterDrainTimeoutSealsQueuedUnits(t *testing.T) {
 	var executions atomic.Int64
 	l, err := StartLocal(1, service.Config{Workers: 1},

@@ -34,8 +34,8 @@ type Local struct {
 }
 
 // StartLocal boots n backends with svcCfg (svcOpts applied to each) and a
-// coordinator with clCfg over them; clCfg.Backends is filled in from the
-// listeners and must be empty.
+// coordinator with clCfg and default admission settings over them;
+// clCfg.Backends is filled in from the listeners and must be empty.
 func StartLocal(n int, svcCfg service.Config, clCfg Config, svcOpts ...service.Option) (*Local, error) {
 	if n <= 0 {
 		return nil, fmt.Errorf("cluster: need at least one backend, got %d", n)
@@ -59,7 +59,7 @@ func StartLocal(n int, svcCfg service.Config, clCfg Config, svcOpts ...service.O
 		go srv.Serve(ln)
 	}
 	clCfg.Backends = l.urls
-	c, err := New(clCfg)
+	c, err := New(service.Config{}, clCfg)
 	if err != nil {
 		l.Close()
 		return nil, err

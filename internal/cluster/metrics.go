@@ -1,16 +1,15 @@
 package cluster
 
-import "fleaflicker/internal/metrics"
+import (
+	"fleaflicker/internal/metrics"
+	"fleaflicker/internal/service"
+)
 
 // Canonical cluster metric names, registered in the coordinator's registry
-// and rendered by its /metricsz and /clusterz endpoints (statname enforces
-// uniqueness and constant registration).
+// next to the service.* metrics of its Manager and rendered by its /metricsz
+// and /clusterz endpoints (statname enforces uniqueness and constant
+// registration).
 const (
-	MetricJobsSubmitted = "cluster.jobs.submitted"
-	MetricJobsCompleted = "cluster.jobs.completed"
-	MetricJobsFailed    = "cluster.jobs.failed"
-	MetricJobsRejected  = "cluster.jobs.rejected"
-
 	// Units routed = fresh units placed on a backend queue by consistent
 	// hashing; stolen = units an idle backend's dispatcher took from another
 	// backend's queue; rerouted = units moved to another backend after a
@@ -22,16 +21,14 @@ const (
 	MetricUnitsRerouted  = "cluster.units.rerouted"
 	MetricUnitBackoffs   = "cluster.units.backoffs"
 
-	// Federation: hits/coalesced/misses mirror the local cache trio at
-	// cluster scope; peer_lookups/peer_hits count GET /v1/cache probes the
+	// Federation: peer_lookups/peer_hits count GET /v1/cache probes the
 	// coordinator issued against backends before scheduling fresh work;
 	// duplicate_drops counts late completions dropped by first-writer-wins.
-	MetricFedHits      = "cluster.federation.hits"
-	MetricFedCoalesced = "cluster.federation.coalesced"
-	MetricFedMisses    = "cluster.federation.misses"
-	MetricFedDupDrops  = "cluster.federation.duplicate_drops"
-	MetricPeerLookups  = "cluster.federation.peer_lookups"
-	MetricPeerHits     = "cluster.federation.peer_hits"
+	// The coordinator's own cache reports as the daemon's does, under
+	// service.cache.*.
+	MetricFedDupDrops = "cluster.federation.duplicate_drops"
+	MetricPeerLookups = "cluster.federation.peer_lookups"
+	MetricPeerHits    = "cluster.federation.peer_hits"
 
 	MetricMarkdowns = "cluster.backends.markdowns"
 	MetricMarkups   = "cluster.backends.markups"
@@ -39,19 +36,16 @@ const (
 	GaugeBackendsUp  = "cluster.backends.up"
 	GaugeQueuedUnits = "cluster.units.queued"
 	GaugeInflight    = "cluster.units.inflight"
-	GaugeJobsActive  = "cluster.jobs.active"
-	GaugeFedEntries  = "cluster.federation.entries"
 )
+
+// MetricFedCoalesced counts submissions that attached to a unit already in
+// flight somewhere in the cluster: the coordinator's service cache counter.
+const MetricFedCoalesced = service.MetricCacheCoalesced
 
 // clusterMetrics holds pre-resolved shared handles into the coordinator's
 // registry; dispatch slots, the prober and the HTTP handlers all bump them
 // concurrently.
 type clusterMetrics struct {
-	jobsSubmitted *metrics.SharedCounter
-	jobsCompleted *metrics.SharedCounter
-	jobsFailed    *metrics.SharedCounter
-	jobsRejected  *metrics.SharedCounter
-
 	unitsRouted    *metrics.SharedCounter
 	unitsCompleted *metrics.SharedCounter
 	unitsFailed    *metrics.SharedCounter
@@ -59,38 +53,27 @@ type clusterMetrics struct {
 	unitsRerouted  *metrics.SharedCounter
 	unitBackoffs   *metrics.SharedCounter
 
-	fedHits      *metrics.SharedCounter
-	fedCoalesced *metrics.SharedCounter
-	fedMisses    *metrics.SharedCounter
-	fedDupDrops  *metrics.SharedCounter
-	peerLookups  *metrics.SharedCounter
-	peerHits     *metrics.SharedCounter
+	fedDupDrops *metrics.SharedCounter
+	peerLookups *metrics.SharedCounter
+	peerHits    *metrics.SharedCounter
 
 	markdowns *metrics.SharedCounter
 	markups   *metrics.SharedCounter
 
 	backendsUp  *metrics.SharedGauge
 	queuedUnits *metrics.SharedGauge
+	queueDepth  *metrics.SharedGauge // the Manager's service.queue.depth
 	inflight    *metrics.SharedGauge
-	jobsActive  *metrics.SharedGauge
-	fedEntries  *metrics.SharedGauge
 }
 
 func newClusterMetrics(reg *metrics.Registry) *clusterMetrics {
 	return &clusterMetrics{
-		jobsSubmitted:  reg.SharedCounter(MetricJobsSubmitted),
-		jobsCompleted:  reg.SharedCounter(MetricJobsCompleted),
-		jobsFailed:     reg.SharedCounter(MetricJobsFailed),
-		jobsRejected:   reg.SharedCounter(MetricJobsRejected),
 		unitsRouted:    reg.SharedCounter(MetricUnitsRouted),
 		unitsCompleted: reg.SharedCounter(MetricUnitsCompleted),
 		unitsFailed:    reg.SharedCounter(MetricUnitsFailed),
 		unitsStolen:    reg.SharedCounter(MetricUnitsStolen),
 		unitsRerouted:  reg.SharedCounter(MetricUnitsRerouted),
 		unitBackoffs:   reg.SharedCounter(MetricUnitBackoffs),
-		fedHits:        reg.SharedCounter(MetricFedHits),
-		fedCoalesced:   reg.SharedCounter(MetricFedCoalesced),
-		fedMisses:      reg.SharedCounter(MetricFedMisses),
 		fedDupDrops:    reg.SharedCounter(MetricFedDupDrops),
 		peerLookups:    reg.SharedCounter(MetricPeerLookups),
 		peerHits:       reg.SharedCounter(MetricPeerHits),
@@ -98,8 +81,15 @@ func newClusterMetrics(reg *metrics.Registry) *clusterMetrics {
 		markups:        reg.SharedCounter(MetricMarkups),
 		backendsUp:     reg.SharedGauge(GaugeBackendsUp),
 		queuedUnits:    reg.SharedGauge(GaugeQueuedUnits),
+		queueDepth:     reg.SharedGauge(service.GaugeQueueDepth),
 		inflight:       reg.SharedGauge(GaugeInflight),
-		jobsActive:     reg.SharedGauge(GaugeJobsActive),
-		fedEntries:     reg.SharedGauge(GaugeFedEntries),
 	}
+}
+
+// setQueued records n units queued across the backends. The coordinator's
+// service.queue.depth reads the same as cluster.units.queued: both count
+// units admitted but not yet dispatched.
+func (m *clusterMetrics) setQueued(n int) {
+	m.queuedUnits.Set(int64(n))
+	m.queueDepth.Set(int64(n))
 }

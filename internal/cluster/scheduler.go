@@ -6,18 +6,14 @@ import (
 	"fleaflicker/internal/service"
 )
 
-// unitTask is one fresh unit the cluster must compute: the wire form to
-// dispatch, the federated entry it completes, and its ring preference order
-// (owner first) used for routing and failover.
+// unitTask is one claimed unit the cluster must compute: the service task
+// it completes, plus its ring preference order (owner first) used for
+// routing and failover.
 type unitTask struct {
-	wire      service.WireUnit
-	key       string
-	entry     *fedEntry
-	prefs     []int // ring preference (backend indices), owner first
-	attempts  int   // dispatch attempts so far (re-routes increment)
-	backoffs  int   // backpressure (429/503) pauses absorbed so far
-	timeoutMS int64
-	job       *Job // admitting job; its ctx governs execution
+	*service.Task
+	prefs    []int // ring preference (backend indices), owner first
+	attempts int   // dispatch attempts so far (re-routes increment)
+	backoffs int   // backpressure (429/503) pauses absorbed so far
 }
 
 // scheduler owns all mutable routing state: one queue per backend, the
@@ -145,7 +141,7 @@ func (s *scheduler) tryEnqueueAll(tasks []*unitTask, bound int) bool {
 		s.queues[targets[i]] = append(s.queues[targets[i]], t)
 	}
 	s.queued += len(tasks)
-	s.met.queuedUnits.Set(int64(s.queued))
+	s.met.setQueued(s.queued)
 	s.mu.Unlock()
 	for _, b := range targets {
 		s.met.unitsRouted.Inc()
@@ -179,7 +175,7 @@ func (s *scheduler) requeue(t *unitTask, avoid int) bool {
 	}
 	s.queues[target] = append(s.queues[target], t)
 	s.queued++
-	s.met.queuedUnits.Set(int64(s.queued))
+	s.met.setQueued(s.queued)
 	s.mu.Unlock()
 	s.signal(target)
 	return true
@@ -235,7 +231,7 @@ func (s *scheduler) next(b int) *unitTask {
 func (s *scheduler) taskPoppedLocked(b int) {
 	s.queued--
 	s.inflight[b]++
-	s.met.queuedUnits.Set(int64(s.queued))
+	s.met.setQueued(s.queued)
 	s.met.inflight.Add(1)
 }
 
@@ -291,7 +287,7 @@ func (s *scheduler) noteProbe(b int, ok bool, failThreshold, upThreshold int) (d
 		drained = s.queues[b]
 		s.queues[b] = nil
 		s.queued -= len(drained)
-		s.met.queuedUnits.Set(int64(s.queued))
+		s.met.setQueued(s.queued)
 	}
 	return drained, markedDown, false
 }
@@ -335,11 +331,11 @@ func (s *scheduler) close() {
 	s.signalAll()
 }
 
-// stop ends dispatch after a cancelled drain: it marks the scheduler stopped
-// — next yields nil and requeue refuses, so every concurrent caller seals
-// its task — and hands back all still-queued tasks so the coordinator can
-// fail them. Without this, a drain deadline would strand queued tasks with
-// unsealed entries and their jobs' collectors would wait forever.
+// stop ends dispatch when the executor is sealed: it marks the scheduler
+// stopped — next yields nil and requeue refuses, so every concurrent caller
+// seals its task — and hands back all still-queued tasks so the coordinator
+// can fail them. Without this, a drain deadline would strand queued tasks
+// with unsealed units and their jobs would wait forever.
 func (s *scheduler) stop() []*unitTask {
 	s.mu.Lock()
 	s.closed = true
@@ -350,7 +346,7 @@ func (s *scheduler) stop() []*unitTask {
 		s.queues[i] = nil
 	}
 	s.queued = 0
-	s.met.queuedUnits.Set(0)
+	s.met.setQueued(0)
 	s.mu.Unlock()
 	s.signalAll()
 	return orphans

@@ -3,6 +3,7 @@ package cluster
 import (
 	"context"
 	"encoding/json"
+	"net/http"
 	"net/http/httptest"
 	"os"
 	"strconv"
@@ -37,7 +38,7 @@ func fuzzSpec(programs int) service.JobSpec {
 
 // assertCleanCampaign checks a finished campaign found zero divergences and
 // covered every program.
-func assertCleanCampaign(t *testing.T, job *Job, programs int) {
+func assertCleanCampaign(t *testing.T, job *service.Job, programs int) {
 	t.Helper()
 	if job.State() != service.JobDone {
 		t.Fatalf("campaign state = %v, want done (err: %v)", job.State(), job.Err())
@@ -109,7 +110,7 @@ func TestClusterSmokeCampaign(t *testing.T) {
 	// situation cache federation exists for. Every remapped unit must be
 	// served by a peer lookup, every unmoved unit by its backend's own
 	// cache — zero fresh simulations either way.
-	c2, err := New(fastProbes(Config{Backends: l.URLs(), Replicas: 32}))
+	c2, err := New(service.Config{}, fastProbes(Config{Backends: l.URLs(), Replicas: 32}))
 	if err != nil {
 		t.Fatalf("second coordinator: %v", err)
 	}
@@ -267,14 +268,14 @@ func TestClusterzEndpoint(t *testing.T) {
 		Counters map[string]int64 `json:"counters"`
 	}
 	getJSONFrom(t, srv, "/metricsz?format=json", &mz)
-	if mz.Counters[MetricJobsCompleted] != 1 {
-		t.Fatalf("metricsz %s = %d, want 1", MetricJobsCompleted, mz.Counters[MetricJobsCompleted])
+	if mz.Counters[service.MetricJobsCompleted] != 1 {
+		t.Fatalf("metricsz %s = %d, want 1", service.MetricJobsCompleted, mz.Counters[service.MetricJobsCompleted])
 	}
 }
 
 // getJSONFrom issues one GET against the in-process handler and decodes the
 // 200 response into out.
-func getJSONFrom(t *testing.T, h *Server, target string, out any) {
+func getJSONFrom(t *testing.T, h http.Handler, target string, out any) {
 	t.Helper()
 	w := httptest.NewRecorder()
 	h.ServeHTTP(w, httptest.NewRequest("GET", target, nil))

@@ -4,6 +4,7 @@ import (
 	"container/list"
 	"sync"
 
+	"fleaflicker/internal/metrics"
 	"fleaflicker/internal/stats"
 )
 
@@ -25,10 +26,10 @@ type UnitResult struct {
 }
 
 // entry is one cache slot. Its lifecycle: created in-flight when a
-// submission claims the key (done open), completed exactly once by the
-// worker that executed it (done closed). Entries that complete with an
-// error are removed so a later submission retries; successful entries stay
-// until evicted.
+// submission claims the key (done open), sealed by the first completion of
+// its task (done closed, under the cache's mu). Entries that complete with
+// an error are removed so a later submission retries; successful entries
+// stay until evicted.
 type entry struct {
 	key    string
 	done   chan struct{}
@@ -55,9 +56,10 @@ type resultCache struct {
 	met *serviceMetrics
 	max int // completed-entry bound; 0 = unbounded
 
-	// mu guards the map and the LRU. The manager's submitMu additionally
-	// serializes whole submissions, so an acquire/abandon pair cannot be
-	// interleaved with another submission coalescing onto the same entry.
+	// mu guards the map and the LRU, and is the only lock under which an
+	// entry's done closes. The manager's submitMu additionally serializes
+	// whole submissions, so an acquire/abandon pair cannot be interleaved
+	// with another submission coalescing onto the same entry.
 	mu sync.Mutex
 	//flea:guardedby(mu)
 	entries map[string]*entry
@@ -115,10 +117,10 @@ func (c *resultCache) peek(key string) (*UnitResult, bool) {
 	return e.result, true
 }
 
-// abandon rolls back a claim whose task could not be enqueued (queue full).
-// Only the submission that claimed the entry may abandon it, and only while
-// it still holds the manager's submitMu — that exclusion guarantees no
-// other submission has coalesced onto the entry in between.
+// abandon rolls back a claim whose task the executor refused (queue full,
+// no live backends). Only the submission that claimed the entry may abandon
+// it, and only while it still holds the manager's submitMu — that exclusion
+// guarantees no other submission has coalesced onto the entry in between.
 func (c *resultCache) abandon(e *entry) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -128,11 +130,22 @@ func (c *resultCache) abandon(e *entry) {
 	close(e.done)
 }
 
-// complete finishes a claimed entry with a result or an error. Called from
-// worker goroutines.
-func (c *resultCache) complete(e *entry, r *UnitResult, err error) {
+// complete seals a claimed entry with a result or an error and reports
+// whether this call won. Only the first completion counts: a cluster can
+// finish one unit twice (a steal or re-route racing a late completion from
+// a backend presumed dead), and the losing write is dropped — the stored
+// result never changes after sealing. The winner bumps won (when non-nil)
+// before the entry's waiters are released, so a job that observes all its
+// units done also observes every one of them counted.
+func (c *resultCache) complete(e *entry, r *UnitResult, err error, won *metrics.SharedCounter) bool {
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	if e.completed() {
+		return false
+	}
+	if won != nil {
+		won.Inc()
+	}
 	if err != nil {
 		delete(c.entries, e.key)
 	} else {
@@ -146,4 +159,5 @@ func (c *resultCache) complete(e *entry, r *UnitResult, err error) {
 	c.met.cacheEntries.Set(int64(len(c.entries)))
 	e.result, e.err = r, err
 	close(e.done)
+	return true
 }

@@ -45,8 +45,9 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	s.mux.ServeHTTP(w, r)
 }
 
-// writeJSON renders one JSON response.
-func writeJSON(w http.ResponseWriter, status int, v any) {
+// WriteJSON renders one indented JSON response; the coordinator's own
+// routes use it too.
+func WriteJSON(w http.ResponseWriter, status int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
 	enc := json.NewEncoder(w)
@@ -80,7 +81,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	dec.DisallowUnknownFields()
 	var spec JobSpec
 	if err := dec.Decode(&spec); err != nil {
-		writeJSON(w, http.StatusBadRequest, errorBody{Error: fmt.Sprintf("decoding job spec: %v", err)})
+		WriteJSON(w, http.StatusBadRequest, errorBody{Error: fmt.Sprintf("decoding job spec: %v", err)})
 		return
 	}
 	job, err := s.m.Submit(spec)
@@ -92,8 +93,8 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 }
 
 // writeSubmitError maps a Submit/SubmitUnits failure onto the uniform error
-// payload: 429 with retryAfterSeconds for a full queue, 503 while draining,
-// 400 for invalid specs.
+// payload: 429 with retryAfterSeconds for a full queue, 503 while draining
+// or with nowhere to run units, 400 for invalid specs.
 func writeSubmitError(w http.ResponseWriter, err error) {
 	var qf *QueueFullError
 	switch {
@@ -103,14 +104,14 @@ func writeSubmitError(w http.ResponseWriter, err error) {
 			secs = 1
 		}
 		w.Header().Set("Retry-After", strconv.Itoa(secs))
-		writeJSON(w, http.StatusTooManyRequests, errorBody{Error: err.Error(), RetryAfter: secs})
-	case errors.Is(err, ErrDraining):
+		WriteJSON(w, http.StatusTooManyRequests, errorBody{Error: err.Error(), RetryAfter: secs})
+	case errors.Is(err, ErrDraining), errors.Is(err, ErrUnavailable):
 		w.Header().Set("Retry-After", "5")
-		writeJSON(w, http.StatusServiceUnavailable, errorBody{Error: err.Error(), RetryAfter: 5})
+		WriteJSON(w, http.StatusServiceUnavailable, errorBody{Error: err.Error(), RetryAfter: 5})
 	case errors.Is(err, ErrInvalidSpec):
-		writeJSON(w, http.StatusBadRequest, errorBody{Error: err.Error()})
+		WriteJSON(w, http.StatusBadRequest, errorBody{Error: err.Error()})
 	default:
-		writeJSON(w, http.StatusInternalServerError, errorBody{Error: err.Error()})
+		WriteJSON(w, http.StatusInternalServerError, errorBody{Error: err.Error()})
 	}
 }
 
@@ -118,7 +119,7 @@ func writeSubmitError(w http.ResponseWriter, err error) {
 func writeAck(w http.ResponseWriter, job *Job) {
 	loc := "/v1/jobs/" + job.ID()
 	w.Header().Set("Location", loc)
-	writeJSON(w, http.StatusAccepted, submitResponse{
+	WriteJSON(w, http.StatusAccepted, submitResponse{
 		ID:          job.ID(),
 		State:       job.State().String(),
 		Location:    loc,
@@ -143,14 +144,14 @@ func (s *Server) handleSubmitUnits(w http.ResponseWriter, r *http.Request) {
 	dec.DisallowUnknownFields()
 	var sub UnitSubmission
 	if err := dec.Decode(&sub); err != nil {
-		writeJSON(w, http.StatusBadRequest, errorBody{Error: fmt.Sprintf("decoding unit submission: %v", err)})
+		WriteJSON(w, http.StatusBadRequest, errorBody{Error: fmt.Sprintf("decoding unit submission: %v", err)})
 		return
 	}
 	units := make([]UnitSpec, len(sub.Units))
 	for i, wu := range sub.Units {
 		u, err := wu.Resolve()
 		if err != nil {
-			writeJSON(w, http.StatusBadRequest, errorBody{Error: err.Error()})
+			WriteJSON(w, http.StatusBadRequest, errorBody{Error: err.Error()})
 			return
 		}
 		units[i] = u
@@ -173,11 +174,11 @@ func (s *Server) handleCacheLookup(w http.ResponseWriter, r *http.Request) {
 	s.m.met.cachePeerLookups.Inc()
 	res, ok := s.m.CachedResult(r.PathValue("key"))
 	if !ok {
-		writeJSON(w, http.StatusNotFound, errorBody{Error: "no completed result under that key"})
+		WriteJSON(w, http.StatusNotFound, errorBody{Error: "no completed result under that key"})
 		return
 	}
 	s.m.met.cachePeerHits.Inc()
-	writeJSON(w, http.StatusOK, res)
+	WriteJSON(w, http.StatusOK, res)
 }
 
 // handleJob reports one job's status and (as units finish) results.
@@ -186,10 +187,10 @@ func (s *Server) handleCacheLookup(w http.ResponseWriter, r *http.Request) {
 func (s *Server) handleJob(w http.ResponseWriter, r *http.Request) {
 	job, ok := s.m.Job(r.PathValue("id"))
 	if !ok {
-		writeJSON(w, http.StatusNotFound, errorBody{Error: "no such job"})
+		WriteJSON(w, http.StatusNotFound, errorBody{Error: "no such job"})
 		return
 	}
-	writeJSON(w, http.StatusOK, job.Status())
+	WriteJSON(w, http.StatusOK, job.Status())
 }
 
 // handleEvents streams job progress as server-sent events: one "progress"
@@ -200,12 +201,12 @@ func (s *Server) handleJob(w http.ResponseWriter, r *http.Request) {
 func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 	job, ok := s.m.Job(r.PathValue("id"))
 	if !ok {
-		writeJSON(w, http.StatusNotFound, errorBody{Error: "no such job"})
+		WriteJSON(w, http.StatusNotFound, errorBody{Error: "no such job"})
 		return
 	}
 	flusher, ok := w.(http.Flusher)
 	if !ok {
-		writeJSON(w, http.StatusInternalServerError, errorBody{Error: "streaming unsupported"})
+		WriteJSON(w, http.StatusInternalServerError, errorBody{Error: "streaming unsupported"})
 		return
 	}
 	w.Header().Set("Content-Type", "text/event-stream")
@@ -253,12 +254,12 @@ func writeSSE(w io.Writer, event string, v any) {
 //flea:coldpath liveness only.
 func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
 	if s.m.Draining() {
-		writeJSON(w, http.StatusServiceUnavailable, map[string]any{
+		WriteJSON(w, http.StatusServiceUnavailable, map[string]any{
 			"status": "draining", "uptime_ms": float64(s.m.Uptime()) / float64(time.Millisecond),
 		})
 		return
 	}
-	writeJSON(w, http.StatusOK, map[string]any{
+	WriteJSON(w, http.StatusOK, map[string]any{
 		"status": "ok", "uptime_ms": float64(s.m.Uptime()) / float64(time.Millisecond),
 	})
 }
@@ -282,7 +283,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		gauges := map[string]int64{}
 		s.m.Registry().EachCounter(func(name string, v int64) { counters[name] = v })
 		s.m.Registry().EachGauge(func(name string, v int64) { gauges[name] = v })
-		writeJSON(w, http.StatusOK, map[string]any{
+		WriteJSON(w, http.StatusOK, map[string]any{
 			"counters":        counters,
 			"gauges":          gauges,
 			"latency_ms":      quantiles,

@@ -399,8 +399,8 @@ func TestEndToEndRealSimulator(t *testing.T) {
 	if string(b1) != string(b2) {
 		t.Fatalf("cached body differs from fresh:\n%s\n%s", b1, b2)
 	}
-	if m.met.unitsExecuted.Value() != 1 {
-		t.Fatalf("unitsExecuted = %d, want 1", m.met.unitsExecuted.Value())
+	if n, _ := m.reg.CounterValue(MetricUnitsExecuted); n != 1 {
+		t.Fatalf("unitsExecuted = %d, want 1", n)
 	}
 }
 

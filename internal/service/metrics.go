@@ -50,9 +50,6 @@ type serviceMetrics struct {
 	jobsFailed    *metrics.SharedCounter
 	jobsRejected  *metrics.SharedCounter
 
-	unitsExecuted *metrics.SharedCounter
-	unitErrors    *metrics.SharedCounter
-
 	cacheHits        *metrics.SharedCounter
 	cacheMisses      *metrics.SharedCounter
 	cacheCoalesced   *metrics.SharedCounter
@@ -61,7 +58,6 @@ type serviceMetrics struct {
 	cachePeerHits    *metrics.SharedCounter
 
 	queueDepth    *metrics.SharedGauge
-	workersBusy   *metrics.SharedGauge
 	jobsActive    *metrics.SharedGauge
 	cacheEntries  *metrics.SharedGauge
 	cacheHitRatio *metrics.SharedGauge
@@ -83,8 +79,6 @@ func newServiceMetrics(reg *metrics.Registry) *serviceMetrics {
 		jobsCompleted:    reg.SharedCounter(MetricJobsCompleted),
 		jobsFailed:       reg.SharedCounter(MetricJobsFailed),
 		jobsRejected:     reg.SharedCounter(MetricJobsRejected),
-		unitsExecuted:    reg.SharedCounter(MetricUnitsExecuted),
-		unitErrors:       reg.SharedCounter(MetricUnitErrors),
 		cacheHits:        reg.SharedCounter(MetricCacheHits),
 		cacheMisses:      reg.SharedCounter(MetricCacheMisses),
 		cacheCoalesced:   reg.SharedCounter(MetricCacheCoalesced),
@@ -92,7 +86,6 @@ func newServiceMetrics(reg *metrics.Registry) *serviceMetrics {
 		cachePeerLookups: reg.SharedCounter(MetricCachePeerLookups),
 		cachePeerHits:    reg.SharedCounter(MetricCachePeerHits),
 		queueDepth:       reg.SharedGauge(GaugeQueueDepth),
-		workersBusy:      reg.SharedGauge(GaugeWorkersBusy),
 		jobsActive:       reg.SharedGauge(GaugeJobsActive),
 		cacheEntries:     reg.SharedGauge(GaugeCacheEntries),
 		cacheHitRatio:    reg.SharedGauge(GaugeCacheHitRatio),

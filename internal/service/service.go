@@ -16,8 +16,11 @@
 //   - Cancellation. Every job runs under a context with a per-job timeout;
 //     cancellation reaches the machines' cycle loops (checked every 4096
 //     cycles) through core.Simulate.
-//   - Graceful drain. Drain stops intake, lets the workers finish every
+//   - Graceful drain. Drain stops intake, lets the executor finish every
 //     admitted unit, and completes in-flight jobs before returning.
+//   - One admission path. Claimed units run on an Executor: the local
+//     worker pool by default, or — for a cluster coordinator, which is a
+//     Manager too — the backends (see WithExecutor).
 //
 // Everything here is cold-path admission control and reporting — the
 // simulation hot path remains the machines' cycle loops. The flealint
@@ -42,6 +45,11 @@ import (
 // ErrDraining rejects submissions once a drain has begun.
 var ErrDraining = errors.New("service: draining, not accepting jobs")
 
+// ErrUnavailable is wrapped by an executor's refusal when it has nowhere to
+// run units at all — a cluster coordinator with no live backend. Like
+// ErrDraining, the HTTP layer answers it with 503 and a retry hint.
+var ErrUnavailable = errors.New("service unavailable")
+
 // QueueFullError rejects a submission whose fresh units do not all fit in
 // the admission queue. RetryAfter is the client's backoff hint.
 type QueueFullError struct {
@@ -54,9 +62,11 @@ func (e *QueueFullError) Error() string {
 
 // Config sizes the manager. Zero values take defaults.
 type Config struct {
-	// Workers is the simulation worker-pool size (default GOMAXPROCS).
+	// Workers is the local worker-pool size (default GOMAXPROCS); an
+	// executor supplied with WithExecutor ignores it.
 	Workers int
-	// QueueDepth bounds the admission queue (default 256 units).
+	// QueueDepth bounds the units admitted but not yet started (default
+	// 256): the local queue, or a coordinator's queues across backends.
 	QueueDepth int
 	// CacheEntries bounds the completed-result cache (default 4096;
 	// negative = unbounded).
@@ -107,6 +117,14 @@ func WithRunner(r Runner) Option {
 	return func(m *Manager) { m.runner = r }
 }
 
+// WithExecutor replaces the local worker pool with the executor newExec
+// builds from the manager's resolved configuration and its metrics
+// registry. A cluster coordinator is a Manager built this way: the same
+// admission, cache and job reporting, with units run on backends.
+func WithExecutor(newExec func(Config, *metrics.Registry) Executor) Option {
+	return func(m *Manager) { m.exec = newExec(m.cfg, m.reg) }
+}
+
 // Manager is the serving subsystem: admission, deduplication, execution
 // and reporting for simulation jobs.
 type Manager struct {
@@ -114,7 +132,7 @@ type Manager struct {
 	reg        *metrics.Registry
 	met        *serviceMetrics
 	cache      *resultCache
-	queue      *taskQueue
+	exec       Executor
 	runner     Runner
 	fuzzRunner FuzzRunner
 	latency    *LatencyHistogram
@@ -122,7 +140,6 @@ type Manager struct {
 
 	baseCtx    context.Context
 	baseCancel context.CancelFunc
-	workerWG   sync.WaitGroup
 	jobWG      sync.WaitGroup
 
 	// submitMu serializes submissions (and the drain flag) so that a
@@ -140,7 +157,8 @@ type Manager struct {
 	nextID uint64
 }
 
-// New builds a manager and starts its worker pool.
+// New builds a manager and starts its executor: the local worker pool
+// unless an option supplies another.
 func New(cfg Config, opts ...Option) *Manager {
 	cfg = cfg.withDefaults()
 	reg := metrics.NewRegistry()
@@ -150,7 +168,6 @@ func New(cfg Config, opts ...Option) *Manager {
 		reg:        reg,
 		met:        met,
 		cache:      newResultCache(cfg.CacheEntries, met),
-		queue:      newTaskQueue(cfg.QueueDepth, met.queueDepth),
 		runner:     defaultRunner,
 		fuzzRunner: defaultFuzzRunner,
 		latency:    &LatencyHistogram{},
@@ -161,9 +178,8 @@ func New(cfg Config, opts ...Option) *Manager {
 	for _, opt := range opts {
 		opt(m)
 	}
-	for i := 0; i < cfg.Workers; i++ {
-		m.workerWG.Add(1)
-		go m.worker()
+	if m.exec == nil {
+		m.exec = newWorkerPool(cfg.Workers, cfg.QueueDepth, reg, met.queueDepth, m.execute)
 	}
 	return m
 }
@@ -184,8 +200,9 @@ func (m *Manager) Draining() bool {
 	return m.draining
 }
 
-// QueueDepth returns the current number of admitted-but-unstarted units.
-func (m *Manager) QueueDepth() int { return m.queue.depthNow() }
+// QueueDepth returns the current number of admitted-but-unstarted units:
+// in the local worker pool, or queued across a coordinator's backends.
+func (m *Manager) QueueDepth() int { return int(m.met.queueDepth.Value()) }
 
 // CachedResult returns the completed result stored under key, if any —
 // the cache-federation peer-lookup hook behind GET /v1/cache/{key}. It
@@ -209,8 +226,9 @@ func defaultRunner(ctx context.Context, u UnitSpec) (*stats.Run, error) {
 
 // Submit validates and admits one job: the spec is expanded server-side
 // into units, each unit resolves against the cache (hit, coalesce, or
-// claim), and every claimed unit is enqueued all-or-nothing. The returned
-// job is already collecting; watch Done(), Status() or an SSE stream.
+// claim), and every claimed unit is handed to the executor all-or-nothing.
+// The returned job is already collecting; watch Done(), Status() or an SSE
+// stream.
 func (m *Manager) Submit(spec JobSpec) (*Job, error) {
 	units, err := spec.expand()
 	if err != nil {
@@ -261,23 +279,25 @@ func (m *Manager) submitUnits(spec JobSpec, units []UnitSpec, timeoutMS int64) (
 	}
 	job.ctx, job.cancel = context.WithTimeout(m.baseCtx, timeout)
 
-	var fresh []*task
+	var fresh []*Task
 	for i := range units {
 		e, claimed := m.cache.acquire(units[i].Key())
 		job.entries[i] = e
 		if claimed {
-			fresh = append(fresh, &task{spec: units[i], entry: e, ctx: job.ctx})
+			fresh = append(fresh, &Task{Spec: units[i], Ctx: job.ctx, TimeoutMS: timeoutMS, entry: e, cache: m.cache})
 		} else {
 			job.cachedAtSubmit[i] = true
 		}
 	}
-	if len(fresh) > 0 && !m.queue.tryPutAll(fresh) {
-		for _, t := range fresh {
-			m.cache.abandon(t.entry)
+	if len(fresh) > 0 {
+		if err := m.exec.Enqueue(fresh); err != nil {
+			for _, t := range fresh {
+				m.cache.abandon(t.entry)
+			}
+			job.cancel()
+			m.met.jobsRejected.Inc()
+			return nil, err
 		}
-		job.cancel()
-		m.met.jobsRejected.Inc()
-		return nil, &QueueFullError{RetryAfter: time.Second}
 	}
 
 	m.mu.Lock()
@@ -389,63 +409,49 @@ func (m *Manager) collect(job *Job) {
 	close(job.done)
 }
 
-// worker executes queued units until the queue closes and drains. The loop
-// needs no context poll of its own: get blocks on the queue's condition
-// variable and returns false once the queue is closed and drained, and the
-// simulations themselves run under each task's per-job context.
-func (m *Manager) worker() {
-	defer m.workerWG.Done()
-	//flea:bounded closed-queue handshake: get returns false after close+drain
-	for {
-		t, ok := m.queue.get()
-		if !ok {
-			return
-		}
-		m.met.workersBusy.Add(1)
-		start := time.Now()
-		res := &UnitResult{Key: t.entry.key}
-		var err error
-		if t.spec.Fuzz != nil {
-			res.Fuzz, err = m.fuzzRunner(t.ctx, t.spec)
-		} else {
-			res.Run, err = m.runner(t.ctx, t.spec)
-		}
-		res.DurationMS = float64(time.Since(start)) / float64(time.Millisecond)
-		m.met.workersBusy.Add(-1)
-		m.met.unitsExecuted.Inc()
-		if err != nil {
-			m.met.unitErrors.Inc()
-			m.cache.complete(t.entry, nil, err)
-			continue
-		}
-		m.cache.complete(t.entry, res, nil)
+// execute runs one task on the calling worker goroutine of the local pool.
+func (m *Manager) execute(t *Task) (*UnitResult, error) {
+	start := time.Now()
+	res := &UnitResult{Key: t.Key()}
+	var err error
+	if t.Spec.Fuzz != nil {
+		res.Fuzz, err = m.fuzzRunner(t.Ctx, t.Spec)
+	} else {
+		res.Run, err = m.runner(t.Ctx, t.Spec)
 	}
+	res.DurationMS = float64(time.Since(start)) / float64(time.Millisecond)
+	return res, err
 }
 
 // Drain gracefully shuts the manager down: intake stops (Submit returns
-// ErrDraining), the workers finish every admitted unit, and every in-flight
-// job reaches a terminal state before Drain returns. When ctx expires
-// first, the remaining simulations are cancelled (their jobs fail with the
-// cancellation error) and Drain returns ctx.Err after they unwind.
+// ErrDraining), the executor finishes every admitted unit, and every
+// in-flight job reaches a terminal state before Drain returns. When ctx
+// expires first, the remaining work is cancelled — running units through
+// their jobs' contexts, queued ones sealed with ctx.Err — and Drain returns
+// ctx.Err once every job has failed.
 func (m *Manager) Drain(ctx context.Context) error {
 	m.submitMu.Lock()
 	m.draining = true
 	m.submitMu.Unlock()
-	m.queue.close()
+	m.exec.Close()
 
 	idle := make(chan struct{})
 	go func() {
-		m.workerWG.Wait()
 		m.jobWG.Wait()
 		close(idle)
 	}()
+	var err error
 	select {
 	case <-idle:
-		m.baseCancel()
-		return nil
 	case <-ctx.Done():
-		m.baseCancel()
-		<-idle
-		return ctx.Err()
+		err = ctx.Err()
 	}
+	m.baseCancel()
+	cause := err
+	if cause == nil {
+		cause = ErrDraining // every job finished, so nothing is left queued
+	}
+	m.exec.Seal(cause)
+	<-idle
+	return err
 }

@@ -8,8 +8,8 @@ import (
 )
 
 // This file is the unit re-export surface the cluster tier builds on: a
-// coordinator expands a JobSpec with the exact same code a backend would use
-// (ExpandUnits), ships each resolved unit to a backend in wire form
+// coordinator is a Manager, so it expands a JobSpec with the exact same code
+// a backend would use, ships each resolved unit to a backend in wire form
 // (WireUnit, POST /v1/units), and the backend reconstructs a UnitSpec whose
 // content-addressed Key() is byte-identical to the coordinator's — which is
 // what makes cache federation sound: the same logical simulation hashes to
