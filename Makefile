@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: ci vet lint gcassert build test race perfbench-test bench bench-json bench-smoke ckpt-smoke race-service fuzz-smoke fuzz cluster-smoke flow-smoke
+.PHONY: ci vet lint gcassert build test race perfbench-test bench bench-json bench-check bench-smoke ckpt-smoke race-service fuzz-smoke fuzz cluster-smoke flow-smoke
 
 ci: vet lint gcassert build race perfbench-test bench-smoke ckpt-smoke fuzz-smoke cluster-smoke flow-smoke
 
@@ -63,6 +63,13 @@ bench:
 # changes and any incorrect run (scripts/bench-json.sh).
 bench-json:
 	bash scripts/bench-json.sh
+
+# bench-check compares the newest snapshot's simulated behaviour against the
+# previous one's: per workload and seed, sim_cycles and ok_frac exactly and
+# speedup_2p/speedup_2pre to 1e-12 relative (scripts/bench-check.sh). A
+# change that claims identical simulated behaviour runs it after bench-json.
+bench-check:
+	bash scripts/bench-check.sh
 
 # bench-smoke is the simulator-speed regression gate: the allocation tests
 # fail if the cycle loop regresses to allocating per instruction or a

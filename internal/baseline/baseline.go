@@ -71,11 +71,10 @@ type Machine struct {
 	ready        [isa.NumRegs]int64
 	loadProducer [isa.NumRegs]bool
 
-	// arena recycles DynInst records; srcScratch and addrScratch are
-	// reusable groupBlocked buffers. Together they keep the cycle loop
+	// arena recycles DynInst records; addrScratch is a reusable
+	// groupBlocked buffer. Together they keep the cycle loop
 	// allocation-free.
 	arena       *pipeline.Arena
-	srcScratch  []isa.Reg
 	addrScratch []uint32
 
 	// ra is the run-ahead episode state, nil on the baseline machine.
@@ -270,25 +269,19 @@ func (m *Machine) groupBlocked(g *pipeline.Group) (cls stats.CycleClass, until i
 	blockedUntil := int64(-1)
 	blockedByLoad := false
 	consider := func(r isa.Reg) {
-		if r == isa.RegNone || r.Hardwired() {
-			return
-		}
 		if t := m.ready[r]; t > m.now && t > blockedUntil {
 			blockedUntil = t
 			blockedByLoad = m.loadProducer[r]
 		}
 	}
-	srcs := m.srcScratch
 	for _, d := range g.Insts {
-		srcs = d.In.Sources(srcs[:0])
-		for _, s := range srcs {
+		for _, s := range d.In.Srcs() {
 			consider(s)
 		}
-		if d.In.HasDest() {
-			consider(d.In.Dst)
+		if r := d.In.Dest(); r != isa.RegNone {
+			consider(r)
 		}
 	}
-	m.srcScratch = srcs
 	if blockedUntil > m.now {
 		if blockedByLoad {
 			return stats.LoadStall, blockedUntil, true
@@ -300,10 +293,11 @@ func (m *Machine) groupBlocked(g *pipeline.Group) (cls stats.CycleClass, until i
 	// here.)
 	addrs := m.addrScratch[:0]
 	for _, d := range g.Insts {
-		if !d.In.Op.IsLoad() || m.st.Read(d.In.Pred) == 0 {
+		in := d.In
+		if !in.IsLoad() || !m.predOn(in) {
 			continue
 		}
-		addrs = append(addrs, isa.EffectiveAddress(m.st.Read(d.In.Src1), d.In.Imm))
+		addrs = append(addrs, isa.EffectiveAddress(m.st.Read(in.Src1), in.Imm))
 	}
 	m.addrScratch = addrs
 	if len(addrs) > 0 && !m.hier.CanAcceptLoads(addrs, m.now) {
@@ -324,9 +318,9 @@ func (m *Machine) dispatch(g *pipeline.Group) {
 			m.tr.Emit(trace.Event{Cycle: m.now, Type: trace.EvDispatch, Pipe: trace.PipeA,
 				ID: d.ID, PC: d.PC, Note: in.String()})
 		}
-		predOn := m.st.Read(in.Pred) != 0
+		predOn := m.predOn(in)
 
-		if in.Op.IsBranch() || in.Op == isa.OpHalt {
+		if in.IsBranch() || in.Op == isa.OpHalt {
 			if m.resolveBranch(d, predOn) {
 				return // squash younger same-group instructions
 			}
@@ -338,27 +332,38 @@ func (m *Machine) dispatch(g *pipeline.Group) {
 		}
 		switch {
 		case in.Op == isa.OpNop:
-		case in.Op.IsLoad():
+		case in.IsLoad():
 			addr := isa.EffectiveAddress(m.st.Read(in.Src1), in.Imm)
 			lat, lvl := m.hier.Load(addr, m.now)
 			m.col.Access(lvl, stats.PipeA, m.hier.Levels())
-			m.st.Write(in.Dst, m.st.Mem.Read(addr, in.Op.MemSize()))
-			m.setReady(in.Dst, m.now+int64(lat), true)
-		case in.Op.IsStore():
+			m.st.Write(in.Dst, m.st.Mem.Read(addr, in.Size()))
+			m.setReady(in.Dest(), m.now+int64(lat), true)
+		case in.IsStore():
 			addr := isa.EffectiveAddress(m.st.Read(in.Src1), in.Imm)
-			m.st.Mem.Write(addr, in.Op.MemSize(), m.st.Read(in.Src2))
+			m.st.Mem.Write(addr, in.Size(), m.st.Read(in.Src2))
 			m.hier.Store(addr, m.now)
 			m.col.StoreCommitted()
 		default:
 			m.st.Write(in.Dst, isa.Eval(in.Op, m.st.Read(in.Src1), m.st.Read(in.Src2), in.Imm))
-			m.setReady(in.Dst, m.now+int64(in.Op.Latency()), false)
+			m.setReady(in.Dest(), m.now+int64(in.Latency()), false)
 		}
 	}
 }
 
+// predOn evaluates the qualifying predicate; p0 needs no register read.
+//
+//flea:hotpath
+//flea:inline
+func (m *Machine) predOn(in *isa.Decoded) bool {
+	return in.Always() || m.st.Read(in.Pred) != 0
+}
+
+// setReady scoreboards a decoded destination (isa.Decoded.Dest), which is
+// RegNone when nothing is written.
+//
 //flea:hotpath
 func (m *Machine) setReady(r isa.Reg, at int64, fromLoad bool) {
-	if r == isa.RegNone || r.Hardwired() {
+	if r == isa.RegNone {
 		return
 	}
 	m.ready[r] = at
@@ -385,7 +390,7 @@ func (m *Machine) resolveBranch(d *pipeline.DynInst, predOn bool) (squash bool) 
 		case isa.OpBrCall:
 			taken, target = true, in.Target
 			m.st.Write(in.Dst, isa.Value(uint32(d.PC+1)))
-			m.setReady(in.Dst, m.now+1, false)
+			m.setReady(in.Dest(), m.now+1, false)
 		case isa.OpBrRet, isa.OpBrInd:
 			taken = true
 			target = int32(uint32(m.st.Read(in.Src1)))

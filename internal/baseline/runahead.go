@@ -126,16 +126,18 @@ func (m *Machine) runaheadGroup(g *pipeline.Group) {
 			m.tr.Emit(trace.Event{Cycle: m.now, Type: trace.EvPreExec, Pipe: trace.PipeB,
 				ID: d.ID, PC: d.PC, Note: in.String()})
 		}
-		pv, pok := m.raRead(in.Pred)
-		if !pok {
-			m.raPoisonDst(in.Dst)
-			continue
-		}
-		if pv == 0 {
-			if in.Op.IsBranch() {
-				m.runaheadBranch(d, false)
+		if !in.Always() {
+			pv, pok := m.raRead(in.Pred)
+			if !pok {
+				m.raPoisonDst(in.Dest())
+				continue
 			}
-			continue
+			if pv == 0 {
+				if in.IsBranch() {
+					m.runaheadBranch(d, false)
+				}
+				continue
+			}
 		}
 		switch {
 		case in.Op == isa.OpNop:
@@ -143,15 +145,15 @@ func (m *Machine) runaheadGroup(g *pipeline.Group) {
 			// Wrong-path or real halt: stop run-ahead fetch; the
 			// checkpoint restore will sort it out.
 			return
-		case in.Op.IsLoad():
+		case in.IsLoad():
 			base, ok := m.raRead(in.Src1)
 			if !ok {
-				m.raPoisonDst(in.Dst)
+				m.raPoisonDst(in.Dest())
 				continue
 			}
 			addr := isa.EffectiveAddress(base, in.Imm)
 			if !m.hier.CanAcceptLoad(addr, m.now) {
-				m.raPoisonDst(in.Dst)
+				m.raPoisonDst(in.Dest())
 				continue
 			}
 			lat, lvl := m.hier.Load(addr, m.now) // the prefetch
@@ -159,13 +161,13 @@ func (m *Machine) runaheadGroup(g *pipeline.Group) {
 			if int64(lat) > int64(m.cfg.Mem.L1D.Latency) {
 				// The value would not return within run-ahead reach;
 				// Dundas/Mutlu poison such destinations.
-				m.raPoisonDst(in.Dst)
+				m.raPoisonDst(in.Dest())
 				continue
 			}
-			m.raWrite(in.Dst, m.st.Mem.Read(addr, in.Op.MemSize()), m.now+int64(lat))
-		case in.Op.IsStore():
+			m.raWrite(in.Dest(), m.st.Mem.Read(addr, in.Size()), m.now+int64(lat))
+		case in.IsStore():
 			// Stores write nothing in run-ahead mode.
-		case in.Op.IsBranch():
+		case in.IsBranch():
 			if in.Op == isa.OpBrRet || in.Op == isa.OpBrInd {
 				if _, ok := m.raRead(in.Src1); !ok {
 					return // cannot follow an unknown target; stop here
@@ -178,10 +180,10 @@ func (m *Machine) runaheadGroup(g *pipeline.Group) {
 			v1, ok1 := m.raRead(in.Src1)
 			v2, ok2 := m.raRead(in.Src2)
 			if !ok1 || !ok2 {
-				m.raPoisonDst(in.Dst)
+				m.raPoisonDst(in.Dest())
 				continue
 			}
-			m.raWrite(in.Dst, isa.Eval(in.Op, v1, v2, in.Imm), m.now+int64(in.Op.Latency()))
+			m.raWrite(in.Dest(), isa.Eval(in.Op, v1, v2, in.Imm), m.now+int64(in.Latency()))
 		}
 	}
 }
@@ -200,7 +202,7 @@ func (m *Machine) runaheadBranch(d *pipeline.DynInst, predOn bool) (squash bool)
 		case isa.OpBr, isa.OpBrCall:
 			taken, target = true, in.Target
 			if in.Op == isa.OpBrCall {
-				m.raWrite(in.Dst, isa.Value(uint32(d.PC+1)), m.now+1)
+				m.raWrite(in.Dest(), isa.Value(uint32(d.PC+1)), m.now+1)
 			}
 		case isa.OpBrRet, isa.OpBrInd:
 			v, _ := m.raRead(in.Src1)
@@ -230,9 +232,12 @@ func (m *Machine) raRead(r isa.Reg) (isa.Value, bool) {
 	return m.ra.regs[r], true
 }
 
+// raWrite and raPoisonDst take a decoded destination (isa.Decoded.Dest),
+// which is RegNone when nothing is written.
+//
 //flea:hotpath
 func (m *Machine) raWrite(r isa.Reg, v isa.Value, readyAt int64) {
-	if r == isa.RegNone || r.Hardwired() {
+	if r == isa.RegNone {
 		return
 	}
 	m.ra.regs[r] = v
@@ -242,7 +247,7 @@ func (m *Machine) raWrite(r isa.Reg, v isa.Value, readyAt int64) {
 
 //flea:hotpath
 func (m *Machine) raPoisonDst(r isa.Reg) {
-	if r == isa.RegNone || r.Hardwired() {
+	if r == isa.RegNone {
 		return
 	}
 	m.ra.poison[r] = true

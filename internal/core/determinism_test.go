@@ -1,10 +1,14 @@
 package core
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"testing"
 
+	"fleaflicker/internal/pipeline"
+	"fleaflicker/internal/progen"
+	"fleaflicker/internal/program"
 	"fleaflicker/internal/workload"
 )
 
@@ -36,6 +40,43 @@ func TestSimulateDeterministic(t *testing.T) {
 			first, second := snap(), snap()
 			if string(first) != string(second) {
 				t.Errorf("two identical runs diverged:\n run 1: %s\n run 2: %s", first, second)
+			}
+		})
+	}
+}
+
+// TestSharedArenaMatchesFresh runs programs A, B and A again back to back on
+// one shared arena, on every model, and pins each run's measurements to a
+// run of the same program on a fresh arena. The arena keeps the last
+// program's decoded instruction table and memory hierarchy; a table that
+// were not rebuilt when the program changes would run B, and then A again,
+// on the other program's instructions.
+func TestSharedArenaMatchesFresh(t *testing.T) {
+	a := progen.Generate(1, progen.DefaultConfig())
+	b := progen.Generate(2, progen.DefaultConfig())
+	ctx := context.Background()
+	for _, model := range Models() {
+		t.Run(model.String(), func(t *testing.T) {
+			run := func(prog *program.Program, arena *pipeline.Arena) []byte {
+				cfg := DefaultConfig()
+				cfg.Arena = arena
+				r, err := Simulate(ctx, model, prog, WithConfig(cfg), WithVerify())
+				if err != nil {
+					t.Fatalf("%s: %v", prog.Name, err)
+				}
+				js, err := json.Marshal(r)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return js
+			}
+			shared := pipeline.NewArena()
+			for i, prog := range []*program.Program{a, b, a} {
+				got, want := run(prog, shared), run(prog, pipeline.NewArena())
+				if !bytes.Equal(got, want) {
+					t.Errorf("run %d (%s) on the shared arena diverged from a fresh arena:\n shared: %s\n fresh:  %s",
+						i, prog.Name, got, want)
+				}
 			}
 		})
 	}

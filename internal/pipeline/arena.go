@@ -1,6 +1,10 @@
 package pipeline
 
-import "fleaflicker/internal/mem"
+import (
+	"fleaflicker/internal/isa"
+	"fleaflicker/internal/mem"
+	"fleaflicker/internal/program"
+)
 
 // arenaSlab is the number of DynInst records allocated per slab. The live
 // set of a machine is bounded by its coupling-queue and fetch-queue
@@ -14,18 +18,23 @@ const arenaSlab = 64
 // records when an instruction retires or is squashed (the front end itself
 // returns the records of groups it flushes on Redirect). It also holds the
 // last memory hierarchy it handed out (see Hierarchy), so a sequence of
-// short simulations does not rebuild the Table 1 caches for each one.
+// short simulations does not rebuild the Table 1 caches for each one, and
+// the decoded instruction table of the last program it was handed (see
+// decoded), so every lattice cell of one program shares one decode.
 //
 // An arena serves one machine at a time and is not safe for concurrent use —
 // machines are single-goroutine, so no sync.Pool-style synchronization is
 // needed. Machines may reuse one arena in sequence (the differential checker
 // shares one across every cell of its lattice) as long as a machine is done
 // before the next is built from the same arena: building the next resets the
-// hierarchy the previous one ran on. A record handed to Put must not be
-// referenced again: it is reused, fully reset, by a later Get.
+// hierarchy the previous one ran on, and decoding a different program
+// overwrites the table the previous one read. A record handed to Put must
+// not be referenced again: it is reused, fully reset, by a later Get.
 type Arena struct {
 	free []*DynInst
 	hier *mem.Hierarchy
+	prog *program.Program
+	code []isa.Decoded
 }
 
 // NewArena returns an empty arena; slabs are allocated on demand.
@@ -45,6 +54,19 @@ func (a *Arena) Hierarchy(cfg mem.Config) *mem.Hierarchy {
 	}
 	a.hier = mem.NewHierarchy(cfg)
 	return a.hier
+}
+
+// decoded returns prog's decoded instruction table (isa.Decode), the static
+// facts the front end hands every fetched DynInst in its In field. The arena
+// decodes only when it is handed a different *Program than last time, into
+// the previous table's storage: it keys on the pointer, which is why a
+// Program must not be mutated once it has been simulated.
+func (a *Arena) decoded(prog *program.Program) []isa.Decoded {
+	if a.prog != prog {
+		a.code = isa.Decode(a.code, prog.Insts)
+		a.prog = prog
+	}
+	return a.code
 }
 
 // Get returns a zeroed DynInst, reusing a recycled record when one is free.

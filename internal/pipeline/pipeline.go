@@ -25,39 +25,40 @@ const (
 // DynInst is one dynamic (fetched) instruction. The front end fills in the
 // identity and prediction fields; machine models use the execution fields
 // they need (the two-pass machine uses all of them — they are its coupling
-// queue and result-store state).
+// queue and result-store state). Static facts — operands, class, latency,
+// access size — are read from In, the program's decoded table entry, never
+// stored per instance. Fields are ordered by size so the record fills one
+// 64-byte cache line (TestDynInstFitsCacheLine).
 type DynInst struct {
-	ID uint64
-	PC int32
-	In *isa.Inst
+	ID      uint64
+	ReadyAt int64     // cycle the A-initiated result arrives (dangling if still future at merge)
+	Val     isa.Value // the result value
+	In      *isa.Decoded
+
+	PC       int32
+	NextPC   int32 // pc the front end continued fetching at after this inst
+	Addr     uint32
+	BrTarget int32
+	CP       bpred.Checkpoint
+
+	Level uint8 // mem.Level of the cache that served an initiated load
 
 	// Front-end prediction state.
-	PredTaken    bool  // a branch the front end predicted/knew taken
-	NextPC       int32 // pc the front end continued fetching at after this inst
-	HasCP        bool  // CP holds a direction-predictor checkpoint
-	CP           bpred.Checkpoint
+	PredTaken    bool // a branch the front end predicted/knew taken
+	HasCP        bool // CP holds a direction-predictor checkpoint
 	NoPrediction bool // indirect branch with no predicted target: fetch stalled behind it
 
 	// Execution state (two-pass CQ/CRS fields; the baseline uses a
 	// subset).
-	Deferred  bool      // suppressed in the A-pipe, to execute in the B-pipe
-	Done      bool      // produced a (possibly in-flight) result in the A-pipe
-	ReadyAt   int64     // cycle the A-initiated result arrives (dangling if still future at merge)
-	Val       isa.Value // the result value
-	PredOn    bool      // qualifying predicate evaluated true
-	AddrKnown bool      // memory ops: effective address computed
-	Addr      uint32
-	Size      int
-	Level     mem.Level // cache level that served an initiated load
+	Deferred  bool // suppressed in the A-pipe, to execute in the B-pipe
+	Done      bool // produced a (possibly in-flight) result in the A-pipe
+	PredOn    bool // qualifying predicate evaluated true
+	AddrKnown bool // memory ops: effective address computed
 
 	// Branch outcome, filled at resolution.
 	BrResolved bool
 	BrTaken    bool
-	BrTarget   int32
 }
-
-// IsBranch reports whether the instruction can redirect fetch.
-func (d *DynInst) IsBranch() bool { return d.In.Op.IsBranch() }
 
 // Group is one fetched issue group.
 type Group struct {
@@ -93,6 +94,7 @@ func DefaultConfig() Config { return Config{Depth: 5, QueueCap: 8} }
 type FrontEnd struct {
 	cfg   Config
 	prog  *program.Program
+	code  []isa.Decoded // prog's decoded table, owned by the arena
 	hier  *mem.Hierarchy
 	pred  *bpred.Predictor
 	arena *Arena
@@ -123,6 +125,7 @@ func NewFrontEnd(cfg Config, prog *program.Program, hier *mem.Hierarchy, pred *b
 	return &FrontEnd{
 		cfg: cfg, prog: prog, hier: hier, pred: pred,
 		arena: arena,
+		code:  arena.decoded(prog),
 		queue: make([]Group, cfg.QueueCap),
 		pc:    prog.Entry, nextID: 1,
 	}
@@ -144,21 +147,21 @@ func (f *FrontEnd) Tick(now int64) (acted bool) {
 	if f.stalled || f.halted || now < f.nextFetchAt || f.qlen >= f.cfg.QueueCap {
 		return false
 	}
-	if f.pc < 0 || int(f.pc) >= len(f.prog.Insts) {
+	if f.pc < 0 || int(f.pc) >= len(f.code) {
 		// Fetch wandered off the program (wrong-path); stall until a
 		// redirect arrives.
 		f.stalled = true
 		return true
 	}
 	start := f.pc
-	end := f.prog.GroupBounds(start)
+	end := f.code[start].GroupEnd()
 	g := &f.queue[f.slot(f.qlen)]
 	//flea:handoff the slot's previous records were handed to the machine at Pop; only the backing array is reused
 	g.Insts = g.Insts[:0]
 	g.FetchPC = start
 	next := end // sequential fall-through
 	for pc := start; pc < end; pc++ {
-		in := &f.prog.Insts[pc]
+		in := &f.code[pc]
 		d := f.arena.Get()
 		d.ID, d.PC, d.In, d.NextPC = f.nextID, pc, in, pc+1
 		f.nextID++
@@ -168,7 +171,7 @@ func (f *FrontEnd) Tick(now int64) (acted bool) {
 			next = end
 			break
 		}
-		if !in.Op.IsBranch() {
+		if !in.IsBranch() {
 			continue
 		}
 		taken, target, done := f.predictBranch(d)
@@ -257,7 +260,7 @@ func (f *FrontEnd) predictBranch(d *DynInst) (taken bool, target int32, done boo
 	in := d.In
 	switch in.Op {
 	case isa.OpBr:
-		if in.Pred == isa.P(0) {
+		if in.Always() {
 			return true, in.Target, false // unconditional
 		}
 		t, cp := f.pred.PredictCond(d.PC)

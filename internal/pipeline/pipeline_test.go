@@ -2,6 +2,7 @@ package pipeline
 
 import (
 	"testing"
+	"unsafe"
 
 	"fleaflicker/internal/bpred"
 	"fleaflicker/internal/isa"
@@ -381,5 +382,15 @@ func TestArenaHierarchyReusesOnlyMatchingConfig(t *testing.T) {
 	var none *Arena
 	if none.Hierarchy(cfg) == none.Hierarchy(cfg) {
 		t.Fatal("nil arena returned the same hierarchy twice")
+	}
+}
+
+// TestDynInstFitsCacheLine keeps the dynamic instruction record within one
+// 64-byte cache line: fetch zeroes one per instruction and the coupling
+// queue and dispatch paths touch them all, so growing the record must be a
+// deliberate act that edits this test.
+func TestDynInstFitsCacheLine(t *testing.T) {
+	if size := unsafe.Sizeof(DynInst{}); size > 64 {
+		t.Errorf("DynInst is %d bytes, want at most 64", size)
 	}
 }

@@ -28,7 +28,10 @@ const (
 // InstAddr returns the byte address of the instruction at index pc.
 func InstAddr(pc int32) uint32 { return CodeBase + uint32(pc)*InstBytes }
 
-// Program is an assembled program.
+// Program is an assembled program. A Program must not be mutated once it
+// has been simulated: builders and transforms finish editing before any run,
+// and a pipeline arena reuses the instruction table it decoded from a
+// Program for as long as it is handed the same pointer.
 type Program struct {
 	Name  string
 	Insts []isa.Inst

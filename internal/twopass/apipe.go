@@ -51,7 +51,7 @@ func (m *Machine) stepA() (wake int64) {
 		m.cqCount++
 		if d.Deferred {
 			m.deferred++
-			if d.In.Op.IsStore() {
+			if d.In.IsStore() {
 				m.deferredStores++
 			}
 		}
@@ -78,9 +78,9 @@ func (m *Machine) emitA(d *pipeline.DynInst) {
 		ID: d.ID, PC: d.PC, Note: d.In.String()}
 	if d.Deferred {
 		e.Type = trace.EvDefer
-	} else if d.In.Op.IsLoad() && d.Done {
+	} else if d.In.IsLoad() && d.Done {
 		e.Arg = int64(d.Level)
-		e.Note = e.Note + " @" + d.Level.String()
+		e.Note = e.Note + " @" + mem.Level(d.Level).String()
 	}
 	m.tr.Emit(e)
 }
@@ -93,10 +93,8 @@ func (m *Machine) emitA(d *pipeline.DynInst) {
 //flea:hotpath
 func (m *Machine) blockedOnAnticipable(g *pipeline.Group) bool {
 	anticipable := false
-	var srcs []isa.Reg
 	for _, d := range g.Insts {
-		srcs = d.In.Sources(srcs[:0])
-		for _, s := range srcs {
+		for _, s := range d.In.Srcs() {
 			e := &m.afile[s]
 			if !e.valid {
 				return false // a deferred producer: defer, don't stall
@@ -120,25 +118,27 @@ func (m *Machine) blockedOnAnticipable(g *pipeline.Group) bool {
 //flea:hotpath
 func (m *Machine) processA(d *pipeline.DynInst) (squash bool) {
 	in := d.In
-	pv, pok := m.readA(in.Pred)
-	if !pok {
-		m.deferA(d)
-		if in.Op.IsBranch() {
-			m.snapshotAFile(d.ID)
+	if !in.Always() {
+		pv, pok := m.readA(in.Pred)
+		if !pok {
+			m.deferA(d)
+			if in.IsBranch() {
+				m.snapshotAFile(d.ID)
+			}
+			return false
 		}
-		return false
-	}
-	if pv == 0 {
-		// Predicated off: completes in the A-pipe as a no-op. A branch
-		// whose predicate is false falls through, which may itself be a
-		// misprediction.
-		d.Done = true
-		d.PredOn = false
-		d.ReadyAt = m.now
-		if in.Op.IsBranch() {
-			return m.resolveBranchA(d, false)
+		if pv == 0 {
+			// Predicated off: completes in the A-pipe as a no-op. A branch
+			// whose predicate is false falls through, which may itself be a
+			// misprediction.
+			d.Done = true
+			d.PredOn = false
+			d.ReadyAt = m.now
+			if in.IsBranch() {
+				return m.resolveBranchA(d, false)
+			}
+			return false
 		}
-		return false
 	}
 	d.PredOn = true
 
@@ -151,11 +151,11 @@ func (m *Machine) processA(d *pipeline.DynInst) (squash bool) {
 		d.ReadyAt = m.now
 		m.aHalted = true
 		return true
-	case in.Op.IsLoad():
+	case in.IsLoad():
 		m.loadA(d)
-	case in.Op.IsStore():
+	case in.IsStore():
 		m.storeA(d)
-	case in.Op.IsBranch():
+	case in.IsBranch():
 		if in.Op == isa.OpBrRet || in.Op == isa.OpBrInd {
 			if _, ok := m.readA(in.Src1); !ok {
 				// Misprediction detection deferred to B-DET (§3.6).
@@ -175,8 +175,8 @@ func (m *Machine) processA(d *pipeline.DynInst) (squash bool) {
 		val := isa.Eval(in.Op, v1, v2, in.Imm)
 		d.Done = true
 		d.Val = val
-		d.ReadyAt = m.now + int64(in.Op.Latency())
-		m.writeA(in.Dst, d.ID, val, d.ReadyAt, false)
+		d.ReadyAt = m.now + int64(in.Latency())
+		m.writeA(in.Dest(), d.ID, val, d.ReadyAt, false)
 	}
 	return false
 }
@@ -188,8 +188,8 @@ func (m *Machine) processA(d *pipeline.DynInst) (squash bool) {
 func (m *Machine) deferA(d *pipeline.DynInst) {
 	d.Deferred = true
 	m.col.Defer()
-	if d.In.HasDest() {
-		m.invalidateA(d.In.Dst, d.ID)
+	if r := d.In.Dest(); r != isa.RegNone {
+		m.invalidateA(r, d.ID)
 	}
 }
 
@@ -208,8 +208,8 @@ func (m *Machine) loadA(d *pipeline.DynInst) {
 		return
 	}
 	addr := isa.EffectiveAddress(base, in.Imm)
-	size := in.Op.MemSize()
-	d.Addr, d.AddrKnown, d.Size = addr, true, size
+	size := in.Size()
+	d.Addr, d.AddrKnown = addr, true
 
 	val, fres := m.sbuf.Forward(d.ID, addr, size, m.bst.Mem)
 	if fres == mem.ForwardUnknown {
@@ -234,8 +234,8 @@ func (m *Machine) loadA(d *pipeline.DynInst) {
 	d.Done = true
 	d.Val = val
 	d.ReadyAt = m.now + int64(lat)
-	d.Level = lvl
-	m.writeA(in.Dst, d.ID, val, d.ReadyAt, true)
+	d.Level = uint8(lvl)
+	m.writeA(in.Dest(), d.ID, val, d.ReadyAt, true)
 }
 
 // storeA executes a store in the A-pipe: the value goes to the speculative
@@ -252,8 +252,8 @@ func (m *Machine) storeA(d *pipeline.DynInst) {
 		return
 	}
 	addr := isa.EffectiveAddress(base, in.Imm)
-	size := in.Op.MemSize()
-	d.Addr, d.AddrKnown, d.Size = addr, true, size
+	size := in.Size()
+	d.Addr, d.AddrKnown = addr, true
 
 	data, okD := m.readA(in.Src2)
 	if !okD {
@@ -292,7 +292,7 @@ func (m *Machine) resolveBranchA(d *pipeline.DynInst, predOn bool) (squash bool)
 			if in.Op == isa.OpBrCall {
 				link := isa.Value(uint32(d.PC + 1))
 				d.Val = link
-				m.writeA(in.Dst, d.ID, link, m.now+1, false)
+				m.writeA(in.Dest(), d.ID, link, m.now+1, false)
 			}
 		case isa.OpBrRet, isa.OpBrInd:
 			v, _ := m.readA(in.Src1) // caller ensured readability

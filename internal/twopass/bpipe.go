@@ -148,11 +148,11 @@ func (m *Machine) popHead(n int) {
 //
 //flea:hotpath
 func (m *Machine) buildDispatchSet() (set []*pipeline.DynInst, ngroups int) {
+	if !m.cfg.Regroup {
+		return m.cq.at(0).insts, 1 // the head group itself; popHead edits it only after dispatch
+	}
 	m.dispatchSet = append(m.dispatchSet[:0], m.cq.at(0).insts...)
 	ngroups = 1
-	if !m.cfg.Regroup {
-		return m.dispatchSet, ngroups
-	}
 	for ngroups < m.cq.len() && m.cq.at(ngroups).enq < m.now {
 		next := m.cq.at(ngroups).insts
 		if !m.canMerge(m.dispatchSet, next) {
@@ -195,25 +195,22 @@ func (m *Machine) canMerge(set, next []*pipeline.DynInst) bool {
 	}
 	var classCount [isa.NumFUClasses]int
 	for _, d := range set {
-		classCount[d.In.Op.Class()]++
+		classCount[d.In.Class()]++
 	}
 	for _, d := range next {
-		classCount[d.In.Op.Class()]++
+		classCount[d.In.Class()]++
 	}
 	for c := isa.FUClass(0); c < isa.NumFUClasses; c++ {
 		if m.cfg.FUs[c] > 0 && classCount[c] > m.cfg.FUs[c] {
 			return false
 		}
 	}
-	srcs := m.srcScratch
 	for _, j := range next {
-		srcs = j.In.Sources(srcs[:0])
-		m.srcScratch = srcs
-		for _, s := range srcs {
+		for _, s := range j.In.Srcs() {
 			// Find the youngest writer of s in the set, if any.
 			for k := len(set) - 1; k >= 0; k-- {
 				i := set[k]
-				if !i.In.HasDest() || i.In.Dst != s {
+				if i.In.Dest() != s {
 					continue
 				}
 				if i.Done && !i.PredOn {
@@ -241,28 +238,22 @@ func (m *Machine) bBlocked(set []*pipeline.DynInst) (cls stats.CycleClass, until
 	blockedUntil := int64(-1)
 	blockedByLoad := false
 	consider := func(r isa.Reg) {
-		if r == isa.RegNone || r.Hardwired() {
-			return
-		}
 		if t := m.bready[r]; t > m.now && t > blockedUntil {
 			blockedUntil = t
 			blockedByLoad = m.bIsLoad[r]
 		}
 	}
-	srcs := m.srcScratch
 	for _, d := range set {
 		if d.Done {
 			continue
 		}
-		srcs = d.In.Sources(srcs[:0])
-		for _, s := range srcs {
+		for _, s := range d.In.Srcs() {
 			consider(s)
 		}
-		if d.In.HasDest() {
-			consider(d.In.Dst)
+		if r := d.In.Dest(); r != isa.RegNone {
+			consider(r)
 		}
 	}
-	m.srcScratch = srcs
 	if blockedUntil > m.now {
 		if blockedByLoad {
 			return stats.LoadStall, blockedUntil, true
@@ -271,13 +262,11 @@ func (m *Machine) bBlocked(set []*pipeline.DynInst) (cls stats.CycleClass, until
 	}
 	addrs := m.addrScratch[:0]
 	for _, d := range set {
-		if d.Done || !d.In.Op.IsLoad() {
+		in := d.In
+		if d.Done || !in.IsLoad() || !m.predOnB(in) {
 			continue
 		}
-		if m.bst.Read(d.In.Pred) == 0 {
-			continue
-		}
-		addrs = append(addrs, isa.EffectiveAddress(m.bst.Read(d.In.Src1), d.In.Imm))
+		addrs = append(addrs, isa.EffectiveAddress(m.bst.Read(in.Src1), in.Imm))
 	}
 	m.addrScratch = addrs
 	if len(addrs) > 0 && !m.hier.CanAcceptLoads(addrs, m.now) {
@@ -304,7 +293,7 @@ func (m *Machine) processB(d *pipeline.DynInst) bStatus {
 //flea:hotpath
 func (m *Machine) mergeB(d *pipeline.DynInst) bStatus {
 	in := d.In
-	if d.PredOn && in.Op.IsLoad() {
+	if d.PredOn && in.IsLoad() {
 		if !m.alat.CheckAndRemove(d.ID) {
 			// A conflicting store intervened between this load's A-pipe
 			// execution and now: flush speculative state and resume
@@ -330,26 +319,27 @@ func (m *Machine) mergeB(d *pipeline.DynInst) bStatus {
 	} else {
 		m.ArchPC = d.PC + 1
 	}
-	if d.PredOn && sanityChecks && m.bst.Read(in.Pred) == 0 {
+	if d.PredOn && sanityChecks && !m.predOnB(in) {
 		panic(fmt.Sprintf("twopass: inst %d (%s) pre-executed with wrong predicate", d.ID, in))
 	}
 	switch {
-	case d.PredOn && in.Op.IsStore():
-		m.bst.Mem.Write(d.Addr, d.Size, d.Val)
+	case d.PredOn && in.IsStore():
+		m.bst.Mem.Write(d.Addr, in.Size(), d.Val)
 		m.hier.Store(d.Addr, m.now)
 		m.sbuf.Remove(d.ID)
 		m.col.StoreCommitted()
-	case d.PredOn && in.HasDest():
-		m.bst.Write(in.Dst, d.Val)
+	case d.PredOn && in.Dest() != isa.RegNone:
+		dst := in.Dest()
+		m.bst.Regs[dst] = d.Val
 		at := d.ReadyAt
 		if at < m.now {
 			at = m.now
 		}
-		m.bready[in.Dst] = at
-		m.bIsLoad[in.Dst] = in.Op.IsLoad()
+		m.bready[dst] = at
+		m.bIsLoad[dst] = in.IsLoad()
 		// The arriving architectural update clears the A-file S bit if
 		// this instruction is still the register's last writer.
-		if e := &m.afile[in.Dst]; e.dynID == d.ID && e.valid {
+		if e := &m.afile[dst]; e.dynID == d.ID && e.valid {
 			e.spec = false
 		}
 	}
@@ -369,20 +359,20 @@ func (m *Machine) executeDeferredB(d *pipeline.DynInst) bStatus {
 	m.Retired++
 	m.ArchPC = d.PC + 1 // branches override with the resolved target
 	m.deferred--
-	if in.Op.IsStore() {
+	if in.IsStore() {
 		m.deferredStores--
 	}
-	predOn := m.bst.Read(in.Pred) != 0
+	predOn := m.predOnB(in)
 	d.PredOn = predOn
 	if !predOn {
-		if in.Op.IsBranch() {
+		if in.IsBranch() {
 			return m.resolveBranchB(d, false)
 		}
 		// A predicated-off deferred instruction writes nothing; feed the
 		// (unchanged) architectural value back to revalidate the A-file
 		// entry its deferral invalidated.
-		if in.HasDest() {
-			m.feedback(in.Dst, d.ID, m.bst.Read(in.Dst), m.now+1)
+		if r := in.Dest(); r != isa.RegNone {
+			m.feedback(r, d.ID, m.bst.Regs[r], m.now+1)
 		}
 		return bStatus{retired: true}
 	}
@@ -390,40 +380,52 @@ func (m *Machine) executeDeferredB(d *pipeline.DynInst) bStatus {
 	case in.Op == isa.OpNop:
 	case in.Op == isa.OpHalt:
 		m.halted = true
-	case in.Op.IsLoad():
+	case in.IsLoad():
 		addr := isa.EffectiveAddress(m.bst.Read(in.Src1), in.Imm)
 		lat, lvl := m.hier.Load(addr, m.now)
 		m.col.Access(lvl, stats.PipeB, m.hier.Levels())
-		val := m.bst.Mem.Read(addr, in.Op.MemSize())
+		val := m.bst.Mem.Read(addr, in.Size())
 		m.bst.Write(in.Dst, val)
-		m.setBReady(in.Dst, m.now+int64(lat), true)
-		m.feedback(in.Dst, d.ID, val, m.now+int64(lat))
-	case in.Op.IsStore():
+		m.setBReady(in.Dest(), m.now+int64(lat), true)
+		m.feedback(in.Dest(), d.ID, val, m.now+int64(lat))
+	case in.IsStore():
 		addr := isa.EffectiveAddress(m.bst.Read(in.Src1), in.Imm)
 		data := m.bst.Read(in.Src2)
-		m.bst.Mem.Write(addr, in.Op.MemSize(), data)
+		m.bst.Mem.Write(addr, in.Size(), data)
 		m.hier.Store(addr, m.now)
 		m.sbuf.Remove(d.ID) // drop any address-only entry
 		m.col.StoreCommitted()
 		m.col.StoreDeferred()
 		// Deleting overlapping younger ALAT entries is what later makes
 		// a conflicted pre-executed load fail its check.
-		m.alat.StoreInvalidate(d.ID, addr, in.Op.MemSize())
-	case in.Op.IsBranch():
+		m.alat.StoreInvalidate(d.ID, addr, in.Size())
+	case in.IsBranch():
 		return m.resolveBranchB(d, true)
 	default:
 		val := isa.Eval(in.Op, m.bst.Read(in.Src1), m.bst.Read(in.Src2), in.Imm)
 		m.bst.Write(in.Dst, val)
-		lat := int64(in.Op.Latency())
-		m.setBReady(in.Dst, m.now+lat, false)
-		m.feedback(in.Dst, d.ID, val, m.now+lat)
+		lat := int64(in.Latency())
+		m.setBReady(in.Dest(), m.now+lat, false)
+		m.feedback(in.Dest(), d.ID, val, m.now+lat)
 	}
 	return bStatus{retired: true}
 }
 
+// predOnB evaluates the qualifying predicate against the B-file; p0 needs
+// no register read.
+//
+//flea:hotpath
+//flea:inline
+func (m *Machine) predOnB(in *isa.Decoded) bool {
+	return in.Always() || m.bst.Read(in.Pred) != 0
+}
+
+// setBReady scoreboards a decoded destination (isa.Decoded.Dest), which is
+// RegNone when nothing is written.
+//
 //flea:hotpath
 func (m *Machine) setBReady(r isa.Reg, at int64, fromLoad bool) {
-	if r == isa.RegNone || r.Hardwired() {
+	if r == isa.RegNone {
 		return
 	}
 	m.bready[r] = at
@@ -446,8 +448,8 @@ func (m *Machine) resolveBranchB(d *pipeline.DynInst, predOn bool) bStatus {
 			if in.Op == isa.OpBrCall {
 				link := isa.Value(uint32(d.PC + 1))
 				m.bst.Write(in.Dst, link)
-				m.setBReady(in.Dst, m.now+1, false)
-				m.feedback(in.Dst, d.ID, link, m.now+1)
+				m.setBReady(in.Dest(), m.now+1, false)
+				m.feedback(in.Dest(), d.ID, link, m.now+1)
 			}
 		case isa.OpBrRet, isa.OpBrInd:
 			taken = true

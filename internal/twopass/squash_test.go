@@ -43,15 +43,13 @@ func newSquashMachine(t *testing.T, cfg Config) *Machine {
 	return m
 }
 
-// testInsts is a pool of static instructions the hand-built DynInsts point
-// at: an ALU op, a store, and a branch.
-var testInsts = struct {
-	alu, store, branch isa.Inst
-}{
-	alu:    isa.Inst{Op: isa.OpAdd, Dst: isa.R(1), Src1: isa.R(2), Src2: isa.R(3)},
-	store:  isa.Inst{Op: isa.OpSt4, Src1: isa.R(1), Src2: isa.R(2)},
-	branch: isa.Inst{Op: isa.OpBr, Target: 0},
-}
+// testInsts is the decoded table of the static instructions the hand-built
+// DynInsts point at: an ALU op, a store, and a branch.
+var testInsts = isa.Decode(nil, []isa.Inst{
+	{Op: isa.OpAdd, Dst: isa.R(1), Src1: isa.R(2), Src2: isa.R(3)},
+	{Op: isa.OpSt4, Src1: isa.R(1), Src2: isa.R(2)},
+	{Op: isa.OpBr, Target: 0},
+})
 
 // enq appends one hand-built group to the coupling queue, maintaining the
 // same occupancy bookkeeping the A-pipe performs, and returns the DynInsts.
@@ -64,11 +62,11 @@ func enq(m *Machine, enqCycle int64, firstID uint64, spec string) []*pipeline.Dy
 		d.ID = firstID + uint64(i)
 		switch c {
 		case 'a', 'A':
-			d.In = &testInsts.alu
+			d.In = &testInsts[0]
 		case 's', 'S':
-			d.In = &testInsts.store
+			d.In = &testInsts[1]
 		case 'b', 'B':
-			d.In = &testInsts.branch
+			d.In = &testInsts[2]
 		default:
 			panic("unknown inst spec " + string(c))
 		}

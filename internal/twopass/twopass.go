@@ -236,10 +236,9 @@ type Machine struct {
 	// returned to it so the cycle loop performs no per-instruction
 	// allocation.
 	arena *pipeline.Arena
-	// dispatchSet, srcScratch and addrScratch are reusable hot-loop
-	// buffers (buildDispatchSet, bBlocked, canMerge).
+	// dispatchSet (2Pre's regrouped set) and addrScratch are reusable
+	// hot-loop buffers (buildDispatchSet, bBlocked).
 	dispatchSet []*pipeline.DynInst
-	srcScratch  []isa.Reg
 	addrScratch []uint32
 
 	// checkpoints holds A-file snapshots taken when branches defer
@@ -401,24 +400,23 @@ func (m *Machine) readA(r isa.Reg) (isa.Value, bool) {
 	return e.val, true
 }
 
-// writeA records an A-pipe result in the A-file.
+// writeA records an A-pipe result in the A-file. r is a decoded
+// destination (isa.Decoded.Dest): RegNone when nothing is written.
 //
 //flea:hotpath
 func (m *Machine) writeA(r isa.Reg, id uint64, v isa.Value, readyAt int64, fromLoad bool) {
-	if r == isa.RegNone || r.Hardwired() {
+	if r == isa.RegNone {
 		return
 	}
 	m.afile[r] = aEntry{val: v, valid: true, spec: true, dynID: id, readyAt: readyAt, fromLoad: fromLoad}
 }
 
 // invalidateA clears the Valid bit of a deferred instruction's destination,
-// which transitively defers its consumers.
+// which transitively defers its consumers. r is a decoded destination other
+// than RegNone.
 //
 //flea:hotpath
 func (m *Machine) invalidateA(r isa.Reg, id uint64) {
-	if r == isa.RegNone || r.Hardwired() {
-		return
-	}
 	e := &m.afile[r]
 	e.valid = false
 	e.spec = false
@@ -428,11 +426,11 @@ func (m *Machine) invalidateA(r isa.Reg, id uint64) {
 // feedback applies a B-pipe retirement to the A-file (§3.5): the update
 // lands only if the A-file entry's DynID still names this instruction (no
 // younger write intervened), arriving FeedbackLatency cycles after the
-// result is produced.
+// result is produced. r is a decoded destination (isa.Decoded.Dest).
 //
 //flea:hotpath
 func (m *Machine) feedback(r isa.Reg, id uint64, v isa.Value, producedAt int64) {
-	if m.cfg.FeedbackLatency < 0 || r == isa.RegNone || r.Hardwired() {
+	if m.cfg.FeedbackLatency < 0 || r == isa.RegNone {
 		return
 	}
 	e := &m.afile[r]
@@ -575,10 +573,10 @@ func (m *Machine) uncount(d *pipeline.DynInst) {
 	m.cqCount--
 	if d.Deferred {
 		m.deferred--
-		if d.In.Op.IsStore() {
+		if d.In.IsStore() {
 			m.deferredStores--
 		}
-		if d.In.Op.IsBranch() {
+		if d.In.IsBranch() {
 			m.dropCheckpoint(d.ID)
 		}
 	}
