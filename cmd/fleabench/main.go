@@ -100,7 +100,7 @@ func run(ctx context.Context) error {
 		fmt.Println(experiments.RenderTable1(cfg))
 	}
 	if all || *table2 {
-		out, err := experiments.RenderTable2(benches)
+		out, err := experiments.RenderTable2(benches, nil)
 		if err != nil {
 			return err
 		}
@@ -146,7 +146,7 @@ func run(ctx context.Context) error {
 		if *benchName != "" {
 			names = []string{*benchName}
 		}
-		points, err := experiments.Fig8(ctx, cfg, names)
+		points, err := experiments.Fig8(ctx, cfg, names, suite)
 		if err != nil {
 			return err
 		}
@@ -201,17 +201,17 @@ func run(ctx context.Context) error {
 		if *benchName != "" {
 			name = *benchName
 		}
-		cq, err := experiments.CQSweep(ctx, cfg, name, []int{16, 32, 64, 128, 256})
+		cq, err := experiments.CQSweep(ctx, cfg, name, []int{16, 32, 64, 128, 256}, suite)
 		if err != nil {
 			return err
 		}
 		fmt.Println(experiments.RenderSweep("Coupling-queue size sweep (paper: insensitive near 64)", "CQ", "deferred", cq))
-		al, err := experiments.ALATSweep(ctx, cfg, name, []int{0, 8, 16, 32, 64})
+		al, err := experiments.ALATSweep(ctx, cfg, name, []int{0, 8, 16, 32, 64}, suite)
 		if err != nil {
 			return err
 		}
 		fmt.Println(experiments.RenderSweep("ALAT capacity sweep (0 = perfect, Table 1)", "entries", "flushes", al))
-		th, err := experiments.ThrottleSweep(ctx, cfg, name, []int{0, 8, 16, 32})
+		th, err := experiments.ThrottleSweep(ctx, cfg, name, []int{0, 8, 16, 32}, suite)
 		if err != nil {
 			return err
 		}

@@ -269,24 +269,19 @@ func finishFigure6(store *fleaflow.Store, rep *fleaflow.Report, outDir, expPath 
 	return nil
 }
 
-// EXPERIMENTS.md carries two fleaflow-maintained regions: the
-// deterministic campaign tables (byte-reproducible from a clean artifact
-// store) and the measured simulator-speed table (honest wall-clock data,
-// varies by machine). They are delimited separately so the deterministic
+// EXPERIMENTS.md carries one fleaflow-maintained region: the deterministic
+// campaign tables, byte-reproducible from a clean artifact store, so the
 // block can be diffed byte-for-byte across runs.
 const (
-	detBegin   = "<!-- fleaflow:begin figure6:deterministic -->"
-	detEnd     = "<!-- fleaflow:end figure6:deterministic -->"
-	speedBegin = "<!-- fleaflow:begin figure6:speed -->"
-	speedEnd   = "<!-- fleaflow:end figure6:speed -->"
+	detBegin = "<!-- fleaflow:begin figure6:deterministic -->"
+	detEnd   = "<!-- fleaflow:end figure6:deterministic -->"
 
 	flowSection = `## fleaflow: figure campaign (generated)
 
 Everything between the markers below is written by
 ` + "`fleaflow run figure6 -experiments EXPERIMENTS.md`" + ` — the DAG
 orchestrator's rendering of the same tables the sections above discuss.
-The deterministic block regenerates byte-for-byte from a clean artifact
-store; the speed block is measured wall-clock data and varies by machine.
+The block regenerates byte-for-byte from a clean artifact store.
 `
 )
 
@@ -300,16 +295,9 @@ func patchExperiments(path string, doc *fleaflow.Figure6Doc) error {
 		if !strings.HasSuffix(text, "\n") {
 			text += "\n"
 		}
-		text += "\n" + flowSection + "\n" +
-			detBegin + "\n" + detEnd + "\n\n" +
-			speedBegin + "\n" + speedEnd + "\n"
+		text += "\n" + flowSection + "\n" + detBegin + "\n" + detEnd + "\n"
 	}
 	text, err = patchRegion(text, detBegin, detEnd, doc.Deterministic)
-	if err != nil {
-		return err
-	}
-	text, err = patchRegion(text, speedBegin, speedEnd,
-		"```\n"+strings.TrimRight(doc.Speed, "\n")+"\n```\n")
 	if err != nil {
 		return err
 	}

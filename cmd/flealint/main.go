@@ -1,5 +1,5 @@
 // Command flealint is the repository's domain-specific vet tool. It bundles
-// nine analyzers that enforce, at compile time, the invariants the runtime
+// eight analyzers that enforce, at compile time, the invariants the runtime
 // tests (steady-state allocation freedom, byte-determinism, zero-overhead
 // tracing, copy-on-write snapshot safety, serving-layer locking) can only
 // catch after the fact:
@@ -9,7 +9,6 @@
 //	                  randomness in simulation packages
 //	traceguard        trace emission behind Enabled() guards; no registry
 //	                  lookups on hot paths
-//	arenadiscipline   DynInst records recycled or handed off on every path
 //	statname          unique, constant metric registration names
 //	snapshotalias     no page references held across copy-on-write snapshot
 //	                  barriers; page stores only through the fault path
@@ -36,7 +35,6 @@ package main
 import (
 	"golang.org/x/tools/go/analysis/unitchecker"
 
-	"fleaflicker/internal/analysis/arenadiscipline"
 	"fleaflicker/internal/analysis/ctxloop"
 	"fleaflicker/internal/analysis/guardedby"
 	"fleaflicker/internal/analysis/hotalloc"
@@ -52,7 +50,6 @@ func main() {
 		hotalloc.Analyzer,
 		nondeterminism.Analyzer,
 		traceguard.Analyzer,
-		arenadiscipline.Analyzer,
 		statname.Analyzer,
 		snapshotalias.Analyzer,
 		snapshotprotocol.Analyzer,

@@ -16,9 +16,6 @@
 //	//flea:traceonly      this function only runs when tracing is enabled;
 //	                      its own emissions need no Enabled() guard, but
 //	                      traceguard requires every call TO it to be guarded.
-//	//flea:handoff        the next (or same-line) statement truncates or
-//	                      reassigns a DynInst slice whose records are owned
-//	                      elsewhere; arenadiscipline accepts it.
 //
 // The flealint v2 (SSA/dataflow) vocabulary:
 //
@@ -72,7 +69,6 @@ const (
 	Coldpath       = "coldpath"
 	OrderInvariant = "orderinvariant"
 	TraceOnly      = "traceonly"
-	Handoff        = "handoff"
 	GuardedBy      = "guardedby"
 	Atomic         = "atomic"
 	Locked         = "locked"

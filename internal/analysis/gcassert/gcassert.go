@@ -43,7 +43,7 @@ type Assertion struct {
 	// bounds-check diagnostics anywhere in [Line, EndLine] belong to this
 	// function.
 	EndLine int
-	// Func is the declared name, for reporting ("(*Arena).Get").
+	// Func is the declared name, for reporting ("(*Ring).At").
 	Func string
 	// Directive is annotation.Inline, annotation.NoEscape or
 	// annotation.BCE.

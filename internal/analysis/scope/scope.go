@@ -47,17 +47,6 @@ var Simulation = []string{
 	"internal/fleaflow",
 }
 
-// Arena packages are those through which pipeline.DynInst ownership flows.
-// Policed by arenadiscipline.
-var Arena = []string{
-	"internal/pipeline",
-	"internal/twopass",
-	"internal/baseline",
-	// Snapshot capture/restore runs inside the machines' cycle loops (at
-	// drain barriers), so it is held to the same ownership rules.
-	"internal/checkpoint",
-}
-
 // Traced packages carry a nil-by-default *trace.Tracer and must guard every
 // emission. Policed by traceguard.
 var Traced = []string{

@@ -71,10 +71,10 @@ type Machine struct {
 	ready        [isa.NumRegs]int64
 	loadProducer [isa.NumRegs]bool
 
-	// arena recycles DynInst records; addrScratch is a reusable
-	// groupBlocked buffer. Together they keep the cycle loop
+	// ring holds the fetched records (the front end's); addrScratch is a
+	// reusable groupBlocked buffer. Together they keep the cycle loop
 	// allocation-free.
-	arena       *pipeline.Arena
+	ring        *pipeline.Ring
 	addrScratch []uint32
 
 	// ra is the run-ahead episode state, nil on the baseline machine.
@@ -132,11 +132,13 @@ func newMachine(model string, cfg Config, prog *program.Program, img *mem.Image)
 	m := &Machine{
 		cfg:  cfg,
 		prog: prog,
-		fe:   pipeline.NewFrontEnd(cfg.Front, prog, hier, bpred.New(cfg.Bpred), cfg.Arena),
+		// Past the fetch queue the machine holds only the group it
+		// dispatches.
+		fe:   pipeline.NewFrontEnd(cfg.Front, cfg.IssueWidth, cfg.IssueWidth, prog, hier, bpred.New(cfg.Bpred), cfg.Arena),
 		hier: hier,
 		st:   arch.NewState(img),
 	}
-	m.arena = m.fe.Arena()
+	m.ring = m.fe.Ring()
 	m.Barrier = pipeline.NewBarrier(model, m.fe, m.st)
 	m.col = stats.NewCollector(metrics.NewRegistry(), prog.Name, model)
 	return m, nil
@@ -250,8 +252,7 @@ func (m *Machine) step() (wake int64) {
 	}
 	m.fe.Pop() // before dispatch: a mispredicted branch flushes the queue
 	m.dispatch(g)
-	m.arena.PutAll(g.Insts) // the group retires (or squashes) whole
-	g.Insts = g.Insts[:0]
+	m.ring.Retire(g.End) // the group retires (or squashes) whole
 	m.col.Cycle(stats.Unstalled)
 	return m.now + 1
 }
@@ -274,11 +275,12 @@ func (m *Machine) groupBlocked(g *pipeline.Group) (cls stats.CycleClass, until i
 			blockedByLoad = m.loadProducer[r]
 		}
 	}
-	for _, d := range g.Insts {
-		for _, s := range d.In.Srcs() {
+	for p := g.Start; p < g.End; p++ {
+		in := m.ring.At(p).In
+		for _, s := range in.Srcs() {
 			consider(s)
 		}
-		if r := d.In.Dest(); r != isa.RegNone {
+		if r := in.Dest(); r != isa.RegNone {
 			consider(r)
 		}
 	}
@@ -292,8 +294,8 @@ func (m *Machine) groupBlocked(g *pipeline.Group) (cls stats.CycleClass, until i
 	// capacity as a group. (Address operands are ready by construction
 	// here.)
 	addrs := m.addrScratch[:0]
-	for _, d := range g.Insts {
-		in := d.In
+	for p := g.Start; p < g.End; p++ {
+		in := m.ring.At(p).In
 		if !in.IsLoad() || !m.predOn(in) {
 			continue
 		}
@@ -310,7 +312,8 @@ func (m *Machine) groupBlocked(g *pipeline.Group) (cls stats.CycleClass, until i
 //
 //flea:hotpath
 func (m *Machine) dispatch(g *pipeline.Group) {
-	for _, d := range g.Insts {
+	for p := g.Start; p < g.End; p++ {
+		d := m.ring.At(p)
 		in := d.In
 		m.col.Instruction()
 		m.Retired++

@@ -76,8 +76,7 @@ func (m *Machine) enterRunahead(g *pipeline.Group, until int64) {
 	ra.ready = m.ready
 	m.fe.Pop() // consume the stalled group into run-ahead execution
 	m.runaheadGroup(g)
-	m.arena.PutAll(g.Insts)
-	g.Insts = g.Insts[:0]
+	m.ring.Retire(g.End)
 }
 
 // stepRunahead executes one cycle of run-ahead mode and returns its wake
@@ -93,8 +92,7 @@ func (m *Machine) stepRunahead() (wake int64) {
 	if g := m.fe.Head(m.now); g != nil {
 		m.fe.Pop()
 		m.runaheadGroup(g)
-		m.arena.PutAll(g.Insts)
-		g.Insts = g.Insts[:0]
+		m.ring.Retire(g.End)
 		return m.now + 1
 	}
 	return m.ra.exitAt
@@ -119,7 +117,8 @@ func (m *Machine) exitRunahead() {
 //
 //flea:hotpath
 func (m *Machine) runaheadGroup(g *pipeline.Group) {
-	for _, d := range g.Insts {
+	for p := g.Start; p < g.End; p++ {
+		d := m.ring.At(p)
 		in := d.In
 		m.RunaheadInsts++
 		if m.tr.Enabled() {

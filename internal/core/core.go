@@ -86,11 +86,11 @@ type Config struct {
 
 	MaxCycles int64
 
-	// Arena, when non-nil, supplies the machine's DynInst storage, memory
+	// Arena, when non-nil, supplies the machine's DynInst ring, memory
 	// hierarchy and decoded instruction table so repeated simulations (the
-	// differential fuzzer's inner loop) reuse them instead of growing fresh
-	// slabs, rebuilding the Table 1 caches per program and decoding each
-	// program once per lattice cell. Excluded from serialization: it is an
+	// differential fuzzer's inner loop) reuse them instead of allocating a
+	// fresh ring, rebuilding the Table 1 caches per program and decoding
+	// each program once per lattice cell. Excluded from serialization: it is an
 	// execution resource, not a machine parameter, so configs that differ
 	// only here are the same cache key.
 	Arena *pipeline.Arena `json:"-"`

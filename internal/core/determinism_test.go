@@ -46,19 +46,22 @@ func TestSimulateDeterministic(t *testing.T) {
 }
 
 // TestSharedArenaMatchesFresh runs programs A, B and A again back to back on
-// one shared arena, on every model, and pins each run's measurements to a
-// run of the same program on a fresh arena. The arena keeps the last
-// program's decoded instruction table and memory hierarchy; a table that
-// were not rebuilt when the program changes would run B, and then A again,
-// on the other program's instructions.
+// one shared arena, then A with coupling queues of 8, 256 and 64 entries, on
+// every model, and pins each run's measurements to a run of the same program
+// and configuration on a fresh arena. The arena keeps the last program's
+// decoded instruction table, its memory hierarchy and its record ring; a
+// table that were not rebuilt when the program changes would run B, and then
+// A again, on the other program's instructions, and a ring that were not
+// grown, or not emptied, for the next machine would lose or replay records.
 func TestSharedArenaMatchesFresh(t *testing.T) {
 	a := progen.Generate(1, progen.DefaultConfig())
 	b := progen.Generate(2, progen.DefaultConfig())
 	ctx := context.Background()
 	for _, model := range Models() {
 		t.Run(model.String(), func(t *testing.T) {
-			run := func(prog *program.Program, arena *pipeline.Arena) []byte {
+			run := func(prog *program.Program, cqSize int, arena *pipeline.Arena) []byte {
 				cfg := DefaultConfig()
+				cfg.CQSize = cqSize
 				cfg.Arena = arena
 				r, err := Simulate(ctx, model, prog, WithConfig(cfg), WithVerify())
 				if err != nil {
@@ -71,11 +74,15 @@ func TestSharedArenaMatchesFresh(t *testing.T) {
 				return js
 			}
 			shared := pipeline.NewArena()
-			for i, prog := range []*program.Program{a, b, a} {
-				got, want := run(prog, shared), run(prog, pipeline.NewArena())
+			steps := []struct {
+				prog   *program.Program
+				cqSize int
+			}{{a, 64}, {b, 64}, {a, 64}, {a, 8}, {a, 256}, {a, 64}}
+			for i, st := range steps {
+				got, want := run(st.prog, st.cqSize, shared), run(st.prog, st.cqSize, pipeline.NewArena())
 				if !bytes.Equal(got, want) {
-					t.Errorf("run %d (%s) on the shared arena diverged from a fresh arena:\n shared: %s\n fresh:  %s",
-						i, prog.Name, got, want)
+					t.Errorf("run %d (%s, CQ %d) on the shared arena diverged from a fresh arena:\n shared: %s\n fresh:  %s",
+						i, st.prog.Name, st.cqSize, got, want)
 				}
 			}
 		})

@@ -15,7 +15,6 @@ import (
 	"sort"
 	"strings"
 	"sync"
-	"time"
 
 	"fleaflicker/internal/arch"
 	"fleaflicker/internal/checkpoint"
@@ -30,11 +29,6 @@ type SuiteRuns struct {
 	Config     core.Config
 	Benchmarks []string
 	Runs       map[string]map[core.Model]*stats.Run
-	// Durations holds the wall-clock time each cell's core.Simulate call
-	// took (including reference verification when enabled), so callers such
-	// as the serving layer and fleaflow's speed table can report real
-	// job-latency numbers instead of discarding them.
-	Durations map[string]map[core.Model]time.Duration
 }
 
 // Get returns the run for one cell; nil if absent.
@@ -42,10 +36,15 @@ func (s *SuiteRuns) Get(bench string, model core.Model) *stats.Run {
 	return s.Runs[bench][model]
 }
 
-// Duration returns the wall-clock simulation time of one cell; zero if the
-// cell is absent.
-func (s *SuiteRuns) Duration(bench string, model core.Model) time.Duration {
-	return s.Durations[bench][model]
+// Reuse returns the run of bench on model when cfg is the configuration s
+// was simulated with, so that a sweep point at the base configuration takes
+// the suite's run instead of simulating it again. It returns nil when s is
+// nil or holds no such run.
+func (s *SuiteRuns) Reuse(cfg core.Config, bench string, model core.Model) *stats.Run {
+	if s == nil || s.Config != cfg {
+		return nil
+	}
+	return s.Get(bench, model)
 }
 
 // suiteMode selects how runSuite treats the functional reference.
@@ -110,9 +109,8 @@ func suiteReference(b *workload.Benchmark, maxSteps int64, mode suiteMode) (*cor
 
 func runSuite(ctx context.Context, cfg core.Config, models []core.Model, benches []*workload.Benchmark, mode suiteMode) (*SuiteRuns, error) {
 	out := &SuiteRuns{
-		Config:    cfg,
-		Runs:      make(map[string]map[core.Model]*stats.Run),
-		Durations: make(map[string]map[core.Model]time.Duration),
+		Config: cfg,
+		Runs:   make(map[string]map[core.Model]*stats.Run),
 	}
 	// refCell lazily computes a benchmark's shared reference: the first model
 	// cell to need it pays the functional execution, the rest reuse it.
@@ -126,7 +124,6 @@ func runSuite(ctx context.Context, cfg core.Config, models []core.Model, benches
 	for _, b := range benches {
 		out.Benchmarks = append(out.Benchmarks, b.Name)
 		out.Runs[b.Name] = make(map[core.Model]*stats.Run)
-		out.Durations[b.Name] = make(map[core.Model]time.Duration)
 		refs[b.Name] = &refCell{}
 	}
 
@@ -172,9 +169,7 @@ func runSuite(ctx context.Context, cfg core.Config, models []core.Model, benches
 					opts = append(opts, core.ResumeFrom(rc.resume))
 				}
 			}
-			start := time.Now()
 			r, err := core.Simulate(ctx, j.model, j.bench.Program(), opts...)
-			elapsed := time.Since(start)
 			mu.Lock()
 			defer mu.Unlock()
 			if err != nil {
@@ -182,7 +177,6 @@ func runSuite(ctx context.Context, cfg core.Config, models []core.Model, benches
 				return
 			}
 			out.Runs[j.bench.Name][j.model] = r
-			out.Durations[j.bench.Name][j.model] = elapsed
 		}(j)
 	}
 	wg.Wait()
@@ -311,8 +305,10 @@ type Fig8Point struct {
 // Fig8Latencies is the sweep of the paper's Figure 8.
 var Fig8Latencies = []int{0, 1, 2, 4, 8, -1}
 
-// Fig8 sweeps the B→A feedback latency for the named benchmarks.
-func Fig8(ctx context.Context, cfg core.Config, names []string) ([]Fig8Point, error) {
+// Fig8 sweeps the B→A feedback latency for the named benchmarks. A point
+// whose configuration is done's takes done's 2P run (see SuiteRuns.Reuse);
+// done may be nil.
+func Fig8(ctx context.Context, cfg core.Config, names []string, done *SuiteRuns) ([]Fig8Point, error) {
 	var out []Fig8Point
 	for _, name := range names {
 		b, err := workload.ByName(name)
@@ -322,9 +318,11 @@ func Fig8(ctx context.Context, cfg core.Config, names []string) ([]Fig8Point, er
 		for _, lat := range Fig8Latencies {
 			c := cfg
 			c.FeedbackLatency = lat
-			r, err := core.Simulate(ctx, core.TwoPass, b.Program(), core.WithConfig(c))
-			if err != nil {
-				return nil, fmt.Errorf("fig8 %s lat %d: %w", name, lat, err)
+			r := done.Reuse(c, name, core.TwoPass)
+			if r == nil {
+				if r, err = core.Simulate(ctx, core.TwoPass, b.Program(), core.WithConfig(c)); err != nil {
+					return nil, fmt.Errorf("fig8 %s lat %d: %w", name, lat, err)
+				}
 			}
 			out = append(out, Fig8Point{Benchmark: name, Latency: lat, Deferred: r.Deferred, Cycles: r.Cycles})
 		}
@@ -469,19 +467,39 @@ func RenderTable1(cfg core.Config) string {
 }
 
 // RenderTable2 prints the benchmark suite with measured dynamic instruction
-// counts (the role of Table 2).
-func RenderTable2(benches []*workload.Benchmark) (string, error) {
+// counts (the role of Table 2). A benchmark with a run in verified, whose
+// instruction count verification checked against the reference, takes its
+// count from there; the others run the functional executor. verified may be
+// nil.
+func RenderTable2(benches []*workload.Benchmark, verified *SuiteRuns) (string, error) {
 	var b strings.Builder
 	b.WriteString("Table 2: benchmarks and dynamic instruction counts\n")
 	fmt.Fprintf(&b, "  %-14s %14s   %s\n", "benchmark", "instructions", "signature")
 	for _, bench := range benches {
-		r, err := arch.Run(bench.Program(), 100_000_000)
+		n, err := instructions(bench, verified)
 		if err != nil {
 			return "", fmt.Errorf("table2 %s: %w", bench.Name, err)
 		}
-		fmt.Fprintf(&b, "  %-14s %14d   %s\n", bench.Name, r.Instructions, bench.Signature)
+		fmt.Fprintf(&b, "  %-14s %14d   %s\n", bench.Name, n, bench.Signature)
 	}
 	return b.String(), nil
+}
+
+// instructions returns bench's dynamic instruction count: any verified run
+// of it in verified, or else the functional executor's.
+func instructions(bench *workload.Benchmark, verified *SuiteRuns) (int64, error) {
+	if verified != nil {
+		for _, m := range core.Models() {
+			if r := verified.Get(bench.Name, m); r != nil {
+				return r.Instructions, nil
+			}
+		}
+	}
+	r, err := arch.Run(bench.Program(), 100_000_000)
+	if err != nil {
+		return 0, err
+	}
+	return r.Instructions, nil
 }
 
 // SweepPoint is one cell of a single-parameter sweep.
@@ -493,28 +511,29 @@ type SweepPoint struct {
 }
 
 // CQSweep varies the coupling-queue size (the paper reports insensitivity
-// around 64).
-func CQSweep(ctx context.Context, cfg core.Config, name string, sizes []int) ([]SweepPoint, error) {
-	return sweep(ctx, cfg, name, sizes, func(c *core.Config, v int) { c.CQSize = v },
+// around 64). Like every sweep, a point whose configuration is done's takes
+// done's 2P run (see SuiteRuns.Reuse); done may be nil.
+func CQSweep(ctx context.Context, cfg core.Config, name string, sizes []int, done *SuiteRuns) ([]SweepPoint, error) {
+	return sweep(ctx, cfg, name, sizes, done, func(c *core.Config, v int) { c.CQSize = v },
 		func(r *stats.Run) int64 { return r.Deferred })
 }
 
 // ALATSweep varies ALAT capacity (0 = perfect), showing the cost of
 // false-positive conflict flushes.
-func ALATSweep(ctx context.Context, cfg core.Config, name string, capacities []int) ([]SweepPoint, error) {
-	return sweep(ctx, cfg, name, capacities, func(c *core.Config, v int) { c.ALATCapacity = v },
+func ALATSweep(ctx context.Context, cfg core.Config, name string, capacities []int, done *SuiteRuns) ([]SweepPoint, error) {
+	return sweep(ctx, cfg, name, capacities, done, func(c *core.Config, v int) { c.ALATCapacity = v },
 		func(r *stats.Run) int64 { return r.ConflictFlushes })
 }
 
 // ThrottleSweep varies the A-pipe deferral throttle (§3.5 future work).
-func ThrottleSweep(ctx context.Context, cfg core.Config, name string, limits []int) ([]SweepPoint, error) {
-	return sweep(ctx, cfg, name, limits, func(c *core.Config, v int) { c.DeferThrottle = v },
+func ThrottleSweep(ctx context.Context, cfg core.Config, name string, limits []int, done *SuiteRuns) ([]SweepPoint, error) {
+	return sweep(ctx, cfg, name, limits, done, func(c *core.Config, v int) { c.DeferThrottle = v },
 		func(r *stats.Run) int64 { return r.Deferred })
 }
 
 // sweep runs the named benchmark on the two-pass machine once per value,
 // applying each with set and recording extra as the secondary metric.
-func sweep(ctx context.Context, cfg core.Config, name string, values []int,
+func sweep(ctx context.Context, cfg core.Config, name string, values []int, done *SuiteRuns,
 	set func(*core.Config, int), extra func(*stats.Run) int64) ([]SweepPoint, error) {
 	b, err := workload.ByName(name)
 	if err != nil {
@@ -524,9 +543,11 @@ func sweep(ctx context.Context, cfg core.Config, name string, values []int,
 	for _, v := range values {
 		c := cfg
 		set(&c, v)
-		r, err := core.Simulate(ctx, core.TwoPass, b.Program(), core.WithConfig(c))
-		if err != nil {
-			return nil, err
+		r := done.Reuse(c, name, core.TwoPass)
+		if r == nil {
+			if r, err = core.Simulate(ctx, core.TwoPass, b.Program(), core.WithConfig(c)); err != nil {
+				return nil, err
+			}
 		}
 		out = append(out, SweepPoint{name, v, r.Cycles, extra(r)})
 	}

@@ -79,23 +79,6 @@ func TestRunSuiteAndRenderers(t *testing.T) {
 	}
 }
 
-func TestRunSuiteExportsDurations(t *testing.T) {
-	s, err := RunSuite(context.Background(), core.DefaultConfig(), Fig6Models, fastBenches(t), false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, bench := range s.Benchmarks {
-		for _, m := range Fig6Models {
-			if d := s.Duration(bench, m); d <= 0 {
-				t.Errorf("%s/%v: duration %v, want > 0", bench, m, d)
-			}
-		}
-	}
-	if d := s.Duration("no.such", core.Baseline); d != 0 {
-		t.Errorf("absent cell duration = %v, want 0", d)
-	}
-}
-
 func TestSpeedupSummary(t *testing.T) {
 	s, err := RunSuite(context.Background(), core.DefaultConfig(), Fig6Models, fastBenches(t), false)
 	if err != nil {
@@ -108,7 +91,7 @@ func TestSpeedupSummary(t *testing.T) {
 }
 
 func TestFig8Driver(t *testing.T) {
-	points, err := Fig8(context.Background(), core.DefaultConfig(), []string{"300.twolf"})
+	points, err := Fig8(context.Background(), core.DefaultConfig(), []string{"300.twolf"}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -132,7 +115,7 @@ func TestTables(t *testing.T) {
 			t.Errorf("Table 1 missing %q:\n%s", want, t1)
 		}
 	}
-	t2, err := RenderTable2(fastBenches(t))
+	t2, err := RenderTable2(fastBenches(t), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -143,15 +126,15 @@ func TestTables(t *testing.T) {
 
 func TestSweeps(t *testing.T) {
 	cfg := core.DefaultConfig()
-	cq, err := CQSweep(context.Background(), cfg, "300.twolf", []int{16, 64})
+	cq, err := CQSweep(context.Background(), cfg, "300.twolf", []int{16, 64}, nil)
 	if err != nil || len(cq) != 2 {
 		t.Fatalf("CQSweep: %v %v", cq, err)
 	}
-	al, err := ALATSweep(context.Background(), cfg, "300.twolf", []int{0, 8})
+	al, err := ALATSweep(context.Background(), cfg, "300.twolf", []int{0, 8}, nil)
 	if err != nil || len(al) != 2 {
 		t.Fatalf("ALATSweep: %v %v", al, err)
 	}
-	th, err := ThrottleSweep(context.Background(), cfg, "300.twolf", []int{0, 8})
+	th, err := ThrottleSweep(context.Background(), cfg, "300.twolf", []int{0, 8}, nil)
 	if err != nil || len(th) != 2 {
 		t.Fatalf("ThrottleSweep: %v %v", th, err)
 	}
@@ -159,7 +142,7 @@ func TestSweeps(t *testing.T) {
 	if !strings.Contains(out, "title") || !strings.Contains(out, "300.twolf") {
 		t.Errorf("sweep render incomplete:\n%s", out)
 	}
-	if _, err := CQSweep(context.Background(), cfg, "no.such", []int{16}); err == nil {
+	if _, err := CQSweep(context.Background(), cfg, "no.such", []int{16}, nil); err == nil {
 		t.Errorf("unknown benchmark should error")
 	}
 }
@@ -172,10 +155,10 @@ func TestDriversHonourCancellation(t *testing.T) {
 	cfg := core.DefaultConfig()
 	bench := []string{"254.gap"}
 	drivers := map[string]func() error{
-		"Fig8":          func() error { _, err := Fig8(ctx, cfg, bench); return err },
-		"CQSweep":       func() error { _, err := CQSweep(ctx, cfg, bench[0], []int{64}); return err },
-		"ALATSweep":     func() error { _, err := ALATSweep(ctx, cfg, bench[0], []int{0}); return err },
-		"ThrottleSweep": func() error { _, err := ThrottleSweep(ctx, cfg, bench[0], []int{0}); return err },
+		"Fig8":          func() error { _, err := Fig8(ctx, cfg, bench, nil); return err },
+		"CQSweep":       func() error { _, err := CQSweep(ctx, cfg, bench[0], []int{64}, nil); return err },
+		"ALATSweep":     func() error { _, err := ALATSweep(ctx, cfg, bench[0], []int{0}, nil); return err },
+		"ThrottleSweep": func() error { _, err := ThrottleSweep(ctx, cfg, bench[0], []int{0}, nil); return err },
 		"CompareMachines": func() error {
 			_, err := CompareMachines(ctx, cfg, PerfectMemoryConfig(), fastBenches(t))
 			return err
@@ -250,7 +233,7 @@ func TestCSVExport(t *testing.T) {
 			t.Errorf("%s missing expected rows:\n%s", name, text[:min(400, len(text))])
 		}
 	}
-	points, err := Fig8(context.Background(), core.DefaultConfig(), []string{"300.twolf"})
+	points, err := Fig8(context.Background(), core.DefaultConfig(), []string{"300.twolf"}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -3,8 +3,6 @@ package fleaflow
 import (
 	"context"
 	"fmt"
-	"math"
-	"strings"
 	"time"
 
 	"fleaflicker/internal/core"
@@ -48,17 +46,16 @@ func runServiceJob(ctx context.Context, cl *client.Client, spec service.JobSpec)
 }
 
 // serviceRunUnit runs a single (model, bench) cell through the service and
-// returns its measurement record and wall-clock duration.
-func serviceRunUnit(ctx context.Context, cl *client.Client, spec service.JobSpec) (*stats.Run, time.Duration, error) {
+// returns its measurement record.
+func serviceRunUnit(ctx context.Context, cl *client.Client, spec service.JobSpec) (*stats.Run, error) {
 	st, err := runServiceJob(ctx, cl, spec)
 	if err != nil {
-		return nil, 0, err
+		return nil, err
 	}
 	if len(st.Units) != 1 || st.Units[0].Result == nil || st.Units[0].Result.Run == nil {
-		return nil, 0, fmt.Errorf("service job %s returned no run result", st.ID)
+		return nil, fmt.Errorf("service job %s returned no run result", st.ID)
 	}
-	res := st.Units[0].Result
-	return res.Run, time.Duration(res.DurationMS * float64(time.Millisecond)), nil
+	return st.Units[0].Result.Run, nil
 }
 
 // runSuiteStage produces one benchmark's slice of the cross-model suite.
@@ -74,108 +71,93 @@ func runSuiteStage(ctx context.Context, env Env, cfg core.Config, models []core.
 		Config:     cfg,
 		Benchmarks: []string{b.Name},
 		Runs:       map[string]map[core.Model]*stats.Run{b.Name: {}},
-		Durations:  map[string]map[core.Model]time.Duration{b.Name: {}},
 	}
 	for _, m := range models {
-		r, d, err := serviceRunUnit(ctx, env.Service, service.JobSpec{
+		r, err := serviceRunUnit(ctx, env.Service, service.JobSpec{
 			Model: m.String(), Bench: b.Name, Verify: true,
 		})
 		if err != nil {
 			return nil, fmt.Errorf("suite %s/%s: %w", b.Name, m, err)
 		}
 		out.Runs[b.Name][m] = r
-		out.Durations[b.Name][m] = d
 	}
 	return out, nil
 }
 
-// runSweepStage produces one single-parameter ablation sweep. The service
-// path expresses each point as a run job with a config override — the same
-// simulations the local experiments.*Sweep helpers perform.
-func runSweepStage(ctx context.Context, env Env, cfg core.Config, kind, bench string, values []int) ([]experiments.SweepPoint, error) {
+// runSweepStage produces one single-parameter ablation sweep. A point at
+// the suite's configuration takes done's 2P run (see SuiteRuns.Reuse). The
+// service path expresses every other point as a run job with a config
+// override — the same simulations the local experiments.*Sweep helpers
+// perform.
+func runSweepStage(ctx context.Context, env Env, cfg core.Config, kind, bench string, values []int, done *experiments.SuiteRuns) ([]experiments.SweepPoint, error) {
 	if env.Service == nil {
 		switch kind {
 		case "cq":
-			return experiments.CQSweep(ctx, cfg, bench, values)
+			return experiments.CQSweep(ctx, cfg, bench, values, done)
 		case "alat":
-			return experiments.ALATSweep(ctx, cfg, bench, values)
+			return experiments.ALATSweep(ctx, cfg, bench, values, done)
 		case "throttle":
-			return experiments.ThrottleSweep(ctx, cfg, bench, values)
+			return experiments.ThrottleSweep(ctx, cfg, bench, values, done)
 		}
 		return nil, fmt.Errorf("fleaflow: unknown sweep kind %q", kind)
 	}
 	var out []experiments.SweepPoint
 	for _, v := range values {
 		v := v
+		c := cfg
 		var over service.ConfigOverrides
 		var extra func(r *stats.Run) int64
 		switch kind {
 		case "cq":
-			over.CQSize = &v
+			c.CQSize, over.CQSize = v, &v
 			extra = func(r *stats.Run) int64 { return r.Deferred }
 		case "alat":
-			over.ALATCapacity = &v
+			c.ALATCapacity, over.ALATCapacity = v, &v
 			extra = func(r *stats.Run) int64 { return r.ConflictFlushes }
 		case "throttle":
-			over.DeferThrottle = &v
+			c.DeferThrottle, over.DeferThrottle = v, &v
 			extra = func(r *stats.Run) int64 { return r.Deferred }
 		default:
 			return nil, fmt.Errorf("fleaflow: unknown sweep kind %q", kind)
 		}
-		r, _, err := serviceRunUnit(ctx, env.Service, service.JobSpec{
-			Model: core.TwoPass.String(), Bench: bench, Config: over,
-		})
-		if err != nil {
-			return nil, fmt.Errorf("sweep %s=%d: %w", kind, v, err)
+		r := done.Reuse(c, bench, core.TwoPass)
+		if r == nil {
+			var err error
+			if r, err = serviceRunUnit(ctx, env.Service, service.JobSpec{
+				Model: core.TwoPass.String(), Bench: bench, Config: over,
+			}); err != nil {
+				return nil, fmt.Errorf("sweep %s=%d: %w", kind, v, err)
+			}
 		}
 		out = append(out, experiments.SweepPoint{Benchmark: bench, Value: v, Cycles: r.Cycles, Extra: extra(r)})
 	}
 	return out, nil
 }
 
-// runFig8Stage produces the B→A feedback-latency sweep of Figure 8.
-func runFig8Stage(ctx context.Context, env Env, cfg core.Config, names []string) ([]experiments.Fig8Point, error) {
+// runFig8Stage produces the B→A feedback-latency sweep of Figure 8, taking
+// done's 2P runs where they apply, as runSweepStage does.
+func runFig8Stage(ctx context.Context, env Env, cfg core.Config, names []string, done *experiments.SuiteRuns) ([]experiments.Fig8Point, error) {
 	if env.Service == nil {
-		return experiments.Fig8(ctx, cfg, names)
+		return experiments.Fig8(ctx, cfg, names, done)
 	}
 	var out []experiments.Fig8Point
 	for _, name := range names {
 		for _, lat := range experiments.Fig8Latencies {
 			lat := lat
-			r, _, err := serviceRunUnit(ctx, env.Service, service.JobSpec{
-				Model: core.TwoPass.String(), Bench: name,
-				Config: service.ConfigOverrides{FeedbackLatency: &lat},
-			})
-			if err != nil {
-				return nil, fmt.Errorf("fig8 %s lat %d: %w", name, lat, err)
+			c := cfg
+			c.FeedbackLatency = lat
+			r := done.Reuse(c, name, core.TwoPass)
+			if r == nil {
+				var err error
+				if r, err = serviceRunUnit(ctx, env.Service, service.JobSpec{
+					Model: core.TwoPass.String(), Bench: name,
+					Config: service.ConfigOverrides{FeedbackLatency: &lat},
+				}); err != nil {
+					return nil, fmt.Errorf("fig8 %s lat %d: %w", name, lat, err)
+				}
 			}
 			out = append(out, experiments.Fig8Point{Benchmark: name, Latency: lat, Deferred: r.Deferred, Cycles: r.Cycles})
 		}
 	}
 	return out, nil
-}
-
-// renderSpeed formats the measured simulated-instruction throughput of
-// each model over the whole suite (wall-clock data: not byte-reproducible
-// across machines or runs).
-func renderSpeed(s *experiments.SuiteRuns, models []core.Model) string {
-	var b strings.Builder
-	b.WriteString("Simulator throughput over the verified suite (measured, varies by machine)\n")
-	fmt.Fprintf(&b, "%-10s %16s %14s %14s\n", "model", "instructions", "duration", "instr/s")
-	for _, m := range models {
-		var instr int64
-		var dur time.Duration
-		for _, bench := range s.Benchmarks {
-			if r := s.Get(bench, m); r != nil {
-				instr += r.Instructions
-				dur += s.Duration(bench, m)
-			}
-		}
-		var perSec float64
-		if dur > 0 {
-			perSec = float64(instr) / dur.Seconds()
-		}
-		fmt.Fprintf(&b, "%-10s %16d %14s %14.0f\n", m, instr, dur.Round(time.Millisecond), math.Round(perSec))
-	}
-	return b.String()
 }

@@ -3,6 +3,7 @@ package fleaflow
 import (
 	"context"
 	"errors"
+	"slices"
 	"strings"
 	"testing"
 
@@ -125,6 +126,37 @@ func TestFigure6GraphShape(t *testing.T) {
 	}
 }
 
+// TestFigure6ReusesSuiteStages pins the edges through which Table 2,
+// Figure 8 and the sweeps take the suite's results instead of recomputing
+// them: each depends on exactly the suite stages of its benchmarks.
+func TestFigure6ReusesSuiteStages(t *testing.T) {
+	p := Figure6(Env{})
+	var allSuites []string
+	for _, st := range p.Stages {
+		if strings.HasPrefix(st.Name, "suite/") {
+			allSuites = append(allSuites, st.Name)
+		}
+	}
+	want := map[string][]string{
+		"table2":         allSuites,
+		"fig8":           {"suite/099.go", "suite/130.li", "suite/181.mcf"},
+		"sweep/cq":       {"suite/181.mcf"},
+		"sweep/alat":     {"suite/181.mcf"},
+		"sweep/throttle": {"suite/181.mcf"},
+	}
+	for _, st := range p.Stages {
+		if deps, ok := want[st.Name]; ok {
+			if !slices.Equal(st.Deps, deps) {
+				t.Errorf("%s depends on %v, want %v", st.Name, st.Deps, deps)
+			}
+			delete(want, st.Name)
+		}
+	}
+	for name := range want {
+		t.Errorf("figure6 has no %s stage", name)
+	}
+}
+
 func TestGraphRenderers(t *testing.T) {
 	p := Figure6(Env{})
 	dot := DOT(p)
@@ -153,11 +185,11 @@ func TestLocalStagesHonourCancellation(t *testing.T) {
 	cancel()
 	cfg := core.DefaultConfig()
 	for _, kind := range []string{"cq", "alat", "throttle"} {
-		if _, err := runSweepStage(ctx, Env{}, cfg, kind, "254.gap", []int{16}); !errors.Is(err, context.Canceled) {
+		if _, err := runSweepStage(ctx, Env{}, cfg, kind, "254.gap", []int{16}, nil); !errors.Is(err, context.Canceled) {
 			t.Errorf("%s sweep: err = %v, want context.Canceled", kind, err)
 		}
 	}
-	if _, err := runFig8Stage(ctx, Env{}, cfg, []string{"254.gap"}); !errors.Is(err, context.Canceled) {
+	if _, err := runFig8Stage(ctx, Env{}, cfg, []string{"254.gap"}, nil); !errors.Is(err, context.Canceled) {
 		t.Errorf("fig8: err = %v, want context.Canceled", err)
 	}
 	probe := Smoke(Env{}).Stages[0]

@@ -16,7 +16,11 @@ type ALAT struct {
 	// (perfect).
 	Capacity int
 
-	entries []alatEntry // ordered by increasing load ID
+	// entries[head:] are the live entries, ordered by increasing load ID.
+	// The B-pipe checks loads in ID order, so removal is nearly always at
+	// the head, which only advances head (see pushBack).
+	entries []alatEntry
+	head    int
 	// Evictions counts capacity evictions (each one is a future
 	// false-positive conflict).
 	Evictions int64
@@ -29,20 +33,20 @@ type alatEntry struct {
 }
 
 // Len returns the number of live entries.
-func (a *ALAT) Len() int { return len(a.entries) }
+func (a *ALAT) Len() int { return len(a.entries) - a.head }
 
 // Insert records an A-pipe-executed load. IDs arrive in increasing order.
 //
 //flea:hotpath
 func (a *ALAT) Insert(loadID uint64, addr uint32, size int) {
-	if n := len(a.entries); n > 0 && a.entries[n-1].loadID >= loadID {
+	if n := len(a.entries); n > a.head && a.entries[n-1].loadID >= loadID {
 		panic("mem: ALAT entries must be inserted in increasing ID order")
 	}
-	if a.Capacity > 0 && len(a.entries) >= a.Capacity {
-		a.entries = a.entries[1:] // evict oldest; its check will conflict
+	if a.Capacity > 0 && a.Len() >= a.Capacity {
+		a.head++ // evict oldest; its check will conflict
 		a.Evictions++
 	}
-	a.entries = append(a.entries, alatEntry{loadID, addr, size})
+	a.entries = pushBack(a.entries, &a.head, alatEntry{loadID, addr, size})
 }
 
 // StoreInvalidate deletes entries of loads younger than storeID whose
@@ -52,8 +56,8 @@ func (a *ALAT) Insert(loadID uint64, addr uint32, size int) {
 //flea:hotpath
 func (a *ALAT) StoreInvalidate(storeID uint64, addr uint32, size int) int {
 	n := 0
-	dst := a.entries[:0]
-	for _, e := range a.entries {
+	dst := a.entries[a.head:a.head]
+	for _, e := range a.entries[a.head:] {
 		conflict := e.loadID > storeID &&
 			e.addr < addr+uint32(size) && addr < e.addr+uint32(e.size)
 		if conflict {
@@ -62,7 +66,7 @@ func (a *ALAT) StoreInvalidate(storeID uint64, addr uint32, size int) int {
 		}
 		dst = append(dst, e)
 	}
-	a.entries = dst
+	a.entries = a.entries[:a.head+len(dst)]
 	return n
 }
 
@@ -72,9 +76,14 @@ func (a *ALAT) StoreInvalidate(storeID uint64, addr uint32, size int) int {
 //
 //flea:hotpath
 func (a *ALAT) CheckAndRemove(loadID uint64) bool {
-	for i := range a.entries {
-		if a.entries[i].loadID == loadID {
-			a.entries = append(a.entries[:i], a.entries[i+1:]...)
+	live := a.entries[a.head:]
+	if len(live) > 0 && live[0].loadID == loadID {
+		a.head++
+		return true
+	}
+	for i := range live {
+		if live[i].loadID == loadID {
+			a.entries = append(a.entries[:a.head+i], live[i+1:]...)
 			return true
 		}
 	}
@@ -85,7 +94,7 @@ func (a *ALAT) CheckAndRemove(loadID uint64) bool {
 //
 //flea:hotpath
 func (a *ALAT) FlushFrom(id uint64) {
-	for i := range a.entries {
+	for i := a.head; i < len(a.entries); i++ {
 		if a.entries[i].loadID >= id {
 			a.entries = a.entries[:i]
 			return
@@ -94,4 +103,4 @@ func (a *ALAT) FlushFrom(id uint64) {
 }
 
 // Reset empties the table (statistics are preserved).
-func (a *ALAT) Reset() { a.entries = a.entries[:0] }
+func (a *ALAT) Reset() { a.entries, a.head = a.entries[:0], 0 }

@@ -13,9 +13,26 @@ type StoreEntry struct {
 	DataKnown bool
 }
 
-func (e *StoreEntry) overlapsByte(addr uint32) bool {
-	return addr-e.Addr < uint32(e.Size) // unsigned trick: addr in [Addr, Addr+Size)
+// cover returns the bytes of the load [addr, addr+size) that e writes, as a
+// mask with bit i for byte addr+i. Addresses wrap at 2^32, like Image's.
+//
+//flea:hotpath
+//flea:inline
+func (e *StoreEntry) cover(addr uint32, size int) uint8 {
+	if k := e.Addr - addr; k < uint32(size) { // e starts inside the load
+		return byteSpan(k, min(uint32(size), k+uint32(e.Size)))
+	}
+	if d := addr - e.Addr; d < uint32(e.Size) { // the load starts inside e
+		return byteSpan(0, min(uint32(size), uint32(e.Size)-d))
+	}
+	return 0
 }
+
+// byteSpan returns the mask of bytes lo ≤ i < hi, hi ≤ 8.
+//
+//flea:hotpath
+//flea:inline
+func byteSpan(lo, hi uint32) uint8 { return uint8(1<<hi - 1<<lo) }
 
 // StoreBuffer is the speculative store buffer of the two-pass design: stores
 // executed in the A-pipe write here (never to architectural memory) and
@@ -23,23 +40,27 @@ func (e *StoreEntry) overlapsByte(addr uint32) bool {
 // the B-pipe commits the store, or flushed on misprediction/conflict
 // recovery. The zero value is an empty buffer.
 type StoreBuffer struct {
-	entries []StoreEntry // ordered by increasing ID
+	// entries[head:] are the buffered stores, ordered by increasing ID. The
+	// B-pipe commits stores in ID order, so removal is nearly always at
+	// the head, which only advances head (see pushBack).
+	entries []StoreEntry
+	head    int
 }
 
 // Len returns the number of buffered stores.
 //
 //flea:hotpath
-func (b *StoreBuffer) Len() int { return len(b.entries) }
+func (b *StoreBuffer) Len() int { return len(b.entries) - b.head }
 
 // Insert adds a store. IDs must be inserted in increasing order (A-pipe
 // program order); Insert panics otherwise, as that indicates a machine bug.
 //
 //flea:hotpath
 func (b *StoreBuffer) Insert(e StoreEntry) {
-	if n := len(b.entries); n > 0 && b.entries[n-1].ID >= e.ID {
+	if n := len(b.entries); n > b.head && b.entries[n-1].ID >= e.ID {
 		panic("mem: StoreBuffer entries must be inserted in increasing ID order")
 	}
-	b.entries = append(b.entries, e)
+	b.entries = pushBack(b.entries, &b.head, e)
 }
 
 // ForwardResult describes how a load interacts with the buffer.
@@ -58,31 +79,42 @@ const (
 
 // Forward computes the value a load (with dynamic ID loadID) reads, merging
 // bytes from the youngest overlapping older store entries with bytes from
-// img. size must be ≤ 8.
+// img. size must be ≤ 8. One youngest-first pass over the entries takes
+// each byte from the first entry that covers it; img is read only for the
+// bytes no entry covers.
 //
 //flea:hotpath
 func (b *StoreBuffer) Forward(loadID uint64, addr uint32, size int, img *Image) (val uint64, res ForwardResult) {
-	val = img.Read(addr, size)
-	for i := 0; i < size; i++ {
-		byteAddr := addr + uint32(i)
-		// Scan youngest-first among entries older than the load.
-		for j := len(b.entries) - 1; j >= 0; j-- {
-			e := &b.entries[j]
-			if e.ID >= loadID {
-				continue
+	full := byteSpan(0, uint32(size))
+	need := full // bytes not yet forwarded
+	live := b.entries[b.head:]
+	for j := len(live) - 1; j >= 0 && need != 0; j-- {
+		e := &live[j]
+		if e.ID >= loadID {
+			continue
+		}
+		hit := e.cover(addr, size) & need
+		if hit == 0 {
+			continue
+		}
+		if !e.DataKnown {
+			return 0, ForwardUnknown
+		}
+		for i := uint32(0); i < uint32(size); i++ {
+			if hit>>i&1 != 0 {
+				shift := (addr + i - e.Addr) * 8
+				val |= uint64(byte(e.Data>>shift)) << (i * 8)
 			}
-			if !e.overlapsByte(byteAddr) {
-				continue
-			}
-			if !e.DataKnown {
-				return 0, ForwardUnknown
-			}
-			shift := uint((byteAddr - e.Addr) * 8)
-			byteVal := uint64(byte(e.Data >> shift))
-			val &^= 0xFF << uint(i*8)
-			val |= byteVal << uint(i*8)
-			res = ForwardHit
-			break
+		}
+		need &^= hit
+		res = ForwardHit
+	}
+	if need == full {
+		return img.Read(addr, size), res
+	}
+	for i := uint32(0); i < uint32(size); i++ {
+		if need>>i&1 != 0 {
+			val |= uint64(img.Byte(addr+i)) << (i * 8)
 		}
 	}
 	return val, res
@@ -93,7 +125,7 @@ func (b *StoreBuffer) Forward(loadID uint64, addr uint32, size int, img *Image) 
 //
 //flea:hotpath
 func (b *StoreBuffer) OlderUnknownOverlap(loadID uint64, addr uint32, size int) bool {
-	for j := range b.entries {
+	for j := b.head; j < len(b.entries); j++ {
 		e := &b.entries[j]
 		if e.ID >= loadID || e.DataKnown {
 			continue
@@ -111,16 +143,21 @@ func (b *StoreBuffer) OlderUnknownOverlap(loadID uint64, addr uint32, size int) 
 //
 //flea:hotpath
 func (b *StoreBuffer) HasOlderThan(id uint64) bool {
-	return len(b.entries) > 0 && b.entries[0].ID < id
+	return len(b.entries) > b.head && b.entries[b.head].ID < id
 }
 
 // Remove deletes the entry with the given ID, if present.
 //
 //flea:hotpath
 func (b *StoreBuffer) Remove(id uint64) {
-	for i := range b.entries {
-		if b.entries[i].ID == id {
-			b.entries = append(b.entries[:i], b.entries[i+1:]...)
+	live := b.entries[b.head:]
+	if len(live) > 0 && live[0].ID == id {
+		b.head++
+		return
+	}
+	for i := range live {
+		if live[i].ID == id {
+			b.entries = append(b.entries[:b.head+i], live[i+1:]...)
 			return
 		}
 	}
@@ -131,7 +168,7 @@ func (b *StoreBuffer) Remove(id uint64) {
 //
 //flea:hotpath
 func (b *StoreBuffer) FlushFrom(id uint64) {
-	for i := range b.entries {
+	for i := b.head; i < len(b.entries); i++ {
 		if b.entries[i].ID >= id {
 			b.entries = b.entries[:i]
 			return
@@ -140,4 +177,4 @@ func (b *StoreBuffer) FlushFrom(id uint64) {
 }
 
 // Reset empties the buffer.
-func (b *StoreBuffer) Reset() { b.entries = b.entries[:0] }
+func (b *StoreBuffer) Reset() { b.entries, b.head = b.entries[:0], 0 }

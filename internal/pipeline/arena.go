@@ -6,38 +6,29 @@ import (
 	"fleaflicker/internal/program"
 )
 
-// arenaSlab is the number of DynInst records allocated per slab. The live
-// set of a machine is bounded by its coupling-queue and fetch-queue
-// capacities, so a handful of slabs cover steady state and the freelist
-// absorbs all further traffic.
-const arenaSlab = 64
-
-// Arena recycles a machine's per-run storage. It holds DynInst records, so
-// the steady-state cycle loop performs no heap allocation per fetched
-// instruction: the front end allocates from it in Tick, and machines return
-// records when an instruction retires or is squashed (the front end itself
-// returns the records of groups it flushes on Redirect). It also holds the
-// last memory hierarchy it handed out (see Hierarchy), so a sequence of
-// short simulations does not rebuild the Table 1 caches for each one, and
-// the decoded instruction table of the last program it was handed (see
+// Arena recycles a machine's per-run storage. It holds the record ring of
+// in-flight DynInsts (see Ring), so the steady-state cycle loop performs no
+// heap allocation per fetched instruction. It also holds the last memory
+// hierarchy it handed out (see Hierarchy), so a sequence of short
+// simulations does not rebuild the Table 1 caches for each one, and the
+// decoded instruction table of the last program it was handed (see
 // decoded), so every lattice cell of one program shares one decode.
 //
 // An arena serves one machine at a time and is not safe for concurrent use —
 // machines are single-goroutine, so no sync.Pool-style synchronization is
 // needed. Machines may reuse one arena in sequence (the differential checker
 // shares one across every cell of its lattice) as long as a machine is done
-// before the next is built from the same arena: building the next resets the
-// hierarchy the previous one ran on, and decoding a different program
-// overwrites the table the previous one read. A record handed to Put must
-// not be referenced again: it is reused, fully reset, by a later Get.
+// before the next is built from the same arena: building the next empties
+// the ring and resets the hierarchy the previous one ran on, and decoding a
+// different program overwrites the table the previous one read.
 type Arena struct {
-	free []*DynInst
+	ring Ring
 	hier *mem.Hierarchy
 	prog *program.Program
 	code []isa.Decoded
 }
 
-// NewArena returns an empty arena; slabs are allocated on demand.
+// NewArena returns an empty arena; storage is allocated on demand.
 func NewArena() *Arena { return &Arena{} }
 
 // Hierarchy returns a cold memory hierarchy for cfg: the arena's previous
@@ -69,34 +60,19 @@ func (a *Arena) decoded(prog *program.Program) []isa.Decoded {
 	return a.code
 }
 
-// Get returns a zeroed DynInst, reusing a recycled record when one is free.
-//
-//flea:hotpath
-//flea:inline
-func (a *Arena) Get() *DynInst {
-	n := len(a.free)
-	//flea:coldpath slab allocation amortizes across the run; steady state reuses the freelist
-	if n == 0 {
-		slab := make([]DynInst, arenaSlab)
-		for i := range slab[:arenaSlab-1] {
-			a.free = append(a.free, &slab[i])
-		}
-		return &slab[arenaSlab-1]
+// newRing returns the arena's record ring, empty and able to hold capacity
+// records. The array only ever grows, to the next power of two, so a
+// sequence of machines reuses it.
+func (a *Arena) newRing(capacity int) *Ring {
+	n := 1
+	for n < capacity {
+		n <<= 1
 	}
-	d := a.free[n-1]
-	a.free = a.free[:n-1]
-	*d = DynInst{}
-	return d
+	if len(a.ring.buf) < n {
+		a.ring.buf = make([]DynInst, n)
+	}
+	a.ring.mask = uint64(len(a.ring.buf) - 1)
+	a.ring.head, a.ring.tail = 0, 0
+	a.ring.capacity = capacity
+	return &a.ring
 }
-
-// Put returns one record to the freelist.
-//
-//flea:hotpath
-//flea:inline
-func (a *Arena) Put(d *DynInst) { a.free = append(a.free, d) }
-
-// PutAll returns every record in ds to the freelist.
-//
-//flea:hotpath
-//flea:inline
-func (a *Arena) PutAll(ds []*DynInst) { a.free = append(a.free, ds...) }

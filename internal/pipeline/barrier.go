@@ -157,7 +157,6 @@ func (b *Barrier) Restore(snap *checkpoint.Snapshot, section string) (*checkpoin
 	case checkpoint.KindFunctional:
 		// Timing state stays cold; start fetching at the snapshot PC on
 		// cycle 0.
-		//flea:handoff Redirect returns every in-flight group's records to the arena before refetching
 		b.fe.Redirect(snap.PC, -1)
 		return nil, nil
 	case checkpoint.KindMachine:
@@ -171,7 +170,6 @@ func (b *Barrier) Restore(snap *checkpoint.Snapshot, section string) (*checkpoin
 			return nil, err
 		}
 		b.fe.RestoreStream(snap.FeNextID, snap.FeFetchStalls)
-		//flea:handoff Redirect returns every in-flight group's records to the arena before refetching
 		b.fe.Redirect(snap.PC, snap.Cycle)
 		data, ok := snap.Section(section)
 		if !ok {

@@ -60,9 +60,9 @@ type DynInst struct {
 	BrTaken    bool
 }
 
-// Group is one fetched issue group.
+// Group is one fetched issue group: a Span of the front end's Ring.
 type Group struct {
-	Insts   []*DynInst
+	Span
 	FetchPC int32
 	// AvailAt is the cycle the group becomes available for dispatch
 	// (fetch cycle + front-end depth + any I-cache miss penalty).
@@ -85,19 +85,17 @@ func DefaultConfig() Config { return Config{Depth: 5, QueueCap: 8} }
 // cycle, modelling I-cache latency and branch prediction. Machines consume
 // groups via Head/Pop and repair wrong paths via Redirect.
 //
-// The fetched-group buffer is a fixed ring of QueueCap Group slots whose
-// instruction slices are reused, and DynInst records come from a per-machine
-// Arena, so steady-state fetch allocates nothing. A popped group (and its
-// DynInsts) stays valid until the next Tick; machines must consume it within
-// the cycle that pops it and return the DynInsts to Arena() when they retire
-// or are squashed.
+// The fetched-group buffer is a fixed ring of QueueCap Group slots, and
+// the DynInst records live in the Arena's Ring, so steady-state fetch
+// allocates nothing. A popped group's slot stays valid until the next Tick;
+// its records stay in the Ring until the machine retires or squashes them.
 type FrontEnd struct {
-	cfg   Config
-	prog  *program.Program
-	code  []isa.Decoded // prog's decoded table, owned by the arena
-	hier  *mem.Hierarchy
-	pred  *bpred.Predictor
-	arena *Arena
+	cfg  Config
+	prog *program.Program
+	code []isa.Decoded // prog's decoded table, owned by the arena
+	hier *mem.Hierarchy
+	pred *bpred.Predictor
+	ring *Ring // the arena's, shared with the machine
 
 	pc          int32
 	nextFetchAt int64
@@ -113,18 +111,21 @@ type FrontEnd struct {
 	FetchStallCycles int64
 }
 
-// NewFrontEnd builds a front end starting at the program entry. A non-nil
-// arena supplies (and outlives) the DynInst storage — callers that simulate
-// many short programs back to back (the differential fuzzer's inner loop)
-// pass one shared arena so each run reuses the previous run's records
-// instead of growing fresh slabs. nil allocates a private arena.
-func NewFrontEnd(cfg Config, prog *program.Program, hier *mem.Hierarchy, pred *bpred.Predictor, arena *Arena) *FrontEnd {
+// NewFrontEnd builds a front end starting at the program entry. Its Ring
+// holds QueueCap groups of at most issueWidth records plus held, the most
+// records the machine keeps past the fetch queue (its coupling queue and
+// the group it is dispatching). A non-nil arena supplies (and outlives) the
+// ring and the decoded program — callers that simulate many short programs
+// back to back (the differential fuzzer's inner loop) pass one shared arena
+// so each run reuses the previous run's storage. nil allocates a private
+// arena.
+func NewFrontEnd(cfg Config, issueWidth, held int, prog *program.Program, hier *mem.Hierarchy, pred *bpred.Predictor, arena *Arena) *FrontEnd {
 	if arena == nil {
 		arena = NewArena()
 	}
 	return &FrontEnd{
 		cfg: cfg, prog: prog, hier: hier, pred: pred,
-		arena: arena,
+		ring:  arena.newRing(cfg.QueueCap*issueWidth + held),
 		code:  arena.decoded(prog),
 		queue: make([]Group, cfg.QueueCap),
 		pc:    prog.Entry, nextID: 1,
@@ -134,9 +135,9 @@ func NewFrontEnd(cfg Config, prog *program.Program, hier *mem.Hierarchy, pred *b
 // Predictor exposes the branch predictor for resolution updates.
 func (f *FrontEnd) Predictor() *bpred.Predictor { return f.pred }
 
-// Arena exposes the DynInst allocator. Machines return retired and squashed
-// instruction records to it so the cycle loop stays allocation-free.
-func (f *FrontEnd) Arena() *Arena { return f.arena }
+// Ring exposes the in-flight records. Machines read fetched groups in place
+// and retire and squash through it.
+func (f *FrontEnd) Ring() *Ring { return f.ring }
 
 // Tick advances fetch by one cycle: at most one issue group is fetched along
 // the predicted path. It reports whether the front end changed state; a Tick
@@ -156,16 +157,15 @@ func (f *FrontEnd) Tick(now int64) (acted bool) {
 	start := f.pc
 	end := f.code[start].GroupEnd()
 	g := &f.queue[f.slot(f.qlen)]
-	//flea:handoff the slot's previous records were handed to the machine at Pop; only the backing array is reused
-	g.Insts = g.Insts[:0]
 	g.FetchPC = start
+	g.Start = f.ring.Tail()
 	next := end // sequential fall-through
+	var d *DynInst
 	for pc := start; pc < end; pc++ {
 		in := &f.code[pc]
-		d := f.arena.Get()
+		d = f.ring.Push()
 		d.ID, d.PC, d.In, d.NextPC = f.nextID, pc, in, pc+1
 		f.nextID++
-		g.Insts = append(g.Insts, d)
 		if in.Op == isa.OpHalt {
 			f.halted = true
 			next = end
@@ -187,18 +187,19 @@ func (f *FrontEnd) Tick(now int64) (acted bool) {
 			break // a predicted-taken branch truncates the group
 		}
 	}
-	if len(g.Insts) > 0 {
-		last := g.Insts[len(g.Insts)-1]
-		if !last.PredTaken && !f.halted && !f.stalled {
-			last.NextPC = next
-		}
+	g.End = f.ring.Tail()
+	if f.ring.overfull() {
+		panic("pipeline: more records in flight than the ring was sized for")
+	}
+	if d != nil && !d.PredTaken && !f.halted && !f.stalled {
+		d.NextPC = next
 	}
 
 	// I-cache timing: probe every I-line the delivered group touches.
 	extra := 0
 	lineBytes := uint32(f.hier.LineBytesI())
 	firstLine := program.InstAddr(start) &^ (lineBytes - 1)
-	lastLine := program.InstAddr(start+int32(len(g.Insts))-1) &^ (lineBytes - 1)
+	lastLine := program.InstAddr(start+int32(g.Len())-1) &^ (lineBytes - 1)
 	for line := firstLine; ; line += lineBytes {
 		lat, _ := f.hier.Fetch(line, now)
 		if e := lat - f.hier.L1ILatency(); e > extra {
@@ -286,7 +287,7 @@ func (f *FrontEnd) predictBranch(d *DynInst) (taken bool, target int32, done boo
 }
 
 // Head returns the oldest fetched group if it has reached the dispersal
-// point by now, else nil. The returned group lives in the fetch ring: it
+// point by now, else nil. The returned group lives in the fetch queue: it
 // remains valid after Pop only until the next Tick.
 //
 //flea:hotpath
@@ -305,8 +306,8 @@ func (f *FrontEnd) Head(now int64) *Group {
 // distinguishing "front end refilling" from "fetch stalled empty".
 func (f *FrontEnd) Pending() bool { return f.qlen > 0 }
 
-// Pop consumes the head group. Ownership of its DynInst records passes to
-// the caller, which must eventually return them to Arena().
+// Pop consumes the head group. Its records stay in the Ring, owned by the
+// caller, which retires or squashes them.
 //
 //flea:hotpath
 func (f *FrontEnd) Pop() {
@@ -314,17 +315,15 @@ func (f *FrontEnd) Pop() {
 	f.qlen--
 }
 
-// Redirect flushes all fetched groups (returning their instruction records
-// to the arena) and restarts fetch at pc on the next cycle. Machines call it
+// Redirect flushes all fetched groups (squashing their records, the newest
+// in the Ring) and restarts fetch at pc on the next cycle. Machines call it
 // on branch misprediction (at resolution time), on indirect-branch
 // resolution when fetch was stalled, and on store-conflict recovery.
 //
 //flea:hotpath
 func (f *FrontEnd) Redirect(pc int32, now int64) {
-	for i := 0; i < f.qlen; i++ {
-		g := &f.queue[f.slot(i)]
-		f.arena.PutAll(g.Insts)
-		g.Insts = g.Insts[:0]
+	if f.qlen > 0 {
+		f.ring.Truncate(f.queue[f.qhead].Start)
 	}
 	f.qlen = 0
 	f.pc = pc

@@ -18,7 +18,24 @@ func newFE(t *testing.T, src string) *FrontEnd {
 	}
 	h := mem.NewHierarchy(mem.DefaultConfig())
 	b := bpred.New(bpred.DefaultConfig())
-	return NewFrontEnd(DefaultConfig(), p, h, b, nil)
+	return NewFrontEnd(DefaultConfig(), 8, 8, p, h, b, nil)
+}
+
+// groupInsts returns g's records, oldest first.
+func groupInsts(fe *FrontEnd, g *Group) []*DynInst {
+	var ds []*DynInst
+	for p := g.Start; p < g.End; p++ {
+		ds = append(ds, fe.Ring().At(p))
+	}
+	return ds
+}
+
+// popRetire pops the head group and retires its records, as a machine
+// dispatching it whole does.
+func popRetire(fe *FrontEnd) {
+	end := fe.queue[fe.qhead].End
+	fe.Pop()
+	fe.Ring().Retire(end)
 }
 
 func TestFetchDeliversGroupsInOrder(t *testing.T) {
@@ -42,21 +59,21 @@ func TestFetchDeliversGroupsInOrder(t *testing.T) {
 	if g == nil {
 		t.Fatal("no group ever delivered")
 	}
-	if len(g.Insts) != 2 || g.Insts[0].PC != 0 || g.Insts[1].PC != 1 {
+	if g.Len() != 2 || groupInsts(fe, g)[0].PC != 0 || groupInsts(fe, g)[1].PC != 1 {
 		t.Fatalf("first group wrong: %+v", g)
 	}
-	fe.Pop()
+	popRetire(fe)
 	// Second group follows.
 	g = nil
 	for ; g == nil && now < 800; now++ {
 		fe.Tick(now)
 		g = fe.Head(now)
 	}
-	if g == nil || len(g.Insts) != 1 || g.Insts[0].PC != 2 {
+	if g == nil || g.Len() != 1 || groupInsts(fe, g)[0].PC != 2 {
 		t.Fatalf("second group wrong: %+v", g)
 	}
 	// IDs are strictly increasing.
-	if g.Insts[0].ID <= 2 {
+	if groupInsts(fe, g)[0].ID <= 2 {
 		t.Errorf("IDs not monotonic")
 	}
 }
@@ -70,7 +87,7 @@ a:      movi r1 = 1 ;;
 	for now := int64(0); now < 300; now++ {
 		fe.Tick(now)
 		if g := fe.Head(now); g != nil {
-			fe.Pop()
+			popRetire(fe)
 		}
 	}
 	fe.Redirect(0, 1000)
@@ -101,19 +118,19 @@ tgt:    halt ;;
 		t.Fatal("no group delivered")
 	}
 	// Unconditional branch: group truncated after it, movi r2 not fetched.
-	if len(g.Insts) != 2 || g.Insts[1].In.Op != isa.OpBr {
-		t.Fatalf("group not truncated at taken branch: %d insts", len(g.Insts))
+	if g.Len() != 2 || groupInsts(fe, g)[1].In.Op != isa.OpBr {
+		t.Fatalf("group not truncated at taken branch: %d insts", g.Len())
 	}
-	if !g.Insts[1].PredTaken || g.Insts[1].NextPC != 4 {
-		t.Errorf("branch prediction fields wrong: %+v", g.Insts[1])
+	if !groupInsts(fe, g)[1].PredTaken || groupInsts(fe, g)[1].NextPC != 4 {
+		t.Errorf("branch prediction fields wrong: %+v", groupInsts(fe, g)[1])
 	}
-	fe.Pop()
+	popRetire(fe)
 	g = nil
 	for now := int64(400); g == nil && now < 800; now++ {
 		fe.Tick(now)
 		g = fe.Head(now)
 	}
-	if g == nil || g.Insts[0].In.Op != isa.OpHalt {
+	if g == nil || groupInsts(fe, g)[0].In.Op != isa.OpHalt {
 		t.Fatalf("fetch did not follow the taken branch")
 	}
 }
@@ -132,7 +149,7 @@ func TestHaltStopsFetch(t *testing.T) {
 	if fe.Head(299) == nil {
 		t.Fatalf("halt group missing")
 	}
-	fe.Pop()
+	popRetire(fe)
 	if fe.Head(299) != nil || fe.Pending() {
 		t.Errorf("fetch continued past halt")
 	}
@@ -160,7 +177,7 @@ func TestRedirectFlushesAndRestarts(t *testing.T) {
 		fe.Tick(now)
 		g = fe.Head(now)
 	}
-	if g == nil || g.Insts[0].PC != 3 {
+	if g == nil || groupInsts(fe, g)[0].PC != 3 {
 		t.Fatalf("fetch did not restart at redirect target")
 	}
 }
@@ -176,7 +193,7 @@ tgt:    halt ;;
 	for now := int64(0); now < 400; now++ {
 		fe.Tick(now)
 		if g := fe.Head(now); g != nil {
-			for _, d := range g.Insts {
+			for _, d := range groupInsts(fe, g) {
 				if d.In.Op == isa.OpBrInd {
 					sawInd = true
 					if !d.NoPrediction {
@@ -184,7 +201,7 @@ tgt:    halt ;;
 					}
 				}
 			}
-			fe.Pop()
+			popRetire(fe)
 		}
 	}
 	if !sawInd {
@@ -201,7 +218,7 @@ tgt:    halt ;;
 		fe.Tick(now)
 		g = fe.Head(now)
 	}
-	if g == nil || g.Insts[0].PC != 3 {
+	if g == nil || groupInsts(fe, g)[0].PC != 3 {
 		t.Fatalf("fetch did not resume after indirect resolution")
 	}
 }
@@ -217,12 +234,12 @@ out:    halt ;;
 	for now := int64(0); now < 400 && br == nil; now++ {
 		fe.Tick(now)
 		if g := fe.Head(now); g != nil {
-			for _, d := range g.Insts {
+			for _, d := range groupInsts(fe, g) {
 				if d.In.Op == isa.OpBr {
 					br = d
 				}
 			}
-			fe.Pop()
+			popRetire(fe)
 		}
 	}
 	if br == nil {
@@ -270,7 +287,7 @@ func TestWrongPathOffEndStalls(t *testing.T) {
 `)
 	h := mem.NewHierarchy(mem.DefaultConfig())
 	b := bpred.New(bpred.DefaultConfig())
-	fe := NewFrontEnd(DefaultConfig(), p, h, b, nil)
+	fe := NewFrontEnd(DefaultConfig(), 8, 8, p, h, b, nil)
 	fe.Redirect(99, 0) // simulate a wrong-path target out of range
 	for now := int64(1); now < 50; now++ {
 		fe.Tick(now)
@@ -300,7 +317,7 @@ fn:     nop ;;
 	for now := int64(0); now < 600 && !sawRet; now++ {
 		fe.Tick(now)
 		if g := fe.Head(now); g != nil {
-			for _, d := range g.Insts {
+			for _, d := range groupInsts(fe, g) {
 				if d.In.Op == isa.OpBrRet {
 					sawRet = true
 					if d.NoPrediction {
@@ -311,7 +328,7 @@ fn:     nop ;;
 					}
 				}
 			}
-			fe.Pop()
+			popRetire(fe)
 		}
 	}
 	if !sawRet {
@@ -330,7 +347,7 @@ tgt:    halt ;;
 	for now := int64(0); now < 400 && !saw; now++ {
 		fe.Tick(now)
 		if g := fe.Head(now); g != nil {
-			for _, d := range g.Insts {
+			for _, d := range groupInsts(fe, g) {
 				if d.In.Op == isa.OpBrInd {
 					saw = true
 					if d.NoPrediction || d.NextPC != 2 {
@@ -338,7 +355,7 @@ tgt:    halt ;;
 					}
 				}
 			}
-			fe.Pop()
+			popRetire(fe)
 		}
 	}
 	if !saw {

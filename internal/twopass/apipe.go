@@ -26,7 +26,7 @@ func (m *Machine) stepA() (wake int64) {
 	if g == nil {
 		return pipeline.Never
 	}
-	if m.cqCount+len(g.Insts) > m.cfg.CQSize {
+	if m.cqCount+g.Len() > m.cfg.CQSize {
 		return pipeline.Never // coupling-queue backpressure
 	}
 	if m.cfg.DeferThrottle > 0 && m.deferred > m.cfg.DeferThrottle {
@@ -39,15 +39,13 @@ func (m *Machine) stepA() (wake int64) {
 	m.aBlockedAnticipable = false
 	m.fe.Pop()
 
-	grp := m.cq.pushTail()
-	grp.enq = m.now
-	for i := 0; i < len(g.Insts); i++ {
-		d := g.Insts[i]
+	grp := g.Span
+	for p := grp.Start; p < grp.End; p++ {
+		d := m.ring.At(p)
 		squash := m.processA(d)
 		if m.tr.Enabled() {
 			m.emitA(d)
 		}
-		grp.insts = append(grp.insts, d)
 		m.cqCount++
 		if d.Deferred {
 			m.deferred++
@@ -57,14 +55,17 @@ func (m *Machine) stepA() (wake int64) {
 		}
 		if squash {
 			// Younger same-group instructions are wrong-path and never
-			// enqueued; recycle their records.
-			m.arena.PutAll(g.Insts[i+1:])
+			// enqueued; squash their records.
+			grp.End = p + 1
+			m.ring.Truncate(grp.End)
 			break
 		}
 	}
+	m.cq.pushTail(grp, m.now)
 	if m.tr.Enabled() {
+		first := m.ring.At(grp.Start)
 		m.tr.Emit(trace.Event{Cycle: m.now, Type: trace.EvCQEnqueue, Pipe: trace.PipeA,
-			ID: grp.insts[0].ID, PC: grp.insts[0].PC, Arg: int64(len(grp.insts))})
+			ID: first.ID, PC: first.PC, Arg: int64(grp.Len())})
 	}
 	return m.now + 1
 }
@@ -93,8 +94,8 @@ func (m *Machine) emitA(d *pipeline.DynInst) {
 //flea:hotpath
 func (m *Machine) blockedOnAnticipable(g *pipeline.Group) bool {
 	anticipable := false
-	for _, d := range g.Insts {
-		for _, s := range d.In.Srcs() {
+	for p := g.Start; p < g.End; p++ {
+		for _, s := range m.ring.At(p).In.Srcs() {
 			e := &m.afile[s]
 			if !e.valid {
 				return false // a deferred producer: defer, don't stall

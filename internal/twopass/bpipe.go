@@ -52,8 +52,9 @@ func (m *Machine) stepB() (wake int64) {
 	if cls, until, blocked := m.bBlocked(set); blocked {
 		m.Idle.Stall(m.col, cls)
 		if m.tr.Enabled() {
+			first := m.ring.At(set.Start)
 			m.Idle.Emit(m.tr, trace.Event{Cycle: m.now, Type: trace.EvStall, Pipe: trace.PipeB,
-				ID: set[0].ID, PC: set[0].PC, Arg: int64(cls), Note: cls.String()})
+				ID: first.ID, PC: first.PC, Arg: int64(cls), Note: cls.String()})
 		}
 		if m.cfg.Regroup {
 			until = min(until, m.regroupWake(set, ngroups))
@@ -62,12 +63,14 @@ func (m *Machine) stepB() (wake int64) {
 	}
 	m.col.Regroup(ngroups - 1)
 	if m.tr.Enabled() {
+		first := m.ring.At(set.Start)
 		m.tr.Emit(trace.Event{Cycle: m.now, Type: trace.EvCQDequeue, Pipe: trace.PipeB,
-			ID: set[0].ID, PC: set[0].PC, Arg: int64(len(set))})
+			ID: first.ID, PC: first.PC, Arg: int64(set.Len())})
 	}
 	retired := 0
 	var flush bStatus
-	for _, d := range set {
+	for p := set.Start; p < set.End; p++ {
+		d := m.ring.At(p)
 		st := m.processB(d)
 		if st.retired {
 			retired++
@@ -118,25 +121,20 @@ func (m *Machine) stepB() (wake int64) {
 	return m.now + 1
 }
 
-// popHead removes the first n instructions from the coupling queue,
-// returning their records to the arena.
+// popHead retires the first n instructions of the coupling queue: the
+// ring's head advances past them, and a group they leave partly dispatched
+// keeps the rest in place.
 //
 //flea:hotpath
 func (m *Machine) popHead(n int) {
 	m.cqCount -= n
-	for n > 0 && m.cq.len() > 0 {
-		g := m.cq.at(0)
-		if n >= len(g.insts) {
-			n -= len(g.insts)
-			m.arena.PutAll(g.insts)
-			g.insts = g.insts[:0]
-			m.cq.popHead()
-			continue
-		}
-		m.arena.PutAll(g.insts[:n])
-		rest := copy(g.insts, g.insts[n:])
-		g.insts = g.insts[:rest]
-		n = 0
+	head := m.ring.Head() + uint64(n)
+	m.ring.Retire(head)
+	for m.cq.len() > 0 && m.cq.at(0).End <= head {
+		m.cq.popHead()
+	}
+	if m.cq.len() > 0 {
+		m.cq.at(0).Start = head
 	}
 }
 
@@ -144,24 +142,25 @@ func (m *Machine) popHead(n int) {
 // group, plus — with regrouping enabled (2Pre) — any following groups whose
 // cross dependences were all satisfied by pre-execution and whose addition
 // fits the machine's issue resources. Each merged boundary is a stop bit the
-// regrouper removed.
+// regrouper removed. Adjacent groups are adjacent in the ring, so the set is
+// one span, read in place.
 //
 //flea:hotpath
-func (m *Machine) buildDispatchSet() (set []*pipeline.DynInst, ngroups int) {
-	if !m.cfg.Regroup {
-		return m.cq.at(0).insts, 1 // the head group itself; popHead edits it only after dispatch
-	}
-	m.dispatchSet = append(m.dispatchSet[:0], m.cq.at(0).insts...)
+func (m *Machine) buildDispatchSet() (set pipeline.Span, ngroups int) {
+	set = m.cq.at(0).Span
 	ngroups = 1
+	if !m.cfg.Regroup {
+		return set, ngroups
+	}
 	for ngroups < m.cq.len() && m.cq.at(ngroups).enq < m.now {
-		next := m.cq.at(ngroups).insts
-		if !m.canMerge(m.dispatchSet, next) {
+		next := m.cq.at(ngroups).Span
+		if !m.canMerge(set, next) {
 			break
 		}
-		m.dispatchSet = append(m.dispatchSet, next...)
+		set.End = next.End
 		ngroups++
 	}
-	return m.dispatchSet, ngroups
+	return set, ngroups
 }
 
 // regroupWake returns the first cycle after now at which the regrouper
@@ -170,13 +169,13 @@ func (m *Machine) buildDispatchSet() (set []*pipeline.DynInst, ngroups int) {
 // pre-executed results, and only when a queued group is left to merge.
 //
 //flea:hotpath
-func (m *Machine) regroupWake(set []*pipeline.DynInst, ngroups int) int64 {
+func (m *Machine) regroupWake(set pipeline.Span, ngroups int) int64 {
 	w := pipeline.Never
 	if ngroups == m.cq.len() {
 		return w // nothing to merge before the A-pipe enqueues
 	}
-	for _, d := range set {
-		if d.Done && d.ReadyAt > m.now && d.ReadyAt < w {
+	for p := set.Start; p < set.End; p++ {
+		if d := m.ring.At(p); d.Done && d.ReadyAt > m.now && d.ReadyAt < w {
 			w = d.ReadyAt
 		}
 	}
@@ -189,27 +188,24 @@ func (m *Machine) regroupWake(set []*pipeline.DynInst, ngroups int) int64 {
 // finished pre-executing.
 //
 //flea:hotpath
-func (m *Machine) canMerge(set, next []*pipeline.DynInst) bool {
-	if len(set)+len(next) > m.cfg.IssueWidth {
+func (m *Machine) canMerge(set, next pipeline.Span) bool {
+	if set.Len()+next.Len() > m.cfg.IssueWidth {
 		return false
 	}
 	var classCount [isa.NumFUClasses]int
-	for _, d := range set {
-		classCount[d.In.Class()]++
-	}
-	for _, d := range next {
-		classCount[d.In.Class()]++
+	for p := set.Start; p < next.End; p++ {
+		classCount[m.ring.At(p).In.Class()]++
 	}
 	for c := isa.FUClass(0); c < isa.NumFUClasses; c++ {
 		if m.cfg.FUs[c] > 0 && classCount[c] > m.cfg.FUs[c] {
 			return false
 		}
 	}
-	for _, j := range next {
-		for _, s := range j.In.Srcs() {
+	for q := next.Start; q < next.End; q++ {
+		for _, s := range m.ring.At(q).In.Srcs() {
 			// Find the youngest writer of s in the set, if any.
-			for k := len(set) - 1; k >= 0; k-- {
-				i := set[k]
+			for k := set.End; k > set.Start; k-- {
+				i := m.ring.At(k - 1)
 				if i.In.Dest() != s {
 					continue
 				}
@@ -234,7 +230,7 @@ func (m *Machine) canMerge(set, next []*pipeline.DynInst) bool {
 // clears, or m.now+1 for a resource stall.
 //
 //flea:hotpath
-func (m *Machine) bBlocked(set []*pipeline.DynInst) (cls stats.CycleClass, until int64, blocked bool) {
+func (m *Machine) bBlocked(set pipeline.Span) (cls stats.CycleClass, until int64, blocked bool) {
 	blockedUntil := int64(-1)
 	blockedByLoad := false
 	consider := func(r isa.Reg) {
@@ -243,7 +239,8 @@ func (m *Machine) bBlocked(set []*pipeline.DynInst) (cls stats.CycleClass, until
 			blockedByLoad = m.bIsLoad[r]
 		}
 	}
-	for _, d := range set {
+	for p := set.Start; p < set.End; p++ {
+		d := m.ring.At(p)
 		if d.Done {
 			continue
 		}
@@ -261,7 +258,8 @@ func (m *Machine) bBlocked(set []*pipeline.DynInst) (cls stats.CycleClass, until
 		return stats.NonLoadDepStall, blockedUntil, true
 	}
 	addrs := m.addrScratch[:0]
-	for _, d := range set {
+	for p := set.Start; p < set.End; p++ {
+		d := m.ring.At(p)
 		in := d.In
 		if d.Done || !in.IsLoad() || !m.predOnB(in) {
 			continue

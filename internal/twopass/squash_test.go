@@ -10,23 +10,20 @@ import (
 )
 
 // The seam the squash tests use to reach the coupling queue, so the tests
-// pin squashCQFrom behavior across representation changes (slice vs. ring).
-
-// testPushGroup appends an empty group to the coupling queue.
-func (m *Machine) testPushGroup(enqCycle int64) *cqGroup {
-	g := m.cq.pushTail()
-	g.enq = enqCycle
-	return g
-}
+// pin squashCQFrom behavior across representation changes.
 
 // testGroupCount returns the number of queued groups.
 func (m *Machine) testGroupCount() int { return m.cq.len() }
 
-// testGroupAt returns the i-th oldest queued group.
-func (m *Machine) testGroupAt(i int) *cqGroup { return m.cq.at(i) }
-
-// testNewDynInst returns a fresh dynamic instruction record.
-func (m *Machine) testNewDynInst() *pipeline.DynInst { return m.arena.Get() }
+// testGroupInsts returns the i-th oldest queued group's records.
+func (m *Machine) testGroupInsts(i int) []*pipeline.DynInst {
+	var ds []*pipeline.DynInst
+	g := m.cq.at(i)
+	for p := g.Start; p < g.End; p++ {
+		ds = append(ds, m.ring.At(p))
+	}
+	return ds
+}
 
 // newSquashMachine builds a two-pass machine whose coupling queue the tests
 // populate by hand. The program is a placeholder; the machine never runs.
@@ -52,13 +49,13 @@ var testInsts = isa.Decode(nil, []isa.Inst{
 })
 
 // enq appends one hand-built group to the coupling queue, maintaining the
-// same occupancy bookkeeping the A-pipe performs, and returns the DynInsts.
+// same occupancy bookkeeping the A-pipe performs.
 // Each spec byte selects the instruction kind: 'a' ALU, 's' store,
 // 'b' branch; uppercase marks the instruction deferred.
-func enq(m *Machine, enqCycle int64, firstID uint64, spec string) []*pipeline.DynInst {
-	g := m.testPushGroup(enqCycle)
+func enq(m *Machine, enqCycle int64, firstID uint64, spec string) {
+	start := m.ring.Tail()
 	for i, c := range spec {
-		d := m.testNewDynInst()
+		d := m.ring.Push()
 		d.ID = firstID + uint64(i)
 		switch c {
 		case 'a', 'A':
@@ -79,17 +76,16 @@ func enq(m *Machine, enqCycle int64, firstID uint64, spec string) []*pipeline.Dy
 		} else {
 			d.Done = true
 		}
-		g.insts = append(g.insts, d)
 		m.cqCount++
 	}
-	return g.insts
+	m.cq.pushTail(pipeline.Span{Start: start, End: m.ring.Tail()}, enqCycle)
 }
 
 // cqIDs flattens the queued dynamic IDs, oldest first.
 func cqIDs(m *Machine) []uint64 {
 	var ids []uint64
 	for gi := 0; gi < m.testGroupCount(); gi++ {
-		for _, d := range m.testGroupAt(gi).insts {
+		for _, d := range m.testGroupInsts(gi) {
 			ids = append(ids, d.ID)
 		}
 	}
@@ -133,7 +129,7 @@ func TestSquashCQFromMidGroup(t *testing.T) {
 	if m.testGroupCount() != 2 {
 		t.Errorf("group count = %d, want 2", m.testGroupCount())
 	}
-	if got := len(m.testGroupAt(1).insts); got != 1 {
+	if got := len(m.testGroupInsts(1)); got != 1 {
 		t.Errorf("tail group has %d insts, want 1", got)
 	}
 }
@@ -151,7 +147,7 @@ func TestSquashCQFromRemovesEmptiedTailGroup(t *testing.T) {
 		t.Fatalf("group count = %d, want 1 (emptied tail group must be dropped)", m.testGroupCount())
 	}
 	for gi := 0; gi < m.testGroupCount(); gi++ {
-		if len(m.testGroupAt(gi).insts) == 0 {
+		if len(m.testGroupInsts(gi)) == 0 {
 			t.Fatalf("group %d left empty after squash", gi)
 		}
 	}

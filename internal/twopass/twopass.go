@@ -131,17 +131,18 @@ type cpEntry struct {
 	cp *[isa.NumRegs]aEntry
 }
 
-// cqGroup is one issue group in the coupling queue.
+// cqGroup is one issue group in the coupling queue: a span of the
+// machine's record ring.
 type cqGroup struct {
-	insts []*pipeline.DynInst
-	enq   int64 // cycle enqueued; the B-pipe may dequeue it strictly later
+	pipeline.Span
+	enq int64 // cycle enqueued; the B-pipe may dequeue it strictly later
 }
 
-// cqRing is the coupling queue: a fixed-capacity ring of issue groups sized
-// at New. Capacity is CQSize groups — every queued group holds at least one
-// instruction and total queued instructions are bounded by CQSize, so the
-// ring can never overflow. Group slots keep their instruction-slice backing
-// across reuse, so steady-state enqueue/dequeue allocates nothing.
+// cqRing is the coupling queue's group boundaries: a fixed-capacity ring of
+// issue groups sized at New. Capacity is CQSize groups — every queued group
+// holds at least one instruction and total queued instructions are bounded
+// by CQSize, so the ring can never overflow. The instructions themselves
+// stay in the record ring, where the groups are adjacent spans.
 type cqRing struct {
 	groups  []cqGroup
 	headIdx int
@@ -178,21 +179,17 @@ func (q *cqRing) slot(i int) int {
 	return j
 }
 
-// pushTail claims the next free slot, reset to an empty group. The caller
-// must have checked occupancy against CQSize.
+// pushTail claims the next free slot for group s, enqueued at enq. The
+// caller must have checked occupancy against CQSize.
 //
 //flea:hotpath
-func (q *cqRing) pushTail() *cqGroup {
-	g := q.at(q.count)
+func (q *cqRing) pushTail(s pipeline.Span, enq int64) {
+	*q.at(q.count) = cqGroup{Span: s, enq: enq}
 	q.count++
-	//flea:handoff popHead's records were recycled by retire/squash; the slot reuses only the backing array
-	g.insts = g.insts[:0]
-	g.enq = 0
-	return g
 }
 
-// popHead discards the oldest group (its slot, and instruction-slice
-// backing, is reused by a later pushTail).
+// popHead discards the oldest group (its slot is reused by a later
+// pushTail).
 //
 //flea:hotpath
 func (q *cqRing) popHead() {
@@ -231,14 +228,11 @@ type Machine struct {
 	// loads-past-deferred-store statistic.
 	deferredStores int
 
-	// arena recycles DynInst records (shared with the front end, which
-	// allocates from it at fetch); retired and squashed instructions are
-	// returned to it so the cycle loop performs no per-instruction
-	// allocation.
-	arena *pipeline.Arena
-	// dispatchSet (2Pre's regrouped set) and addrScratch are reusable
-	// hot-loop buffers (buildDispatchSet, bBlocked).
-	dispatchSet []*pipeline.DynInst
+	// ring holds every in-flight record (the front end's): the fetch
+	// queue's groups follow the coupling queue's, so the queue's
+	// instructions are the ring's oldest, from its head.
+	ring *pipeline.Ring
+	// addrScratch is a reusable bBlocked buffer.
 	addrScratch []uint32
 
 	// checkpoints holds A-file snapshots taken when branches defer
@@ -292,13 +286,14 @@ func NewWithImage(cfg Config, prog *program.Program, img *mem.Image) (*Machine, 
 	m := &Machine{
 		cfg:  cfg,
 		prog: prog,
-		fe:   pipeline.NewFrontEnd(cfg.Front, prog, hier, bpred.New(cfg.Bpred), cfg.Arena),
+		// Past the fetch queue the machine holds the coupling queue and
+		// the group the A-pipe dispatches.
+		fe:   pipeline.NewFrontEnd(cfg.Front, cfg.IssueWidth, cfg.CQSize+cfg.IssueWidth, prog, hier, bpred.New(cfg.Bpred), cfg.Arena),
 		hier: hier,
 		bst:  arch.NewState(img),
 		cq:   newCQRing(cfg.CQSize),
 	}
-	m.arena = m.fe.Arena()
-	m.dispatchSet = make([]*pipeline.DynInst, 0, cfg.IssueWidth)
+	m.ring = m.fe.Ring()
 	m.alat.Capacity = cfg.ALATCapacity
 	if cfg.ConflictPredictor {
 		m.conflictPC = make([]bool, len(prog.Insts))
@@ -528,39 +523,32 @@ func (m *Machine) restoreCheckpoint(branchID uint64) bool {
 }
 
 // squashCQFrom removes every queued instruction with ID ≥ flushID, along
-// with its store-buffer and ALAT footprint. Squashed records go back to the
-// arena.
+// with its store-buffer and ALAT footprint, by pulling the ring's tail back
+// to the first of them.
 //
 //flea:hotpath
 func (m *Machine) squashCQFrom(flushID uint64) {
 	for gi := 0; gi < m.cq.len(); gi++ {
 		g := m.cq.at(gi)
-		for ii, d := range g.insts {
-			if d.ID < flushID {
-				continue
-			}
-			for _, dd := range g.insts[ii:] {
-				m.uncount(dd)
-			}
-			m.arena.PutAll(g.insts[ii:])
-			g.insts = g.insts[:ii]
-			for li := gi + 1; li < m.cq.len(); li++ {
-				lg := m.cq.at(li)
-				for _, dd := range lg.insts {
-					m.uncount(dd)
-				}
-				m.arena.PutAll(lg.insts)
-				lg.insts = lg.insts[:0]
-			}
-			if len(g.insts) == 0 {
-				m.cq.truncate(gi)
-			} else {
-				m.cq.truncate(gi + 1)
-			}
-			m.sbuf.FlushFrom(flushID)
-			m.alat.FlushFrom(flushID)
-			return
+		if m.ring.At(g.End-1).ID < flushID {
+			continue
 		}
+		p := g.Start
+		for m.ring.At(p).ID < flushID {
+			p++
+		}
+		last := m.cq.at(m.cq.len() - 1).End
+		for q := p; q < last; q++ {
+			m.uncount(m.ring.At(q))
+		}
+		m.ring.Truncate(p)
+		g.End = p
+		if g.Len() == 0 {
+			m.cq.truncate(gi)
+		} else {
+			m.cq.truncate(gi + 1)
+		}
+		break
 	}
 	m.sbuf.FlushFrom(flushID)
 	m.alat.FlushFrom(flushID)
