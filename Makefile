@@ -12,7 +12,7 @@ vet:
 
 # lint runs the repository's domain-specific analyzers (cmd/flealint) over
 # every package via the vet driver. AST passes: allocation-free hot paths,
-# determinism, guarded tracing, arena discipline, unique metric names.
+# determinism, guarded tracing, unique metric names.
 # Dataflow passes (v2): snapshot page-alias safety, drain-barrier snapshot
 # protocol, //flea:guardedby lock discipline, context-polling loops. The
 # per-analyzer package scopes live in internal/analysis/scope, whose
