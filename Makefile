@@ -110,8 +110,9 @@ cluster-smoke:
 		./internal/cluster/
 
 # flow-smoke is the orchestration gate: the tiny two-stage smoke pipeline
-# runs twice against a scratch artifact store and the second invocation must
-# be 100% cache hits (zero fresh simulations), then the kill-and-resume
+# and the four-stage extension studies each run twice against a scratch
+# artifact store and the second invocation must be 100% cache hits (zero
+# fresh simulations), then the kill-and-resume
 # property — interrupt a campaign mid-flight, rerun, only unfinished stages
 # execute — is checked under the race detector along with the built-in
 # pipelines' end-to-end tests.
@@ -120,6 +121,8 @@ flow-smoke:
 	rm -rf bin/.flow-smoke-store
 	bin/fleaflow run smoke -store bin/.flow-smoke-store -q
 	bin/fleaflow run smoke -store bin/.flow-smoke-store -q | grep -q '0 ran, 2 cached'
+	bin/fleaflow run extensions -store bin/.flow-smoke-store -q
+	bin/fleaflow run extensions -store bin/.flow-smoke-store -q | grep -q '0 ran, 4 cached'
 	rm -rf bin/.flow-smoke-store
 	$(GO) test -race -count=1 \
 		-run='^(TestRunCancelAndResume|TestRunCachesArtifacts|TestSmokePipelineEndToEnd|TestFuzzCampaignSmoke)$$' \

@@ -1,6 +1,6 @@
 // Command fleaflow runs experiment campaigns as cached DAGs: every paper
-// figure (and the differential-fuzzing sweep) is a pipeline of
-// content-addressed stages, so reruns skip completed work and an
+// figure, the extension studies and the differential-fuzzing sweep are
+// pipelines of content-addressed stages, so reruns skip completed work and an
 // interrupted campaign resumes from its artifact store.
 //
 // Usage:
@@ -216,6 +216,8 @@ func finish(name string, store *fleaflow.Store, rep *fleaflow.Report, outDir, ex
 	switch name {
 	case "figure6":
 		return finishFigure6(store, rep, outDir, expPath)
+	case "extensions":
+		return printDoc(store, rep, "report")
 	case "fuzz-campaign":
 		return printDoc(store, rep, "divergence-report")
 	case "smoke":

@@ -5,7 +5,8 @@
 // The library lives under internal/: the machine models (baseline,
 // twopass, runahead), their substrates (isa, program, sched, arch, mem,
 // bpred, pipeline), the benchmark suite (workload), and the evaluation
-// harness (stats, experiments, core). The cmd/ tools — fleasim, fleabench,
+// harness (stats, experiments, core). The cmd/ tools — fleasim, fleaflow
+// (whose figure6 and extensions pipelines run the paper's evaluation),
 // fleatrace — and the runnable examples/ are the intended entry points;
 // bench_test.go in this package regenerates every table and figure of the
 // paper as testing.B benchmarks.

@@ -3,35 +3,12 @@ package experiments
 import (
 	"encoding/csv"
 	"fmt"
-	"os"
-	"path/filepath"
 	"strconv"
 	"strings"
 
 	"fleaflicker/internal/mem"
 	"fleaflicker/internal/stats"
 )
-
-// WriteCSV exports the suite's Figure 6 and Figure 7 data as
-// machine-readable CSV files (fig6.csv, fig7.csv) in dir, creating it if
-// needed.
-func WriteCSV(s *SuiteRuns, dir string) error {
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return err
-	}
-	if err := writeCSVFile(filepath.Join(dir, "fig6.csv"), fig6Records(s)); err != nil {
-		return err
-	}
-	return writeCSVFile(filepath.Join(dir, "fig7.csv"), fig7Records(s))
-}
-
-// WriteFig8CSV exports a Figure 8 sweep as fig8.csv in dir.
-func WriteFig8CSV(points []Fig8Point, dir string) error {
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return err
-	}
-	return writeCSVFile(filepath.Join(dir, "fig8.csv"), fig8Records(points))
-}
 
 func fig8Records(points []Fig8Point) [][]string {
 	recs := [][]string{{"benchmark", "feedback_latency", "deferred", "cycles"}}
@@ -108,26 +85,7 @@ func fig7Records(s *SuiteRuns) [][]string {
 	return recs
 }
 
-func writeCSVFile(path string, records [][]string) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	w := csv.NewWriter(f)
-	if err := w.WriteAll(records); err != nil {
-		f.Close()
-		return err
-	}
-	w.Flush()
-	if err := w.Error(); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
-}
-
-// csvString renders records as CSV text, for callers that persist
-// artifacts rather than files (the fleaflow orchestrator).
+// csvString renders records as CSV text.
 func csvString(recs [][]string) string {
 	var b strings.Builder
 	w := csv.NewWriter(&b)

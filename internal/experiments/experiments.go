@@ -12,12 +12,10 @@ import (
 	"fmt"
 	"math"
 	"runtime"
-	"sort"
 	"strings"
 	"sync"
 
 	"fleaflicker/internal/arch"
-	"fleaflicker/internal/checkpoint"
 	"fleaflicker/internal/core"
 	"fleaflicker/internal/mem"
 	"fleaflicker/internal/stats"
@@ -47,67 +45,14 @@ func (s *SuiteRuns) Reuse(cfg core.Config, bench string, model core.Model) *stat
 	return s.Get(bench, model)
 }
 
-// suiteMode selects how runSuite treats the functional reference.
-type suiteMode int
-
-const (
-	suiteUnverified   suiteMode = iota // no reference, no verification
-	suiteVerified                      // one shared reference per benchmark, cells run from zero
-	suiteCheckpointed                  // shared checkpointed reference, cells fast-forward
-)
-
-// RunSuite simulates every benchmark on every model, in parallel. With
-// verified set, each run is checked against the functional reference
-// executor; the reference runs once per benchmark and is shared across all
-// of that benchmark's model cells. When ctx is cancelled, no further jobs
-// launch and the jobs already in flight abort at their machines' next
-// cancellation check. Every per-cell failure is reported (joined with
-// errors.Join), not just the first.
-func RunSuite(ctx context.Context, cfg core.Config, models []core.Model, benches []*workload.Benchmark, verified bool) (*SuiteRuns, error) {
-	mode := suiteUnverified
-	if verified {
-		mode = suiteVerified
-	}
-	return runSuite(ctx, cfg, models, benches, mode)
-}
-
-// RunSuiteCheckpointed is the verified suite in fast-forward mode: each
-// benchmark's reference execution captures functional checkpoints every 1/8
-// of its dynamic instruction count, and every model cell resumes from the
-// last one, re-simulating only the post-checkpoint suffix before the usual
-// final-state verification. Use it where throughput matters and only the
-// architectural verdict is consumed (CI, pre-merge sweeps); figure-producing
-// runs must stay from-zero, because a resumed run's cycle counts cover only
-// the suffix it actually simulated.
-func RunSuiteCheckpointed(ctx context.Context, cfg core.Config, models []core.Model, benches []*workload.Benchmark) (*SuiteRuns, error) {
-	return runSuite(ctx, cfg, models, benches, suiteCheckpointed)
-}
-
-// suiteReference computes one benchmark's shared reference and, in
-// checkpointed mode, the snapshot its cells resume from. The interval needs
-// the dynamic instruction count, so checkpointed mode runs the (cheap)
-// functional executor twice: once to size the interval, once to capture.
-func suiteReference(b *workload.Benchmark, maxSteps int64, mode suiteMode) (*core.Reference, *checkpoint.Snapshot, error) {
-	if mode != suiteCheckpointed {
-		ref, err := core.ComputeReference(b.Program(), maxSteps)
-		return ref, nil, err
-	}
-	plain, err := core.ComputeReference(b.Program(), maxSteps)
-	if err != nil {
-		return nil, nil, err
-	}
-	every := plain.Result.Instructions / 8
-	if every < 1 {
-		every = 1
-	}
-	ref, err := core.ComputeReference(b.Program(), maxSteps, core.WithCheckpoints(every))
-	if err != nil {
-		return nil, nil, err
-	}
-	return ref, ref.NearestCheckpoint(), nil
-}
-
-func runSuite(ctx context.Context, cfg core.Config, models []core.Model, benches []*workload.Benchmark, mode suiteMode) (*SuiteRuns, error) {
+// RunSuite simulates every benchmark on every model, in parallel, and
+// checks each run against the functional reference executor. The reference
+// runs once per benchmark and is shared across all of that benchmark's model
+// cells. When ctx is cancelled, no further jobs launch and the jobs already
+// in flight abort at their machines' next cancellation check. Every
+// per-cell failure is reported (joined with errors.Join), not just the
+// first.
+func RunSuite(ctx context.Context, cfg core.Config, models []core.Model, benches []*workload.Benchmark) (*SuiteRuns, error) {
 	out := &SuiteRuns{
 		Config: cfg,
 		Runs:   make(map[string]map[core.Model]*stats.Run),
@@ -115,10 +60,9 @@ func runSuite(ctx context.Context, cfg core.Config, models []core.Model, benches
 	// refCell lazily computes a benchmark's shared reference: the first model
 	// cell to need it pays the functional execution, the rest reuse it.
 	type refCell struct {
-		once   sync.Once
-		ref    *core.Reference
-		resume *checkpoint.Snapshot
-		err    error
+		once sync.Once
+		ref  *core.Reference
+		err  error
 	}
 	refs := make(map[string]*refCell, len(benches))
 	for _, b := range benches {
@@ -152,24 +96,17 @@ func runSuite(ctx context.Context, cfg core.Config, models []core.Model, benches
 			if ctx.Err() != nil {
 				return // cancelled: don't launch this cell
 			}
-			opts := []core.Option{core.WithConfig(cfg)}
-			if mode != suiteUnverified {
-				rc := refs[j.bench.Name]
-				rc.once.Do(func() {
-					rc.ref, rc.resume, rc.err = suiteReference(j.bench, cfg.MaxCycles, mode)
-				})
-				if rc.err != nil {
-					mu.Lock()
-					errs = append(errs, fmt.Errorf("%s/%v: reference: %w", j.bench.Name, j.model, rc.err))
-					mu.Unlock()
-					return
-				}
-				opts = append(opts, core.WithReference(rc.ref))
-				if rc.resume != nil {
-					opts = append(opts, core.ResumeFrom(rc.resume))
-				}
+			rc := refs[j.bench.Name]
+			rc.once.Do(func() {
+				rc.ref, rc.err = core.ComputeReference(j.bench.Program(), cfg.MaxCycles)
+			})
+			if rc.err != nil {
+				mu.Lock()
+				errs = append(errs, fmt.Errorf("%s/%v: reference: %w", j.bench.Name, j.model, rc.err))
+				mu.Unlock()
+				return
 			}
-			r, err := core.Simulate(ctx, j.model, j.bench.Program(), opts...)
+			r, err := core.Simulate(ctx, j.model, j.bench.Program(), core.WithConfig(cfg), core.WithReference(rc.ref))
 			mu.Lock()
 			defer mu.Unlock()
 			if err != nil {
@@ -583,12 +520,4 @@ func RenderRunaheadCompare(s *SuiteRuns) string {
 			float64(tp.Cycles)/float64(base.Cycles))
 	}
 	return b.String()
-}
-
-// SortedBenchNames returns the suite names sorted (helper for stable CLI
-// output when iterating maps).
-func SortedBenchNames(s *SuiteRuns) []string {
-	names := append([]string(nil), s.Benchmarks...)
-	sort.Strings(names)
-	return names
 }

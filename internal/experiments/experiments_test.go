@@ -4,10 +4,9 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"os"
-	"path/filepath"
 	"strings"
 	"testing"
+	"time"
 
 	"fleaflicker/internal/core"
 	"fleaflicker/internal/workload"
@@ -29,7 +28,7 @@ func fastBenches(t *testing.T) []*workload.Benchmark {
 }
 
 func TestRunSuiteAndRenderers(t *testing.T) {
-	s, err := RunSuite(context.Background(), core.DefaultConfig(), core.Models(), fastBenches(t), true)
+	s, err := RunSuite(context.Background(), core.DefaultConfig(), core.Models(), fastBenches(t))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,7 +79,7 @@ func TestRunSuiteAndRenderers(t *testing.T) {
 }
 
 func TestSpeedupSummary(t *testing.T) {
-	s, err := RunSuite(context.Background(), core.DefaultConfig(), Fig6Models, fastBenches(t), false)
+	s, err := RunSuite(context.Background(), core.DefaultConfig(), Fig6Models, fastBenches(t))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -174,13 +173,13 @@ func TestDriversHonourCancellation(t *testing.T) {
 
 func TestRunSuiteErrorPropagates(t *testing.T) {
 	cfg := core.DefaultConfig()
-	cfg.MaxCycles = 10 // everything times out
+	cfg.MaxCycles = 10 // every benchmark's shared reference exceeds the limit
 	err := RunSuiteErr(t, cfg)
 	if err == nil {
-		t.Fatalf("expected timeout error")
+		t.Fatalf("expected step-limit error")
 	}
-	// Every failing cell must be reported, not just the first: 2 benchmarks
-	// × 3 models all exceed MaxCycles.
+	// Every failing cell must be reported, not just the first: all 2
+	// benchmarks × 3 models fail on their shared reference.
 	for _, bench := range []string{"300.twolf", "099.go"} {
 		for _, m := range Fig6Models {
 			cell := fmt.Sprintf("%s/%v", bench, m)
@@ -193,42 +192,27 @@ func TestRunSuiteErrorPropagates(t *testing.T) {
 
 func RunSuiteErr(t *testing.T, cfg core.Config) error {
 	t.Helper()
-	_, err := RunSuite(context.Background(), cfg, Fig6Models, fastBenches(t), false)
+	_, err := RunSuite(context.Background(), cfg, Fig6Models, fastBenches(t))
 	return err
 }
 
 func TestRunSuiteCancellation(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	_, err := RunSuite(ctx, core.DefaultConfig(), Fig6Models, fastBenches(t), false)
+	_, err := RunSuite(ctx, core.DefaultConfig(), Fig6Models, fastBenches(t))
 	if !errors.Is(err, context.Canceled) {
 		t.Errorf("err = %v, want context.Canceled", err)
 	}
 }
 
-func TestSortedBenchNames(t *testing.T) {
-	s := &SuiteRuns{Benchmarks: []string{"b", "a"}}
-	got := SortedBenchNames(s)
-	if got[0] != "a" || got[1] != "b" {
-		t.Errorf("not sorted: %v", got)
-	}
-}
-
+// TestCSVExport checks the figure exports that `fleaflow run figure6 -out`
+// writes as fig6.csv, fig7.csv and fig8.csv.
 func TestCSVExport(t *testing.T) {
-	s, err := RunSuite(context.Background(), core.DefaultConfig(), Fig6Models, fastBenches(t), false)
+	s, err := RunSuite(context.Background(), core.DefaultConfig(), Fig6Models, fastBenches(t))
 	if err != nil {
 		t.Fatal(err)
 	}
-	dir := t.TempDir()
-	if err := WriteCSV(s, dir); err != nil {
-		t.Fatal(err)
-	}
-	for _, name := range []string{"fig6.csv", "fig7.csv"} {
-		data, err := os.ReadFile(filepath.Join(dir, name))
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		text := string(data)
+	for name, text := range map[string]string{"fig6.csv": Fig6CSV(s), "fig7.csv": Fig7CSV(s)} {
 		if !strings.Contains(text, "300.twolf") || !strings.Contains(text, "2Pre") {
 			t.Errorf("%s missing expected rows:\n%s", name, text[:min(400, len(text))])
 		}
@@ -237,14 +221,41 @@ func TestCSVExport(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := WriteFig8CSV(points, dir); err != nil {
-		t.Fatal(err)
-	}
-	data, err := os.ReadFile(filepath.Join(dir, "fig8.csv"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(string(data), "inf") {
+	if !strings.Contains(Fig8CSV(points), "inf") {
 		t.Errorf("fig8.csv missing the disabled-feedback row")
+	}
+}
+
+// TestRunSuiteRerunAfterCancellation interrupts a suite mid-flight and then
+// reruns it. The shared per-benchmark reference (the sync.Once cell in
+// RunSuite) is function-local state: an aborted call must not leak a
+// half-built reference into a later call, which the second run's full
+// verification would catch as a divergence.
+func TestRunSuiteRerunAfterCancellation(t *testing.T) {
+	benches := fastBenches(t)
+	cfg := core.DefaultConfig()
+
+	ctx, cancel := context.WithTimeout(context.Background(), time.Millisecond)
+	defer cancel()
+	if _, err := RunSuite(ctx, cfg, core.Models(), benches); err == nil {
+		t.Fatal("expected cancellation error")
+	} else if !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("err = %v, want context.DeadlineExceeded", err)
+	}
+
+	s, err := RunSuite(context.Background(), cfg, core.Models(), benches)
+	if err != nil {
+		t.Fatalf("rerun after cancellation: %v", err)
+	}
+	for _, bench := range s.Benchmarks {
+		for _, m := range core.Models() {
+			r := s.Get(bench, m)
+			if r == nil {
+				t.Fatalf("missing run %s/%v after rerun", bench, m)
+			}
+			if err := r.CheckInvariants(); err != nil {
+				t.Errorf("%s/%v: %v", bench, m, err)
+			}
+		}
 	}
 }

@@ -23,7 +23,7 @@ func TestSuiteResultsMatchFreshRuns(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	suite, err := RunSuite(ctx, cfg, core.Models(), []*workload.Benchmark{bench}, true)
+	suite, err := RunSuite(ctx, cfg, core.Models(), []*workload.Benchmark{bench})
 	if err != nil {
 		t.Fatal(err)
 	}

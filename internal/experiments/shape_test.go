@@ -18,7 +18,7 @@ func TestFigure6Shape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full-suite run")
 	}
-	s, err := RunSuite(context.Background(), core.DefaultConfig(), Fig6Models, workload.Suite(), false)
+	s, err := RunSuite(context.Background(), core.DefaultConfig(), Fig6Models, workload.Suite())
 	if err != nil {
 		t.Fatal(err)
 	}

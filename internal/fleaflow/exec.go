@@ -65,7 +65,7 @@ func serviceRunUnit(ctx context.Context, cl *client.Client, spec service.JobSpec
 // for the server's result cache.
 func runSuiteStage(ctx context.Context, env Env, cfg core.Config, models []core.Model, b *workload.Benchmark) (*experiments.SuiteRuns, error) {
 	if env.Service == nil {
-		return experiments.RunSuite(ctx, cfg, models, []*workload.Benchmark{b}, true)
+		return experiments.RunSuite(ctx, cfg, models, []*workload.Benchmark{b})
 	}
 	out := &experiments.SuiteRuns{
 		Config:     cfg,

@@ -41,13 +41,16 @@ type Env struct {
 // the stage family's version, which invalidates exactly that family's
 // cached artifacts.
 const (
-	figure6DefV = 1
-	fuzzDefV    = 1
-	smokeDefV   = 1
+	figure6DefV    = 1
+	extensionsDefV = 1
+	fuzzDefV       = 1
+	smokeDefV      = 1
 )
 
 // BuiltinNames lists the built-in pipelines in presentation order.
-func BuiltinNames() []string { return []string{"figure6", "fuzz-campaign", "smoke"} }
+func BuiltinNames() []string {
+	return []string{"figure6", "extensions", "fuzz-campaign", "smoke"}
+}
 
 // BuiltinDoc returns the one-line description of a built-in ("" if
 // unknown).
@@ -55,6 +58,8 @@ func BuiltinDoc(name string) string {
 	switch name {
 	case "figure6":
 		return "every paper figure and sweep as one cached campaign; regenerates the EXPERIMENTS.md block"
+	case "extensions":
+		return "futuristic-machine and perfect-memory ablations and the if-conversion study"
 	case "fuzz-campaign":
 		return "progen -> sharded diffsim lattice -> divergence report"
 	case "smoke":
@@ -68,6 +73,8 @@ func Builtin(name string, env Env) (*Pipeline, error) {
 	switch name {
 	case "figure6":
 		return Figure6(env), nil
+	case "extensions":
+		return Extensions(), nil
 	case "fuzz-campaign":
 		return FuzzCampaign(env), nil
 	case "smoke":
@@ -115,7 +122,7 @@ type renderStageDef struct {
 
 // Figure6 builds the cross-model stall-tolerance campaign: the verified
 // Figure 6/7 suite (one stage per benchmark, reference shared per bench
-// via experiments.RunSuite's checkpoint cell), the Figure 8 feedback sweep,
+// via experiments.RunSuite's reference cell), the Figure 8 feedback sweep,
 // the ablation sweeps, and every table EXPERIMENTS.md carries, assembled
 // into one final report artifact. Table 2, Figure 8 and the sweeps depend on
 // the suite stages of their benchmarks and take the results those already
@@ -374,6 +381,93 @@ func buildFigure6Doc(in *Inputs) (*Figure6Doc, error) {
 		Deterministic: strings.TrimRight(det.String(), "\n") + "\n",
 		CSV:           map[string]string{"fig6.csv": csv.Fig6, "fig7.csv": csv.Fig7, "fig8.csv": fig8.CSV},
 	}, nil
+}
+
+// ---- extensions ----
+
+// studyStageDef keys an extension-study stage: the benchmarks it runs and
+// the machine configurations it compares (Alt is nil for if-conversion).
+type studyStageDef struct {
+	V       int          `json:"v"`
+	Kind    string       `json:"kind"`
+	Benches []string     `json:"benches"`
+	Config  core.Config  `json:"config"`
+	Alt     *core.Config `json:"alt,omitempty"`
+}
+
+// Extensions builds the studies beyond the paper's figures: 2P on the
+// futuristic machine §4 gestures at, the perfect-memory ablation, and
+// if-conversion ahead of the two-pass machine, joined into one report. Its
+// stages always run in-process: the service's config overrides cannot
+// express the alternative machines' caches.
+func Extensions() *Pipeline {
+	cfg := core.DefaultConfig()
+	machineBenches := []string{"181.mcf", "183.equake", "300.twolf"}
+	ifconvBenches := []string{"300.twolf", "099.go", "130.li"}
+
+	machines := []struct {
+		name, altName, title string
+		alt                  core.Config
+	}{
+		{"future", "future", "Futuristic machine (§4): smaller low-level caches, longer latencies",
+			experiments.FutureConfig()},
+		{"perfect-memory", "perfect", "Perfect-memory ablation: with no misses, two-pass collapses to baseline",
+			experiments.PerfectMemoryConfig()},
+	}
+	var stages []*Stage
+	for _, m := range machines {
+		stages = append(stages, &Stage{
+			Name:    m.name,
+			Def:     studyStageDef{V: extensionsDefV, Kind: m.name, Benches: machineBenches, Config: cfg, Alt: &m.alt},
+			Timeout: 30 * time.Minute,
+			Run: func(ctx context.Context, in *Inputs) (any, error) {
+				benches := make([]*workload.Benchmark, len(machineBenches))
+				for i, name := range machineBenches {
+					b, err := workload.ByName(name)
+					if err != nil {
+						return nil, err
+					}
+					benches[i] = b
+				}
+				rows, err := experiments.CompareMachines(ctx, cfg, m.alt, benches)
+				if err != nil {
+					return nil, err
+				}
+				return Doc{Markdown: experiments.RenderMachineComparison(m.title, m.altName, rows)}, nil
+			},
+		})
+	}
+	stages = append(stages, &Stage{
+		Name:    "ifconvert",
+		Def:     studyStageDef{V: extensionsDefV, Kind: "ifconvert", Benches: ifconvBenches, Config: cfg},
+		Timeout: 30 * time.Minute,
+		Run: func(ctx context.Context, in *Inputs) (any, error) {
+			rows, err := experiments.IfConvertStudy(ctx, cfg, ifconvBenches)
+			if err != nil {
+				return nil, err
+			}
+			return Doc{Markdown: experiments.RenderIfConvertStudy(rows)}, nil
+		},
+	})
+
+	parts := []string{"future", "perfect-memory", "ifconvert"}
+	stages = append(stages, &Stage{
+		Name: "report",
+		Deps: parts,
+		Def:  renderStageDef{V: extensionsDefV, Kind: "report"},
+		Run: func(ctx context.Context, in *Inputs) (any, error) {
+			var b strings.Builder
+			for _, dep := range parts {
+				var d Doc
+				if err := in.Decode(dep, &d); err != nil {
+					return nil, err
+				}
+				b.WriteString(d.Markdown + "\n")
+			}
+			return Doc{Markdown: b.String()}, nil
+		},
+	})
+	return &Pipeline{Name: "extensions", Doc: BuiltinDoc("extensions"), Stages: stages}
 }
 
 // ---- fuzz-campaign ----

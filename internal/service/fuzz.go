@@ -85,8 +85,9 @@ func WithFuzzRunner(r FuzzRunner) Option {
 	return func(m *Manager) { m.fuzzRunner = r }
 }
 
-// expandFuzz resolves a kind-"fuzz" spec into one unit per seed chunk.
-func (s *JobSpec) expandFuzz() ([]UnitSpec, error) {
+// expandFuzz resolves a kind-"fuzz" spec into one unit per seed chunk,
+// rejecting more than limit chunks (limit > 0) before building any.
+func (s *JobSpec) expandFuzz(limit int) ([]UnitSpec, error) {
 	if s.Model != "" || s.Bench != "" || len(s.Models) > 0 || len(s.Benches) > 0 || s.Sweep != nil {
 		return nil, fmt.Errorf("%w: kind fuzz takes no model, bench or sweep axes", ErrInvalidSpec)
 	}
@@ -96,6 +97,9 @@ func (s *JobSpec) expandFuzz() ([]UnitSpec, error) {
 	chunk := s.Fuzz.ChunkSize
 	if chunk <= 0 {
 		chunk = defaultFuzzChunk
+	}
+	if err := checkUnitCount(limit, (s.Fuzz.Programs-1)/chunk+1); err != nil {
+		return nil, err
 	}
 	var units []UnitSpec
 	for off := 0; off < s.Fuzz.Programs; off += chunk {

@@ -230,7 +230,7 @@ func defaultRunner(ctx context.Context, u UnitSpec) (*stats.Run, error) {
 // The returned job is already collecting; watch Done(), Status() or an SSE
 // stream.
 func (m *Manager) Submit(spec JobSpec) (*Job, error) {
-	units, err := spec.expand()
+	units, err := spec.expand(m.cfg.MaxUnitsPerJob)
 	if err != nil {
 		return nil, err
 	}

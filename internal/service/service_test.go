@@ -5,6 +5,8 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"runtime"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -484,6 +486,52 @@ func TestInvalidSpecs(t *testing.T) {
 	}
 }
 
+// TestOversizedGridRejectedBeforeExpansion: a sweep or fuzz spec that
+// exceeds the per-job unit limit, or whose unit count overflows int, is
+// rejected from its sizes alone, without building the units it describes.
+func TestOversizedGridRejectedBeforeExpansion(t *testing.T) {
+	m := New(Config{Workers: 1}, WithRunner(countingRunner(new(atomic.Int64))))
+	defer m.Drain(context.Background())
+	axis := func(n int) []int {
+		v := make([]int, n)
+		for i := range v {
+			v[i] = i + 1
+		}
+		return v
+	}
+	sweep := func(axes SweepAxes) JobSpec {
+		return JobSpec{Kind: "sweep", Models: []string{"2P"}, Benches: []string{"300.twolf"}, Sweep: &axes}
+	}
+
+	// 90,000 units each: 300 × 300 sweep points (about 225 MiB if the grid
+	// were built) and 90,000 one-program fuzz chunks.
+	for name, spec := range map[string]JobSpec{
+		"sweep": sweep(SweepAxes{CQSizes: axis(300), DeferThrottles: axis(300)}),
+		"fuzz":  {Kind: "fuzz", Fuzz: &FuzzSpec{Programs: 90_000, ChunkSize: 1}},
+	} {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, err := m.Submit(spec)
+		runtime.ReadMemStats(&after)
+		if !errors.Is(err, ErrInvalidSpec) {
+			t.Fatalf("%s: err = %v, want ErrInvalidSpec", name, err)
+		}
+		if d := after.TotalAlloc - before.TotalAlloc; d > 1<<20 {
+			t.Errorf("%s: rejecting 90,000 units allocated %d bytes, want under 1 MiB", name, d)
+		}
+	}
+
+	// 2^16 values on each of four axes: 2^64 points overflow int.
+	v := axis(1 << 16)
+	huge := sweep(SweepAxes{CQSizes: v, FeedbackLatencies: v, ALATCapacities: v, DeferThrottles: v})
+	if _, err := m.Submit(huge); !errors.Is(err, ErrInvalidSpec) || !strings.Contains(err.Error(), "overflow") {
+		t.Errorf("overflowing grid: err = %v, want ErrInvalidSpec naming the overflow", err)
+	}
+	if _, err := ExpandUnits(huge); !errors.Is(err, ErrInvalidSpec) {
+		t.Errorf("ExpandUnits of an overflowing grid: err = %v, want ErrInvalidSpec", err)
+	}
+}
+
 // TestUnitKeyStability pins the key's sensitivity: config and model changes
 // alter it, sweep labels do not.
 func TestUnitKeyStability(t *testing.T) {
@@ -492,7 +540,7 @@ func TestUnitKeyStability(t *testing.T) {
 		if mutate != nil {
 			mutate(&s)
 		}
-		units, err := s.expand()
+		units, err := s.expand(0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -520,13 +568,13 @@ func TestUnitKeyStability(t *testing.T) {
 	// override sets cq_size=64 — Params are presentation-only.
 	cq64 := 64
 	plain := JobSpec{Model: "2P", Bench: "300.twolf", Config: ConfigOverrides{CQSize: &cq64}}
-	pu, err := plain.expand()
+	pu, err := plain.expand(0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	sweep := JobSpec{Kind: "sweep", Models: []string{"2P"}, Benches: []string{"300.twolf"},
 		Sweep: &SweepAxes{CQSizes: []int{64}}}
-	su, err := sweep.expand()
+	su, err := sweep.expand(0)
 	if err != nil {
 		t.Fatal(err)
 	}

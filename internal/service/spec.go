@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"math"
 
 	"fleaflicker/internal/core"
 	"fleaflicker/internal/workload"
@@ -173,12 +174,15 @@ func modelByName(name string) (core.Model, error) {
 }
 
 // expand resolves the spec into its simulation units: validation, default
-// filling, and server-side cartesian expansion of the sweep grid.
-func (s *JobSpec) expand() ([]UnitSpec, error) {
+// filling, and server-side cartesian expansion of the sweep grid. A spec
+// that would expand to more than limit units (limit > 0), or to a count that
+// overflows int, is rejected before any unit is built, so the size of a
+// request body bounds the work admission does.
+func (s *JobSpec) expand(limit int) ([]UnitSpec, error) {
 	switch s.Kind {
 	case "", "run", "sweep":
 	case "fuzz":
-		return s.expandFuzz()
+		return s.expandFuzz(limit)
 	default:
 		return nil, fmt.Errorf("%w: unknown kind %q (have run, sweep, fuzz)", ErrInvalidSpec, s.Kind)
 	}
@@ -236,6 +240,14 @@ func (s *JobSpec) expand() ([]UnitSpec, error) {
 		}
 	}
 
+	dims := []int{len(models), len(benches)}
+	for _, ax := range axes {
+		dims = append(dims, len(ax.values))
+	}
+	if err := checkUnitCount(limit, dims...); err != nil {
+		return nil, err
+	}
+
 	// points enumerates the grid coordinates: one []Param per point.
 	points := [][]Param{nil}
 	for _, ax := range axes {
@@ -286,4 +298,20 @@ func (s *JobSpec) expand() ([]UnitSpec, error) {
 		}
 	}
 	return units, nil
+}
+
+// checkUnitCount rejects a job whose unit count, the product of dims,
+// overflows int or exceeds limit (limit <= 0 means no limit).
+func checkUnitCount(limit int, dims ...int) error {
+	n := 1
+	for _, d := range dims {
+		if d != 0 && n > math.MaxInt/d {
+			return fmt.Errorf("%w: unit count overflows", ErrInvalidSpec)
+		}
+		n *= d
+	}
+	if limit > 0 && n > limit {
+		return fmt.Errorf("%w: %d units exceeds the per-job limit of %d", ErrInvalidSpec, n, limit)
+	}
+	return nil
 }

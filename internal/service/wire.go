@@ -17,9 +17,10 @@ import (
 
 // ExpandUnits resolves a JobSpec into its simulation units exactly as
 // Submit would: validation, default filling, and server-side cartesian
-// expansion of sweep grids and fuzz seed chunks.
+// expansion of sweep grids and fuzz seed chunks. It applies no per-job unit
+// limit; Submit applies its Manager's.
 func ExpandUnits(spec JobSpec) ([]UnitSpec, error) {
-	return spec.expand()
+	return spec.expand(0)
 }
 
 // WireUnit is the JSON form of one fully resolved UnitSpec, carrying every
