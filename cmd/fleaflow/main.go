@@ -11,6 +11,10 @@
 //	             [-out dir] [-experiments path]
 //	             [-fuzz-programs n] [-fuzz-shards n] [-fuzz-smoke]
 //
+// -out and -experiments apply to figure6 only, and -service to every
+// pipeline but extensions, whose stages always run in-process; `run` rejects
+// them elsewhere with a usage error.
+//
 // `run` is SIGINT-safe: interrupting a campaign cancels in-flight stages,
 // keeps every completed artifact, and a plain rerun redoes only unfinished
 // work — that is what content addressing buys.
@@ -134,7 +138,7 @@ func runCmd(ctx context.Context, args []string) error {
 		storeDir = fs.String("store", ".fleaflow", "artifact store directory")
 		par      = fs.Int("par", runtime.GOMAXPROCS(0), "max concurrently executing stages")
 		fresh    = fs.Bool("fresh", false, "ignore existing artifacts; re-run every stage")
-		outDir   = fs.String("out", "", "write campaign outputs (fig6/fig7/fig8 CSVs) to this directory")
+		outDir   = fs.String("out", "", "write campaign outputs (fig6/fig7/fig8 CSVs) to this directory (figure6 only)")
 		expPath  = fs.String("experiments", "", "patch this EXPERIMENTS.md's fleaflow sections (figure6 only)")
 		quiet    = fs.Bool("q", false, "suppress per-stage progress lines")
 	)
@@ -149,6 +153,9 @@ func runCmd(ctx context.Context, args []string) error {
 	}
 	p, err := fleaflow.Builtin(name, env)
 	if err != nil {
+		return err
+	}
+	if err := rejectIgnoredFlags(fs, name); err != nil {
 		return err
 	}
 	store, err := fleaflow.OpenStore(*storeDir)
@@ -208,6 +215,34 @@ func pipelineArg(fs *flag.FlagSet, args []string) (string, error) {
 		name = fs.Arg(0)
 	}
 	return name, nil
+}
+
+// ignoredFlag reports whether pipeline has no use for the run flag named
+// flag: only figure6 writes CSVs and EXPERIMENTS.md, and the extensions
+// stages always run in-process.
+func ignoredFlag(pipeline, flag string) bool {
+	switch flag {
+	case "out", "experiments":
+		return pipeline != "figure6"
+	case "service":
+		return pipeline == "extensions"
+	}
+	return false
+}
+
+// rejectIgnoredFlags fails with a usage error, before anything is created
+// or run, when a flag set on the command line does not apply to pipeline.
+func rejectIgnoredFlags(fs *flag.FlagSet, pipeline string) error {
+	var err error
+	fs.Visit(func(f *flag.Flag) {
+		if err == nil && ignoredFlag(pipeline, f.Name) {
+			err = fmt.Errorf("flag -%s does not apply to pipeline %s", f.Name, pipeline)
+		}
+	})
+	if err != nil {
+		fs.Usage()
+	}
+	return err
 }
 
 // finish post-processes a completed campaign: prints its terminal document

@@ -5,8 +5,8 @@
 // grep, dashboards and the golden-metric tests. The analyzer reports:
 //
 //   - a registration call — (*metrics.Registry).Counter/Gauge/
-//     SharedCounter/SharedGauge or (*stats.Collector).Counter — whose name
-//     argument is not a compile-time string constant;
+//     SharedCounter/SharedGauge — whose name argument is not a compile-time
+//     string constant;
 //   - two package-level Metric*/Gauge* string constants with the same value
 //     (the canonical-name block in internal/stats is the registry of record,
 //     so a collision there aliases two metrics);
@@ -96,8 +96,7 @@ func run(pass *analysis.Pass) (interface{}, error) {
 			isReg := annotation.IsMethod(fn, "metrics", "Registry", "Counter") ||
 				annotation.IsMethod(fn, "metrics", "Registry", "Gauge") ||
 				annotation.IsMethod(fn, "metrics", "Registry", "SharedCounter") ||
-				annotation.IsMethod(fn, "metrics", "Registry", "SharedGauge") ||
-				annotation.IsMethod(fn, "stats", "Collector", "Counter")
+				annotation.IsMethod(fn, "metrics", "Registry", "SharedGauge")
 			if !isReg || inStats {
 				return true
 			}

@@ -1,10 +1,7 @@
 // Positive fixture: metric-name collisions and non-constant registrations.
 package a
 
-import (
-	"metrics"
-	"stats"
-)
+import "metrics"
 
 const (
 	MetricCycles = "cycles_total"
@@ -24,9 +21,4 @@ func registerShared(reg *metrics.Registry, name string) {
 	reg.SharedCounter(name)                 // want "metric registration name must be a compile-time string constant"
 	reg.SharedGauge(name)                   // want "metric registration name must be a compile-time string constant"
 	reg.SharedCounter("instructions_total") // want "duplicates the named constant MetricInsts; use the constant"
-}
-
-func registerCol(col *stats.Collector, name string) {
-	col.Counter(name) // want "metric registration name must be a compile-time string constant"
-	col.Counter(MetricInsts)
 }

@@ -10,10 +10,9 @@
 //     in which case every call TO it (in the same package) must itself be
 //     guarded;
 //   - inside //flea:hotpath functions, metric handles are not looked up
-//     through (*metrics.Registry).Counter/Gauge/CounterValue or
-//     (*stats.Collector).Counter — lookups take a mutex and a map probe and
-//     belong at machine construction; the hot path bumps pre-resolved
-//     handles.
+//     through (*metrics.Registry).Counter/Gauge/CounterValue — lookups take
+//     a mutex and a map probe and belong at construction; the hot path
+//     bumps pre-resolved handles.
 //
 // Test files, and the trace package itself, are exempt.
 package traceguard
@@ -98,8 +97,7 @@ func run(pass *analysis.Pass) (interface{}, error) {
 			if hotpathEnclosing(pass, marks, stack) {
 				if annotation.IsMethod(fn, "metrics", "Registry", "Counter") ||
 					annotation.IsMethod(fn, "metrics", "Registry", "Gauge") ||
-					annotation.IsMethod(fn, "metrics", "Registry", "CounterValue") ||
-					annotation.IsMethod(fn, "stats", "Collector", "Counter") {
+					annotation.IsMethod(fn, "metrics", "Registry", "CounterValue") {
 					pass.Reportf(n.Pos(),
 						"registry lookup %s.%s on a //flea:hotpath function; resolve the handle at construction and bump it here",
 						recvName(fn), fn.Name())

@@ -78,17 +78,15 @@ type Machine struct {
 	addrScratch []uint32
 
 	// ra is the run-ahead episode state, nil on the baseline machine.
-	// RunaheadEntries/RunaheadInsts count run-ahead activity; they mirror
-	// the "runahead.entries"/"runahead.insts" registry counters.
-	ra              *episode
-	RunaheadEntries int64
-	RunaheadInsts   int64
+	ra *episode
 
 	now    int64
 	halted bool
 	col    *stats.Collector
-	tr     *trace.Tracer
-	ctx    context.Context
+	// reg, when non-nil, receives the counters when Run returns.
+	reg *metrics.Registry
+	tr  *trace.Tracer
+	ctx context.Context
 
 	// Barrier carries the retired count, the architectural PC and the
 	// drain-barrier checkpoint protocol (see snapshot.go).
@@ -121,11 +119,12 @@ func NewRunahead(cfg Config, exitPenalty, minStall int, prog *program.Program, i
 		return nil, err
 	}
 	m.ra = &episode{exitPenalty: exitPenalty, minStall: minStall}
+	m.col.TrackRunahead()
 	return m, nil
 }
 
 func newMachine(model string, cfg Config, prog *program.Program, img *mem.Image) (*Machine, error) {
-	if err := prog.Validate(cfg.IssueWidth, cfg.FUs); err != nil {
+	if err := cfg.Arena.Validate(prog, cfg.IssueWidth, cfg.FUs); err != nil {
 		return nil, fmt.Errorf("%s: %w", model, err)
 	}
 	hier := cfg.Arena.Hierarchy(cfg.Mem)
@@ -134,13 +133,13 @@ func newMachine(model string, cfg Config, prog *program.Program, img *mem.Image)
 		prog: prog,
 		// Past the fetch queue the machine holds only the group it
 		// dispatches.
-		fe:   pipeline.NewFrontEnd(cfg.Front, cfg.IssueWidth, cfg.IssueWidth, prog, hier, bpred.New(cfg.Bpred), cfg.Arena),
+		fe:   pipeline.NewFrontEnd(cfg.Front, cfg.IssueWidth, cfg.IssueWidth, prog, hier, cfg.Arena.Predictor(cfg.Bpred), cfg.Arena),
 		hier: hier,
 		st:   arch.NewState(img),
+		col:  stats.NewCollector(prog.Name, model),
 	}
 	m.ring = m.fe.Ring()
-	m.Barrier = pipeline.NewBarrier(model, m.fe, m.st)
-	m.col = stats.NewCollector(metrics.NewRegistry(), prog.Name, model)
+	m.Barrier = pipeline.NewBarrier(model, m.fe, m.st, m.col)
 	return m, nil
 }
 
@@ -148,23 +147,18 @@ func newMachine(model string, cfg Config, prog *program.Program, img *mem.Image)
 func (m *Machine) State() *arch.State { return m.st }
 
 // Attach binds the machine's observability before Run: ctx cancels the
-// cycle loop, reg (when non-nil) replaces the private metrics registry, and
-// tr (which may be nil) receives trace events. Must not be called after Run
-// has started.
+// cycle loop, reg (when non-nil) receives the machine's counters when Run
+// returns (stats.Collector.Publish), and tr (which may be nil) receives
+// trace events. Must not be called after Run has started.
 func (m *Machine) Attach(ctx context.Context, reg *metrics.Registry, tr *trace.Tracer) {
-	if reg != nil {
-		m.col = stats.NewCollector(reg, m.prog.Name, m.Model())
-	}
 	m.ctx = ctx
+	m.reg = reg
 	m.tr = tr
 }
 
 // Run simulates to completion and returns the measurements.
 func (m *Machine) Run() (*stats.Run, error) {
-	m.PrimeCounters(m.col.Registry())
-	if m.ra != nil {
-		m.syncEpisodeCounters()
-	}
+	defer m.col.Publish(m.reg)
 	for !m.halted {
 		if m.now >= m.cfg.MaxCycles {
 			return nil, fmt.Errorf("%s: %q exceeded %d cycles", m.Model(), m.prog.Name, m.cfg.MaxCycles)
@@ -206,9 +200,6 @@ func (m *Machine) Run() (*stats.Run, error) {
 		if quiet {
 			m.now += m.Idle.Skip(m.col, m.tr, m.now, wake, m.cfg.MaxCycles)
 		}
-	}
-	if m.ra != nil {
-		m.syncEpisodeCounters()
 	}
 	r := m.col.Snapshot(m.hier.Stats())
 	if err := r.CheckInvariants(); err != nil {

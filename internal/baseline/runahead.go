@@ -43,15 +43,6 @@ type episode struct {
 	ready    [isa.NumRegs]int64
 }
 
-// syncEpisodeCounters brings the registry's episode counters up to the
-// machine fields, which count between syncs.
-func (m *Machine) syncEpisodeCounters() {
-	entries := m.col.Counter("runahead.entries")
-	entries.Add(m.RunaheadEntries - entries.Value())
-	insts := m.col.Counter("runahead.insts")
-	insts.Add(m.RunaheadInsts - insts.Value())
-}
-
 // enterRunahead checkpoints architectural register state and begins
 // speculative pre-execution. The stall cycles continue to be charged as load
 // stalls (the architectural pipe is still blocked); run-ahead merely warms
@@ -62,7 +53,7 @@ func (m *Machine) syncEpisodeCounters() {
 //flea:hotpath
 //flea:specentry
 func (m *Machine) enterRunahead(g *pipeline.Group, until int64) {
-	m.RunaheadEntries++
+	m.col.RunaheadEntry()
 	if m.tr.Enabled() {
 		m.tr.Emit(trace.Event{Cycle: m.now, Type: trace.EvRunaheadEnter, Pipe: trace.PipeB,
 			PC: g.FetchPC, Arg: until - m.now})
@@ -120,7 +111,7 @@ func (m *Machine) runaheadGroup(g *pipeline.Group) {
 	for p := g.Start; p < g.End; p++ {
 		d := m.ring.At(p)
 		in := d.In
-		m.RunaheadInsts++
+		m.col.RunaheadInst()
 		if m.tr.Enabled() {
 			m.tr.Emit(trace.Event{Cycle: m.now, Type: trace.EvPreExec, Pipe: trace.PipeB,
 				ID: d.ID, PC: d.PC, Note: in.String()})

@@ -74,7 +74,7 @@ warm:   addi r9 = r9, -1 ;;
 	if err != nil {
 		t.Fatal(err)
 	}
-	if m.RunaheadEntries == 0 {
+	if m.col.RunaheadEntries() == 0 {
 		t.Fatalf("run-ahead never entered")
 	}
 	if br.Cycles-rr.Cycles < 100 {
@@ -113,7 +113,7 @@ func TestRunaheadShortStallsSkipped(t *testing.T) {
 	if _, err := m.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if m.RunaheadEntries != 0 {
+	if m.col.RunaheadEntries() != 0 {
 		t.Errorf("run-ahead entered on an L1-hit stall")
 	}
 }

@@ -7,9 +7,10 @@ import (
 
 // Checkpoint support. The baseline is functional-at-dispatch, so its whole
 // machine state beyond what the embedded pipeline.Barrier captures (memory
-// image, caches, predictor, front-end stream counters) is the per-register
-// scoreboard. The run-ahead machine's episode state is dead at a barrier —
-// no episode begins while draining — so it adds only the episode totals.
+// image, caches, predictor, front-end stream counters, the collector's
+// counters) is the per-register scoreboard. The run-ahead machine's episode
+// state is dead at a barrier — no episode begins while draining — and its
+// episode totals are collector counters, so its section is the baseline's.
 
 // section names the machine's snapshot section.
 func (m *Machine) section() string {
@@ -33,29 +34,16 @@ func (m *Machine) RestoreSnapshot(snap *checkpoint.Snapshot) error {
 		m.ready[r] = d.I64()
 		m.loadProducer[r] = d.Bool()
 	}
-	if m.ra != nil {
-		// The episode totals live in machine fields between registry syncs;
-		// restoring them keeps the end-of-run sync additive.
-		m.RunaheadEntries = d.I64()
-		m.RunaheadInsts = d.I64()
-	}
 	return d.Err()
 }
 
 // takeSnapshot captures the quiesced machine at a drain barrier (fetch queue
 // empty, every dispatched instruction retired).
 func (m *Machine) takeSnapshot() {
-	e := checkpoint.NewEncoder(isa.NumRegs*9 + 16)
+	e := checkpoint.NewEncoder(isa.NumRegs * 9)
 	for r := range m.ready {
 		e.I64(m.ready[r])
 		e.Bool(m.loadProducer[r])
 	}
-	if m.ra != nil {
-		// Bring the registry's episode counters current so the captured
-		// counter set is coherent.
-		m.syncEpisodeCounters()
-		e.I64(m.RunaheadEntries)
-		e.I64(m.RunaheadInsts)
-	}
-	m.Capture(m.now, m.col.Registry(), m.section(), e.Bytes())
+	m.Capture(m.now, m.section(), e.Bytes())
 }

@@ -64,13 +64,27 @@ func New(cfg Config) *Predictor {
 		btbTagged: make([]int32, cfg.BTBEntries),
 		ras:       make([]int32, cfg.RASEntries),
 	}
+	p.Reset()
+	return p
+}
+
+// Config returns the configuration the predictor was built with.
+func (p *Predictor) Config() Config { return p.cfg }
+
+// Reset returns the predictor to the state New builds: every counter weakly
+// taken, empty history, BTB and return stack, and zero counts.
+func (p *Predictor) Reset() {
 	for i := range p.pht {
 		p.pht[i] = 2 // weakly taken
 	}
+	p.ghr = 0
+	clear(p.btb)
 	for i := range p.btbTagged {
 		p.btbTagged[i] = -1
 	}
-	return p
+	clear(p.ras)
+	p.rasTop = 0
+	p.Lookups, p.Mispredicts = 0, 0
 }
 
 func (p *Predictor) phtIndex(pc int32) uint32 {

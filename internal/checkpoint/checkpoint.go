@@ -55,9 +55,9 @@ func (k Kind) String() string {
 	return "?"
 }
 
-// Counter is one metric-registry counter value at capture time. A resumed
-// machine primes its registry with these so end-of-run aggregates equal the
-// from-zero run's.
+// Counter is one machine counter value (a stats.Collector counter, by its
+// canonical metric name) at capture time. A resumed machine primes its
+// collector with these so end-of-run aggregates equal the from-zero run's.
 type Counter struct {
 	Name  string
 	Value int64
@@ -109,7 +109,7 @@ type Snapshot struct {
 	FeFetchStalls int64
 	Hier          *mem.HierarchyState
 	Pred          *bpred.State
-	// Counters holds every registry counter at capture, in sorted name
+	// Counters holds every machine counter at capture, in sorted name
 	// order.
 	Counters []Counter
 	// Sections holds the per-model state blobs, in sorted name order.

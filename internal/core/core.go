@@ -2,8 +2,9 @@
 // machine model (baseline in-order EPIC, two-pass "flea-flicker" with and
 // without regrouping, and the run-ahead comparator) behind a single
 // Simulate entry point. Functional options attach verification against the
-// functional reference executor, a cycle-level trace sink, and an external
-// metrics registry; the context cancels the machine's cycle loop.
+// functional reference executor, a cycle-level trace sink, and a metrics
+// registry that receives the run's counters; the context cancels the
+// machine's cycle loop.
 package core
 
 import (
@@ -87,12 +88,13 @@ type Config struct {
 	MaxCycles int64
 
 	// Arena, when non-nil, supplies the machine's DynInst ring, memory
-	// hierarchy and decoded instruction table so repeated simulations (the
-	// differential fuzzer's inner loop) reuse them instead of allocating a
-	// fresh ring, rebuilding the Table 1 caches per program and decoding
-	// each program once per lattice cell. Excluded from serialization: it is an
-	// execution resource, not a machine parameter, so configs that differ
-	// only here are the same cache key.
+	// hierarchy, branch predictor, decoded instruction table and program
+	// validation so repeated simulations (the differential fuzzer's inner
+	// loop) reuse them instead of allocating a fresh ring, rebuilding the
+	// Table 1 caches and predictor tables per program, and decoding and
+	// validating each program once per lattice cell. Excluded from
+	// serialization: it is an execution resource, not a machine parameter,
+	// so configs that differ only here are the same cache key.
 	Arena *pipeline.Arena `json:"-"`
 }
 
@@ -136,7 +138,9 @@ func (c Config) TwoPassConfig(regroup bool) twopass.Config {
 	}
 }
 
-// machine is what every model implementation provides.
+// machine is what every model implementation provides. Attach binds the
+// run's context, the registry (nil for none) its counters are published into
+// when Run returns, and the tracer (nil for none).
 type machine interface {
 	Run() (*stats.Run, error)
 	State() *arch.State

@@ -145,11 +145,14 @@ func WithTrace(sink trace.Sink) Option {
 	return func(o *options) { o.sink = sink; o.closeMu = true }
 }
 
-// WithMetrics makes the machine record its counters into reg instead of a
-// private registry. The returned stats.Run is derived from the same
-// counters (stats.Collector.Snapshot), so the registry and the aggregate
-// report cannot disagree. A registry belongs to one running machine at a
-// time; do not share one across concurrent Simulate calls.
+// WithMetrics publishes the machine's counters into reg when the run ends,
+// overwriting any values reg already holds under the same names. The
+// machine counts into its own stats.Collector and touches reg only then; the
+// returned stats.Run is derived from the same counters
+// (stats.Collector.Snapshot), so the registry and the aggregate report
+// cannot disagree. Without this option no registry is built. A registry
+// belongs to one running machine at a time; do not share one across
+// concurrent Simulate calls.
 func WithMetrics(reg *metrics.Registry) Option {
 	return func(o *options) { o.reg = reg }
 }

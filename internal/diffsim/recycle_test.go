@@ -114,10 +114,18 @@ func TestRecyclingCheckerMatchesFreshSimulate(t *testing.T) {
 // cost about 270 KiB.
 const setupBytesPerCell = 64 << 10
 
+// setupMallocsPerCell bounds the heap allocations one cell run of a warm
+// Checker may make. Building a machine on the shared arena costs a few dozen
+// (the machine, its architectural state and memory pages, the coupling
+// queue, the Run record); a per-cell metrics registry, predictor or program
+// re-validation would cost about 200 more.
+const setupMallocsPerCell = 64
+
 // TestCheckerSetupBytes is the allocation gate for per-simulation set-up: a
 // warm Checker must check a generated program across the default lattice in
-// at most setupBytesPerCell bytes per cell run, so a machine's set-up costs
-// what the program touches rather than what the configuration reserves.
+// at most setupBytesPerCell bytes and setupMallocsPerCell allocations per
+// cell run, so a machine's set-up costs what the program touches rather than
+// what the configuration reserves.
 func TestCheckerSetupBytes(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation accounting differs under the race detector")
@@ -149,10 +157,15 @@ func TestCheckerSetupBytes(t *testing.T) {
 			runtime.ReadMemStats(&after)
 			cellRuns := uint64(len(progs) * len(checker.Cells()))
 			perCell := (after.TotalAlloc - before.TotalAlloc) / cellRuns
-			t.Logf("%d bytes per cell run over %d cell runs", perCell, cellRuns)
+			mallocs := (after.Mallocs - before.Mallocs) / cellRuns
+			t.Logf("%d bytes and %d mallocs per cell run over %d cell runs", perCell, mallocs, cellRuns)
 			if perCell > setupBytesPerCell {
 				t.Errorf("%d bytes allocated per cell run, budget %d: per-simulation set-up is rebuilding what it should recycle",
 					perCell, setupBytesPerCell)
+			}
+			if mallocs > setupMallocsPerCell {
+				t.Errorf("%d mallocs per cell run, budget %d: per-simulation set-up is rebuilding what it should recycle",
+					mallocs, setupMallocsPerCell)
 			}
 		})
 	}

@@ -1,17 +1,19 @@
-// Package metrics is a small counter/gauge registry. Machines register
-// their counters under canonical names at construction and bump them on the
-// hot path through direct handles (a handle increment is one predictable
-// store — no map lookup, no atomics); the registry is the enumerable view
-// tools and tests read afterwards.
+// Package metrics is a small counter/gauge registry: the enumerable,
+// name-keyed view tools, tests and the serving layer read.
 //
-// internal/stats re-derives its Run aggregates from a registry (see
-// stats.Collector), so end-of-run aggregates, live counter reads, and trace
-// events all observe the same underlying counts and can never disagree.
+// The simulated machines do not count into a registry. Each counts into a
+// stats.Collector, a fixed array of canonical counters, and touches a
+// registry only when a caller asks for one: core.WithMetrics(reg) publishes
+// the run's final counter values into reg when the run ends (RestoreCounter
+// per counter), so a simulation without it builds no registry at all, and
+// the end-of-run aggregates and the published counters still come from the
+// same counts.
 //
 // Concurrency: registration (Counter/Gauge lookup-or-create) is mutex
-// guarded, but handle updates are not synchronized — a registry belongs to
-// one running machine. Parallel simulations (experiments.RunSuite) each use
-// their own registry; share only sinks, never a registry.
+// guarded, but plain Counter/Gauge handle updates are not synchronized — a
+// plain handle belongs to one goroutine. A registry that receives a run's
+// counters belongs to that run until it ends; share only sinks, never a
+// registry, across concurrent simulations.
 //
 // Multi-goroutine components (the serving layer's worker pool and handlers,
 // see internal/service) instead register SharedCounter/SharedGauge handles,
@@ -154,11 +156,11 @@ func (r *Registry) Counter(name string) *Counter {
 }
 
 // RestoreCounter sets the counter registered under name to value, creating
-// it on first use. It exists for checkpoint resume, where counter names come
-// from a serialized snapshot rather than a compile-time constant: the
-// snapshot's names were constants when the producing machine registered
-// them, so restoring cannot mint a new name, only re-seed an existing one
-// (or pre-seed one the resuming machine registers later at the same name).
+// it on first use. It exists for publishing a finished simulation's counters
+// (stats.Collector.Publish), whose names come from the collector's table of
+// canonical names rather than a compile-time constant at the call site:
+// each of those names is a stats constant or derived from one, so
+// publishing cannot mint a new name.
 func (r *Registry) RestoreCounter(name string, value int64) {
 	r.mu.Lock()
 	defer r.mu.Unlock()

@@ -5,7 +5,7 @@ import (
 
 	"fleaflicker/internal/arch"
 	"fleaflicker/internal/checkpoint"
-	"fleaflicker/internal/metrics"
+	"fleaflicker/internal/stats"
 )
 
 // Barrier is the drain-barrier checkpoint protocol every timed machine
@@ -49,16 +49,17 @@ type Barrier struct {
 	model     string
 	fe        *FrontEnd
 	st        *arch.State
+	col       *stats.Collector
 	snapEvery int64
 	nextSnap  int64
 	onSnap    func(*checkpoint.Snapshot)
-	resume    *checkpoint.Snapshot
 }
 
 // NewBarrier returns the barrier of a machine whose snapshots carry the
-// model tag model, whose front end is fe and whose architectural state is st.
-func NewBarrier(model string, fe *FrontEnd, st *arch.State) Barrier {
-	return Barrier{model: model, fe: fe, st: st}
+// model tag model, whose front end is fe, whose architectural state is st
+// and whose counters col holds.
+func NewBarrier(model string, fe *FrontEnd, st *arch.State, col *stats.Collector) Barrier {
+	return Barrier{model: model, fe: fe, st: st, col: col}
 }
 
 // Model returns the model tag the barrier stamps on snapshots.
@@ -93,24 +94,11 @@ func (b *Barrier) SnapshotDue() bool {
 	return b.snapEvery > 0 && !b.Draining && b.Retired >= b.nextSnap
 }
 
-// PrimeCounters seeds reg with a restored snapshot's counter values so
-// end-of-run aggregates equal prefix + delta. Machines call it in their Run
-// prologue — after Attach, which may have swapped the registry.
-func (b *Barrier) PrimeCounters(reg *metrics.Registry) {
-	if b.resume == nil {
-		return
-	}
-	for _, c := range b.resume.Counters {
-		reg.RestoreCounter(c.Name, c.Value)
-	}
-	b.resume = nil
-}
-
 // Capture takes the snapshot of a quiesced machine: the common header from
-// the shared state and reg's counters, plus the machine's own section data
-// under the name section. It hands the snapshot to the ConfigureSnapshots
-// callback and schedules the next one.
-func (b *Barrier) Capture(now int64, reg *metrics.Registry, section string, data []byte) {
+// the shared state and the collector's counters, plus the machine's own
+// section data under the name section. It hands the snapshot to the
+// ConfigureSnapshots callback and schedules the next one.
+func (b *Barrier) Capture(now int64, section string, data []byte) {
 	s := &checkpoint.Snapshot{
 		Kind:    checkpoint.KindMachine,
 		Model:   b.model,
@@ -125,7 +113,7 @@ func (b *Barrier) Capture(now int64, reg *metrics.Registry, section string, data
 	}
 	s.FeNextID, s.FeFetchStalls = b.fe.StreamState()
 	var cs []checkpoint.Counter
-	reg.EachCounter(func(name string, value int64) {
+	b.col.EachCounter(func(name string, value int64) {
 		cs = append(cs, checkpoint.Counter{Name: name, Value: value})
 	})
 	s.SetCounters(cs)
@@ -137,7 +125,9 @@ func (b *Barrier) Capture(now int64, reg *metrics.Registry, section string, data
 }
 
 // Restore installs the shared part of snap and returns a decoder over the
-// machine's section, from which the machine reads its own state. A
+// machine's section, from which the machine reads its own state. It primes
+// the collector with the snapshot's counters, so end-of-run aggregates
+// equal prefix + delta. A
 // KindFunctional snapshot fast-forwards the architectural state (registers,
 // memory, PC, retired count) and leaves timing structures cold; Restore
 // returns a nil decoder for it. A KindMachine snapshot must carry the
@@ -151,7 +141,9 @@ func (b *Barrier) Restore(snap *checkpoint.Snapshot, section string) (*checkpoin
 	b.st.Mem = snap.Mem.Image()
 	b.Retired = snap.Retired
 	b.ArchPC = snap.PC
-	b.resume = snap
+	for _, c := range snap.Counters {
+		b.col.Restore(c.Name, c.Value)
+	}
 
 	switch snap.Kind {
 	case checkpoint.KindFunctional:

@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"fleaflicker/internal/mem"
-	"fleaflicker/internal/metrics"
 	"fleaflicker/internal/stats"
 )
 
@@ -54,7 +53,7 @@ func TestIdleSkipStopsAtLimits(t *testing.T) {
 		{from: 10, wake: 11, max: 1000, want: 1},
 		{from: 10, wake: 10, max: 1000, want: 0},
 	} {
-		col := stats.NewCollector(metrics.NewRegistry(), "p", "m")
+		col := stats.NewCollector("p", "m")
 		var q Idle
 		q.Stall(col, stats.LoadStall)
 		n := q.Skip(col, nil, tc.from, tc.wake, tc.max)

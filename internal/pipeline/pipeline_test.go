@@ -402,6 +402,34 @@ func TestArenaHierarchyReusesOnlyMatchingConfig(t *testing.T) {
 	}
 }
 
+// TestArenaValidateKeysOnShape checks that the arena's validation memo is
+// keyed on the machine shape as well as the program: a program valid on the
+// Table 1 machine is re-checked, and rejected, for a narrower one.
+func TestArenaValidateKeysOnShape(t *testing.T) {
+	p := program.MustAssemble("wide", `
+        movi r1 = 1
+        movi r2 = 2
+        movi r3 = 3 ;;
+        halt ;;
+`)
+	fus := [isa.NumFUClasses]int{isa.ClassALU: 5, isa.ClassMEM: 3, isa.ClassFP: 3, isa.ClassBR: 3}
+	a := NewArena()
+	if err := a.Validate(p, 8, fus); err != nil {
+		t.Fatalf("Table 1 machine: %v", err)
+	}
+	if err := a.Validate(p, 2, fus); err == nil {
+		t.Error("issue width 2: a three-instruction group passed the memoized validation")
+	}
+	narrow := fus
+	narrow[isa.ClassALU] = 2
+	if err := a.Validate(p, 8, narrow); err == nil {
+		t.Error("two ALUs: a three-ALU group passed the memoized validation")
+	}
+	if err := a.Validate(p, 8, fus); err != nil {
+		t.Errorf("Table 1 machine again: %v", err)
+	}
+}
+
 // TestDynInstFitsCacheLine keeps the dynamic instruction record within one
 // 64-byte cache line: fetch zeroes one per instruction and the coupling
 // queue and dispatch paths touch them all, so growing the record must be a

@@ -8,8 +8,9 @@ import (
 )
 
 // Canonical metric names. Every Run aggregate is backed by one of these
-// counters in a metrics.Registry; Collector.Snapshot derives the Run from
-// the registry, so the two views can never disagree.
+// counters in a Collector; Collector.Snapshot derives the Run from them and
+// Collector.Publish copies the same counters into a metrics.Registry, so the
+// two views can never disagree.
 const (
 	MetricCycles                 = "cycles.total"
 	MetricCyclePrefix            = "cycles.class." // + lowercased class tag
@@ -26,6 +27,8 @@ const (
 	MetricPreExecuted            = "twopass.preexecuted"
 	MetricRegrouped              = "twopass.regrouped"
 	MetricCQOccupancySum         = "cq.occupancy_sum"
+	MetricRunaheadEntries        = "runahead.entries"
+	MetricRunaheadInsts          = "runahead.insts"
 	GaugeCQOccupancy             = "cq.occupancy"
 )
 
@@ -52,83 +55,125 @@ func AccessMetricName(lvl mem.Level, p Pipe, cycles bool) string {
 	return prefix + strings.ToLower(lvl.String()) + "." + strings.ToLower(p.String())
 }
 
-// Collector is the machines' measurement front end: typed increment methods
-// over registry-registered counters, hot-path cheap (each method is one or
-// two handle increments), plus Snapshot to derive the legacy Run record.
-// One collector belongs to one running machine.
-type Collector struct {
-	reg       *metrics.Registry
-	benchmark string
-	model     string
+// Indices of the canonical counters in Collector.v.
+const (
+	iCycles = iota
+	iInstructions
+	iMispredictsA
+	iMispredictsB
+	iConflictFlushes
+	iLoadsPastDeferredStore
+	iStoresTotal
+	iStoresDeferred
+	iDeferred
+	iPreExecuted
+	iRegrouped
+	iCQOccupancySum
+	iRunaheadEntries
+	iRunaheadInsts
+	iByClass      // NumCycleClasses counters, one per class
+	iAccess       = iByClass + int(NumCycleClasses)
+	iAccessCycles = iAccess + accessCells
+	numCounters   = iAccessCycles + accessCells
+)
 
-	cycles       *metrics.Counter
-	byClass      [NumCycleClasses]*metrics.Counter
-	instructions *metrics.Counter
+// accessCells is the number of (level, pipe) access counters.
+const accessCells = int(mem.NumLevels) * int(NumPipes)
 
-	access       [mem.NumLevels][NumPipes]*metrics.Counter
-	accessCycles [mem.NumLevels][NumPipes]*metrics.Counter
+// accessIndex returns the offset of (lvl, p) within the access counters.
+func accessIndex(lvl mem.Level, p Pipe) int { return int(lvl)*int(NumPipes) + int(p) }
 
-	mispredictsA *metrics.Counter
-	mispredictsB *metrics.Counter
-
-	conflictFlushes        *metrics.Counter
-	loadsPastDeferredStore *metrics.Counter
-	storesTotal            *metrics.Counter
-	storesDeferred         *metrics.Counter
-
-	deferred    *metrics.Counter
-	preExecuted *metrics.Counter
-	regrouped   *metrics.Counter
-
-	cqOccupancySum *metrics.Counter
-	cqOccupancy    *metrics.Gauge
-}
-
-// NewCollector registers the canonical counters in reg (creating any that
-// do not exist yet, at zero) and returns a collector bound to them. The
-// benchmark and model names are carried into Snapshot.
-func NewCollector(reg *metrics.Registry, benchmark, model string) *Collector {
-	c := &Collector{
-		reg:       reg,
-		benchmark: benchmark,
-		model:     model,
-
-		cycles:       reg.Counter(MetricCycles),
-		instructions: reg.Counter(MetricInstructions),
-
-		mispredictsA: reg.Counter(MetricMispredictsA),
-		mispredictsB: reg.Counter(MetricMispredictsB),
-
-		conflictFlushes:        reg.Counter(MetricConflictFlushes),
-		loadsPastDeferredStore: reg.Counter(MetricLoadsPastDeferredStore),
-		storesTotal:            reg.Counter(MetricStoresTotal),
-		storesDeferred:         reg.Counter(MetricStoresDeferred),
-
-		deferred:    reg.Counter(MetricDeferred),
-		preExecuted: reg.Counter(MetricPreExecuted),
-		regrouped:   reg.Counter(MetricRegrouped),
-
-		cqOccupancySum: reg.Counter(MetricCQOccupancySum),
-		cqOccupancy:    reg.Gauge(GaugeCQOccupancy),
-	}
+// counterNames holds each canonical counter's metric name, computed once.
+var counterNames = func() (names [numCounters]string) {
+	names[iCycles] = MetricCycles
+	names[iInstructions] = MetricInstructions
+	names[iMispredictsA] = MetricMispredictsA
+	names[iMispredictsB] = MetricMispredictsB
+	names[iConflictFlushes] = MetricConflictFlushes
+	names[iLoadsPastDeferredStore] = MetricLoadsPastDeferredStore
+	names[iStoresTotal] = MetricStoresTotal
+	names[iStoresDeferred] = MetricStoresDeferred
+	names[iDeferred] = MetricDeferred
+	names[iPreExecuted] = MetricPreExecuted
+	names[iRegrouped] = MetricRegrouped
+	names[iCQOccupancySum] = MetricCQOccupancySum
+	names[iRunaheadEntries] = MetricRunaheadEntries
+	names[iRunaheadInsts] = MetricRunaheadInsts
 	for cls := CycleClass(0); cls < NumCycleClasses; cls++ {
-		c.byClass[cls] = reg.Counter(ClassMetricName(cls))
+		names[iByClass+int(cls)] = ClassMetricName(cls)
 	}
 	for lvl := mem.Level(0); lvl < mem.NumLevels; lvl++ {
 		for p := Pipe(0); p < NumPipes; p++ {
-			c.access[lvl][p] = reg.Counter(AccessMetricName(lvl, p, false))
-			c.accessCycles[lvl][p] = reg.Counter(AccessMetricName(lvl, p, true))
+			names[iAccess+accessIndex(lvl, p)] = AccessMetricName(lvl, p, false)
+			names[iAccessCycles+accessIndex(lvl, p)] = AccessMetricName(lvl, p, true)
 		}
 	}
-	return c
+	return names
+}()
+
+// Collector is the machines' measurement front end: typed increment methods
+// over a fixed array of canonical counters, hot-path cheap (each method is
+// one or two array increments), plus Snapshot to derive the Run record. It
+// touches no metrics.Registry while the machine runs: Publish copies the
+// final counts into one when a caller asks for them. One collector belongs
+// to one running machine.
+type Collector struct {
+	benchmark string
+	model     string
+	// runahead adds the run-ahead episode counters to the published set.
+	runahead bool
+
+	v [numCounters]int64
+	// cqOccupancy is the last per-cycle coupling-queue occupancy, published
+	// as the GaugeCQOccupancy gauge.
+	cqOccupancy int64
 }
 
-// Registry exposes the backing registry (for live reads and extra,
-// machine-specific counters).
-func (c *Collector) Registry() *metrics.Registry { return c.reg }
+// NewCollector returns a collector with every counter at zero. The
+// benchmark and model names are carried into Snapshot.
+func NewCollector(benchmark, model string) *Collector {
+	return &Collector{benchmark: benchmark, model: model}
+}
 
-// Counter registers (or finds) an additional machine-specific counter.
-func (c *Collector) Counter(name string) *metrics.Counter { return c.reg.Counter(name) }
+// TrackRunahead adds the run-ahead episode counters (MetricRunaheadEntries,
+// MetricRunaheadInsts) to the counters EachCounter reports; the run-ahead
+// machine calls it at construction.
+func (c *Collector) TrackRunahead() { c.runahead = true }
+
+// EachCounter calls fn with the name and value of every counter the
+// collector publishes: all canonical counters but the run-ahead pair, which
+// only a TrackRunahead collector reports.
+func (c *Collector) EachCounter(fn func(name string, value int64)) {
+	for i, v := range c.v {
+		if !c.runahead && (i == iRunaheadEntries || i == iRunaheadInsts) {
+			continue
+		}
+		fn(counterNames[i], v)
+	}
+}
+
+// Restore sets the canonical counter called name to value, for a machine
+// resumed from a checkpoint whose counters carry the prefix's counts. A name
+// that is not a canonical counter is ignored.
+func (c *Collector) Restore(name string, value int64) {
+	for i, n := range counterNames {
+		if n == name {
+			c.v[i] = value
+			return
+		}
+	}
+}
+
+// Publish copies every published counter (see EachCounter) and the
+// coupling-queue occupancy gauge into reg, overwriting values already
+// there. A nil reg publishes nothing.
+func (c *Collector) Publish(reg *metrics.Registry) {
+	if reg == nil {
+		return
+	}
+	c.EachCounter(reg.RestoreCounter)
+	reg.Gauge(GaugeCQOccupancy).Set(c.cqOccupancy)
+}
 
 // Cycle classifies one execution cycle. The total is incremented together
 // with the class counter, so the Figure 6 invariant (classes sum to the
@@ -136,8 +181,8 @@ func (c *Collector) Counter(name string) *metrics.Counter { return c.reg.Counter
 //
 //flea:hotpath
 func (c *Collector) Cycle(cls CycleClass) {
-	c.cycles.Inc()
-	c.byClass[cls].Inc()
+	c.v[iCycles]++
+	c.v[iByClass+int(cls)]++
 }
 
 // Cycles classifies n consecutive cycles of one class: the bulk form of
@@ -147,76 +192,77 @@ func (c *Collector) Cycle(cls CycleClass) {
 //
 //flea:hotpath
 func (c *Collector) Cycles(cls CycleClass, n int64) {
-	c.cycles.Add(n)
-	c.byClass[cls].Add(n)
+	c.v[iCycles] += n
+	c.v[iByClass+int(cls)] += n
 }
 
 // Instruction counts one architecturally retired instruction.
 //
 //flea:hotpath
-func (c *Collector) Instruction() { c.instructions.Inc() }
+func (c *Collector) Instruction() { c.v[iInstructions]++ }
 
 // Access notes a data load served at level lvl initiated by pipe p, scaled
 // by the level latency table (Figure 7).
 //
 //flea:hotpath
 func (c *Collector) Access(lvl mem.Level, p Pipe, levelLat [mem.NumLevels]int) {
-	c.access[lvl][p].Inc()
-	c.accessCycles[lvl][p].Add(int64(levelLat[lvl]))
+	i := accessIndex(lvl, p)
+	c.v[iAccess+i]++
+	c.v[iAccessCycles+i] += int64(levelLat[lvl])
 }
 
 // MispredictA counts a misprediction detected and repaired at A-DET.
 //
 //flea:hotpath
-func (c *Collector) MispredictA() { c.mispredictsA.Inc() }
+func (c *Collector) MispredictA() { c.v[iMispredictsA]++ }
 
 // MispredictB counts a misprediction detected at B-DET (full flush).
 //
 //flea:hotpath
-func (c *Collector) MispredictB() { c.mispredictsB.Inc() }
+func (c *Collector) MispredictB() { c.v[iMispredictsB]++ }
 
 // ConflictFlush counts a flush triggered by an ALAT miss.
 //
 //flea:hotpath
-func (c *Collector) ConflictFlush() { c.conflictFlushes.Inc() }
+func (c *Collector) ConflictFlush() { c.v[iConflictFlushes]++ }
 
 // LoadPastDeferredStore counts an A-pipe load issued past a deferred store.
 //
 //flea:hotpath
-func (c *Collector) LoadPastDeferredStore() { c.loadsPastDeferredStore.Inc() }
+func (c *Collector) LoadPastDeferredStore() { c.v[iLoadsPastDeferredStore]++ }
 
 // StoreCommitted counts an architecturally committed store.
 //
 //flea:hotpath
-func (c *Collector) StoreCommitted() { c.storesTotal.Inc() }
+func (c *Collector) StoreCommitted() { c.v[iStoresTotal]++ }
 
 // StoreDeferred counts a store executed in the B-pipe.
 //
 //flea:hotpath
-func (c *Collector) StoreDeferred() { c.storesDeferred.Inc() }
+func (c *Collector) StoreDeferred() { c.v[iStoresDeferred]++ }
 
 // Defer counts an instruction deferred to the B-pipe.
 //
 //flea:hotpath
-func (c *Collector) Defer() { c.deferred.Inc() }
+func (c *Collector) Defer() { c.v[iDeferred]++ }
 
 // PreExecute counts an instruction completed (or started) in the A-pipe.
 //
 //flea:hotpath
-func (c *Collector) PreExecute() { c.preExecuted.Inc() }
+func (c *Collector) PreExecute() { c.v[iPreExecuted]++ }
 
 // Regroup counts stop bits removed by the B-pipe regrouper.
 //
 //flea:hotpath
-func (c *Collector) Regroup(n int) { c.regrouped.Add(int64(n)) }
+func (c *Collector) Regroup(n int) { c.v[iRegrouped] += int64(n) }
 
-// CQOccupancy accumulates the per-cycle coupling-queue occupancy (and
-// mirrors the instantaneous value into a gauge for live observation).
+// CQOccupancy accumulates the per-cycle coupling-queue occupancy (and keeps
+// the instantaneous value for the occupancy gauge).
 //
 //flea:hotpath
 func (c *Collector) CQOccupancy(n int) {
-	c.cqOccupancySum.Add(int64(n))
-	c.cqOccupancy.Set(int64(n))
+	c.v[iCQOccupancySum] += int64(n)
+	c.cqOccupancy = int64(n)
 }
 
 // CQOccupancyCycles accumulates occupancy n for each of cycles consecutive
@@ -224,42 +270,53 @@ func (c *Collector) CQOccupancy(n int) {
 //
 //flea:hotpath
 func (c *Collector) CQOccupancyCycles(n int, cycles int64) {
-	c.cqOccupancySum.Add(int64(n) * cycles)
-	c.cqOccupancy.Set(int64(n))
+	c.v[iCQOccupancySum] += int64(n) * cycles
+	c.cqOccupancy = int64(n)
 }
+
+// RunaheadEntry counts one run-ahead episode begun.
+//
+//flea:hotpath
+func (c *Collector) RunaheadEntry() { c.v[iRunaheadEntries]++ }
+
+// RunaheadInst counts one instruction pre-executed in a run-ahead episode.
+//
+//flea:hotpath
+func (c *Collector) RunaheadInst() { c.v[iRunaheadInsts]++ }
 
 // MispredictsA returns the current A-DET misprediction count (machines use
 // it for trace annotations; tests for progress detection).
-func (c *Collector) MispredictsA() int64 { return c.mispredictsA.Value() }
+func (c *Collector) MispredictsA() int64 { return c.v[iMispredictsA] }
 
-// Snapshot derives the Run record from the registry counters. ms is the
-// memory hierarchy's own traffic statistics, which remain the hierarchy's
-// to report.
+// RunaheadEntries returns the number of run-ahead episodes begun so far.
+func (c *Collector) RunaheadEntries() int64 { return c.v[iRunaheadEntries] }
+
+// Snapshot derives the Run record from the counters. ms is the memory
+// hierarchy's own traffic statistics, which remain the hierarchy's to
+// report.
 func (c *Collector) Snapshot(ms mem.Stats) *Run {
 	r := &Run{
 		Benchmark:              c.benchmark,
 		Model:                  c.model,
-		Cycles:                 c.cycles.Value(),
-		Instructions:           c.instructions.Value(),
-		MispredictsA:           c.mispredictsA.Value(),
-		MispredictsB:           c.mispredictsB.Value(),
-		ConflictFlushes:        c.conflictFlushes.Value(),
-		LoadsPastDeferredStore: c.loadsPastDeferredStore.Value(),
-		StoresTotal:            c.storesTotal.Value(),
-		StoresDeferred:         c.storesDeferred.Value(),
-		Deferred:               c.deferred.Value(),
-		PreExecuted:            c.preExecuted.Value(),
-		Regrouped:              c.regrouped.Value(),
-		CQOccupancySum:         c.cqOccupancySum.Value(),
+		Cycles:                 c.v[iCycles],
+		Instructions:           c.v[iInstructions],
+		MispredictsA:           c.v[iMispredictsA],
+		MispredictsB:           c.v[iMispredictsB],
+		ConflictFlushes:        c.v[iConflictFlushes],
+		LoadsPastDeferredStore: c.v[iLoadsPastDeferredStore],
+		StoresTotal:            c.v[iStoresTotal],
+		StoresDeferred:         c.v[iStoresDeferred],
+		Deferred:               c.v[iDeferred],
+		PreExecuted:            c.v[iPreExecuted],
+		Regrouped:              c.v[iRegrouped],
+		CQOccupancySum:         c.v[iCQOccupancySum],
 		Mem:                    ms,
 	}
-	for cls := CycleClass(0); cls < NumCycleClasses; cls++ {
-		r.ByClass[cls] = c.byClass[cls].Value()
-	}
+	copy(r.ByClass[:], c.v[iByClass:])
 	for lvl := mem.Level(0); lvl < mem.NumLevels; lvl++ {
 		for p := Pipe(0); p < NumPipes; p++ {
-			r.Access[lvl][p] = c.access[lvl][p].Value()
-			r.AccessCycles[lvl][p] = c.accessCycles[lvl][p].Value()
+			r.Access[lvl][p] = c.v[iAccess+accessIndex(lvl, p)]
+			r.AccessCycles[lvl][p] = c.v[iAccessCycles+accessIndex(lvl, p)]
 		}
 	}
 	return r

@@ -8,8 +8,7 @@ import (
 )
 
 func TestCollectorSnapshotMatchesRegistry(t *testing.T) {
-	reg := metrics.NewRegistry()
-	c := NewCollector(reg, "bench", "2P")
+	c := NewCollector("bench", "2P")
 
 	lat := [mem.NumLevels]int{2, 5, 15, 145}
 	c.Cycle(Unstalled)
@@ -49,7 +48,9 @@ func TestCollectorSnapshotMatchesRegistry(t *testing.T) {
 		t.Errorf("scalar counters wrong: %+v", r)
 	}
 
-	// The registry view and the Run view must agree name by name.
+	// The published registry view and the Run view must agree name by name.
+	reg := metrics.NewRegistry()
+	c.Publish(reg)
 	if v, _ := reg.CounterValue(MetricCycles); v != r.Cycles {
 		t.Errorf("registry %s=%d, Run.Cycles=%d", MetricCycles, v, r.Cycles)
 	}
@@ -78,14 +79,40 @@ func TestCollectorSnapshotMatchesRegistry(t *testing.T) {
 	}
 }
 
+// TestCollectorExtraCounter checks the run-ahead episode counters: they
+// count like any canonical counter, but only a TrackRunahead collector
+// publishes them, and Restore re-seeds them by name.
 func TestCollectorExtraCounter(t *testing.T) {
-	reg := metrics.NewRegistry()
-	c := NewCollector(reg, "b", "m")
-	c.Counter("runahead.entries").Add(4)
-	if v, ok := reg.CounterValue("runahead.entries"); !ok || v != 4 {
-		t.Errorf("extra counter = %d, %v", v, ok)
+	published := func(c *Collector) map[string]int64 {
+		reg := metrics.NewRegistry()
+		c.Publish(reg)
+		counters, _ := reg.Snapshot()
+		return counters
 	}
-	if c.Registry() != reg {
-		t.Error("Registry() should expose the backing registry")
+	plain := NewCollector("b", "base")
+	if got := published(plain); len(got) != numCounters-2 {
+		t.Errorf("plain collector published %d counters, want %d", len(got), numCounters-2)
+	} else if _, ok := got[MetricRunaheadEntries]; ok {
+		t.Errorf("plain collector published %s", MetricRunaheadEntries)
+	}
+
+	c := NewCollector("b", "runahead")
+	c.TrackRunahead()
+	c.Restore(MetricRunaheadEntries, 3)
+	c.Restore("no.such.counter", 9)
+	c.RunaheadEntry()
+	c.RunaheadInst()
+	if c.RunaheadEntries() != 4 {
+		t.Errorf("RunaheadEntries() = %d, want 4", c.RunaheadEntries())
+	}
+	got := published(c)
+	if len(got) != numCounters {
+		t.Errorf("run-ahead collector published %d counters, want %d", len(got), numCounters)
+	}
+	if got[MetricRunaheadEntries] != 4 || got[MetricRunaheadInsts] != 1 {
+		t.Errorf("published episode counters %d/%d, want 4/1", got[MetricRunaheadEntries], got[MetricRunaheadInsts])
+	}
+	if _, ok := got["no.such.counter"]; ok {
+		t.Error("Restore of an unknown name reached the published set")
 	}
 }

@@ -88,5 +88,5 @@ func (m *Machine) takeSnapshot() {
 			e.Bool(v)
 		}
 	}
-	m.Capture(m.now, m.col.Registry(), stateSection, e.Bytes())
+	m.Capture(m.now, stateSection, e.Bytes())
 }

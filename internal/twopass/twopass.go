@@ -251,6 +251,8 @@ type Machine struct {
 	now    int64
 	halted bool
 	col    *stats.Collector
+	// reg, when non-nil, receives the counters when Run returns.
+	reg *metrics.Registry
 	// tr is the observability event stream (nil when disabled); see
 	// internal/trace for the event vocabulary. cmd/fleatrace and the
 	// mechanism tests attach sinks through Attach.
@@ -275,7 +277,7 @@ func New(cfg Config, prog *program.Program) (*Machine, error) {
 // machine takes over. A nil img starts from empty memory: the choice for a
 // machine about to RestoreSnapshot, which installs the snapshot's memory.
 func NewWithImage(cfg Config, prog *program.Program, img *mem.Image) (*Machine, error) {
-	if err := prog.Validate(cfg.IssueWidth, cfg.FUs); err != nil {
+	if err := cfg.Arena.Validate(prog, cfg.IssueWidth, cfg.FUs); err != nil {
 		return nil, fmt.Errorf("twopass: %w", err)
 	}
 	if cfg.CQSize < cfg.IssueWidth {
@@ -288,7 +290,7 @@ func NewWithImage(cfg Config, prog *program.Program, img *mem.Image) (*Machine, 
 		prog: prog,
 		// Past the fetch queue the machine holds the coupling queue and
 		// the group the A-pipe dispatches.
-		fe:   pipeline.NewFrontEnd(cfg.Front, cfg.IssueWidth, cfg.CQSize+cfg.IssueWidth, prog, hier, bpred.New(cfg.Bpred), cfg.Arena),
+		fe:   pipeline.NewFrontEnd(cfg.Front, cfg.IssueWidth, cfg.CQSize+cfg.IssueWidth, prog, hier, cfg.Arena.Predictor(cfg.Bpred), cfg.Arena),
 		hier: hier,
 		bst:  arch.NewState(img),
 		cq:   newCQRing(cfg.CQSize),
@@ -307,8 +309,8 @@ func NewWithImage(cfg Config, prog *program.Program, img *mem.Image) (*Machine, 
 	if cfg.Regroup {
 		model = "2Pre"
 	}
-	m.Barrier = pipeline.NewBarrier(model, m.fe, m.bst)
-	m.col = stats.NewCollector(metrics.NewRegistry(), prog.Name, model)
+	m.col = stats.NewCollector(prog.Name, model)
+	m.Barrier = pipeline.NewBarrier(model, m.fe, m.bst, m.col)
 	return m, nil
 }
 
@@ -316,20 +318,18 @@ func NewWithImage(cfg Config, prog *program.Program, img *mem.Image) (*Machine, 
 func (m *Machine) State() *arch.State { return m.bst }
 
 // Attach binds the machine's observability before Run: ctx cancels the
-// cycle loop, reg (when non-nil) replaces the private metrics registry, and
-// tr (which may be nil) receives trace events. Must not be called after Run
-// has started.
+// cycle loop, reg (when non-nil) receives the machine's counters when Run
+// returns (stats.Collector.Publish), and tr (which may be nil) receives
+// trace events. Must not be called after Run has started.
 func (m *Machine) Attach(ctx context.Context, reg *metrics.Registry, tr *trace.Tracer) {
-	if reg != nil {
-		m.col = stats.NewCollector(reg, m.prog.Name, m.Model())
-	}
 	m.ctx = ctx
+	m.reg = reg
 	m.tr = tr
 }
 
 // Run simulates to completion and returns the measurements.
 func (m *Machine) Run() (*stats.Run, error) {
-	m.PrimeCounters(m.col.Registry())
+	defer m.col.Publish(m.reg)
 	for !m.halted {
 		if m.now >= m.cfg.MaxCycles {
 			return nil, fmt.Errorf("twopass: %q exceeded %d cycles", m.prog.Name, m.cfg.MaxCycles)
