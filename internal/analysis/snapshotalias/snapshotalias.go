@@ -5,11 +5,12 @@
 //
 //  1. No page alias across a snapshot barrier. A page reference (*[N]byte
 //     with N >= 512, or a []byte sliced from one) obtained from an image
-//     before a barrier — (*mem.Image).Snapshot, (*mem.ImageSnapshot).Image,
-//     or any RestoreSnapshot — must not be used after it: the barrier marks
-//     every live page shared (or swaps the backing image entirely), so a
-//     retained reference either aliases immutable snapshot storage or
-//     dangles into the pre-restore image.
+//     before a barrier — (*mem.Image).Snapshot, (*mem.Image).CopyOnWrite,
+//     (*mem.ImageSnapshot).Image, or any RestoreSnapshot — must not be used
+//     after it: the barrier shares every live page with another image (or
+//     swaps the backing image entirely), so a retained reference either
+//     aliases storage another image reads or dangles into the pre-restore
+//     image.
 //
 //  2. All page stores go through the copy-on-write fault path. Writing
 //     through a page reference that may be snapshot-shared corrupts every
@@ -272,9 +273,9 @@ func (fc *funcCheck) calleeCowFault(fn *types.Func) bool {
 }
 
 // containsBarrier reports whether node n performs a snapshot barrier:
-// (*mem.Image).Snapshot, (*mem.ImageSnapshot).Image, or any RestoreSnapshot
-// method (the core.Snapshotter restore). Function literals inside n are
-// skipped — they run elsewhere.
+// (*mem.Image).Snapshot, (*mem.Image).CopyOnWrite, (*mem.ImageSnapshot).Image,
+// or any RestoreSnapshot method (the core.Snapshotter restore). Function
+// literals inside n are skipped — they run elsewhere.
 func (fc *funcCheck) containsBarrier(n ast.Node) bool {
 	found := false
 	ast.Inspect(n, func(m ast.Node) bool {
@@ -290,6 +291,7 @@ func (fc *funcCheck) containsBarrier(n ast.Node) bool {
 			return true
 		}
 		if annotation.IsMethod(fn, "mem", "Image", "Snapshot") ||
+			annotation.IsMethod(fn, "mem", "Image", "CopyOnWrite") ||
 			annotation.IsMethod(fn, "mem", "ImageSnapshot", "Image") ||
 			(fn.Name() == "RestoreSnapshot" && fn.Type().(*types.Signature).Recv() != nil) {
 			found = true

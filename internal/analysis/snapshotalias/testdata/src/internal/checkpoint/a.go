@@ -24,6 +24,16 @@ func badRetainRestore(m *mem.Image, s *mem.ImageSnapshot) byte {
 	return p[0] // want "page reference p was obtained before a snapshot barrier"
 }
 
+// badRetainCopyOnWrite: deriving a copy-on-write image shares m's pages
+// without marking them in m, so a reference taken before must not be used
+// after.
+func badRetainCopyOnWrite(m *mem.Image) byte {
+	p := m.Page(0)
+	c := m.CopyOnWrite()
+	_ = c
+	return p[0] // want "page reference p was obtained before a snapshot barrier"
+}
+
 // badRetainOneBranch crosses the barrier on only one path; the report fires
 // because the use is reachable with a crossed reference.
 func badRetainOneBranch(m *mem.Image, capture bool) byte {

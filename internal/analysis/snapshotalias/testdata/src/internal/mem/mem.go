@@ -94,6 +94,12 @@ func (s *ImageSnapshot) Image() *Image {
 	return m
 }
 
+// CopyOnWrite returns a new image sharing m's pages copy-on-write; m is only
+// read.
+func (m *Image) CopyOnWrite() *Image {
+	return (&ImageSnapshot{pages: m.pages}).Image()
+}
+
 // EachPage calls fn for every page in the snapshot.
 func (s *ImageSnapshot) EachPage(fn func(k uint64, p *[pageSize]byte)) {
 	//flea:orderinvariant (callback is supplied sorted keys in the real code)

@@ -126,8 +126,8 @@ type Executor struct {
 	res   Result
 }
 
-// NewExecutor prepares an executor over a fresh copy of the program's
-// initial memory image.
+// NewExecutor prepares an executor over a fresh copy-on-write image of the
+// program's initial memory (program.Program.InitialImage).
 func NewExecutor(p *program.Program) *Executor {
 	st := NewState(p.InitialImage())
 	return &Executor{prog: p, state: st, pc: p.Entry, res: Result{State: st}}

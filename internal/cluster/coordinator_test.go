@@ -24,6 +24,17 @@ func fastProbes(c Config) Config {
 	return c
 }
 
+// patientProbes is the probe configuration of a test that kills no backend
+// but asserts every backend did work: a backend starved of CPU on a loaded
+// host, its probes answered late, must stay up rather than be routed around.
+func patientProbes(c Config) Config {
+	c.ProbeInterval = 100 * time.Millisecond
+	c.ProbeTimeout = 10 * time.Second
+	c.FailThreshold = 5
+	c.UpThreshold = 2
+	return c
+}
+
 // stubRunner fabricates a deterministic result after an optional pause and
 // counts real executions across all backends.
 func stubRunner(executions *atomic.Int64, pause time.Duration) service.Option {

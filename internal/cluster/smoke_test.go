@@ -79,7 +79,7 @@ func backendExecutions(l *Local) (per []int64, total int64) {
 // caches: nonzero peer hits, zero new simulations.
 func TestClusterSmokeCampaign(t *testing.T) {
 	programs := smokePrograms(t)
-	l, err := StartLocal(3, service.Config{Workers: 1}, fastProbes(Config{}))
+	l, err := StartLocal(3, service.Config{Workers: 1}, patientProbes(Config{}))
 	if err != nil {
 		t.Fatalf("StartLocal: %v", err)
 	}
@@ -110,7 +110,7 @@ func TestClusterSmokeCampaign(t *testing.T) {
 	// situation cache federation exists for. Every remapped unit must be
 	// served by a peer lookup, every unmoved unit by its backend's own
 	// cache — zero fresh simulations either way.
-	c2, err := New(service.Config{}, fastProbes(Config{Backends: l.URLs(), Replicas: 32}))
+	c2, err := New(service.Config{}, patientProbes(Config{Backends: l.URLs(), Replicas: 32}))
 	if err != nil {
 		t.Fatalf("second coordinator: %v", err)
 	}

@@ -52,3 +52,31 @@ func TestSimulateRejectsBadConfig(t *testing.T) {
 		})
 	}
 }
+
+// TestRegroupUnderMSHRPressure runs 2Pre with two outstanding-load slots on
+// progen seeds 0–149, each run verified. A merged dispatch set's deferred
+// load must be tested for an MSHR slot at the address it will load from: one
+// computed from a base register an earlier pre-executed instruction of the
+// same set writes, not from the B-file's stale value, or the B-pipe issues a
+// load into a full MSHR pool and the memory model panics.
+func TestRegroupUnderMSHRPressure(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.Mem.MaxOutstanding = 2
+	var failed []string
+	for seed := int64(0); seed < 150; seed++ {
+		prog := progen.Generate(seed, progen.DefaultConfig())
+		func() {
+			defer func() {
+				if r := recover(); r != nil {
+					failed = append(failed, fmt.Sprintf("seed %d: panic: %v", seed, r))
+				}
+			}()
+			if _, err := Simulate(context.Background(), TwoPassRegroup, prog, WithConfig(cfg), WithVerify()); err != nil {
+				failed = append(failed, fmt.Sprintf("seed %d: %v", seed, err))
+			}
+		}()
+	}
+	if len(failed) > 0 {
+		t.Fatalf("%d of 150 seeds failed, first %s", len(failed), failed[0])
+	}
+}

@@ -177,7 +177,7 @@ func Simulate(ctx context.Context, model Model, prog *program.Program, opts ...O
 	}
 
 	// A resumed machine takes its memory from the snapshot, so it starts
-	// empty rather than from a copy of the program's data that
+	// empty rather than from an image of the program's data that
 	// RestoreSnapshot would throw away.
 	var img *mem.Image
 	if o.resume == nil {

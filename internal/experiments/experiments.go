@@ -57,18 +57,12 @@ func RunSuite(ctx context.Context, cfg core.Config, models []core.Model, benches
 		Config: cfg,
 		Runs:   make(map[string]map[core.Model]*stats.Run),
 	}
-	// refCell lazily computes a benchmark's shared reference: the first model
-	// cell to need it pays the functional execution, the rest reuse it.
-	type refCell struct {
-		once sync.Once
-		ref  *core.Reference
-		err  error
-	}
-	refs := make(map[string]*refCell, len(benches))
+	// The first model cell of a benchmark to need its reference pays the
+	// functional execution; the rest reuse it.
+	var refs core.References
 	for _, b := range benches {
 		out.Benchmarks = append(out.Benchmarks, b.Name)
 		out.Runs[b.Name] = make(map[core.Model]*stats.Run)
-		refs[b.Name] = &refCell{}
 	}
 
 	type job struct {
@@ -96,17 +90,14 @@ func RunSuite(ctx context.Context, cfg core.Config, models []core.Model, benches
 			if ctx.Err() != nil {
 				return // cancelled: don't launch this cell
 			}
-			rc := refs[j.bench.Name]
-			rc.once.Do(func() {
-				rc.ref, rc.err = core.ComputeReference(j.bench.Program(), cfg.MaxCycles)
-			})
-			if rc.err != nil {
+			ref, _, err := refs.Get(j.bench.Name, j.bench.Program(), cfg.MaxCycles)
+			if err != nil {
 				mu.Lock()
-				errs = append(errs, fmt.Errorf("%s/%v: reference: %w", j.bench.Name, j.model, rc.err))
+				errs = append(errs, fmt.Errorf("%s/%v: reference: %w", j.bench.Name, j.model, err))
 				mu.Unlock()
 				return
 			}
-			r, err := core.Simulate(ctx, j.model, j.bench.Program(), core.WithConfig(cfg), core.WithReference(rc.ref))
+			r, err := core.Simulate(ctx, j.model, j.bench.Program(), core.WithConfig(cfg), core.WithReference(ref))
 			mu.Lock()
 			defer mu.Unlock()
 			if err != nil {

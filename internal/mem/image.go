@@ -23,10 +23,11 @@ const PageBytes = pageSize
 // zero. Timing is modelled separately by Hierarchy; caches hold no data.
 type Image struct {
 	pages map[uint32]*[pageSize]byte
-	// shared marks pages whose storage is co-owned by one or more
-	// ImageSnapshots (copy-on-write): a write to a shared page first faults
-	// it to a private copy. nil (the common case) means no snapshot was ever
-	// taken and the write path pays only a nil map lookup.
+	// shared marks pages whose storage is co-owned with one or more
+	// ImageSnapshots or with the image this one was derived from by
+	// CopyOnWrite: a write to a shared page first faults it to a private
+	// copy. nil means neither happened, and the write path pays only a nil
+	// map lookup.
 	shared map[uint32]bool
 	// onWrite, when set, observes every Write in call order. The machine
 	// models funnel architectural store commits through Write, so an
@@ -40,15 +41,14 @@ func NewImage() *Image {
 	return &Image{pages: make(map[uint32]*[pageSize]byte)}
 }
 
-// Clone returns a deep copy of the image.
-func (m *Image) Clone() *Image {
-	c := NewImage()
-	//flea:orderinvariant every page is copied; the result does not depend on visit order
-	for k, p := range m.pages {
-		np := *p
-		c.pages[k] = &np
-	}
-	return c
+// CopyOnWrite returns a new image that reads as m and shares every page of
+// m copy-on-write: the new image's first write to a page copies it to a
+// private page. Cost is one page-table copy. m itself is only read, so any
+// number of goroutines may call CopyOnWrite on one image at once; m must not
+// be written while an image derived from it is in use (a program's initial
+// image never is, see program.Program).
+func (m *Image) CopyOnWrite() *Image {
+	return (&ImageSnapshot{pages: m.pages}).Image()
 }
 
 // page returns the backing array for addr's page. With create set it is the
@@ -179,8 +179,9 @@ func (m *Image) Write(addr uint32, size int, v uint64) {
 	}
 }
 
-// Observe attaches fn as the image's write observer; nil detaches it. Clones
-// do not inherit the observer.
+// Observe attaches fn as the image's write observer; nil detaches it. Images
+// derived from this one (CopyOnWrite, or materialized from its Snapshot) do
+// not inherit the observer.
 func (m *Image) Observe(fn func(addr uint32, size int, v uint64)) { m.onWrite = fn }
 
 // ReadU32 reads a 32-bit little-endian word.
@@ -272,9 +273,10 @@ func (m *Image) Differences(o *Image, max int) []uint32 {
 	for _, k := range keys {
 		pa, pb := m.pages[k], o.pages[k]
 		// Copy-on-write aliasing makes untouched pages pointer-identical
-		// (both images materialized from one snapshot), so most pages of a
-		// checkpoint-resumed run compare in one pointer check; the rest
-		// compare as whole arrays before any per-byte scan.
+		// (both images derived from one program's data or materialized from
+		// one snapshot), so most pages of a verified run compare in one
+		// pointer check; the rest compare as whole arrays before any
+		// per-byte scan.
 		if pa == pb {
 			continue
 		}

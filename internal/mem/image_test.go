@@ -51,16 +51,26 @@ func TestImageWrapAround(t *testing.T) {
 	}
 }
 
-func TestImageCloneIsDeep(t *testing.T) {
+// TestImageCopyOnWriteIsPrivate checks that a write through a copy-on-write
+// image faults its page private: neither the source nor a sibling image sees
+// it, and pages the copy never wrote still read the source's contents.
+func TestImageCopyOnWriteIsPrivate(t *testing.T) {
 	m := NewImage()
 	m.WriteU32(40, 7)
-	c := m.Clone()
+	m.WriteU32(pageSize+40, 5)
+	c, sibling := m.CopyOnWrite(), m.CopyOnWrite()
 	c.WriteU32(40, 9)
 	if m.ReadU32(40) != 7 {
-		t.Errorf("clone mutated the original")
+		t.Errorf("copy-on-write image mutated the original")
+	}
+	if sibling.ReadU32(40) != 7 {
+		t.Errorf("copy-on-write image mutated a sibling")
 	}
 	if c.ReadU32(40) != 9 {
-		t.Errorf("clone write lost")
+		t.Errorf("copy-on-write write lost")
+	}
+	if c.ReadU32(pageSize+40) != 5 {
+		t.Errorf("copy-on-write image lost an unwritten page")
 	}
 }
 

@@ -114,7 +114,7 @@ func TestStoreBufferForwardEquivalenceProperty(t *testing.T) {
 	f := func(base uint32, offs [4]uint8, datas [4]uint32, loadOff uint8, szSel uint8) bool {
 		img := NewImage()
 		img.Write(base, 8, 0x0123456789ABCDEF)
-		ref := img.Clone()
+		ref := img.CopyOnWrite()
 
 		var b StoreBuffer
 		for i := 0; i < 4; i++ {

@@ -30,8 +30,11 @@ func InstAddr(pc int32) uint32 { return CodeBase + uint32(pc)*InstBytes }
 
 // Program is an assembled program. A Program must not be mutated once it
 // has been simulated: builders and transforms finish editing before any run,
-// and a pipeline arena reuses the instruction table it decoded from a
-// Program for as long as it is handed the same pointer.
+// a pipeline arena reuses the instruction table it decoded from a Program for
+// as long as it is handed the same pointer, and every run's memory shares the
+// pages of Data until it writes them (InitialImage). Data in particular is
+// never written after the first run, and programs derived from one another
+// may share one Data image.
 type Program struct {
 	Name  string
 	Insts []isa.Inst
@@ -43,13 +46,16 @@ type Program struct {
 	Data *mem.Image
 }
 
-// InitialImage returns a deep copy of the program's initial memory, never
-// nil. Machines must not mutate the program's own image.
+// InitialImage returns a fresh image of the program's initial memory, never
+// nil. It shares the pages of p.Data copy-on-write (mem.Image.CopyOnWrite):
+// a run copies only the pages it writes, and writes through the returned
+// image never reach p.Data or any other image of the program. It never
+// writes p.Data, so concurrent runs of one program may call it at once.
 func (p *Program) InitialImage() *mem.Image {
 	if p.Data == nil {
 		return mem.NewImage()
 	}
-	return p.Data.Clone()
+	return p.Data.CopyOnWrite()
 }
 
 // GroupBounds returns the half-open instruction index range [pc, end) of the

@@ -1,7 +1,9 @@
 package program
 
 import (
+	"fmt"
 	"strings"
+	"sync"
 	"testing"
 
 	"fleaflicker/internal/isa"
@@ -288,17 +290,55 @@ func TestInstAddr(t *testing.T) {
 	}
 }
 
+// TestInitialImageIsCopy runs many images of one program at once, each
+// writing its own values into both of the program's data pages and into a
+// page the program leaves unmapped: every image must read back only its own
+// writes, and the program's data must be unchanged. Under -race it also
+// fails if InitialImage writes to the program's shared image.
 func TestInitialImageIsCopy(t *testing.T) {
-	p := MustAssemble("img", `
+	p := MustAssemble("cow", `
         .data 0x10000000
 x:      .word 7
+        .data 0x10001000
+y:      .word 11
         .text
         halt ;;
 `)
-	img := p.InitialImage()
-	img.WriteU32(0x10000000, 99)
-	if p.Data.ReadU32(0x10000000) != 7 {
-		t.Errorf("InitialImage aliases program data")
+	const images = 8
+	addrs := []uint32{0x10000000, 0x10001000, 0x10002000}
+	errs := make(chan string, images*len(addrs))
+	var wg sync.WaitGroup
+	for i := 0; i < images; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			img := p.InitialImage()
+			for round := uint32(0); round < 100; round++ {
+				for j, a := range addrs {
+					img.WriteU32(a, uint32(1000*i+j)+round)
+				}
+				for j, a := range addrs {
+					if got, want := img.ReadU32(a), uint32(1000*i+j)+round; got != want {
+						errs <- fmt.Sprintf("image %d reads %d at %#x, want its own write %d", i, got, a, want)
+						return
+					}
+				}
+			}
+		}(i)
+	}
+	wg.Wait()
+	close(errs)
+	for e := range errs {
+		t.Error(e)
+	}
+	if x, y := p.Data.ReadU32(0x10000000), p.Data.ReadU32(0x10001000); x != 7 || y != 11 {
+		t.Errorf("program data reads %d, %d after its images were written, want 7, 11", x, y)
+	}
+	if p.Data.ReadU32(0x10002000) != 0 || len(p.Data.PageBases()) != 2 {
+		t.Errorf("an image's write to an unmapped page reached the program data")
+	}
+	if got := p.InitialImage().ReadU32(0x10001000); got != 11 {
+		t.Errorf("a fresh image reads %d, want the program's 11", got)
 	}
 }
 

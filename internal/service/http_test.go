@@ -300,6 +300,26 @@ func TestHTTPEventsStream(t *testing.T) {
 	}
 }
 
+// scrapeMetricsz reads the text /metricsz of ts: its lines as name → value,
+// and the whole body.
+func scrapeMetricsz(t *testing.T, ts *httptest.Server) (map[string]string, string) {
+	t.Helper()
+	resp, err := http.Get(ts.URL + "/metricsz")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var text strings.Builder
+	lines := map[string]string{}
+	for sc := bufio.NewScanner(resp.Body); sc.Scan(); {
+		text.WriteString(sc.Text() + "\n")
+		if name, val, ok := strings.Cut(sc.Text(), " "); ok {
+			lines[name] = val
+		}
+	}
+	return lines, text.String()
+}
+
 func TestHTTPMetricsz(t *testing.T) {
 	_, ts := newTestServer(t, Config{Workers: 2})
 	_, ack := postJob(t, ts, `{"model":"2P","bench":"300.twolf"}`)
@@ -308,26 +328,13 @@ func TestHTTPMetricsz(t *testing.T) {
 	_, ack2 := postJob(t, ts, `{"model":"2P","bench":"300.twolf"}`)
 	getStatus(t, ts, ack2.ID)
 
-	resp, err := http.Get(ts.URL + "/metricsz")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	var text strings.Builder
-	sc := bufio.NewScanner(resp.Body)
-	lines := map[string]string{}
-	for sc.Scan() {
-		text.WriteString(sc.Text() + "\n")
-		if name, val, ok := strings.Cut(sc.Text(), " "); ok {
-			lines[name] = val
-		}
-	}
+	lines, text := scrapeMetricsz(t, ts)
 	for _, want := range []string{
 		MetricJobsSubmitted, MetricJobsCompleted, MetricCacheHits, MetricCacheMisses,
 		GaugeQueueDepth, MetricJobLatencyP50, MetricJobLatencyP95, MetricJobLatencyP99,
 	} {
 		if _, ok := lines[want]; !ok {
-			t.Errorf("metricsz missing %q:\n%s", want, text.String())
+			t.Errorf("metricsz missing %q:\n%s", want, text)
 		}
 	}
 	if lines[MetricJobsSubmitted] != "2" {

@@ -29,6 +29,12 @@ const (
 	// ((hits+coalesced)*1000 / lookups), kept current on every cache acquire
 	// so /metricsz and /clusterz read it without scraping logs.
 	GaugeCacheHitRatio = "service.cache.hit_ratio_permille"
+
+	// MetricReferenceComputed / MetricReferenceReused count the functional
+	// reference runs of verified units and the verified units that reused
+	// the manager's stored reference of their benchmark instead.
+	MetricReferenceComputed = "service.reference.computed"
+	MetricReferenceReused   = "service.reference.reused"
 )
 
 // Derived latency metric names rendered by /metricsz (quantiles over the
@@ -56,6 +62,9 @@ type serviceMetrics struct {
 	cacheEvictions   *metrics.SharedCounter
 	cachePeerLookups *metrics.SharedCounter
 	cachePeerHits    *metrics.SharedCounter
+
+	refComputed *metrics.SharedCounter
+	refReused   *metrics.SharedCounter
 
 	queueDepth    *metrics.SharedGauge
 	jobsActive    *metrics.SharedGauge
@@ -85,6 +94,8 @@ func newServiceMetrics(reg *metrics.Registry) *serviceMetrics {
 		cacheEvictions:   reg.SharedCounter(MetricCacheEvictions),
 		cachePeerLookups: reg.SharedCounter(MetricCachePeerLookups),
 		cachePeerHits:    reg.SharedCounter(MetricCachePeerHits),
+		refComputed:      reg.SharedCounter(MetricReferenceComputed),
+		refReused:        reg.SharedCounter(MetricReferenceReused),
 		queueDepth:       reg.SharedGauge(GaugeQueueDepth),
 		jobsActive:       reg.SharedGauge(GaugeJobsActive),
 		cacheEntries:     reg.SharedGauge(GaugeCacheEntries),

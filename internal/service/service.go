@@ -18,6 +18,9 @@
 //     cycles) through core.Simulate.
 //   - Graceful drain. Drain stops intake, lets the executor finish every
 //     admitted unit, and completes in-flight jobs before returning.
+//   - Shared references. Verified units of one built-in benchmark verify
+//     against one functional reference, computed once per manager and kept
+//     while it serves (core.References): at most one per benchmark.
 //   - One admission path. Claimed units run on an Executor: the local
 //     worker pool by default, or — for a cluster coordinator, which is a
 //     Manager too — the backends (see WithExecutor).
@@ -105,8 +108,9 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// Runner executes one resolved unit. The default runs core.Simulate; tests
-// substitute stubs to control timing and count executions.
+// Runner executes one resolved unit. The default runs core.Simulate,
+// verifying against the manager's shared references; tests substitute stubs
+// to control timing and count executions.
 type Runner func(ctx context.Context, u UnitSpec) (*stats.Run, error)
 
 // Option configures a Manager.
@@ -137,6 +141,9 @@ type Manager struct {
 	fuzzRunner FuzzRunner
 	latency    *LatencyHistogram
 	started    time.Time
+	// refs holds at most one functional reference per built-in benchmark,
+	// shared by every verified unit of that benchmark (see reference).
+	refs core.References
 
 	baseCtx    context.Context
 	baseCancel context.CancelFunc
@@ -168,12 +175,12 @@ func New(cfg Config, opts ...Option) *Manager {
 		reg:        reg,
 		met:        met,
 		cache:      newResultCache(cfg.CacheEntries, met),
-		runner:     defaultRunner,
 		fuzzRunner: defaultFuzzRunner,
 		latency:    &LatencyHistogram{},
 		started:    time.Now(),
 		jobs:       make(map[string]*Job),
 	}
+	m.runner = m.simulate
 	m.baseCtx, m.baseCancel = context.WithCancel(context.Background())
 	for _, opt := range opts {
 		opt(m)
@@ -211,17 +218,36 @@ func (m *Manager) CachedResult(key string) (*UnitResult, bool) {
 	return m.cache.peek(key)
 }
 
-// defaultRunner simulates one unit through the library façade.
-func defaultRunner(ctx context.Context, u UnitSpec) (*stats.Run, error) {
+// simulate is the default runner: it simulates one unit through the library
+// façade, verifying a verified unit against its benchmark's shared reference.
+func (m *Manager) simulate(ctx context.Context, u UnitSpec) (*stats.Run, error) {
 	b, err := workload.ByName(u.Bench)
 	if err != nil {
 		return nil, err
 	}
 	opts := []core.Option{core.WithConfig(u.Config)}
 	if u.Verify {
-		opts = append(opts, core.WithVerify())
+		ref, err := m.reference(b, u.Config.MaxCycles)
+		if err != nil {
+			return nil, err
+		}
+		opts = append(opts, core.WithReference(ref))
 	}
 	return core.Simulate(ctx, u.Model, b.Program(), opts...)
+}
+
+// reference returns the functional reference of built-in benchmark b under a
+// limit of maxSteps instructions: the manager's stored one when it fits the
+// limit, else a fresh one, failing with core.ComputeReference's error exactly
+// as core.WithVerify would (core.References.Get).
+func (m *Manager) reference(b *workload.Benchmark, maxSteps int64) (*core.Reference, error) {
+	ref, computed, err := m.refs.Get(b.Name, b.Program(), maxSteps)
+	if computed {
+		m.met.refComputed.Inc()
+	} else {
+		m.met.refReused.Inc()
+	}
+	return ref, err
 }
 
 // Submit validates and admits one job: the spec is expanded server-side

@@ -225,9 +225,11 @@ func (m *Machine) canMerge(set, next pipeline.Span) bool {
 // bBlocked applies the B-pipe REG-stage interlocks to the dispatch set.
 // Pre-executed instructions never block dispatch (dangling results dispatch
 // with scoreboarded destinations); deferred instructions need ready sources,
-// a WAW-free destination, and — for loads — an outstanding-load slot. Like
-// the baseline's groupBlocked, a blocked set reports the cycle the stall
-// clears, or m.now+1 for a resource stall.
+// a WAW-free destination, and — for loads — an outstanding-load slot for the
+// line they will load, whose address may come from an earlier pre-executed
+// instruction of the same merged set (setRead). Like the baseline's
+// groupBlocked, a blocked set reports the cycle the stall clears, or
+// m.now+1 for a resource stall.
 //
 //flea:hotpath
 func (m *Machine) bBlocked(set pipeline.Span) (cls stats.CycleClass, until int64, blocked bool) {
@@ -261,16 +263,33 @@ func (m *Machine) bBlocked(set pipeline.Span) (cls stats.CycleClass, until int64
 	for p := set.Start; p < set.End; p++ {
 		d := m.ring.At(p)
 		in := d.In
-		if d.Done || !in.IsLoad() || !m.predOnB(in) {
+		if d.Done || !in.IsLoad() || (!in.Always() && m.setRead(set, p, in.Pred) == 0) {
 			continue
 		}
-		addrs = append(addrs, isa.EffectiveAddress(m.bst.Read(in.Src1), in.Imm))
+		addrs = append(addrs, isa.EffectiveAddress(m.setRead(set, p, in.Src1), in.Imm))
 	}
 	m.addrScratch = addrs
 	if len(addrs) > 0 && !m.hier.CanAcceptLoads(addrs, m.now) {
 		return stats.ResourceStall, m.now + 1, true
 	}
 	return 0, 0, false
+}
+
+// setRead returns register r as the instruction at ring position p of the
+// dispatch set will read it when the set retires: the value of the set's
+// youngest earlier pre-executed, predicated-on writer of r, which merges
+// first, or else the B-file's.
+//
+//flea:hotpath
+func (m *Machine) setRead(set pipeline.Span, p uint64, r isa.Reg) isa.Value {
+	if r != isa.RegNone {
+		for k := p; k > set.Start; k-- {
+			if w := m.ring.At(k - 1); w.Done && w.PredOn && w.In.Dest() == r {
+				return w.Val
+			}
+		}
+	}
+	return m.bst.Read(r)
 }
 
 // processB retires one instruction: merging an A-pipe result, or executing a
