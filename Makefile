@@ -13,8 +13,8 @@ vet:
 # lint runs the repository's domain-specific analyzers (cmd/flealint) over
 # every package via the vet driver. AST passes: allocation-free hot paths,
 # determinism, guarded tracing, unique metric names.
-# Dataflow passes (v2): snapshot page-alias safety, drain-barrier snapshot
-# protocol, //flea:guardedby lock discipline, context-polling loops. The
+# Dataflow passes (v2): snapshot page-alias safety, //flea:guardedby lock
+# discipline, context-polling loops. The
 # per-analyzer package scopes live in internal/analysis/scope, whose
 # completeness test keeps them in sync with `go list ./internal/...`.
 lint:
@@ -80,14 +80,15 @@ bench-smoke:
 	$(GO) test -run='^TestCheckerSetupBytes$$' ./internal/diffsim/
 	$(GO) test -bench=BenchmarkSimSpeed -benchtime=1x -run=^$$ .
 
-# ckpt-smoke is the checkpoint-equivalence gate: a machine-snapshot resume
-# must be byte-identical to its from-zero run (stats, store log, trace
-# suffix) on every default-lattice cell, a functional resume must verify
-# cleanly on every model, and a checkpointed fuzz campaign must reach
-# exactly the verdicts of a from-zero one.
+# ckpt-smoke is the checkpoint-equivalence gate: the reference captures
+# snapshots on schedule without perturbing its own result, a resume must
+# verify cleanly on every model (final state, store log, instruction count),
+# writes to a resumed image must not leak into the snapshot, and a
+# checkpointed fuzz campaign must reach exactly the verdicts of a from-zero
+# one on the smoke lattice and on every default-lattice cell.
 ckpt-smoke:
-	$(GO) test -run='^(TestCheckpointResumeGoldenEquivalence|TestCampaignCheckpointedMatchesFromZero)$$' ./internal/diffsim/
-	$(GO) test -run='^(TestFunctionalResume|TestMachineSnapshotResume)$$' ./internal/core/
+	$(GO) test -run='^TestCampaignCheckpointedMatchesFromZero$$' ./internal/diffsim/
+	$(GO) test -run='^(TestFunctionalResume|TestReferenceCheckpoints|TestCOWIsolation)$$' ./internal/core/
 
 # fuzz-smoke is the differential-correctness gate: a small seeded campaign
 # of generated EPIC programs run across the smoke lattice (every model, one

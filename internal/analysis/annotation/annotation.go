@@ -30,9 +30,6 @@
 //	//flea:bounded        the next (or same-line) loop terminates by
 //	                      construction (drains admitted work, closed-queue
 //	                      handshake); ctxloop accepts it without a ctx poll.
-//	//flea:specentry      this method begins a speculative episode (run-ahead
-//	                      entry); snapshotprotocol requires every call to be
-//	                      guarded by !draining.
 //	//flea:cowfault       this function implements the copy-on-write page
 //	                      fault: the page reference it returns is private to
 //	                      the caller, so snapshotalias permits stores through
@@ -73,7 +70,6 @@ const (
 	Atomic         = "atomic"
 	Locked         = "locked"
 	Bounded        = "bounded"
-	SpecEntry      = "specentry"
 	CowFault       = "cowfault"
 	Inline         = "inline"
 	NoEscape       = "noescape"

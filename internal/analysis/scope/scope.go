@@ -32,8 +32,8 @@ var Simulation = []string{
 	// meaning.
 	"internal/progen",
 	"internal/diffsim",
-	// Checkpoints must serialize byte-identically for a given machine state:
-	// snapshot hashes and resumed-run equivalence both depend on it.
+	// A checkpoint fixes the state a resumed run starts from: resumed-run
+	// equivalence depends on it.
 	"internal/checkpoint",
 	// Cluster routing must be deterministic too: every coordinator over the
 	// same membership places every content-addressed key on the same backend
@@ -64,14 +64,12 @@ var Stats = []string{
 	"internal/stats",
 }
 
-// Snapshotting packages take, serialize, materialize, or restore
-// copy-on-write memory snapshots. Policed by snapshotalias (page-alias
-// dataflow) and snapshotprotocol (drain-barrier discipline).
+// Snapshotting packages take, materialize, or restore copy-on-write memory
+// snapshots. Policed by snapshotalias (page-alias dataflow).
 var Snapshotting = []string{
 	"internal/mem",
 	"internal/checkpoint",
-	// The shared drain barrier (pipeline.Barrier) captures and restores the
-	// machines' common snapshot state.
+	// pipeline.Resume restores the machines' common snapshot state.
 	"internal/pipeline",
 	"internal/twopass",
 	"internal/baseline",

@@ -274,8 +274,8 @@ func (fc *funcCheck) calleeCowFault(fn *types.Func) bool {
 
 // containsBarrier reports whether node n performs a snapshot barrier:
 // (*mem.Image).Snapshot, (*mem.Image).CopyOnWrite, (*mem.ImageSnapshot).Image,
-// or any RestoreSnapshot method (the core.Snapshotter restore). Function
-// literals inside n are skipped — they run elsewhere.
+// or any RestoreSnapshot method (a machine resuming from a checkpoint).
+// Function literals inside n are skipped — they run elsewhere.
 func (fc *funcCheck) containsBarrier(n ast.Node) bool {
 	found := false
 	ast.Inspect(n, func(m ast.Node) bool {

@@ -1,5 +1,5 @@
 // Package ssaflow is the intraprocedural dataflow engine behind the
-// flealint v2 analyzers (snapshotalias, snapshotprotocol, guardedby).
+// flealint v2 analyzers (snapshotalias, guardedby).
 //
 // The toolchain's cmd/vendor tree — the only offline source for
 // golang.org/x/tools — ships go/cfg but not go/ssa, so the v2 analyzers

@@ -21,6 +21,7 @@ import (
 
 	"fleaflicker/internal/arch"
 	"fleaflicker/internal/bpred"
+	"fleaflicker/internal/checkpoint"
 	"fleaflicker/internal/isa"
 	"fleaflicker/internal/mem"
 	"fleaflicker/internal/metrics"
@@ -88,9 +89,8 @@ type Machine struct {
 	tr  *trace.Tracer
 	ctx context.Context
 
-	// Barrier carries the retired count, the architectural PC and the
-	// drain-barrier checkpoint protocol (see snapshot.go).
-	pipeline.Barrier
+	// model is "base" or "runahead".
+	model string
 	// Idle fast-forwards quiescent stall cycles and counts them in
 	// SkippedCycles.
 	pipeline.Idle
@@ -133,15 +133,24 @@ func newMachine(model string, cfg Config, prog *program.Program, img *mem.Image)
 		prog: prog,
 		// Past the fetch queue the machine holds only the group it
 		// dispatches.
-		fe:   pipeline.NewFrontEnd(cfg.Front, cfg.IssueWidth, cfg.IssueWidth, prog, hier, cfg.Arena.Predictor(cfg.Bpred), cfg.Arena),
-		hier: hier,
-		st:   arch.NewState(img),
-		col:  stats.NewCollector(prog.Name, model),
+		fe:    pipeline.NewFrontEnd(cfg.Front, cfg.IssueWidth, cfg.IssueWidth, prog, hier, cfg.Arena.Predictor(cfg.Bpred), cfg.Arena),
+		hier:  hier,
+		st:    arch.NewState(img),
+		col:   stats.NewCollector(prog.Name, model),
+		model: model,
 	}
 	m.ring = m.fe.Ring()
-	m.Barrier = pipeline.NewBarrier(model, m.fe, m.st, m.col)
 	return m, nil
 }
+
+// RestoreSnapshot starts the machine from a functional snapshot (see
+// pipeline.Resume). Call before Run.
+func (m *Machine) RestoreSnapshot(snap *checkpoint.Snapshot) error {
+	return pipeline.Resume(snap, m.fe, m.st, m.col)
+}
+
+// Model returns the machine's model tag.
+func (m *Machine) Model() string { return m.model }
 
 // State exposes the architectural state (for correctness comparison).
 func (m *Machine) State() *arch.State { return m.st }
@@ -168,31 +177,15 @@ func (m *Machine) Run() (*stats.Run, error) {
 				return nil, fmt.Errorf("%s: %q: %w", m.Model(), m.prog.Name, err)
 			}
 		}
-		quiet := false
-		if m.Draining {
-			// Fetch pauses (and run-ahead entry is suppressed in step) until
-			// every fetched group has dispatched; then the machine is
-			// quiesced and the snapshot is architecturally exact.
-			if !m.fe.Pending() {
-				m.takeSnapshot()
-				m.fe.Redirect(m.ArchPC, m.now)
-				m.Draining = false
-			}
-		} else {
-			quiet = !m.fe.Tick(m.now)
-		}
+		quiet := !m.fe.Tick(m.now)
 		var wake int64
 		if m.ra != nil && m.ra.active {
 			wake = m.stepRunahead()
 		} else {
 			wake = m.step()
 		}
-		if m.SnapshotDue() {
-			m.Draining = true
-		}
 		// A cycle that changed nothing repeats until the first wake of the
 		// front end or the stalled stage: account those cycles in bulk.
-		quiet = quiet && !m.Draining
 		if quiet {
 			wake = min(wake, m.fe.Wake(m.now))
 		}
@@ -230,10 +223,7 @@ func (m *Machine) step() (wake int64) {
 			m.Idle.Emit(m.tr, trace.Event{Cycle: m.now, Type: trace.EvStall, Pipe: trace.PipeA,
 				PC: g.FetchPC, Arg: int64(cls), Note: cls.String()})
 		}
-		// No episodes while draining toward a snapshot barrier: an episode
-		// would keep speculative state (and fetched groups) in flight past
-		// the quiesce point.
-		if cls == stats.LoadStall && m.ra != nil && until-m.now > int64(m.ra.minStall) && !m.Draining {
+		if cls == stats.LoadStall && m.ra != nil && until-m.now > int64(m.ra.minStall) {
 			m.enterRunahead(g, until)
 			return m.now + 1
 		}
@@ -307,7 +297,6 @@ func (m *Machine) dispatch(g *pipeline.Group) {
 		d := m.ring.At(p)
 		in := d.In
 		m.col.Instruction()
-		m.Retired++
 		if m.tr.Enabled() {
 			m.tr.Emit(trace.Event{Cycle: m.now, Type: trace.EvDispatch, Pipe: trace.PipeA,
 				ID: d.ID, PC: d.PC, Note: in.String()})
@@ -320,7 +309,6 @@ func (m *Machine) dispatch(g *pipeline.Group) {
 			}
 			continue
 		}
-		m.ArchPC = d.PC + 1
 		if !predOn {
 			continue // retires as a no-op
 		}
@@ -394,7 +382,6 @@ func (m *Machine) resolveBranch(d *pipeline.DynInst, predOn bool) (squash bool) 
 	if taken {
 		actualNext = target
 	}
-	m.ArchPC = actualNext
 	// Train the predictor.
 	pred := m.fe.Predictor()
 	if d.HasCP {

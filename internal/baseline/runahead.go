@@ -20,9 +20,7 @@ import (
 //
 // Unlike two-pass pipelining, all run-ahead results are discarded — only
 // the cache and branch-predictor warming survives — which is the paper's
-// central contrast. The episode state is dead outside an episode, and no
-// episode begins while the machine drains toward a snapshot barrier, so
-// only the episode totals join the checkpointed state.
+// central contrast.
 
 // episode is the run-ahead machine's episode state.
 type episode struct {
@@ -46,12 +44,9 @@ type episode struct {
 // enterRunahead checkpoints architectural register state and begins
 // speculative pre-execution. The stall cycles continue to be charged as load
 // stalls (the architectural pipe is still blocked); run-ahead merely warms
-// the caches underneath them. As a speculative entry point it must never run
-// while the machine drains toward a snapshot barrier (snapshotprotocol
-// checks every call site for the !Draining guard).
+// the caches underneath them.
 //
 //flea:hotpath
-//flea:specentry
 func (m *Machine) enterRunahead(g *pipeline.Group, until int64) {
 	m.col.RunaheadEntry()
 	if m.tr.Enabled() {

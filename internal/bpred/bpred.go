@@ -5,8 +5,6 @@
 // call/return pairs.
 package bpred
 
-import "fmt"
-
 // Checkpoint captures the speculative predictor state at a prediction point
 // so it can be repaired when the branch resolves as mispredicted.
 type Checkpoint struct {
@@ -147,57 +145,6 @@ func (p *Predictor) UpdateIndirect(pc, target int32) {
 	i := uint32(pc) & uint32(p.cfg.BTBEntries-1)
 	p.btbTagged[i] = pc
 	p.btb[i] = target
-}
-
-// State is the full serializable predictor state, for machine checkpoints.
-// Every table is slice-backed, so capture and restore are deterministic.
-type State struct {
-	PHT         []uint8
-	GHR         uint32
-	BTB         []int32
-	BTBTagged   []int32
-	RAS         []int32
-	RASTop      int
-	Lookups     int64
-	Mispredicts int64
-}
-
-// CaptureState snapshots the predictor. The result is independent of the
-// predictor (safe to retain across further simulation).
-func (p *Predictor) CaptureState() *State {
-	return &State{
-		PHT:         append([]uint8(nil), p.pht...),
-		GHR:         p.ghr,
-		BTB:         append([]int32(nil), p.btb...),
-		BTBTagged:   append([]int32(nil), p.btbTagged...),
-		RAS:         append([]int32(nil), p.ras...),
-		RASTop:      p.rasTop,
-		Lookups:     p.Lookups,
-		Mispredicts: p.Mispredicts,
-	}
-}
-
-// RestoreState reinstates a captured predictor state. The predictor must have
-// the same configuration the state was captured under.
-func (p *Predictor) RestoreState(s *State) error {
-	if len(s.PHT) != len(p.pht) || len(s.BTB) != len(p.btb) ||
-		len(s.BTBTagged) != len(p.btbTagged) || len(s.RAS) != len(p.ras) {
-		return fmt.Errorf("bpred: snapshot tables (pht %d, btb %d/%d, ras %d) do not match configuration (pht %d, btb %d/%d, ras %d)",
-			len(s.PHT), len(s.BTB), len(s.BTBTagged), len(s.RAS),
-			len(p.pht), len(p.btb), len(p.btbTagged), len(p.ras))
-	}
-	if s.RASTop < 0 || s.RASTop > len(p.ras) {
-		return fmt.Errorf("bpred: snapshot RAS depth %d out of range [0,%d]", s.RASTop, len(p.ras))
-	}
-	copy(p.pht, s.PHT)
-	p.ghr = s.GHR
-	copy(p.btb, s.BTB)
-	copy(p.btbTagged, s.BTBTagged)
-	copy(p.ras, s.RAS)
-	p.rasTop = s.RASTop
-	p.Lookups = s.Lookups
-	p.Mispredicts = s.Mispredicts
-	return nil
 }
 
 // PushRAS records a call's return address at fetch time.

@@ -98,11 +98,7 @@ func TestResumedSteadyStateAllocationFree(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			sn, ok := m.(Snapshotter)
-			if !ok {
-				t.Fatalf("%s does not implement Snapshotter", model)
-			}
-			if err := sn.RestoreSnapshot(snap); err != nil {
+			if err := m.RestoreSnapshot(snap); err != nil {
 				t.Fatal(err)
 			}
 			var before, after runtime.MemStats

@@ -5,30 +5,21 @@ import (
 	"fleaflicker/internal/mem"
 )
 
-// Snapshotter is implemented by every timed machine model: it can capture
-// resumable checkpoints at drain barriers and start from a previously
-// captured one. Simulate drives it through ResumeFrom and WithSnapshots;
-// the interface is exported so sweep drivers can type-assert machines they
-// build directly.
-type Snapshotter interface {
-	// ConfigureSnapshots arranges for a snapshot to be taken at the first
-	// quiesce point after every further `every` retired instructions, passing
-	// each to fn. Must be called before Run (and after RestoreSnapshot, so
-	// the schedule continues from the restored position).
-	ConfigureSnapshots(every int64, fn func(*checkpoint.Snapshot))
-	// RestoreSnapshot reinstates a snapshot as the machine's starting state.
-	// A KindFunctional snapshot fast-forwards the architectural state only
-	// (timing structures stay cold); a KindMachine snapshot must come from
-	// the same model and configuration and reproduces the producing run
-	// exactly. Must be called before Run.
-	RestoreSnapshot(snap *checkpoint.Snapshot) error
-}
-
 // RefOption configures one ComputeReference call.
 type RefOption func(*refOptions)
 
 type refOptions struct {
 	every int64
+	// noStores skips recording the committed-store log (Reference.Stores
+	// stays nil, and checkpoints carry no store-log position), for callers
+	// in this package that never compare store order.
+	noStores bool
+}
+
+// withoutStoreLog makes ComputeReference skip the committed-store log when
+// skip is true.
+func withoutStoreLog(skip bool) RefOption {
+	return func(o *refOptions) { o.noStores = skip }
 }
 
 // WithCheckpoints makes ComputeReference capture a functional snapshot every
@@ -50,18 +41,9 @@ func ResumeFrom(snap *checkpoint.Snapshot) Option {
 	return func(o *options) { o.resume = snap }
 }
 
-// WithSnapshots makes the machine capture a resumable KindMachine snapshot at
-// the first pipeline-drain barrier after every `every` retired instructions,
-// passing each to fn. Draining perturbs timing slightly (fetch pauses while
-// in-flight instructions retire), so runs with snapshots enabled are
-// cycle-comparable only to other runs with the same `every`.
-func WithSnapshots(every int64, fn func(*checkpoint.Snapshot)) Option {
-	return func(o *options) { o.snapEvery = every; o.onSnap = fn }
-}
-
-// stampStoreLog copies the machine's committed-store log state into a
-// snapshot, so a run resumed from it can continue (and finish) the log
-// exactly as the producer would have.
+// stampStoreLog copies the committed-store log's state into a snapshot, so a
+// run resumed from it can continue (and finish) the log exactly as the
+// producer would have. A nil log leaves the snapshot's log empty.
 func stampStoreLog(s *checkpoint.Snapshot, log *mem.StoreLog) {
 	if log == nil {
 		return

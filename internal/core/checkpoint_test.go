@@ -2,10 +2,9 @@ package core
 
 import (
 	"context"
-	"reflect"
+	"strings"
 	"testing"
 
-	"fleaflicker/internal/checkpoint"
 	"fleaflicker/internal/mem"
 	"fleaflicker/internal/program"
 )
@@ -52,8 +51,8 @@ func TestReferenceCheckpoints(t *testing.T) {
 		t.Fatal("checkpointing perturbed the reference execution")
 	}
 	for i, s := range ref.Checkpoints {
-		if s.Kind != checkpoint.KindFunctional {
-			t.Fatalf("checkpoint %d kind = %v", i, s.Kind)
+		if s.Program != p.Name {
+			t.Fatalf("checkpoint %d is for program %q, want %q", i, s.Program, p.Name)
 		}
 		if want := int64(50 * (i + 1)); s.Retired != want {
 			t.Fatalf("checkpoint %d at %d retired, want %d", i, s.Retired, want)
@@ -108,58 +107,6 @@ func TestFunctionalResume(t *testing.T) {
 	}
 }
 
-// TestMachineSnapshotResume checks the exact tier: a run resumed from a
-// KindMachine snapshot reproduces the producing run bit for bit — final
-// stats.Run, registers, memory, and store log.
-func TestMachineSnapshotResume(t *testing.T) {
-	p := ckptProg(t)
-	const every = 100
-	for _, model := range Models() {
-		t.Run(model.String(), func(t *testing.T) {
-			var snaps []*checkpoint.Snapshot
-			var fullLog mem.StoreLog
-			full, err := Simulate(context.Background(), model, p,
-				WithVerify(), WithStoreLog(&fullLog),
-				WithSnapshots(every, func(s *checkpoint.Snapshot) { snaps = append(snaps, s) }))
-			if err != nil {
-				t.Fatalf("producer: %v", err)
-			}
-			if len(snaps) == 0 {
-				t.Fatal("no machine snapshots taken")
-			}
-			for i, s := range snaps {
-				if s.Kind != checkpoint.KindMachine || s.Model != model.String() {
-					t.Fatalf("snapshot %d: kind %v model %q", i, s.Kind, s.Model)
-				}
-			}
-			// Round-trip the snapshot through serialization: resuming from
-			// decoded bytes must be as good as resuming from the live object.
-			blob, err := snaps[len(snaps)-1].MarshalBinary()
-			if err != nil {
-				t.Fatal(err)
-			}
-			snap := new(checkpoint.Snapshot)
-			if err := snap.UnmarshalBinary(blob); err != nil {
-				t.Fatal(err)
-			}
-			var resumedLog mem.StoreLog
-			resumed, err := Simulate(context.Background(), model, p,
-				WithVerify(), WithStoreLog(&resumedLog),
-				ResumeFrom(snap),
-				WithSnapshots(every, nil))
-			if err != nil {
-				t.Fatalf("resumed: %v", err)
-			}
-			if !reflect.DeepEqual(full, resumed) {
-				t.Errorf("stats diverge:\nfull    %+v\nresumed %+v", full, resumed)
-			}
-			if fullLog.Hash() != resumedLog.Hash() || fullLog.Len() != resumedLog.Len() {
-				t.Errorf("store logs differ")
-			}
-		})
-	}
-}
-
 // TestCOWIsolation: writes to a resumed image must not leak into the
 // snapshot (or into sibling resumes) — the copy-on-write invariant the whole
 // fan-out depends on.
@@ -193,34 +140,38 @@ func TestCOWIsolation(t *testing.T) {
 	})
 }
 
-// TestMachineSnapshotRejectedAcrossModels checks that a KindMachine snapshot
-// restores only on the model that took it: for every ordered pair of
-// distinct models, RestoreSnapshot must fail rather than resume from state
-// whose sections mean something else.
-func TestMachineSnapshotRejectedAcrossModels(t *testing.T) {
-	p := ckptProg(t)
-	snaps := make(map[Model]*checkpoint.Snapshot)
-	for _, model := range Models() {
-		if _, err := Simulate(context.Background(), model, p,
-			WithSnapshots(100, func(s *checkpoint.Snapshot) { snaps[model] = s })); err != nil {
-			t.Fatalf("%v: %v", model, err)
-		}
-		if snaps[model] == nil {
-			t.Fatalf("%v: no machine snapshot taken", model)
-		}
+// TestResumeRejectsOtherProgram checks that no model resumes from another
+// program's snapshot: Simulate must fail rather than run one program from
+// the middle of another's execution.
+func TestResumeRejectsOtherProgram(t *testing.T) {
+	other := program.MustAssemble("other", `
+        movi r1 = 7 ;;
+        movi r2 = 9 ;;
+        movi r3 = 11 ;;
+        halt ;;
+`)
+	ref, err := ComputeReference(other, 1_000, WithCheckpoints(1))
+	if err != nil {
+		t.Fatal(err)
 	}
-	for _, from := range Models() {
-		for _, to := range Models() {
-			if from == to {
-				continue
+	snap := ref.NearestCheckpoint()
+	if snap == nil {
+		t.Fatal("no checkpoint")
+	}
+	p := ckptProg(t)
+	// A machine that did resume would run the loop with the other
+	// program's registers; the cap makes that fail fast.
+	cfg := DefaultConfig()
+	cfg.MaxCycles = 100_000
+	for _, model := range Models() {
+		t.Run(model.String(), func(t *testing.T) {
+			r, err := Simulate(context.Background(), model, p, WithConfig(cfg), ResumeFrom(snap))
+			if err == nil {
+				t.Fatalf("resumed %q from a snapshot of %q (%d instructions)", p.Name, other.Name, r.Instructions)
 			}
-			m, err := build(to, DefaultConfig(), p, nil)
-			if err != nil {
-				t.Fatal(err)
+			if !strings.Contains(err.Error(), `snapshot is for program "other"`) {
+				t.Errorf("error %q does not name the snapshot's program", err)
 			}
-			if err := m.(Snapshotter).RestoreSnapshot(snaps[from]); err == nil {
-				t.Errorf("%v restored a machine snapshot taken by %v", to, from)
-			}
-		}
+		})
 	}
 }

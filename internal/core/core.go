@@ -14,6 +14,7 @@ import (
 	"fleaflicker/internal/arch"
 	"fleaflicker/internal/baseline"
 	"fleaflicker/internal/bpred"
+	"fleaflicker/internal/checkpoint"
 	"fleaflicker/internal/isa"
 	"fleaflicker/internal/mem"
 	"fleaflicker/internal/metrics"
@@ -140,11 +141,14 @@ func (c Config) TwoPassConfig(regroup bool) twopass.Config {
 
 // machine is what every model implementation provides. Attach binds the
 // run's context, the registry (nil for none) its counters are published into
-// when Run returns, and the tracer (nil for none).
+// when Run returns, and the tracer (nil for none). RestoreSnapshot starts
+// the machine from a functional snapshot instead of the program entry. Both
+// must be called before Run.
 type machine interface {
 	Run() (*stats.Run, error)
 	State() *arch.State
 	Attach(ctx context.Context, reg *metrics.Registry, tr *trace.Tracer)
+	RestoreSnapshot(snap *checkpoint.Snapshot) error
 }
 
 // build constructs model's machine over prog with memory img, which the

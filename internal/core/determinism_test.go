@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"reflect"
 	"testing"
 
 	"fleaflicker/internal/bpred"
@@ -103,8 +104,8 @@ func TestSharedArenaMatchesFresh(t *testing.T) {
 
 // TestArenaPredictorResetMatchesNew trains the arena's branch predictor on a
 // branchy program, then takes it back from the arena and checks that its
-// captured state is byte-equal to a fresh bpred.New's: a recycled predictor
-// must start every run exactly as a new one would.
+// whole state, unexported tables included, equals a fresh bpred.New's: a
+// recycled predictor must start every run exactly as a new one would.
 func TestArenaPredictorResetMatchesNew(t *testing.T) {
 	bench, err := workload.ByName("099.go")
 	if err != nil {
@@ -116,22 +117,15 @@ func TestArenaPredictorResetMatchesNew(t *testing.T) {
 	if _, err := Simulate(context.Background(), TwoPass, bench.Program(), WithConfig(cfg)); err != nil {
 		t.Fatal(err)
 	}
-	state := func(p *bpred.Predictor) []byte {
-		js, err := json.Marshal(p.CaptureState())
-		if err != nil {
-			t.Fatal(err)
-		}
-		return js
-	}
-	fresh := state(bpred.New(cfg.Bpred))
-	if pred.Lookups == 0 || pred.Mispredicts == 0 || bytes.Equal(state(pred), fresh) {
+	fresh := bpred.New(cfg.Bpred)
+	if pred.Lookups == 0 || pred.Mispredicts == 0 || reflect.DeepEqual(pred, fresh) {
 		t.Fatalf("the run did not train the arena's predictor (%d lookups, %d mispredicts)", pred.Lookups, pred.Mispredicts)
 	}
 	reset := cfg.Arena.Predictor(cfg.Bpred)
 	if reset != pred {
 		t.Fatal("the arena built a new predictor for an unchanged configuration")
 	}
-	if got := state(reset); !bytes.Equal(got, fresh) {
-		t.Errorf("reset predictor differs from a new one:\n reset: %s\n new:   %s", got, fresh)
+	if !reflect.DeepEqual(reset, fresh) {
+		t.Errorf("reset predictor differs from a new one:\n reset: %+v\n new:   %+v", *reset, *fresh)
 	}
 }

@@ -53,13 +53,14 @@ func (t *References) Get(name string, prog *program.Program, maxSteps int64) (re
 		return c.ref, false, nil
 	}
 	// With a reference stored, this limit is too small for the program to
-	// halt under, so the computation fails and stores nothing.
-	full, err := ComputeReference(prog, maxSteps)
+	// halt under, so the computation fails and stores nothing. The store
+	// log can hold thousands of commits per program, and no run verified
+	// against a shared reference records one to compare with, so it is
+	// never recorded.
+	ref, err = ComputeReference(prog, maxSteps, withoutStoreLog(true))
 	if err != nil {
 		return nil, true, err
 	}
-	// The store log can hold thousands of commits per program; no run
-	// verified against a shared reference records one to compare with.
-	c.ref = &Reference{Result: full.Result}
-	return c.ref, true, nil
+	c.ref = ref
+	return ref, true, nil
 }

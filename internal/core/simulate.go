@@ -18,16 +18,14 @@ import (
 type Option func(*options)
 
 type options struct {
-	cfg       Config
-	verify    bool
-	ref       *Reference
-	storeLog  *mem.StoreLog
-	sink      trace.Sink
-	reg       *metrics.Registry
-	closeMu   bool // close the sink when Simulate returns
-	resume    *checkpoint.Snapshot
-	snapEvery int64
-	onSnap    func(*checkpoint.Snapshot)
+	cfg      Config
+	verify   bool
+	ref      *Reference
+	storeLog *mem.StoreLog
+	sink     trace.Sink
+	reg      *metrics.Registry
+	closeMu  bool // close the sink when Simulate returns
+	resume   *checkpoint.Snapshot
 }
 
 // WithConfig replaces the default (Table 1) machine configuration.
@@ -78,8 +76,11 @@ func ComputeReference(prog *program.Program, maxSteps int64, opts ...RefOption) 
 	}
 	e := arch.NewExecutor(prog)
 	ref := &Reference{}
-	var log mem.StoreLog
-	e.State().Mem.Observe(log.Record)
+	var log *mem.StoreLog
+	if !ro.noStores {
+		log = new(mem.StoreLog)
+		e.State().Mem.Observe(log.Record)
+	}
 	var steps int64
 	for !e.Halted() {
 		if steps >= maxSteps {
@@ -91,35 +92,26 @@ func ComputeReference(prog *program.Program, maxSteps int64, opts ...RefOption) 
 		}
 		steps++
 		if ro.every > 0 && steps%ro.every == 0 && !e.Halted() {
-			ref.Checkpoints = append(ref.Checkpoints, functionalSnapshot(prog, e, steps, &log))
+			ref.Checkpoints = append(ref.Checkpoints, functionalSnapshot(prog, e, steps, log))
 		}
 	}
 	e.State().Mem.Observe(nil)
 	ref.Result = e.Result()
-	ref.Stores = &log
+	ref.Stores = log
 	return ref, nil
 }
 
 // functionalSnapshot captures the reference executor's architectural state
-// after `steps` retired instructions as a KindFunctional checkpoint.
+// after `steps` retired instructions as a checkpoint.
 func functionalSnapshot(prog *program.Program, e *arch.Executor, steps int64, log *mem.StoreLog) *checkpoint.Snapshot {
-	res := e.Result()
 	s := &checkpoint.Snapshot{
-		Kind:     checkpoint.KindFunctional,
-		Program:  prog.Name,
-		Retired:  steps,
-		PC:       e.PC(),
-		Regs:     e.State().Regs,
-		Mem:      e.State().Mem.Snapshot(),
-		ByClass:  res.ByClass,
-		Loads:    res.Loads,
-		Stores:   res.Stores,
-		Branches: res.Branches,
+		Program: prog.Name,
+		Retired: steps,
+		PC:      e.PC(),
+		Regs:    e.State().Regs,
+		Mem:     e.State().Mem.Snapshot(),
 	}
 	stampStoreLog(s, log)
-	// A resumed machine primes its retired-instruction counter so the final
-	// count equals prefix + delta, matching the reference.
-	s.SetCounters([]checkpoint.Counter{{Name: stats.MetricInstructions, Value: steps}})
 	return s
 }
 
@@ -169,7 +161,8 @@ func Simulate(ctx context.Context, model Model, prog *program.Program, opts ...O
 
 	ref := o.ref
 	if o.verify && ref == nil {
-		r, err := ComputeReference(prog, o.cfg.MaxCycles)
+		// Store order is checked only against a run's own WithStoreLog.
+		r, err := ComputeReference(prog, o.cfg.MaxCycles, withoutStoreLog(o.storeLog == nil))
 		if err != nil {
 			return nil, err
 		}
@@ -187,26 +180,9 @@ func Simulate(ctx context.Context, model Model, prog *program.Program, opts ...O
 	if err != nil {
 		return nil, err
 	}
-	if o.resume != nil || o.snapEvery > 0 {
-		sn, ok := m.(Snapshotter)
-		if !ok {
-			return nil, fmt.Errorf("core: model %s does not support checkpoints", model)
-		}
-		if o.resume != nil {
-			if err := sn.RestoreSnapshot(o.resume); err != nil {
-				return nil, fmt.Errorf("core: restoring snapshot: %w", err)
-			}
-		}
-		if o.snapEvery > 0 {
-			// Stamp the machine's store-log position into every snapshot so
-			// a run resumed from it finishes the log identically.
-			userFn := o.onSnap
-			sn.ConfigureSnapshots(o.snapEvery, func(s *checkpoint.Snapshot) {
-				stampStoreLog(s, o.storeLog)
-				if userFn != nil {
-					userFn(s)
-				}
-			})
+	if o.resume != nil {
+		if err := m.RestoreSnapshot(o.resume); err != nil {
+			return nil, fmt.Errorf("core: %v: restoring snapshot: %w", model, err)
 		}
 	}
 	var tr *trace.Tracer

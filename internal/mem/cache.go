@@ -57,8 +57,8 @@ type cache struct {
 	tick      uint64
 	stats     CacheStats
 	// touched has one bit per set, set by every fill into that set. Only
-	// fill and restoreState (which marks every set) write an invalid way;
-	// lookup and setDirty update valid ways alone. So the sets whose bits
+	// fill writes an invalid way; lookup and setDirty update valid ways
+	// alone. So the sets whose bits
 	// are clear still hold their zero value, and reset skips them.
 	touched []uint64
 }
@@ -86,7 +86,7 @@ func newCache(cfg CacheConfig, name string) *cache {
 }
 
 // reset returns the cache to newCache's state, clearing only the sets a fill
-// or a restore may have written.
+// may have written.
 func (c *cache) reset() {
 	for i, word := range c.touched {
 		for word != 0 {
@@ -97,13 +97,6 @@ func (c *cache) reset() {
 	}
 	c.tick = 0
 	c.stats = CacheStats{}
-}
-
-// touchAll marks every set as possibly written.
-func (c *cache) touchAll() {
-	for s := range c.sets {
-		c.touched[s>>6] |= 1 << (s & 63)
-	}
 }
 
 //flea:hotpath

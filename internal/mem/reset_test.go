@@ -57,6 +57,14 @@ func replay(h *Hierarchy, seq []access) []observation {
 	return out
 }
 
+// state is h's full state, caches included, less CanAcceptLoads' scratch
+// buffer, whose contents are dead between calls.
+func state(h *Hierarchy) Hierarchy {
+	s := *h
+	s.needScratch = nil
+	return s
+}
+
 func TestResetMatchesNewHierarchy(t *testing.T) {
 	for _, tc := range []struct {
 		name string
@@ -64,26 +72,16 @@ func TestResetMatchesNewHierarchy(t *testing.T) {
 	}{{"small", smallConfig()}, {"table1", DefaultConfig()}} {
 		t.Run(tc.name, func(t *testing.T) {
 			rng := rand.New(rand.NewSource(20261017))
-			fresh := NewHierarchy(tc.cfg).CaptureState()
+			fresh := state(NewHierarchy(tc.cfg))
 
 			h := NewHierarchy(tc.cfg)
 			replay(h, randomAccesses(rng, 5000))
+			if reflect.DeepEqual(state(h), fresh) {
+				t.Fatal("the traffic left no state to reset")
+			}
 			h.Reset()
-			if got := h.CaptureState(); !reflect.DeepEqual(got, fresh) {
+			if !reflect.DeepEqual(state(h), fresh) {
 				t.Fatal("after traffic, Reset does not restore NewHierarchy's state")
-			}
-
-			// A restored state may occupy sets no fill of this hierarchy
-			// touched; Reset must clear those too.
-			donor := NewHierarchy(tc.cfg)
-			replay(donor, randomAccesses(rng, 5000))
-			if err := h.RestoreState(donor.CaptureState()); err != nil {
-				t.Fatal(err)
-			}
-			replay(h, randomAccesses(rng, 1000))
-			h.Reset()
-			if got := h.CaptureState(); !reflect.DeepEqual(got, fresh) {
-				t.Fatal("after RestoreState, Reset does not restore NewHierarchy's state")
 			}
 
 			seq := randomAccesses(rng, 5000)
@@ -95,7 +93,7 @@ func TestResetMatchesNewHierarchy(t *testing.T) {
 						i, seq[i], got[i], want[i])
 				}
 			}
-			if !reflect.DeepEqual(h.CaptureState(), f.CaptureState()) {
+			if !reflect.DeepEqual(state(h), state(f)) {
 				t.Fatal("recycled and fresh hierarchies end in different states")
 			}
 		})

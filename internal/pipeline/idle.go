@@ -74,8 +74,7 @@ func (q *Idle) Emit(tr *trace.Tracer, ev trace.Event) {
 // many it accounted; the machine advances its clock by that much. A skip
 // never passes maxCycles, so a runaway run fails at the same cycle, nor a
 // context-poll cycle (a multiple of PollInterval), so the cycle loop keeps
-// its cancellation latency. Machines must not skip while draining toward a
-// snapshot barrier.
+// its cancellation latency.
 //
 //flea:hotpath
 func (q *Idle) Skip(col *stats.Collector, tr *trace.Tracer, from, wake, maxCycles int64) int64 {

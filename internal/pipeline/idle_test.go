@@ -32,7 +32,7 @@ func TestFrontEndWakeIsNextChange(t *testing.T) {
 				t.Fatalf("cycle %d: wake %d is not in the future", now, wake)
 			}
 		}
-		if fe.Halted() && !fe.Pending() {
+		if fe.Halted() && fe.qlen == 0 {
 			return
 		}
 	}

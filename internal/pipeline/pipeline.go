@@ -302,10 +302,6 @@ func (f *FrontEnd) Head(now int64) *Group {
 	return g
 }
 
-// Pending reports whether any group is fetched but not yet available —
-// distinguishing "front end refilling" from "fetch stalled empty".
-func (f *FrontEnd) Pending() bool { return f.qlen > 0 }
-
 // Pop consumes the head group. Its records stay in the Ring, owned by the
 // caller, which retires or squashes them.
 //
@@ -330,21 +326,6 @@ func (f *FrontEnd) Redirect(pc int32, now int64) {
 	f.nextFetchAt = now + 1
 	f.stalled = false
 	f.halted = false
-}
-
-// StreamState returns the dynamic-ID allocator position and the accumulated
-// fetch-stall count, the two pieces of front-end state that survive a
-// Redirect and so must be carried across a machine checkpoint.
-func (f *FrontEnd) StreamState() (nextID uint64, fetchStalls int64) {
-	return f.nextID, f.FetchStallCycles
-}
-
-// RestoreStream reinstates the ID allocator and fetch-stall count captured by
-// StreamState, so a checkpoint-resumed machine numbers its dynamic
-// instructions exactly as the producing run did.
-func (f *FrontEnd) RestoreStream(nextID uint64, fetchStalls int64) {
-	f.nextID = nextID
-	f.FetchStallCycles = fetchStalls
 }
 
 // Stalled reports whether fetch is blocked waiting for an indirect branch to

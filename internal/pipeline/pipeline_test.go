@@ -150,7 +150,7 @@ func TestHaltStopsFetch(t *testing.T) {
 		t.Fatalf("halt group missing")
 	}
 	popRetire(fe)
-	if fe.Head(299) != nil || fe.Pending() {
+	if fe.Head(299) != nil || fe.qlen > 0 {
 		t.Errorf("fetch continued past halt")
 	}
 }
@@ -165,11 +165,11 @@ func TestRedirectFlushesAndRestarts(t *testing.T) {
 	for now := int64(0); now < 300; now++ {
 		fe.Tick(now)
 	}
-	if !fe.Pending() {
+	if fe.qlen == 0 {
 		t.Fatal("queue empty before redirect")
 	}
 	fe.Redirect(3, 300)
-	if fe.Pending() {
+	if fe.qlen > 0 {
 		t.Errorf("redirect did not flush the queue")
 	}
 	var g *Group
@@ -372,7 +372,7 @@ func TestHeadNotAvailableBeforeAvailAt(t *testing.T) {
         halt ;;
 `)
 	fe.Tick(0)
-	if !fe.Pending() {
+	if fe.qlen == 0 {
 		t.Fatal("nothing fetched")
 	}
 	if fe.Head(0) != nil {

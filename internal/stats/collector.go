@@ -152,17 +152,10 @@ func (c *Collector) EachCounter(fn func(name string, value int64)) {
 	}
 }
 
-// Restore sets the canonical counter called name to value, for a machine
-// resumed from a checkpoint whose counters carry the prefix's counts. A name
-// that is not a canonical counter is ignored.
-func (c *Collector) Restore(name string, value int64) {
-	for i, n := range counterNames {
-		if n == name {
-			c.v[i] = value
-			return
-		}
-	}
-}
+// ResumeAt sets the retired-instruction count to retired, for a machine
+// resumed from a checkpoint taken after that many instructions, so the
+// run's final count equals a from-zero run's.
+func (c *Collector) ResumeAt(retired int64) { c.v[iInstructions] = retired }
 
 // Publish copies every published counter (see EachCounter) and the
 // coupling-queue occupancy gauge into reg, overwriting values already

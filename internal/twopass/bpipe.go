@@ -323,19 +323,10 @@ func (m *Machine) mergeB(d *pipeline.DynInst) bStatus {
 			if m.conflictPC != nil {
 				m.conflictPC[d.PC] = true
 			}
-			// The load re-executes from fetch: it is the next instruction
-			// to retire architecturally.
-			m.ArchPC = d.PC
 			return bStatus{flushFrom: d.ID, retired: false, redirect: d.PC}
 		}
 	}
 	m.col.Instruction()
-	m.Retired++
-	if d.BrResolved && d.BrTaken {
-		m.ArchPC = d.BrTarget
-	} else {
-		m.ArchPC = d.PC + 1
-	}
 	if d.PredOn && sanityChecks && !m.predOnB(in) {
 		panic(fmt.Sprintf("twopass: inst %d (%s) pre-executed with wrong predicate", d.ID, in))
 	}
@@ -373,8 +364,6 @@ func (m *Machine) mergeB(d *pipeline.DynInst) bStatus {
 func (m *Machine) executeDeferredB(d *pipeline.DynInst) bStatus {
 	in := d.In
 	m.col.Instruction()
-	m.Retired++
-	m.ArchPC = d.PC + 1 // branches override with the resolved target
 	m.deferred--
 	if in.IsStore() {
 		m.deferredStores--
@@ -478,7 +467,6 @@ func (m *Machine) resolveBranchB(d *pipeline.DynInst, predOn bool) bStatus {
 	if taken {
 		actualNext = target
 	}
-	m.ArchPC = actualNext
 	pred := m.fe.Predictor()
 	if d.HasCP {
 		pred.Resolve(d.PC, d.CP, d.PredTaken, taken)

@@ -29,6 +29,7 @@ import (
 
 	"fleaflicker/internal/arch"
 	"fleaflicker/internal/bpred"
+	"fleaflicker/internal/checkpoint"
 	"fleaflicker/internal/isa"
 	"fleaflicker/internal/mem"
 	"fleaflicker/internal/metrics"
@@ -259,10 +260,6 @@ type Machine struct {
 	tr  *trace.Tracer
 	ctx context.Context
 
-	// Barrier carries the architecturally retired (B-pipe) instruction
-	// count, the architectural PC and the drain-barrier checkpoint protocol
-	// (see snapshot.go).
-	pipeline.Barrier
 	// Idle fast-forwards quiescent stall cycles and counts them in
 	// SkippedCycles.
 	pipeline.Idle
@@ -310,8 +307,21 @@ func NewWithImage(cfg Config, prog *program.Program, img *mem.Image) (*Machine, 
 		model = "2Pre"
 	}
 	m.col = stats.NewCollector(prog.Name, model)
-	m.Barrier = pipeline.NewBarrier(model, m.fe, m.bst, m.col)
 	return m, nil
+}
+
+// RestoreSnapshot starts the machine from a functional snapshot (see
+// pipeline.Resume) and re-seeds the A-file as a coherent copy of the
+// restored register file: the state New builds, with the restored values.
+// Call before Run.
+func (m *Machine) RestoreSnapshot(snap *checkpoint.Snapshot) error {
+	if err := pipeline.Resume(snap, m.fe, m.bst, m.col); err != nil {
+		return err
+	}
+	for r := range m.afile {
+		m.afile[r] = aEntry{val: snap.Regs[r], valid: true}
+	}
+	return nil
 }
 
 // State exposes the architectural (B-file) state for correctness checks.
@@ -339,29 +349,12 @@ func (m *Machine) Run() (*stats.Run, error) {
 				return nil, fmt.Errorf("twopass: %q: %w", m.prog.Name, err)
 			}
 		}
-		quiet := false
-		if m.Draining {
-			// Fetch pauses until both queues empty — every dispatched
-			// instruction has passed the B-pipe and the speculative
-			// structures (store buffer, ALAT entries, A-file checkpoints)
-			// are empty by construction. Then snapshot and refetch.
-			if !m.fe.Pending() && m.cq.len() == 0 {
-				m.takeSnapshot()
-				m.fe.Redirect(m.ArchPC, m.now)
-				m.Draining = false
-			}
-		} else {
-			quiet = !m.fe.Tick(m.now)
-		}
+		quiet := !m.fe.Tick(m.now)
 		wake := m.stepA()
 		wake = min(wake, m.stepB())
 		m.col.CQOccupancy(m.cqCount)
-		if m.SnapshotDue() {
-			m.Draining = true
-		}
 		// A cycle that changed nothing repeats until the first wake of the
 		// front end or either pipe: account those cycles in bulk.
-		quiet = quiet && !m.Draining
 		if quiet {
 			wake = min(wake, m.fe.Wake(m.now))
 		}
