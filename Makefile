@@ -81,13 +81,16 @@ bench-smoke:
 	$(GO) test -bench=BenchmarkSimSpeed -benchtime=1x -run=^$$ .
 
 # ckpt-smoke is the checkpoint-equivalence gate: the reference captures
-# snapshots on schedule without perturbing its own result, a resume must
-# verify cleanly on every model (final state, store log, instruction count),
-# writes to a resumed image must not leak into the snapshot, and a
-# checkpointed fuzz campaign must reach exactly the verdicts of a from-zero
-# one on the smoke lattice and on every default-lattice cell.
+# snapshots on schedule without perturbing its own result, the single
+# snapshot the differential checker resumes from equals the last one a full
+# checkpointing run keeps, a resume must verify cleanly on every model
+# (final state, store log, instruction count), writes to a resumed image
+# must not leak into the snapshot, and a checkpointed fuzz campaign must
+# reach exactly the verdicts of a from-zero one on the smoke lattice and on
+# every default-lattice cell. The resume tests run under cycle caps, so a
+# broken resume fails them in seconds instead of hanging.
 ckpt-smoke:
-	$(GO) test -run='^TestCampaignCheckpointedMatchesFromZero$$' ./internal/diffsim/
+	$(GO) test -run='^(TestCampaignCheckpointedMatchesFromZero|TestResumePointMatchesLastCheckpoint)$$' ./internal/diffsim/
 	$(GO) test -run='^(TestFunctionalResume|TestReferenceCheckpoints|TestCOWIsolation)$$' ./internal/core/
 
 # fuzz-smoke is the differential-correctness gate: a small seeded campaign

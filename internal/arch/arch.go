@@ -23,10 +23,19 @@ type State struct {
 // NewState returns a state with zeroed registers and the given memory
 // (which the state takes ownership of).
 func NewState(m *mem.Image) *State {
+	s := new(State)
+	s.Reset(m)
+	return s
+}
+
+// Reset makes s the state NewState(m) returns, for a machine that recycles
+// its state's storage.
+func (s *State) Reset(m *mem.Image) {
 	if m == nil {
 		m = mem.NewImage()
 	}
-	return &State{Mem: m}
+	*s = State{}
+	s.Mem = m
 }
 
 // Read returns the value of register r, honoring hardwired registers.

@@ -41,8 +41,8 @@ type Config struct {
 	// MaxCycles aborts runaway simulations.
 	MaxCycles int64
 	// Arena, when non-nil, supplies the machine's DynInst storage and
-	// memory hierarchy so back-to-back simulations reuse them (see
-	// pipeline.Arena).
+	// memory hierarchy, and the machine itself, so back-to-back
+	// simulations reuse them (see pipeline.Arena).
 	Arena *pipeline.Arena `json:"-"`
 }
 
@@ -105,6 +105,8 @@ func New(cfg Config, prog *program.Program) (*Machine, error) {
 // NewWithImage builds a machine whose memory starts as img, which the
 // machine takes over. A nil img starts from empty memory: the choice for a
 // machine about to RestoreSnapshot, which installs the snapshot's memory.
+// On cfg.Arena the machine is the previous baseline or run-ahead machine
+// built there, rebuilt in place, so that one must be finished.
 func NewWithImage(cfg Config, prog *program.Program, img *mem.Image) (*Machine, error) {
 	return newMachine("base", cfg, prog, img)
 }
@@ -118,7 +120,9 @@ func NewRunahead(cfg Config, exitPenalty, minStall int, prog *program.Program, i
 	if err != nil {
 		return nil, err
 	}
-	m.ra = &episode{exitPenalty: exitPenalty, minStall: minStall}
+	m.ra = pipeline.Reuse[episode](cfg.Arena)
+	*m.ra = episode{}
+	m.ra.exitPenalty, m.ra.minStall = exitPenalty, minStall
 	m.col.TrackRunahead()
 	return m, nil
 }
@@ -128,17 +132,22 @@ func newMachine(model string, cfg Config, prog *program.Program, img *mem.Image)
 		return nil, fmt.Errorf("%s: %w", model, err)
 	}
 	hier := cfg.Arena.Hierarchy(cfg.Mem)
-	m := &Machine{
-		cfg:  cfg,
-		prog: prog,
-		// Past the fetch queue the machine holds only the group it
-		// dispatches.
-		fe:    pipeline.NewFrontEnd(cfg.Front, cfg.IssueWidth, cfg.IssueWidth, prog, hier, cfg.Arena.Predictor(cfg.Bpred), cfg.Arena),
-		hier:  hier,
-		st:    arch.NewState(img),
-		col:   stats.NewCollector(prog.Name, model),
-		model: model,
-	}
+	// On an arena the machine is the previous baseline or run-ahead
+	// machine's storage (pipeline.Reuse), of which it keeps nothing;
+	// zeroing in place, then setting fields, avoids building the whole
+	// struct in a temporary.
+	m := pipeline.Reuse[Machine](cfg.Arena)
+	*m = Machine{}
+	m.cfg = cfg
+	m.prog = prog
+	// Past the fetch queue the machine holds only the group it dispatches.
+	m.fe = pipeline.NewFrontEnd(cfg.Front, cfg.IssueWidth, cfg.IssueWidth, prog, hier, cfg.Arena.Predictor(cfg.Bpred), cfg.Arena)
+	m.hier = hier
+	m.st = pipeline.Reuse[arch.State](cfg.Arena)
+	m.st.Reset(img)
+	m.col = pipeline.Reuse[stats.Collector](cfg.Arena)
+	m.col.Reset(prog.Name, model)
+	m.model = model
 	m.ring = m.fe.Ring()
 	return m, nil
 }

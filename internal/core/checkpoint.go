@@ -1,8 +1,12 @@
 package core
 
 import (
+	"fmt"
+
+	"fleaflicker/internal/arch"
 	"fleaflicker/internal/checkpoint"
 	"fleaflicker/internal/mem"
+	"fleaflicker/internal/program"
 )
 
 // RefOption configures one ComputeReference call.
@@ -30,6 +34,40 @@ func withoutStoreLog(skip bool) RefOption {
 // from-zero run.
 func WithCheckpoints(every int64) RefOption {
 	return func(o *refOptions) { o.every = every }
+}
+
+// LastCheckpoint returns the snapshot that ComputeReference with
+// WithCheckpoints(every) would capture last, without capturing the ones
+// before it. ref is prog's reference: its retired count N puts that
+// snapshot after ⌊(N−1)/every⌋·every instructions, the latest multiple of
+// every short of the halt, and the executor runs only that far. It returns
+// nil when that point is 0 (N ≤ every, or every ≤ 0), as NearestCheckpoint
+// does when nothing was captured. The snapshot carries a store-log position
+// exactly when ref recorded its store log.
+func LastCheckpoint(prog *program.Program, ref *Reference, every int64) (*checkpoint.Snapshot, error) {
+	if every <= 0 {
+		return nil, nil
+	}
+	at := (ref.Result.Instructions - 1) / every * every
+	if at <= 0 {
+		return nil, nil
+	}
+	e := arch.NewExecutor(prog)
+	var log *mem.StoreLog
+	if ref.Stores != nil {
+		log = new(mem.StoreLog)
+		e.State().Mem.Observe(log.Record)
+	}
+	for steps := int64(0); steps < at; steps++ {
+		if e.Halted() {
+			return nil, fmt.Errorf("core: checkpoint: program %q halted after %d instructions, its reference after %d",
+				prog.Name, steps, ref.Result.Instructions)
+		}
+		if err := e.Step(); err != nil {
+			return nil, fmt.Errorf("core: checkpoint: %w", err)
+		}
+	}
+	return functionalSnapshot(prog, e, at, log), nil
 }
 
 // ResumeFrom starts the simulation from snap instead of the program entry.

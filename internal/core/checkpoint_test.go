@@ -69,7 +69,9 @@ func TestReferenceCheckpoints(t *testing.T) {
 // TestFunctionalResume checks the sweep fast-path: every model resumed from a
 // functional reference checkpoint must still pass full verification (final
 // registers, memory, store order, instruction count all equal a from-zero
-// run's).
+// run's). The resumed run may take no more cycles than the from-zero one, so
+// a resume that loses its way fails at that cap instead of spinning to
+// DefaultConfig's two billion cycles.
 func TestFunctionalResume(t *testing.T) {
 	p := ckptProg(t)
 	ref, err := ComputeReference(p, 1_000_000, WithCheckpoints(64))
@@ -88,7 +90,9 @@ func TestFunctionalResume(t *testing.T) {
 			if err != nil {
 				t.Fatalf("from-zero: %v", err)
 			}
-			resumed, err := Simulate(context.Background(), model, p,
+			capped := DefaultConfig()
+			capped.MaxCycles = full.Cycles
+			resumed, err := Simulate(context.Background(), model, p, WithConfig(capped),
 				WithReference(ref), WithStoreLog(&resumedLog), ResumeFrom(snap))
 			if err != nil {
 				t.Fatalf("resumed: %v", err)

@@ -90,10 +90,12 @@ type Config struct {
 
 	// Arena, when non-nil, supplies the machine's DynInst ring, memory
 	// hierarchy, branch predictor, decoded instruction table and program
-	// validation so repeated simulations (the differential fuzzer's inner
-	// loop) reuse them instead of allocating a fresh ring, rebuilding the
-	// Table 1 caches and predictor tables per program, and decoding and
-	// validating each program once per lattice cell. Excluded from
+	// validation, and the machine's own storage, so repeated simulations
+	// (the differential fuzzer's inner loop) reuse them instead of
+	// allocating a fresh ring and machine, rebuilding the Table 1 caches
+	// and predictor tables per program, and decoding and validating each
+	// program once per lattice cell. A simulation on an arena must finish
+	// before the next one on it starts (see pipeline.Arena). Excluded from
 	// serialization: it is an execution resource, not a machine parameter,
 	// so configs that differ only here are the same cache key.
 	Arena *pipeline.Arena `json:"-"`

@@ -145,27 +145,31 @@ func WithRunner(r Runner) CheckerOption {
 }
 
 // AutoCheckpoint asks the checker to pick the checkpoint interval itself:
-// one eighth of each program's dynamic instruction count, so every cell
-// replays at most 1/8 of the work from the nearest snapshot.
+// max(N/8, 1) for a program of N dynamic instructions, so every cell
+// replays at most about 1/8 of the work from its snapshot.
 const AutoCheckpoint int64 = -1
 
-// WithCheckpointing makes the checker fan lattice cells out from the
-// reference execution's last functional checkpoint instead of from cycle
-// zero. every is the snapshot interval in retired instructions;
-// AutoCheckpoint derives it per program. Resumed cells verify the same
-// final architectural state (registers, memory, committed-store order) as
+// WithCheckpointing makes the checker fan lattice cells out from a
+// functional snapshot of the reference execution instead of from cycle
+// zero: the last one a capture every `every` retired instructions would
+// take, after ⌊(N−1)/every⌋·every of a program's N instructions, and the
+// only one the checker captures (core.LastCheckpoint). AutoCheckpoint
+// derives the interval per program. A program no longer than one interval
+// runs from zero. Resumed cells verify the same final architectural state
+// (registers, memory, committed-store order, instruction count) as
 // from-zero runs, but only execute the post-checkpoint suffix, so bugs
 // whose architectural effects both appear and cancel strictly before the
-// last checkpoint are not observable — use from-zero runs when that
-// matters more than throughput.
+// snapshot are not observable — use from-zero runs when that matters more
+// than throughput.
 func WithCheckpointing(every int64) CheckerOption {
 	return func(c *Checker) { c.ckptEvery = every }
 }
 
 // Checker runs programs across a configuration lattice. It owns a pipeline
-// arena (DynInst records and the memory hierarchy) and a store log that are
-// reused across every simulation of every program, keeping the fuzzing
-// inner loop allocation-flat. A Checker is not safe for concurrent use.
+// arena (DynInst records, the memory hierarchy, and the machines
+// themselves, recycled cell after cell) and a store log that are reused
+// across every simulation of every program, keeping the fuzzing inner loop
+// allocation-flat. A Checker is not safe for concurrent use.
 type Checker struct {
 	cells     []Cell
 	base      core.Config
@@ -212,31 +216,27 @@ func (c *Checker) cellConfig(cell Cell) core.Config {
 }
 
 // reference computes prog's shared reference execution and, when
-// checkpointing is on, the snapshot cells should resume from (the last
-// functional checkpoint the reference captured). With AutoCheckpoint the
-// interval is derived from a first, snapshot-free execution — the reference
-// executor is cheap next to the lattice of timed machines it feeds.
+// checkpointing is on, the snapshot cells resume from: the last functional
+// checkpoint at the interval. The executor runs the program once in full
+// for the reference, then again only as far as that snapshot
+// (core.LastCheckpoint), which it captures alone. The reference executor is
+// no small cost next to the lattice it feeds — a third of a fuzz campaign's
+// CPU while it captured every checkpoint to keep the last — so it captures
+// none it does not use.
 func (c *Checker) reference(prog *program.Program) (*core.Reference, *checkpoint.Snapshot, error) {
-	if c.ckptEvery == 0 {
-		ref, err := core.ComputeReference(prog, c.base.MaxCycles)
+	ref, err := core.ComputeReference(prog, c.base.MaxCycles)
+	if err != nil || c.ckptEvery == 0 {
 		return ref, nil, err
 	}
 	every := c.ckptEvery
 	if every == AutoCheckpoint {
-		plain, err := core.ComputeReference(prog, c.base.MaxCycles)
-		if err != nil {
-			return nil, nil, err
-		}
-		every = plain.Result.Instructions / 8
-		if every < 1 {
-			every = 1
-		}
+		every = max(ref.Result.Instructions/8, 1)
 	}
-	ref, err := core.ComputeReference(prog, c.base.MaxCycles, core.WithCheckpoints(every))
+	snap, err := core.LastCheckpoint(prog, ref, every)
 	if err != nil {
 		return nil, nil, err
 	}
-	return ref, ref.NearestCheckpoint(), nil
+	return ref, snap, nil
 }
 
 // Check runs prog on every lattice cell against one shared reference

@@ -4,15 +4,32 @@ import (
 	"context"
 	"testing"
 
+	"fleaflicker/internal/checkpoint"
+	"fleaflicker/internal/core"
+	"fleaflicker/internal/mem"
 	"fleaflicker/internal/progen"
+	"fleaflicker/internal/program"
 )
+
+// cappedRunner is the production runner under a cycle cap of
+// cyclesPerRefInstruction cycles per reference instruction plus
+// cyclesSlack, far above what a correct machine needs (generated programs
+// run at most about 14 cycles per instruction) and far below the Checker's
+// hang insurance, so a machine that loses its way fails in milliseconds.
+func cappedRunner(ctx context.Context, cell Cell, cfg core.Config, prog *program.Program, ref *core.Reference, resume *checkpoint.Snapshot, log *mem.StoreLog) error {
+	const cyclesPerRefInstruction, cyclesSlack = 50, 5_000
+	cfg.MaxCycles = cyclesPerRefInstruction*ref.Result.Instructions + cyclesSlack
+	return productionRunner(ctx, cell, cfg, prog, ref, resume, log)
+}
 
 // TestCampaignCheckpointedMatchesFromZero runs the same seeded campaign with
 // and without fast-forward: checkpointing must not change a single verdict —
 // same programs checked, none skipped, zero divergences, identical reference
 // work. It runs on the smoke lattice and on every cell of the default
 // lattice, so each model restores at every CQ size and feedback latency the
-// fuzzer sweeps.
+// fuzzer sweeps. Both campaigns run under cappedRunner: a broken resume fails
+// here in seconds rather than spinning each of its cells to the Checker's
+// ten-million-cycle bound.
 func TestCampaignCheckpointedMatchesFromZero(t *testing.T) {
 	ctx := context.Background()
 	gen := progen.DefaultConfig()
@@ -24,7 +41,7 @@ func TestCampaignCheckpointedMatchesFromZero(t *testing.T) {
 		cells []Cell
 	}{{"smoke", SmokeLattice()}, {"default", DefaultLattice()}} {
 		t.Run(tc.name, func(t *testing.T) {
-			base := CampaignConfig{SeedBase: 1, Programs: 8, Gen: gen, Cells: tc.cells}
+			base := CampaignConfig{SeedBase: 1, Programs: 8, Gen: gen, Cells: tc.cells, Runner: cappedRunner}
 			plain, err := RunCampaign(ctx, base)
 			if err != nil {
 				t.Fatal(err)

@@ -17,19 +17,23 @@ import (
 //   - the decoded instruction table of the last program it was handed (see
 //     decoded) and the verdict of the last program it validated (see
 //     Validate), so every lattice cell of one program shares one decode and
-//     one validation.
-//
-// A machine's counters need no recycling: a stats.Collector is a fixed array
-// that touches no metrics registry unless the run publishes into one.
+//     one validation;
+//   - one spare of each type of machine and machine part built on it (see
+//     Reuse): the two-pass and baseline machines, the front end, the
+//     architectural state and the counters. A machine built on an arena is
+//     the previous machine of its type, recycled, so a lattice of cells
+//     allocates its machines once rather than once per cell.
 //
 // An arena serves one machine at a time and is not safe for concurrent use —
 // machines are single-goroutine, so no sync.Pool-style synchronization is
 // needed. Machines may reuse one arena in sequence (the differential checker
-// shares one across every cell of its lattice) as long as a machine is done
-// before the next is built from the same arena: building the next empties
-// the ring and resets the hierarchy and predictor the previous one ran on,
-// and decoding a different program overwrites the table the previous one
-// read.
+// shares one across every cell of its lattice) as long as a machine is
+// finished before the next is built from the same arena: building the next
+// overwrites the previous machine of its type, empties the ring, resets the
+// hierarchy and predictor the previous one ran on, and decoding a different
+// program overwrites the table the previous one read. Nothing a finished
+// run hands out (its stats.Run, a divergence report) points into the
+// machine, so those outlive it.
 type Arena struct {
 	ring Ring
 	hier *mem.Hierarchy
@@ -42,10 +46,33 @@ type Arena struct {
 	checkedWidth int
 	checkedFUs   [isa.NumFUClasses]int
 	checkedErr   error
+
+	// spares holds one recycled value per type, each a *T (see Reuse).
+	spares []any
 }
 
 // NewArena returns an empty arena; storage is allocated on demand.
 func NewArena() *Arena { return &Arena{} }
+
+// Reuse returns storage for one T: the arena's spare T, as the last user of
+// that type left it, or on the first call for T a new one that the arena
+// keeps as its spare. The caller overwrites all of it before use and keeps
+// of the old contents only storage it resets (a slice's backing array, say),
+// so a recycled value starts exactly as a new one would. A nil arena always
+// returns new(T).
+func Reuse[T any](a *Arena) *T {
+	if a == nil {
+		return new(T)
+	}
+	for _, s := range a.spares {
+		if p, ok := s.(*T); ok {
+			return p
+		}
+	}
+	p := new(T)
+	a.spares = append(a.spares, p)
+	return p
+}
 
 // Hierarchy returns a cold memory hierarchy for cfg: the arena's previous
 // one, reset, when it was built for the same configuration, and otherwise a

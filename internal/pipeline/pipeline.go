@@ -117,19 +117,28 @@ type FrontEnd struct {
 // the group it is dispatching). A non-nil arena supplies (and outlives) the
 // ring and the decoded program — callers that simulate many short programs
 // back to back (the differential fuzzer's inner loop) pass one shared arena
-// so each run reuses the previous run's storage. nil allocates a private
-// arena.
+// so each run reuses the previous run's storage, the FrontEnd itself
+// included (see Reuse). nil allocates a private arena.
 func NewFrontEnd(cfg Config, issueWidth, held int, prog *program.Program, hier *mem.Hierarchy, pred *bpred.Predictor, arena *Arena) *FrontEnd {
+	f := Reuse[FrontEnd](arena)
 	if arena == nil {
 		arena = NewArena()
 	}
-	return &FrontEnd{
+	queue := f.queue
+	if cap(queue) < cfg.QueueCap {
+		queue = make([]Group, cfg.QueueCap)
+	} else {
+		queue = queue[:cfg.QueueCap]
+		clear(queue)
+	}
+	*f = FrontEnd{
 		cfg: cfg, prog: prog, hier: hier, pred: pred,
 		ring:  arena.newRing(cfg.QueueCap*issueWidth + held),
 		code:  arena.decoded(prog),
-		queue: make([]Group, cfg.QueueCap),
+		queue: queue,
 		pc:    prog.Entry, nextID: 1,
 	}
+	return f
 }
 
 // Predictor exposes the branch predictor for resolution updates.

@@ -135,6 +135,12 @@ func NewCollector(benchmark, model string) *Collector {
 	return &Collector{benchmark: benchmark, model: model}
 }
 
+// Reset makes c the collector NewCollector(benchmark, model) returns, for a
+// machine that recycles its collector's storage.
+func (c *Collector) Reset(benchmark, model string) {
+	*c = Collector{benchmark: benchmark, model: model}
+}
+
 // TrackRunahead adds the run-ahead episode counters (MetricRunaheadEntries,
 // MetricRunaheadInsts) to the counters EachCounter reports; the run-ahead
 // machine calls it at construction.

@@ -90,8 +90,8 @@ type Config struct {
 	MaxCycles int64
 
 	// Arena, when non-nil, supplies the machine's DynInst storage and
-	// memory hierarchy so back-to-back simulations reuse them (see
-	// pipeline.Arena).
+	// memory hierarchy, and the machine itself, so back-to-back
+	// simulations reuse them (see pipeline.Arena).
 	Arena *pipeline.Arena `json:"-"`
 }
 
@@ -150,8 +150,15 @@ type cqRing struct {
 	count   int
 }
 
-func newCQRing(capGroups int) cqRing {
-	return cqRing{groups: make([]cqGroup, capGroups)}
+// newCQRing returns an empty ring of capGroups groups, in groups' storage
+// when it is large enough.
+func newCQRing(groups []cqGroup, capGroups int) cqRing {
+	if cap(groups) < capGroups {
+		return cqRing{groups: make([]cqGroup, capGroups)}
+	}
+	groups = groups[:capGroups]
+	clear(groups)
+	return cqRing{groups: groups}
 }
 
 // len returns the number of queued groups.
@@ -273,6 +280,8 @@ func New(cfg Config, prog *program.Program) (*Machine, error) {
 // NewWithImage builds a machine whose memory starts as img, which the
 // machine takes over. A nil img starts from empty memory: the choice for a
 // machine about to RestoreSnapshot, which installs the snapshot's memory.
+// On cfg.Arena the machine is the previous two-pass machine built there,
+// rebuilt in place, so that one must be finished.
 func NewWithImage(cfg Config, prog *program.Program, img *mem.Image) (*Machine, error) {
 	if err := cfg.Arena.Validate(prog, cfg.IssueWidth, cfg.FUs); err != nil {
 		return nil, fmt.Errorf("twopass: %w", err)
@@ -282,16 +291,22 @@ func NewWithImage(cfg Config, prog *program.Program, img *mem.Image) (*Machine, 
 			cfg.CQSize, cfg.IssueWidth)
 	}
 	hier := cfg.Arena.Hierarchy(cfg.Mem)
-	m := &Machine{
-		cfg:  cfg,
-		prog: prog,
-		// Past the fetch queue the machine holds the coupling queue and
-		// the group the A-pipe dispatches.
-		fe:   pipeline.NewFrontEnd(cfg.Front, cfg.IssueWidth, cfg.CQSize+cfg.IssueWidth, prog, hier, cfg.Arena.Predictor(cfg.Bpred), cfg.Arena),
-		hier: hier,
-		bst:  arch.NewState(img),
-		cq:   newCQRing(cfg.CQSize),
-	}
+	// On an arena the machine is the previous two-pass machine's storage
+	// (pipeline.Reuse). Of that it keeps only the coupling queue's slots;
+	// zeroing in place, then setting fields, avoids building the whole
+	// struct in a temporary.
+	m := pipeline.Reuse[Machine](cfg.Arena)
+	groups := m.cq.groups
+	*m = Machine{}
+	m.cfg = cfg
+	m.prog = prog
+	// Past the fetch queue the machine holds the coupling queue and the
+	// group the A-pipe dispatches.
+	m.fe = pipeline.NewFrontEnd(cfg.Front, cfg.IssueWidth, cfg.CQSize+cfg.IssueWidth, prog, hier, cfg.Arena.Predictor(cfg.Bpred), cfg.Arena)
+	m.hier = hier
+	m.bst = pipeline.Reuse[arch.State](cfg.Arena)
+	m.bst.Reset(img)
+	m.cq = newCQRing(groups, cfg.CQSize)
 	m.ring = m.fe.Ring()
 	m.alat.Capacity = cfg.ALATCapacity
 	if cfg.ConflictPredictor {
@@ -306,7 +321,8 @@ func NewWithImage(cfg Config, prog *program.Program, img *mem.Image) (*Machine, 
 	if cfg.Regroup {
 		model = "2Pre"
 	}
-	m.col = stats.NewCollector(prog.Name, model)
+	m.col = pipeline.Reuse[stats.Collector](cfg.Arena)
+	m.col.Reset(prog.Name, model)
 	return m, nil
 }
 
