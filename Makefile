@@ -11,12 +11,14 @@ vet:
 	$(GO) vet ./...
 
 # lint runs the repository's domain-specific analyzers (cmd/flealint) over
-# every package via the vet driver. AST passes: allocation-free hot paths,
-# determinism, guarded tracing, unique metric names.
-# Dataflow passes (v2): snapshot page-alias safety, //flea:guardedby lock
-# discipline, context-polling loops. The
-# per-analyzer package scopes live in internal/analysis/scope, whose
-# completeness test keeps them in sync with `go list ./internal/...`.
+# every package via the vet driver: determinism, guarded tracing, unique
+# metric names, //flea:guardedby lock discipline (a dataflow pass) and
+# context-polling loops. Each is kept for a violation no runtime gate below
+# catches, named in its package doc; allocation-free hot paths and
+# copy-on-write page safety are left to the allocation and COW tests, which
+# catch every violation planted for them. The per-analyzer package scopes
+# live in internal/analysis/scope, whose completeness test keeps them in
+# sync with `go list ./internal/...`.
 lint:
 	$(GO) build -o bin/flealint ./cmd/flealint
 	$(GO) vet -vettool=bin/flealint ./...
@@ -72,8 +74,10 @@ bench-check:
 	bash scripts/bench-check.sh
 
 # bench-smoke is the simulator-speed regression gate: the allocation tests
-# fail if the cycle loop regresses to allocating per instruction or a
-# lattice cell's set-up to rebuilding the memory hierarchy, and the
+# fail if one 300.twolf run, on any model and any of nine machine configs,
+# makes more than a few dozen heap allocations (so the cycle loop allocates
+# per instruction, flush or deferred branch) or a lattice cell's set-up
+# rebuilds the memory hierarchy, and the
 # single-iteration SimSpeed run catches gross slowdowns and bench bit-rot.
 bench-smoke:
 	$(GO) test -run='^TestSteadyStateAllocationFree$$' ./internal/core/

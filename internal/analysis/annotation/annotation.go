@@ -5,12 +5,7 @@
 // with no space after the slashes. The vocabulary:
 //
 //	//flea:hotpath        this function runs in the steady-state cycle loop;
-//	                      hotalloc forbids allocating constructs in its body
-//	                      and traceguard forbids registry lookups in it.
-//	//flea:coldpath       the next (or same-line) statement inside a hotpath
-//	                      function is a warmup or failure path — slab
-//	                      allocation, first-touch page creation — excluded
-//	                      from hotalloc.
+//	                      traceguard forbids registry lookups in it.
 //	//flea:orderinvariant the next (or same-line) map range statement has an
 //	                      order-independent body; nondeterminism accepts it.
 //	//flea:traceonly      this function only runs when tracing is enabled;
@@ -30,10 +25,6 @@
 //	//flea:bounded        the next (or same-line) loop terminates by
 //	                      construction (drains admitted work, closed-queue
 //	                      handshake); ctxloop accepts it without a ctx poll.
-//	//flea:cowfault       this function implements the copy-on-write page
-//	                      fault: the page reference it returns is private to
-//	                      the caller, so snapshotalias permits stores through
-//	                      it.
 //
 // The compiler-fact vocabulary, checked by cmd/fleagcassert against
 // `go build -gcflags='-m -d=ssa/check_bce'` output rather than by a
@@ -63,14 +54,12 @@ import (
 // The directive names.
 const (
 	Hotpath        = "hotpath"
-	Coldpath       = "coldpath"
 	OrderInvariant = "orderinvariant"
 	TraceOnly      = "traceonly"
 	GuardedBy      = "guardedby"
 	Atomic         = "atomic"
 	Locked         = "locked"
 	Bounded        = "bounded"
-	CowFault       = "cowfault"
 	Inline         = "inline"
 	NoEscape       = "noescape"
 	BCE            = "bce"
@@ -254,24 +243,6 @@ func IsContext(t types.Type) bool {
 	return IsStdNamed(t, "context", "Context")
 }
 
-// IsAtomicType reports whether t is one of the sync/atomic value types
-// (atomic.Int64, atomic.Uint32, atomic.Bool, atomic.Pointer, ...), whose
-// methods are the only access path to the underlying word.
-func IsAtomicType(t types.Type) bool {
-	if t == nil {
-		return false
-	}
-	if p, ok := t.Underlying().(*types.Pointer); ok {
-		t = p.Elem()
-	}
-	n, ok := t.(*types.Named)
-	if !ok {
-		return false
-	}
-	obj := n.Obj()
-	return obj.Pkg() != nil && obj.Pkg().Path() == "sync/atomic"
-}
-
 // IsEnabledGuard reports whether cond contains a call x.Enabled() where x is
 // a (possibly nil) *trace.Tracer — the canonical zero-overhead gate around
 // event construction.
@@ -322,17 +293,4 @@ func IsMethod(fn *types.Func, pkgBase, recv, name string) bool {
 		return false
 	}
 	return IsNamed(sig.Recv().Type(), pkgBase, recv)
-}
-
-// IsPkgFunc reports whether fn is a package-level function (not a method)
-// named name in the package with the exact import path pkgPath.
-func IsPkgFunc(fn *types.Func, pkgPath, name string) bool {
-	if fn == nil || fn.Pkg() == nil {
-		return false
-	}
-	sig, ok := fn.Type().(*types.Signature)
-	if !ok || sig.Recv() != nil {
-		return false
-	}
-	return fn.Pkg().Path() == pkgPath && (name == "" || fn.Name() == name)
 }

@@ -26,6 +26,13 @@
 // inside a loop body do not satisfy the poll (they run on their own
 // schedule), and loops inside function literals are checked independently.
 // Test files are exempt.
+//
+// What only this analyzer catches: the job event stream handler,
+// service.(*Server).handleEvents, losing its r.Context().Done() case, so a
+// client that disconnects mid-job pins the handler until the job ends.
+// Planted on purpose, it failed no test, race run or smoke gate. Removing
+// the poll from a machine cycle loop or a coordinator dispatch slot, by
+// contrast, fails the cancellation tests or hangs the cluster tests.
 package ctxloop
 
 import (

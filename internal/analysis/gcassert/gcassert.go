@@ -14,6 +14,12 @@
 //
 // The package is pure parsing and matching; cmd/fleagcassert wires it to an
 // actual compiler invocation.
+//
+// What only this check catches: a lost compiler fact that costs time but
+// changes no result and allocates nothing the gates count. Planted on
+// purpose, isa.(*Decoded).Dest growing past the inlining budget failed no
+// test, allocation gate or BenchmarkSimSpeed smoke run; the single
+// benchmark iteration has no time bound.
 package gcassert
 
 import (

@@ -29,6 +29,14 @@
 // freshly constructed in the function (composite literal or new) is still
 // private, so its fields may be initialized without the lock. Test files
 // are exempt.
+//
+// What only this analyzer catches: resultCache.complete releasing mu
+// around its LRU eviction loop, a path reached only once more results
+// complete than Config.CacheEntries allows. Planted on purpose, it failed no
+// test, not under the race detector either (race, race-service,
+// cluster-smoke): no test evicts while another goroutine reads the cache.
+// Deleting the Lock/Unlock pair of acquire or abandon, by contrast, shows
+// up as DATA RACE reports in the race-run gates.
 package guardedby
 
 import (

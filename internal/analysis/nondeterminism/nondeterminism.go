@@ -14,6 +14,15 @@
 //     methods on an explicitly constructed *rand.Rand are accepted).
 //
 // Test files are exempt.
+//
+// What only this analyzer catches: nondeterminism on a path the
+// determinism tests do not replay. Planted on purpose, two such bugs failed
+// no test or gate: mem.Image.FirstDifference returning the first differing
+// byte in map order instead of the lowest (it runs only when a verify
+// fails), and the coordinator's steal-victim choice breaking ties with the
+// global math/rand source (it runs only when a backend idles beside a
+// loaded one). Global randomness in progen, by contrast, fails its
+// same-seed tests at once.
 package nondeterminism
 
 import (

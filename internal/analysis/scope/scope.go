@@ -64,19 +64,6 @@ var Stats = []string{
 	"internal/stats",
 }
 
-// Snapshotting packages take, materialize, or restore copy-on-write memory
-// snapshots. Policed by snapshotalias (page-alias dataflow).
-var Snapshotting = []string{
-	"internal/mem",
-	"internal/checkpoint",
-	// pipeline.Resume restores the machines' common snapshot state.
-	"internal/pipeline",
-	"internal/twopass",
-	"internal/baseline",
-	"internal/core",
-	"internal/diffsim",
-}
-
 // Guarded packages annotate shared mutable state with //flea:guardedby and
 // //flea:atomic. Policed by guardedby.
 var Guarded = []string{

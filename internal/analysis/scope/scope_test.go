@@ -22,7 +22,7 @@ func TestScopeCoversRepository(t *testing.T) {
 	}
 
 	scoped := make(map[string]bool)
-	for _, list := range [][]string{Simulation, Traced, Stats, Snapshotting, Guarded, Looping} {
+	for _, list := range [][]string{Simulation, Traced, Stats, Guarded, Looping} {
 		for _, p := range list {
 			scoped[p] = true
 		}

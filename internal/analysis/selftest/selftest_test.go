@@ -1,6 +1,6 @@
 // Package selftest pins the repository's own cleanliness under its static
 // analyses. TestFlealintSelfApplication builds the flealint vet tool and
-// runs all seven analyzers over every package; TestCompilerFactAssertions
+// runs all five analyzers over every package; TestCompilerFactAssertions
 // replays the fleagcassert check. Both fail on any diagnostic, so "the repo
 // is lint-clean and its compiler facts hold" is enforced by `go test ./...`
 // itself — a contributor cannot regress the invariants without noticing,

@@ -1,10 +1,10 @@
 // Package ssaflow is the intraprocedural dataflow engine behind the
-// flealint v2 analyzers (snapshotalias, guardedby).
+// flealint v2 analyzer guardedby.
 //
 // The toolchain's cmd/vendor tree — the only offline source for
-// golang.org/x/tools — ships go/cfg but not go/ssa, so the v2 analyzers
-// cannot be literal buildssa passes. This package recovers the part of SSA
-// they need: a control-flow graph per function (vendored go/cfg) plus a
+// golang.org/x/tools — ships go/cfg but not go/ssa, so the v2 analyzer
+// cannot be a literal buildssa pass. This package recovers the part of SSA
+// it needs: a control-flow graph per function (vendored go/cfg) plus a
 // monotone forward dataflow solver at node granularity, through which a
 // client expresses SSA-style facts — "which definition of v reaches this
 // use", "is lock mu held on every path to this access" — as an abstract

@@ -17,6 +17,13 @@
 // rule: its helpers (ClassMetricName, AccessMetricName) derive the canonical
 // name matrix programmatically, and its constant block is checked for
 // uniqueness instead. Test files are exempt.
+//
+// What only this analyzer catches: two serving-layer constants sharing a
+// name, such as service.MetricCacheEvictions spelled
+// "service.cache.coalesced". Planted on purpose, it failed no test or
+// gate: eviction and coalescing then bump one shared counter, and no test
+// reads both. A duplicate among the simulator's stats constants, by
+// contrast, fails the stats and registry-consistency tests.
 package statname
 
 import (

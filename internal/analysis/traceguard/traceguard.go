@@ -15,6 +15,13 @@
 //     bumps pre-resolved handles.
 //
 // Test files, and the trace package itself, are exempt.
+//
+// What only this analyzer catches: an emission without its guard whose
+// event allocates nothing, such as the two-pass B-pipe's flush event
+// (twopass stepB, EvFlush) built on every flush. Planted on purpose, it
+// failed no test, allocation gate or smoke gate; the disabled path only
+// pays for building an event nobody reads. An unguarded emission that
+// formats an instruction (EvMerge's Note) does fail the allocation gates.
 package traceguard
 
 import (

@@ -43,8 +43,6 @@ func NewServer(c *Coordinator) http.Handler {
 
 // handleHealth is the coordinator liveness probe: 200 while at least one
 // backend is live and intake is open, 503 otherwise.
-//
-//flea:coldpath liveness only.
 func (c *Coordinator) handleHealth(w http.ResponseWriter, r *http.Request) {
 	live := c.LiveBackends()
 	body := map[string]any{
@@ -76,8 +74,6 @@ type clusterzReport struct {
 // handleClusterz reports the cluster view: per-backend routing state and
 // scraped service metrics, ring shape, and every coordinator counter/gauge
 // in one flat map.
-//
-//flea:coldpath observation only.
 func (c *Coordinator) handleClusterz(w http.ResponseWriter, r *http.Request) {
 	statuses := c.sched.snapshot()
 	for i := range statuses {

@@ -121,27 +121,30 @@ func TestCOWIsolation(t *testing.T) {
 		t.Fatal(err)
 	}
 	snap := ref.NearestCheckpoint()
-	before := make(map[uint32]byte)
-	snap.Mem.EachPage(func(base uint32, data *[mem.PageBytes]byte) {
-		before[base] = data[0]
-	})
+	view := snap.Mem.Image()
+	bases := view.PageBases()
+	before := make(map[uint32]byte, len(bases))
+	for _, base := range bases {
+		before[base] = view.Byte(base)
+	}
 	imgA, imgB := snap.Mem.Image(), snap.Mem.Image()
 	var observed int
 	imgA.Observe(func(addr uint32, size int, v uint64) { observed++ })
-	snap.Mem.EachPage(func(base uint32, data *[mem.PageBytes]byte) {
-		imgA.Write(base, 1, uint64(data[0])+1) // fault every shared page
-	})
+	for _, base := range bases {
+		imgA.Write(base, 1, uint64(before[base])+1) // fault every shared page
+	}
 	if observed == 0 {
 		t.Fatal("Observe hook did not fire on a materialized image")
 	}
-	snap.Mem.EachPage(func(base uint32, data *[mem.PageBytes]byte) {
-		if data[0] != before[base] {
+	after := snap.Mem.Image()
+	for _, base := range bases {
+		if got := after.Byte(base); got != before[base] {
 			t.Fatalf("write leaked into snapshot page %#x", base)
 		}
 		if got := imgB.Byte(base); got != before[base] {
 			t.Fatalf("write leaked into sibling image at %#x", base)
 		}
-	})
+	}
 }
 
 // TestResumeRejectsOtherProgram checks that no model resumes from another

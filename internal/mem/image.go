@@ -55,9 +55,9 @@ func (m *Image) CopyOnWrite() *Image {
 // copy-on-write fault path: a page still shared with a snapshot is copied
 // (or, for a hole, freshly allocated) before the caller writes through the
 // returned pointer. Every store into an Image must reach its page through a
-// call on this path — snapshotalias enforces that.
-//
-//flea:cowfault
+// call on this path; TestImageCopyOnWriteIsPrivate,
+// TestImageWriteFaultsSharedPage and TestImageCrossPageWriteIsCopyOnWrite
+// fail when a store path bypasses it.
 func (m *Image) page(addr uint32, create bool) *[pageSize]byte {
 	if m.pages == nil {
 		if !create {

@@ -172,3 +172,31 @@ func TestImageWriteFaultsSharedPage(t *testing.T) {
 		t.Errorf("image reads %d, want 2", got)
 	}
 }
+
+// TestImageCrossPageWriteIsCopyOnWrite checks that a write straddling a
+// page boundary faults both pages private: into an image made by
+// CopyOnWrite, and into an image whose Snapshot was taken, it leaves the
+// source image and the snapshot reading their old bytes.
+func TestImageCrossPageWriteIsCopyOnWrite(t *testing.T) {
+	const addr = 2*pageSize - 3 // bytes in pages 1 and 2
+	src := NewImage()
+	src.Write(addr, 8, 0x1111111111111111)
+
+	c := src.CopyOnWrite()
+	c.Write(addr, 8, 0x2222222222222222)
+	if got := src.Read(addr, 8); got != 0x1111111111111111 {
+		t.Errorf("cross-page write to a CopyOnWrite image changed its source: %#x", got)
+	}
+	if got := c.Read(addr, 8); got != 0x2222222222222222 {
+		t.Errorf("CopyOnWrite image reads %#x after its own write", got)
+	}
+
+	snap := src.Snapshot()
+	src.Write(addr, 8, 0x3333333333333333)
+	if got := snap.Image().Read(addr, 8); got != 0x1111111111111111 {
+		t.Errorf("cross-page write after Snapshot changed the snapshot: %#x", got)
+	}
+	if got := src.Read(addr, 8); got != 0x3333333333333333 {
+		t.Errorf("image reads %#x after its own write", got)
+	}
+}

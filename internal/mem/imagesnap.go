@@ -1,10 +1,5 @@
 package mem
 
-import (
-	"fmt"
-	"sort"
-)
-
 // ImageSnapshot is an immutable copy-on-write view of an Image at one point
 // in time: taking one copies only the page table, and the pages themselves
 // stay shared until the source image (or any image later materialized from
@@ -46,51 +41,4 @@ func (s *ImageSnapshot) Image() *Image {
 		img.shared[k] = true
 	}
 	return img
-}
-
-// Pages returns the number of pages the snapshot holds.
-func (s *ImageSnapshot) Pages() int { return len(s.pages) }
-
-// Byte returns the byte at addr as of the snapshot.
-func (s *ImageSnapshot) Byte(addr uint32) byte {
-	p := s.pages[addr>>pageBits]
-	if p == nil {
-		return 0
-	}
-	return p[addr&(pageSize-1)]
-}
-
-// EachPage calls fn for every page in ascending base-address order, for
-// deterministic serialization. The page array must not be modified.
-func (s *ImageSnapshot) EachPage(fn func(base uint32, data *[PageBytes]byte)) {
-	keys := make([]uint32, 0, len(s.pages))
-	//flea:orderinvariant set construction; the keys are sorted before use
-	for k := range s.pages {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
-	for _, k := range keys {
-		fn(k<<pageBits, s.pages[k])
-	}
-}
-
-// NewImageSnapshot returns an empty snapshot, to be populated with SetPage —
-// the deserialization counterpart of EachPage.
-func NewImageSnapshot() *ImageSnapshot {
-	return &ImageSnapshot{pages: make(map[uint32]*[pageSize]byte)}
-}
-
-// SetPage installs one page of exactly PageBytes bytes at base (which must be
-// page-aligned). The data is copied.
-func (s *ImageSnapshot) SetPage(base uint32, data []byte) error {
-	if base&(pageSize-1) != 0 {
-		return fmt.Errorf("mem: snapshot page base %#x is not %d-byte aligned", base, pageSize)
-	}
-	if len(data) != pageSize {
-		return fmt.Errorf("mem: snapshot page at %#x has %d bytes, want %d", base, len(data), pageSize)
-	}
-	p := new([pageSize]byte)
-	copy(p[:], data)
-	s.pages[base>>pageBits] = p
-	return nil
 }

@@ -74,8 +74,6 @@ type submitResponse struct {
 }
 
 // handleSubmit admits one job.
-//
-//flea:coldpath admission control; never on the simulation hot path.
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	dec := json.NewDecoder(io.LimitReader(r.Body, maxBodyBytes))
 	dec.DisallowUnknownFields()
@@ -137,8 +135,6 @@ type UnitSubmission struct {
 }
 
 // handleSubmitUnits admits a batch of pre-resolved units.
-//
-//flea:coldpath admission control; never on the simulation hot path.
 func (s *Server) handleSubmitUnits(w http.ResponseWriter, r *http.Request) {
 	dec := json.NewDecoder(io.LimitReader(r.Body, maxBodyBytes))
 	dec.DisallowUnknownFields()
@@ -168,8 +164,6 @@ func (s *Server) handleSubmitUnits(w http.ResponseWriter, r *http.Request) {
 // result stored under a unit key, or 404. A coordinator asks here before
 // scheduling a fresh simulation, so a result computed on any node is
 // computed once.
-//
-//flea:coldpath observation only.
 func (s *Server) handleCacheLookup(w http.ResponseWriter, r *http.Request) {
 	s.m.met.cachePeerLookups.Inc()
 	res, ok := s.m.CachedResult(r.PathValue("key"))
@@ -182,8 +176,6 @@ func (s *Server) handleCacheLookup(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleJob reports one job's status and (as units finish) results.
-//
-//flea:coldpath reporting; reads immutable completed entries.
 func (s *Server) handleJob(w http.ResponseWriter, r *http.Request) {
 	job, ok := s.m.Job(r.PathValue("id"))
 	if !ok {
@@ -196,8 +188,6 @@ func (s *Server) handleJob(w http.ResponseWriter, r *http.Request) {
 // handleEvents streams job progress as server-sent events: one "progress"
 // frame per finished unit and a terminal "done" frame carrying the final
 // state. A fresh subscriber first receives a snapshot frame.
-//
-//flea:coldpath observation only.
 func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 	job, ok := s.m.Job(r.PathValue("id"))
 	if !ok {
@@ -250,8 +240,6 @@ func writeSSE(w io.Writer, event string, v any) {
 
 // handleHealth is the load-balancer liveness probe: 200 while serving, 503
 // once draining.
-//
-//flea:coldpath liveness only.
 func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
 	if s.m.Draining() {
 		WriteJSON(w, http.StatusServiceUnavailable, map[string]any{
@@ -267,8 +255,6 @@ func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
 // handleMetrics renders the service registry plus the job-latency
 // quantiles: plain "name value" lines by default, a structured object with
 // ?format=json.
-//
-//flea:coldpath observation only.
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	h := s.m.Latency()
 	quantiles := map[string]float64{

@@ -26,9 +26,8 @@
 //     Manager too — the backends (see WithExecutor).
 //
 // Everything here is cold-path admission control and reporting — the
-// simulation hot path remains the machines' cycle loops. The flealint
-// //flea: vocabulary therefore appears only as //flea:coldpath markers on
-// the handlers; no function in this package is a //flea:hotpath.
+// simulation hot path remains the machines' cycle loops, and no function in
+// this package is a //flea:hotpath.
 package service
 
 import (

@@ -494,7 +494,7 @@ func (m *Machine) snapshotAFile(branchID uint64) {
 		cp = m.cpFree[n-1]
 		m.cpFree = m.cpFree[:n-1]
 	} else {
-		//flea:coldpath snapshot arrays amortize through cpFree; steady state recycles
+		// Snapshot arrays amortize through cpFree; the steady state recycles them.
 		cp = new([isa.NumRegs]aEntry)
 	}
 	*cp = m.afile
