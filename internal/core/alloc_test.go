@@ -21,8 +21,18 @@ type allocRow struct {
 	cfg  Config
 }
 
+// subtest names the gate's run of model at this row. The Table 1 machine
+// (the row with no name) runs under the bare model name, each other row
+// under row/model.
+func (r allocRow) subtest(model Model) string {
+	if r.name == "" {
+		return model.String()
+	}
+	return r.name + "/" + model.String()
+}
+
 // allocConfigs are the machine configurations the allocation gates run:
-// the Table 1 machine and one row per two-pass option that switches on a
+// the Table 1 machine (unnamed) and one row per two-pass option that switches on a
 // path the default machine never takes (checkpoint repair, the conflict
 // predictor, anticipable stalls, a bounded ALAT and store buffer, the
 // deferral throttle, disabled and delayed B->A feedback).
@@ -33,7 +43,7 @@ func allocConfigs() []allocRow {
 		return allocRow{name, cfg}
 	}
 	return []allocRow{
-		row("default", func(*Config) {}),
+		row("", func(*Config) {}),
 		row("CheckpointRepair", func(c *Config) { c.CheckpointRepair = true }),
 		row("ConflictPredictor", func(c *Config) { c.ConflictPredictor = true }),
 		row("StallOnAnticipable", func(c *Config) { c.StallOnAnticipable = true }),
@@ -81,7 +91,7 @@ func TestSteadyStateAllocationFree(t *testing.T) {
 	}
 	for _, row := range allocConfigs() {
 		for _, model := range Models() {
-			t.Run(row.name+"/"+model.String(), func(t *testing.T) {
+			t.Run(row.subtest(model), func(t *testing.T) {
 				m, err := build(model, row.cfg, bench.Program(), bench.Program().InitialImage())
 				if err != nil {
 					t.Fatal(err)
@@ -130,7 +140,7 @@ func TestResumedSteadyStateAllocationFree(t *testing.T) {
 	snap := ref.Checkpoints[0] // the halfway point; later ones sit near the halt
 	for _, row := range allocConfigs() {
 		for _, model := range Models() {
-			t.Run(row.name+"/"+model.String(), func(t *testing.T) {
+			t.Run(row.subtest(model), func(t *testing.T) {
 				m, err := build(model, row.cfg, bench.Program(), bench.Program().InitialImage())
 				if err != nil {
 					t.Fatal(err)
