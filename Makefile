@@ -3,25 +3,12 @@
 
 GO ?= go
 
-.PHONY: ci vet lint gcassert build test race perfbench-test bench bench-json bench-check bench-smoke ckpt-smoke race-service fuzz-smoke fuzz cluster-smoke flow-smoke
+.PHONY: ci vet gcassert build test race perfbench-test bench bench-json bench-check bench-smoke ckpt-smoke race-service fuzz-smoke fuzz cluster-smoke flow-smoke
 
-ci: vet lint gcassert build race perfbench-test bench-smoke ckpt-smoke fuzz-smoke cluster-smoke flow-smoke
+ci: vet gcassert build race perfbench-test bench-smoke ckpt-smoke fuzz-smoke cluster-smoke flow-smoke
 
 vet:
 	$(GO) vet ./...
-
-# lint runs the repository's domain-specific analyzers (cmd/flealint) over
-# every package via the vet driver: determinism, guarded tracing, unique
-# metric names, //flea:guardedby lock discipline (a dataflow pass) and
-# context-polling loops. Each is kept for a violation no runtime gate below
-# catches, named in its package doc; allocation-free hot paths and
-# copy-on-write page safety are left to the allocation and COW tests, which
-# catch every violation planted for them. The per-analyzer package scopes
-# live in internal/analysis/scope, whose completeness test keeps them in
-# sync with `go list ./internal/...`.
-lint:
-	$(GO) build -o bin/flealint ./cmd/flealint
-	$(GO) vet -vettool=bin/flealint ./...
 
 # gcassert verifies the compiler-fact assertions: every //flea:inline,
 # //flea:noescape and //flea:bce directive is checked against the gc

@@ -1,8 +1,8 @@
 // Command fleagcassert verifies the repository's compiler-fact assertions.
 // Functions marked //flea:inline, //flea:noescape or //flea:bce promise,
 // respectively, that the gc compiler can inline them, that nothing in their
-// body escapes to the heap, and that the prove pass eliminated every bounds
-// check they contain. Those facts hold today because the hot paths were
+// body escapes to the heap and no parameter leaks there, and that the prove
+// pass eliminated every bounds check they contain. Those facts hold today because the hot paths were
 // written for them — masked page indexing, arena recycling, pointer-free
 // stat counters — but nothing in ordinary tests notices when they rot.
 //

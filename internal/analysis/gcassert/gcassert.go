@@ -5,15 +5,19 @@
 //	go build '-gcflags=fleaflicker/...=-m -d=ssa/check_bce' ./...
 //
 // The three directives assert, respectively, that the function is reported
-// "can inline", that no value in its body escapes to the heap, and that the
-// SSA prove pass eliminated every bounds check in its body. Unlike the
-// flealint analyzers, which enforce invariants the analyzer itself can
-// decide, these assertions pin down facts only the compiler knows — and
-// which silently rot when a function grows past the inlining budget or a
+// "can inline", that no value in its body escapes to the heap and no
+// parameter leaks to the heap, and that the SSA prove pass eliminated every
+// bounds check in its body. These are facts only the compiler knows, and
+// they silently rot when a function grows past the inlining budget or a
 // refactor reintroduces a bounds check on a hot load.
 //
+// A directive is a machine-readable comment with no space after the
+// slashes, anywhere in the function's doc comment; text after the name is
+// free-form explanation.
+//
 // The package is pure parsing and matching; cmd/fleagcassert wires it to an
-// actual compiler invocation.
+// actual compiler invocation, and TestCompilerFactAssertions runs the same
+// check under go test.
 //
 // What only this check catches: a lost compiler fact that costs time but
 // changes no result and allocates nothing the gates count. Planted on
@@ -32,9 +36,30 @@ import (
 	"sort"
 	"strconv"
 	"strings"
-
-	"fleaflicker/internal/analysis/annotation"
 )
+
+// The compiler-fact directive names.
+const (
+	Inline   = "inline"
+	NoEscape = "noescape"
+	BCE      = "bce"
+)
+
+// prefix starts every directive comment.
+const prefix = "//flea:"
+
+// parseDirective extracts the directive name from a comment text like
+// "//flea:inline (explanation)".
+func parseDirective(text string) (name string, ok bool) {
+	rest, ok := strings.CutPrefix(text, prefix)
+	if !ok {
+		return "", false
+	}
+	if i := strings.IndexAny(rest, " \t"); i >= 0 {
+		rest = rest[:i]
+	}
+	return rest, rest != ""
+}
 
 // Assertion is one compiler-fact directive attached to a function
 // declaration.
@@ -51,8 +76,7 @@ type Assertion struct {
 	EndLine int
 	// Func is the declared name, for reporting ("(*Ring).At").
 	Func string
-	// Directive is annotation.Inline, annotation.NoEscape or
-	// annotation.BCE.
+	// Directive is Inline, NoEscape or BCE.
 	Directive string
 }
 
@@ -120,12 +144,12 @@ func scanFile(fset *token.FileSet, rel string, file *ast.File) []Assertion {
 			continue
 		}
 		for _, c := range fd.Doc.List {
-			name, _, ok := annotation.ParseDirective(c.Text)
+			name, ok := parseDirective(c.Text)
 			if !ok {
 				continue
 			}
 			switch name {
-			case annotation.Inline, annotation.NoEscape, annotation.BCE:
+			case Inline, NoEscape, BCE:
 			default:
 				continue
 			}
@@ -243,24 +267,24 @@ func Check(asserts []Assertion, diags []Diag) []Failure {
 
 func check(a Assertion, diags []Diag) (reason string, ok bool) {
 	switch a.Directive {
-	case annotation.Inline:
+	case Inline:
 		for _, d := range diags {
 			if d.Line == a.Line && strings.HasPrefix(d.Msg, "can inline ") {
 				return "", true
 			}
 		}
 		return "compiler did not report \"can inline\" at the declaration; the function exceeds the inlining budget", false
-	case annotation.NoEscape:
+	case NoEscape:
 		for _, d := range diags {
 			if d.Line < a.Line || d.Line > a.EndLine {
 				continue
 			}
-			if strings.HasSuffix(d.Msg, "escapes to heap") || strings.HasPrefix(d.Msg, "moved to heap:") {
+			if escapes(d.Msg) {
 				return fmt.Sprintf("%s:%d: %s", d.File, d.Line, d.Msg), false
 			}
 		}
 		return "", true
-	case annotation.BCE:
+	case BCE:
 		for _, d := range diags {
 			if d.Line < a.Line || d.Line > a.EndLine {
 				continue
@@ -272,4 +296,19 @@ func check(a Assertion, diags []Diag) (reason string, ok bool) {
 		return "", true
 	}
 	return fmt.Sprintf("unknown compiler-fact directive %q", a.Directive), false
+}
+
+// escapes reports whether an escape-analysis diagnostic puts a value on the
+// heap: a local that escapes or is moved to the heap, or a parameter (or
+// what it points to) that leaks to the heap. A parameter that leaks only to
+// the function's result, as a ring buffer's At returns a pointer into its
+// receiver, stays wherever the caller keeps it.
+func escapes(msg string) bool {
+	if strings.HasSuffix(msg, "escapes to heap") || strings.HasPrefix(msg, "moved to heap:") {
+		return true
+	}
+	if !strings.HasPrefix(msg, "leaking param: ") && !strings.HasPrefix(msg, "leaking param content: ") {
+		return false
+	}
+	return !strings.Contains(msg, " to result ")
 }

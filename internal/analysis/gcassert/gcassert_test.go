@@ -1,6 +1,9 @@
 package gcassert_test
 
 import (
+	"os"
+	"os/exec"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -105,6 +108,38 @@ func TestCheckInlineAndBCEFailures(t *testing.T) {
 	}
 }
 
+// TestCheckNoEscapeLeaks covers the parameter-leak diagnostics: a
+// parameter leaking to the heap, as "leaking param: g" reported for a
+// Gauge.Set that stored its receiver in a package variable, breaks
+// //flea:noescape; one leaking only to the function's result does not.
+func TestCheckNoEscapeLeaks(t *testing.T) {
+	asserts := scanFixture(t)
+	for _, tc := range []struct {
+		msg  string
+		fail bool
+	}{
+		{"leaking param: p", true},
+		{"leaking param content: p", true},
+		{"leaking param: p to result ~r0 level=0", false},
+		{"leaking param: p to result ~r0 level=1", false},
+		{"p does not escape", false},
+	} {
+		diags := gcassert.ParseDiags("pkg/hot.go:22:7: " + tc.msg + "\n")
+		failed := false
+		for _, f := range gcassert.Check(asserts, diags) {
+			if f.Assertion.Func == "(*Buf).Fill" {
+				failed = true
+				if !strings.Contains(f.Reason, tc.msg) {
+					t.Errorf("%q: reason should cite the diagnostic: %q", tc.msg, f.Reason)
+				}
+			}
+		}
+		if failed != tc.fail {
+			t.Errorf("%q: (*Buf).Fill noescape failed = %v, want %v", tc.msg, failed, tc.fail)
+		}
+	}
+}
+
 func TestFailureString(t *testing.T) {
 	f := gcassert.Failure{
 		Assertion: gcassert.Assertion{File: "internal/mem/image.go", Line: 100, Func: "(*Image).Byte", Directive: "inline"},
@@ -113,5 +148,55 @@ func TestFailureString(t *testing.T) {
 	s := f.String()
 	if !strings.Contains(s, "internal/mem/image.go:100") || !strings.Contains(s, "//flea:inline (*Image).Byte") {
 		t.Errorf("String() = %q", s)
+	}
+}
+
+// TestCompilerFactAssertions replays cmd/fleagcassert over the repository,
+// so `go test ./...` fails when a compiler fact stops holding.
+func TestCompilerFactAssertions(t *testing.T) {
+	if testing.Short() {
+		t.Skip("recompiles the module with -m diagnostics; skipped in -short")
+	}
+	root := moduleRoot(t)
+	asserts, err := gcassert.ScanDir(root)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(asserts) == 0 {
+		t.Fatal("no compiler-fact assertions found; the annotations were removed?")
+	}
+
+	build := exec.Command("go", "build", "-gcflags=fleaflicker/...=-m -d=ssa/check_bce", "./...")
+	build.Dir = root
+	out, err := build.CombinedOutput()
+	if err != nil {
+		t.Fatalf("go build -m: %v\n%s", err, out)
+	}
+	diags := gcassert.ParseDiags(string(out))
+	if len(diags) == 0 {
+		t.Fatal("go build produced no compiler diagnostics; expected -m output")
+	}
+	for _, f := range gcassert.Check(asserts, diags) {
+		t.Error(f)
+	}
+}
+
+// moduleRoot walks up from the test's working directory to the directory
+// containing go.mod.
+func moduleRoot(t *testing.T) string {
+	t.Helper()
+	dir, err := os.Getwd()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for {
+		if _, err := os.Stat(filepath.Join(dir, "go.mod")); err == nil {
+			return dir
+		}
+		parent := filepath.Dir(dir)
+		if parent == dir {
+			t.Fatal("go.mod not found above test directory")
+		}
+		dir = parent
 	}
 }

@@ -106,7 +106,8 @@ func (s *State) Diff(o *State) string {
 			return fmt.Sprintf("register %s: %#x vs %#x", reg, s.Regs[r], o.Regs[r])
 		}
 	}
-	if addr, ok := s.Mem.FirstDifference(o.Mem); ok {
+	if d := s.Mem.Differences(o.Mem, 1); len(d) > 0 {
+		addr := d[0]
 		return fmt.Sprintf("memory at %#x: %#x vs %#x", addr, s.Mem.Byte(addr), o.Mem.Byte(addr))
 	}
 	return ""

@@ -214,8 +214,6 @@ func (m *Machine) Run() (*stats.Run, error) {
 // On the run-ahead machine a long enough load-use stall begins an episode.
 // It returns the cycle's wake: the first cycle at which its verdict could
 // differ, m.now+1 when it changed machine state.
-//
-//flea:hotpath
 func (m *Machine) step() (wake int64) {
 	g := m.fe.Head(m.now)
 	if g == nil {
@@ -254,8 +252,6 @@ func (m *Machine) step() (wake int64) {
 // be able to accept the group's loads. A blocked group also reports the
 // cycle the stall clears — the register stall's verdict and class hold until
 // then — or m.now+1 for a resource stall, which may clear any cycle.
-//
-//flea:hotpath
 func (m *Machine) groupBlocked(g *pipeline.Group) (cls stats.CycleClass, until int64, blocked bool) {
 	blockedUntil := int64(-1)
 	blockedByLoad := false
@@ -299,8 +295,6 @@ func (m *Machine) groupBlocked(g *pipeline.Group) (cls stats.CycleClass, until i
 }
 
 // dispatch executes an issue group whose operands are all ready.
-//
-//flea:hotpath
 func (m *Machine) dispatch(g *pipeline.Group) {
 	for p := g.Start; p < g.End; p++ {
 		d := m.ring.At(p)
@@ -343,7 +337,6 @@ func (m *Machine) dispatch(g *pipeline.Group) {
 
 // predOn evaluates the qualifying predicate; p0 needs no register read.
 //
-//flea:hotpath
 //flea:inline
 func (m *Machine) predOn(in *isa.Decoded) bool {
 	return in.Always() || m.st.Read(in.Pred) != 0
@@ -351,8 +344,6 @@ func (m *Machine) predOn(in *isa.Decoded) bool {
 
 // setReady scoreboards a decoded destination (isa.Decoded.Dest), which is
 // RegNone when nothing is written.
-//
-//flea:hotpath
 func (m *Machine) setReady(r isa.Reg, at int64, fromLoad bool) {
 	if r == isa.RegNone {
 		return
@@ -364,8 +355,6 @@ func (m *Machine) setReady(r isa.Reg, at int64, fromLoad bool) {
 // resolveBranch executes a branch (or halt), trains the predictor, and
 // redirects the front end on a misprediction. It reports whether younger
 // instructions in the same group must be squashed.
-//
-//flea:hotpath
 func (m *Machine) resolveBranch(d *pipeline.DynInst, predOn bool) (squash bool) {
 	in := d.In
 	if in.Op == isa.OpHalt {

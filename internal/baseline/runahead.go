@@ -45,8 +45,6 @@ type episode struct {
 // speculative pre-execution. The stall cycles continue to be charged as load
 // stalls (the architectural pipe is still blocked); run-ahead merely warms
 // the caches underneath them.
-//
-//flea:hotpath
 func (m *Machine) enterRunahead(g *pipeline.Group, until int64) {
 	m.col.RunaheadEntry()
 	if m.tr.Enabled() {
@@ -67,8 +65,6 @@ func (m *Machine) enterRunahead(g *pipeline.Group, until int64) {
 
 // stepRunahead executes one cycle of run-ahead mode and returns its wake
 // (see step): the episode's end while no group waits to pre-execute.
-//
-//flea:hotpath
 func (m *Machine) stepRunahead() (wake int64) {
 	m.Idle.Stall(m.col, stats.LoadStall) // the architectural pipe is stalled
 	if m.now >= m.ra.exitAt {
@@ -86,8 +82,6 @@ func (m *Machine) stepRunahead() (wake int64) {
 
 // exitRunahead restores the checkpoint and redirects fetch to the stalled
 // group.
-//
-//flea:hotpath
 func (m *Machine) exitRunahead() {
 	if m.tr.Enabled() {
 		m.tr.Emit(trace.Event{Cycle: m.now, Type: trace.EvRunaheadExit, Pipe: trace.PipeB,
@@ -100,8 +94,6 @@ func (m *Machine) exitRunahead() {
 // runaheadGroup pre-executes one issue group speculatively: poisoned or
 // unready operands poison destinations; loads prefetch; stores and all
 // register results are discarded at exit.
-//
-//flea:hotpath
 func (m *Machine) runaheadGroup(g *pipeline.Group) {
 	for p := g.Start; p < g.End; p++ {
 		d := m.ring.At(p)
@@ -176,8 +168,6 @@ func (m *Machine) runaheadGroup(g *pipeline.Group) {
 // runaheadBranch resolves a branch speculatively during run-ahead and
 // redirects run-ahead fetch on a misprediction (without predictor training —
 // the architectural pass will train it).
-//
-//flea:hotpath
 func (m *Machine) runaheadBranch(d *pipeline.DynInst, predOn bool) (squash bool) {
 	in := d.In
 	taken := false
@@ -206,7 +196,6 @@ func (m *Machine) runaheadBranch(d *pipeline.DynInst, predOn bool) (squash bool)
 	return true
 }
 
-//flea:hotpath
 func (m *Machine) raRead(r isa.Reg) (isa.Value, bool) {
 	if r == isa.RegNone || r.Hardwired() {
 		return isa.HardwiredValue(r), true
@@ -219,8 +208,6 @@ func (m *Machine) raRead(r isa.Reg) (isa.Value, bool) {
 
 // raWrite and raPoisonDst take a decoded destination (isa.Decoded.Dest),
 // which is RegNone when nothing is written.
-//
-//flea:hotpath
 func (m *Machine) raWrite(r isa.Reg, v isa.Value, readyAt int64) {
 	if r == isa.RegNone {
 		return
@@ -230,7 +217,6 @@ func (m *Machine) raWrite(r isa.Reg, v isa.Value, readyAt int64) {
 	m.ra.ready[r] = readyAt
 }
 
-//flea:hotpath
 func (m *Machine) raPoisonDst(r isa.Reg) {
 	if r == isa.RegNone {
 		return

@@ -9,10 +9,9 @@
 // lost to dead nodes, and steals queued units from stragglers when a
 // dispatch slot goes idle.
 //
-// The package is in the nondeterminism analyzer's scope: placement and
-// steal-victim choice are pure functions of membership and queue state, and
-// no wall-clock value feeds any decision (timers pace loops; they never
-// enter routing).
+// Placement and steal-victim choice are pure functions of membership and
+// queue state, and no wall-clock value feeds any decision (timers pace
+// loops; they never enter routing).
 package cluster
 
 import (

@@ -177,9 +177,11 @@ func TestClusterBackendDiesMidJob(t *testing.T) {
 }
 
 // TestClusterStealVsComplete drives the steal race: single-slot backends
-// with skewed consistent-hash queues force idle backends to steal from the
+// with skewed consistent-hash queues let idle backends steal from the
 // straggler's tail while its own slot pops the head. The pop and the steal
 // share one lock acquisition, so every unit must execute exactly once.
+// Whether a steal happens at all depends on how the stub runs interleave
+// with dispatch on the host; TestSchedulerStealsLowestIndexOnTie forces one.
 func TestClusterStealVsComplete(t *testing.T) {
 	var executions atomic.Int64
 	l, err := StartLocal(3, service.Config{Workers: 1}, fastProbes(Config{
@@ -203,12 +205,8 @@ func TestClusterStealVsComplete(t *testing.T) {
 	if got := executions.Load(); got != units {
 		t.Fatalf("executions = %d, want %d (a stolen unit must never run twice)", got, units)
 	}
-	met := l.Coordinator.met
-	if met.unitsStolen.Value() == 0 {
-		t.Fatalf("no steals despite single-slot backends and a %d-unit skewed load", units)
-	}
-	if met.fedDupDrops.Value() != 0 {
-		t.Fatalf("duplicate drops = %d, want 0 (no unit completed twice)", met.fedDupDrops.Value())
+	if drops := l.Coordinator.met.fedDupDrops.Value(); drops != 0 {
+		t.Fatalf("duplicate drops = %d, want 0 (no unit completed twice)", drops)
 	}
 }
 

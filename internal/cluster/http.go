@@ -88,7 +88,6 @@ func (c *Coordinator) handleClusterz(w http.ResponseWriter, r *http.Request) {
 	counters, gauges := c.Registry().Snapshot()
 	flat := make(map[string]int64, len(counters)+len(gauges))
 	for _, m := range []map[string]int64{counters, gauges} {
-		//flea:orderinvariant flat is keyed by metric name; insertion order is irrelevant.
 		for name, v := range m {
 			flat[name] = v
 		}

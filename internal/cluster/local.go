@@ -26,10 +26,8 @@ type Local struct {
 	listeners []net.Listener
 	urls      []string
 
-	mu sync.Mutex
-	//flea:guardedby(mu)
+	mu     sync.Mutex // guards killed and closed
 	killed []bool
-	//flea:guardedby(mu)
 	closed bool
 }
 

@@ -7,8 +7,8 @@ import (
 
 // Canonical cluster metric names, registered in the coordinator's registry
 // next to the service.* metrics of its Manager and rendered by its /metricsz
-// and /clusterz endpoints (statname enforces uniqueness and constant
-// registration).
+// and /clusterz endpoints (TestMetricNamesUnique in internal/metrics keeps
+// the names distinct).
 const (
 	// Units routed = fresh units placed on a backend queue by consistent
 	// hashing; stolen = units an idle backend's dispatcher took from another

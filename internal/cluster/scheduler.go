@@ -31,29 +31,18 @@ type scheduler struct {
 	// an enqueue never blocks; immutable after construction.
 	wake []chan struct{}
 
-	mu sync.Mutex
-	//flea:guardedby(mu)
-	queues [][]*unitTask
-	//flea:guardedby(mu)
-	up []bool
-	//flea:guardedby(mu)
+	mu         sync.Mutex // guards every field below
+	queues     [][]*unitTask
+	up         []bool
 	probeFails []int // consecutive failed probes per backend
-	//flea:guardedby(mu)
-	probeOKs []int // consecutive successful probes per backend
-	//flea:guardedby(mu)
-	inflight []int
-	//flea:guardedby(mu)
-	queued int // total across queues
-	//flea:guardedby(mu)
-	executed []int64 // units actually simulated per backend
-	//flea:guardedby(mu)
+	probeOKs   []int // consecutive successful probes per backend
+	inflight   []int
+	queued     int     // total across queues
+	executed   []int64 // units actually simulated per backend
 	peerServed []int64 // units this backend's slots served from a peer's cache
-	//flea:guardedby(mu)
-	stolen []int64 // units this backend's slots stole from others
-	//flea:guardedby(mu)
-	closed bool // intake refused; queued tasks still drain
-	//flea:guardedby(mu)
-	stopped bool // dispatch over: next yields nil, requeue refuses
+	stolen     []int64 // units this backend's slots stole from others
+	closed     bool    // intake refused; queued tasks still drain
+	stopped    bool    // dispatch over: next yields nil, requeue refuses
 }
 
 // taskOutcome is how a dispatch slot retired a task, for the per-backend
@@ -107,8 +96,6 @@ func (s *scheduler) signalAll() {
 
 // routeTo picks the first live backend in the task's preference order,
 // or -1 when every backend is down. Caller holds s.mu.
-//
-//flea:locked(mu)
 func (s *scheduler) routeTo(t *unitTask) int {
 	for _, b := range t.prefs {
 		if s.up[b] {
@@ -226,8 +213,6 @@ func (s *scheduler) next(b int) *unitTask {
 
 // taskPoppedLocked moves one task from queued to in-flight accounting.
 // Caller holds s.mu.
-//
-//flea:locked(mu)
 func (s *scheduler) taskPoppedLocked(b int) {
 	s.queued--
 	s.inflight[b]++
@@ -293,8 +278,6 @@ func (s *scheduler) noteProbe(b int, ok bool, failThreshold, upThreshold int) (d
 }
 
 // upCountLocked counts live backends. Caller holds s.mu.
-//
-//flea:locked(mu)
 func (s *scheduler) upCountLocked() int64 {
 	n := int64(0)
 	for _, u := range s.up {

@@ -10,9 +10,9 @@
 // The package supplies the checker (Checker), a delta-debugging shrinker
 // producing minimal reproducers (Shrink), and a campaign driver
 // (RunCampaign) used by cmd/fleafuzz, the fleasimd "fuzz" job kind, and the
-// native go-fuzz targets. It sits in the nondeterminism analyzer's scope:
-// identical inputs must yield identical verdicts, so no wall-clock, global
-// RNG, or map iteration is permitted here (time budgets live in callers).
+// native go-fuzz targets. Identical inputs must yield identical verdicts,
+// so no wall-clock, global RNG, or map iteration is permitted here (time
+// budgets live in callers).
 package diffsim
 
 import (

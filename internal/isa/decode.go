@@ -75,51 +75,43 @@ func Decode(dst []Decoded, insts []Inst) []Decoded {
 // Inst.Sources order: the qualifying predicate, Src1 and Src2, less absent
 // and hardwired ones. The slice aliases the table entry.
 //
-//flea:hotpath
 //flea:inline
 func (d *Decoded) Srcs() []Reg { return d.srcs[:d.nsrc] }
 
 // Dest returns the register the instruction writes, or RegNone when it
 // writes none or only a hardwired one (Inst.HasDest false).
 //
-//flea:hotpath
 //flea:inline
 func (d *Decoded) Dest() Reg { return d.dst }
 
 // Class returns the functional-unit class.
 //
-//flea:hotpath
 //flea:inline
 func (d *Decoded) Class() FUClass { return d.class }
 
 // Latency returns the fixed execution latency (see Op.Latency).
 //
-//flea:hotpath
 //flea:inline
 func (d *Decoded) Latency() int { return int(d.latency) }
 
 // Size returns the memory access width in bytes, 0 for non-memory
 // operations.
 //
-//flea:hotpath
 //flea:inline
 func (d *Decoded) Size() int { return int(d.size) }
 
 // IsLoad reports whether the instruction reads memory.
 //
-//flea:hotpath
 //flea:inline
 func (d *Decoded) IsLoad() bool { return d.flags&flagLoad != 0 }
 
 // IsStore reports whether the instruction writes memory.
 //
-//flea:hotpath
 //flea:inline
 func (d *Decoded) IsStore() bool { return d.flags&flagStore != 0 }
 
 // IsBranch reports whether the instruction can redirect control flow.
 //
-//flea:hotpath
 //flea:inline
 func (d *Decoded) IsBranch() bool { return d.flags&flagBranch != 0 }
 
@@ -127,7 +119,6 @@ func (d *Decoded) IsBranch() bool { return d.flags&flagBranch != 0 }
 // executes without reading a predicate register. It is false for every
 // other predicate, RegNone included.
 //
-//flea:hotpath
 //flea:inline
 func (d *Decoded) Always() bool { return d.flags&flagAlways != 0 }
 
@@ -135,6 +126,5 @@ func (d *Decoded) Always() bool { return d.flags&flagAlways != 0 }
 // instruction: the index after the first stop bit at or after it, or the
 // program length.
 //
-//flea:hotpath
 //flea:inline
 func (d *Decoded) GroupEnd() int32 { return d.groupEnd }

@@ -36,8 +36,6 @@ type alatEntry struct {
 func (a *ALAT) Len() int { return len(a.entries) - a.head }
 
 // Insert records an A-pipe-executed load. IDs arrive in increasing order.
-//
-//flea:hotpath
 func (a *ALAT) Insert(loadID uint64, addr uint32, size int) {
 	if n := len(a.entries); n > a.head && a.entries[n-1].loadID >= loadID {
 		panic("mem: ALAT entries must be inserted in increasing ID order")
@@ -52,8 +50,6 @@ func (a *ALAT) Insert(loadID uint64, addr uint32, size int) {
 // StoreInvalidate deletes entries of loads younger than storeID whose
 // address ranges overlap the store. It returns the number of entries
 // invalidated (each is a detected load/store conflict).
-//
-//flea:hotpath
 func (a *ALAT) StoreInvalidate(storeID uint64, addr uint32, size int) int {
 	n := 0
 	dst := a.entries[a.head:a.head]
@@ -73,8 +69,6 @@ func (a *ALAT) StoreInvalidate(storeID uint64, addr uint32, size int) int {
 // CheckAndRemove verifies that the entry for loadID survives (no conflicting
 // store intervened) and removes it. It returns false — signalling that a
 // store-conflict flush is required — if the entry is missing.
-//
-//flea:hotpath
 func (a *ALAT) CheckAndRemove(loadID uint64) bool {
 	live := a.entries[a.head:]
 	if len(live) > 0 && live[0].loadID == loadID {
@@ -91,8 +85,6 @@ func (a *ALAT) CheckAndRemove(loadID uint64) bool {
 }
 
 // FlushFrom removes every entry with loadID ≥ id.
-//
-//flea:hotpath
 func (a *ALAT) FlushFrom(id uint64) {
 	for i := a.head; i < len(a.entries); i++ {
 		if a.entries[i].loadID >= id {

@@ -99,20 +99,15 @@ func (c *cache) reset() {
 	c.stats = CacheStats{}
 }
 
-//flea:hotpath
 func (c *cache) index(addr uint32) (set uint32, tag uint32) {
 	line := addr >> c.lineShift
 	return line & c.setMask, line >> c.setShift
 }
 
 // lineOf returns the line number containing addr.
-//
-//flea:hotpath
 func (c *cache) lineOf(addr uint32) uint32 { return addr >> c.lineShift }
 
 // lookup probes for addr; on hit the line's LRU state is refreshed.
-//
-//flea:hotpath
 func (c *cache) lookup(addr uint32) bool {
 	c.tick++
 	c.stats.Accesses++
@@ -130,8 +125,6 @@ func (c *cache) lookup(addr uint32) bool {
 
 // fill installs the line containing addr, evicting the LRU way if needed.
 // It reports whether a dirty line was written back.
-//
-//flea:hotpath
 func (c *cache) fill(addr uint32, dirty bool) (writeback bool) {
 	c.tick++
 	set, tag := c.index(addr)
@@ -162,8 +155,6 @@ func (c *cache) fill(addr uint32, dirty bool) (writeback bool) {
 }
 
 // setDirty marks the line containing addr dirty if present; reports presence.
-//
-//flea:hotpath
 func (c *cache) setDirty(addr uint32) bool {
 	set, tag := c.index(addr)
 	for i := range c.sets[set] {

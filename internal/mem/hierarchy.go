@@ -96,8 +96,6 @@ type inflightFill struct {
 }
 
 // findInflight returns the pending fill for line, or nil.
-//
-//flea:hotpath
 func (h *Hierarchy) findInflight(line uint32) *inflightFill {
 	for i := range h.inflight {
 		if h.inflight[i].line == line {
@@ -145,7 +143,6 @@ func (h *Hierarchy) Stats() Stats {
 	return s
 }
 
-//flea:hotpath
 func (h *Hierarchy) purgeInflight(now int64) {
 	kept := h.inflight[:0]
 	for _, f := range h.inflight {
@@ -157,8 +154,6 @@ func (h *Hierarchy) purgeInflight(now int64) {
 }
 
 // Outstanding returns the number of data-load misses still in flight at now.
-//
-//flea:hotpath
 func (h *Hierarchy) Outstanding(now int64) int {
 	h.purgeInflight(now)
 	return len(h.inflight)
@@ -167,8 +162,6 @@ func (h *Hierarchy) Outstanding(now int64) int {
 // CanAcceptLoad reports whether a data load issued at now could obtain a miss
 // slot if it misses the L1D. Loads that would hit (or merge with an in-flight
 // line) are always acceptable.
-//
-//flea:hotpath
 func (h *Hierarchy) CanAcceptLoad(addr uint32, now int64) bool {
 	h.purgeInflight(now)
 	if len(h.inflight) < h.cfg.MaxOutstanding {
@@ -191,8 +184,6 @@ func (h *Hierarchy) CanAcceptLoad(addr uint32, now int64) bool {
 // CanAcceptLoads reports whether all the given loads, issued together at
 // now, can obtain miss slots. Distinct missing lines each need a slot;
 // L1-resident and in-flight lines do not.
-//
-//flea:hotpath
 func (h *Hierarchy) CanAcceptLoads(addrs []uint32, now int64) bool {
 	h.purgeInflight(now)
 	free := h.cfg.MaxOutstanding - len(h.inflight)
@@ -225,8 +216,6 @@ lines:
 // latency and the level that served it. The caller must have checked
 // CanAcceptLoad; a load that misses with a full MSHR pool panics, because it
 // indicates a machine-model bug (machines must stall or defer instead).
-//
-//flea:hotpath
 func (h *Hierarchy) Load(addr uint32, now int64) (latency int, served Level) {
 	h.purgeInflight(now)
 	line := h.l1d.lineOf(addr)
@@ -270,8 +259,6 @@ func (h *Hierarchy) Load(addr uint32, now int64) (latency int, served Level) {
 // Store performs a data store at cycle now. Stores are absorbed by the store
 // buffer / write path and do not stall the pipeline, but they do perturb the
 // cache contents (write-allocate, write-back).
-//
-//flea:hotpath
 func (h *Hierarchy) Store(addr uint32, now int64) {
 	h.stats.Stores++
 	if h.l1d.lookup(addr) {
@@ -290,8 +277,6 @@ func (h *Hierarchy) Store(addr uint32, now int64) {
 // Fetch performs an instruction fetch of the line containing addr and
 // returns its latency and serving level. Instruction misses do not consume
 // data MSHRs.
-//
-//flea:hotpath
 func (h *Hierarchy) Fetch(addr uint32, now int64) (latency int, served Level) {
 	if h.l1i.lookup(addr) {
 		h.stats.FetchServed[LevelL1]++
@@ -316,7 +301,6 @@ func (h *Hierarchy) Fetch(addr uint32, now int64) (latency int, served Level) {
 // L1ILatency returns the instruction-cache hit latency: the part of a
 // Fetch latency the front-end pipeline depth already covers.
 //
-//flea:hotpath
 //flea:inline
 func (h *Hierarchy) L1ILatency() int { return h.cfg.L1I.Latency }
 

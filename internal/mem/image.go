@@ -89,7 +89,6 @@ func (m *Image) page(addr uint32, create bool) *[pageSize]byte {
 // order, for sparse serialization of the image.
 func (m *Image) PageBases() []uint32 {
 	bases := make([]uint32, 0, len(m.pages))
-	//flea:orderinvariant set construction; the bases are sorted before use
 	for k := range m.pages {
 		bases = append(bases, k<<pageBits)
 	}
@@ -203,7 +202,6 @@ func (m *Image) Equal(o *Image) bool {
 
 // subset reports whether every nonzero byte of m matches o.
 func (m *Image) subset(o *Image) bool {
-	//flea:orderinvariant conjunction over all pages; order cannot change the verdict
 	for k, p := range m.pages {
 		op := o.pages[k]
 		for i, b := range p {
@@ -219,36 +217,6 @@ func (m *Image) subset(o *Image) bool {
 	return true
 }
 
-// FirstDifference returns the lowest address within pages present in either
-// image at which the two images differ, for test diagnostics. ok is false if
-// the images are equal.
-func (m *Image) FirstDifference(o *Image) (addr uint32, ok bool) {
-	seen := make(map[uint32]bool)
-	//flea:orderinvariant set construction; membership is order-independent
-	for k := range m.pages {
-		seen[k] = true
-	}
-	//flea:orderinvariant set construction; membership is order-independent
-	for k := range o.pages {
-		seen[k] = true
-	}
-	best := uint64(1 << 33)
-	//flea:orderinvariant computes a minimum over the set; order cannot change it
-	for k := range seen {
-		base := k << pageBits
-		for i := 0; i < pageSize; i++ {
-			a := base + uint32(i)
-			if m.Byte(a) != o.Byte(a) && uint64(a) < best {
-				best = uint64(a)
-			}
-		}
-	}
-	if best == 1<<33 {
-		return 0, false
-	}
-	return uint32(best), true
-}
-
 // Differences returns the lowest max addresses at which the two images
 // differ, in ascending order, for structured divergence reports. An empty
 // slice means the images are equal (or max <= 0).
@@ -257,11 +225,9 @@ func (m *Image) Differences(o *Image, max int) []uint32 {
 		return nil
 	}
 	keys := make([]uint32, 0, len(m.pages)+len(o.pages))
-	//flea:orderinvariant set construction; the keys are sorted before use
 	for k := range m.pages {
 		keys = append(keys, k)
 	}
-	//flea:orderinvariant set construction; the keys are sorted before use
 	for k := range o.pages {
 		if _, dup := m.pages[k]; !dup {
 			keys = append(keys, k)

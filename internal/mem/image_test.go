@@ -94,16 +94,49 @@ func TestImageEqual(t *testing.T) {
 	}
 }
 
-func TestImageFirstDifference(t *testing.T) {
+func TestImageDifferences(t *testing.T) {
 	a, b := NewImage(), NewImage()
-	if _, ok := a.FirstDifference(b); ok {
-		t.Errorf("equal images should report no difference")
+	if d := a.Differences(b, 1); len(d) != 0 {
+		t.Errorf("equal images should report no difference, got %#x", d)
 	}
 	a.SetByte(0x2005, 1)
 	a.SetByte(0x2002, 1)
-	addr, ok := a.FirstDifference(b)
-	if !ok || addr != 0x2002 {
-		t.Errorf("FirstDifference = %#x,%v; want 0x2002,true", addr, ok)
+	if d := a.Differences(b, 1); len(d) != 1 || d[0] != 0x2002 {
+		t.Errorf("Differences(b, 1) = %#x; want [0x2002]", d)
+	}
+
+	// Differences on 16 pages, present in only one image or in both: every
+	// call must report the lowest addresses, whatever order the page tables
+	// are visited in.
+	a, b = NewImage(), NewImage()
+	const first, pages = 3, 16
+	for p := uint32(first); p < first+pages; p++ {
+		addr := p*PageBytes + p%5
+		switch p % 3 {
+		case 0:
+			a.SetByte(addr, 1)
+		case 1:
+			b.SetByte(addr, 1)
+		default:
+			a.SetByte(addr, 1)
+			b.SetByte(addr, 2)
+		}
+	}
+	lowest := uint32(first*PageBytes + first%5)
+	for i := 0; i < 32; i++ {
+		if d := a.Differences(b, 1); len(d) != 1 || d[0] != lowest {
+			t.Fatalf("call %d: Differences(b, 1) = %#x; want [%#x]", i, d, lowest)
+		}
+	}
+	d := a.Differences(b, 4)
+	for i, addr := range d {
+		p := uint32(first + i)
+		if want := p*PageBytes + p%5; addr != want {
+			t.Fatalf("Differences(b, 4) = %#x; want the first differing byte of pages %d..%d in order", d, first, first+3)
+		}
+	}
+	if len(d) != 4 {
+		t.Fatalf("Differences(b, 4) = %#x; want 4 addresses", d)
 	}
 }
 

@@ -19,7 +19,6 @@ func (m *Image) Snapshot() *ImageSnapshot {
 		m.shared = make(map[uint32]bool, len(m.pages))
 	}
 	pages := make(map[uint32]*[pageSize]byte, len(m.pages))
-	//flea:orderinvariant every page is referenced; the result does not depend on visit order
 	for k, p := range m.pages {
 		pages[k] = p
 		m.shared[k] = true
@@ -35,7 +34,6 @@ func (s *ImageSnapshot) Image() *Image {
 		pages:  make(map[uint32]*[pageSize]byte, len(s.pages)),
 		shared: make(map[uint32]bool, len(s.pages)),
 	}
-	//flea:orderinvariant every page is referenced; the result does not depend on visit order
 	for k, p := range s.pages {
 		img.pages[k] = p
 		img.shared[k] = true

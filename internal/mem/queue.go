@@ -11,8 +11,6 @@ package mem
 // to the front of the array: each slide then pays for at least as many
 // appends as it copies entries, and once the array has grown to twice the
 // largest live window, appending never allocates.
-//
-//flea:hotpath
 func pushBack[T any](s []T, head *int, e T) []T {
 	if len(s) == cap(s) && 2*(*head) >= len(s) {
 		s = s[:copy(s, s[*head:])]

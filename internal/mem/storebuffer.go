@@ -16,7 +16,6 @@ type StoreEntry struct {
 // cover returns the bytes of the load [addr, addr+size) that e writes, as a
 // mask with bit i for byte addr+i. Addresses wrap at 2^32, like Image's.
 //
-//flea:hotpath
 //flea:inline
 func (e *StoreEntry) cover(addr uint32, size int) uint8 {
 	if k := e.Addr - addr; k < uint32(size) { // e starts inside the load
@@ -30,7 +29,6 @@ func (e *StoreEntry) cover(addr uint32, size int) uint8 {
 
 // byteSpan returns the mask of bytes lo ≤ i < hi, hi ≤ 8.
 //
-//flea:hotpath
 //flea:inline
 func byteSpan(lo, hi uint32) uint8 { return uint8(1<<hi - 1<<lo) }
 
@@ -48,14 +46,10 @@ type StoreBuffer struct {
 }
 
 // Len returns the number of buffered stores.
-//
-//flea:hotpath
 func (b *StoreBuffer) Len() int { return len(b.entries) - b.head }
 
 // Insert adds a store. IDs must be inserted in increasing order (A-pipe
 // program order); Insert panics otherwise, as that indicates a machine bug.
-//
-//flea:hotpath
 func (b *StoreBuffer) Insert(e StoreEntry) {
 	if n := len(b.entries); n > b.head && b.entries[n-1].ID >= e.ID {
 		panic("mem: StoreBuffer entries must be inserted in increasing ID order")
@@ -82,8 +76,6 @@ const (
 // img. size must be ≤ 8. One youngest-first pass over the entries takes
 // each byte from the first entry that covers it; img is read only for the
 // bytes no entry covers.
-//
-//flea:hotpath
 func (b *StoreBuffer) Forward(loadID uint64, addr uint32, size int, img *Image) (val uint64, res ForwardResult) {
 	full := byteSpan(0, uint32(size))
 	need := full // bytes not yet forwarded
@@ -122,8 +114,6 @@ func (b *StoreBuffer) Forward(loadID uint64, addr uint32, size int, img *Image) 
 
 // OlderUnknownOverlap reports whether any entry older than loadID overlaps
 // [addr, addr+size) and has unknown data.
-//
-//flea:hotpath
 func (b *StoreBuffer) OlderUnknownOverlap(loadID uint64, addr uint32, size int) bool {
 	for j := b.head; j < len(b.entries); j++ {
 		e := &b.entries[j]
@@ -140,15 +130,11 @@ func (b *StoreBuffer) OlderUnknownOverlap(loadID uint64, addr uint32, size int) 
 // HasOlderThan reports whether the buffer holds any entry with ID < id.
 // The two-pass machine uses this to detect loads issued past a deferred
 // store (for the §4 conflict statistics).
-//
-//flea:hotpath
 func (b *StoreBuffer) HasOlderThan(id uint64) bool {
 	return len(b.entries) > b.head && b.entries[b.head].ID < id
 }
 
 // Remove deletes the entry with the given ID, if present.
-//
-//flea:hotpath
 func (b *StoreBuffer) Remove(id uint64) {
 	live := b.entries[b.head:]
 	if len(live) > 0 && live[0].ID == id {
@@ -165,8 +151,6 @@ func (b *StoreBuffer) Remove(id uint64) {
 
 // FlushFrom removes every entry with ID ≥ id (squash on misprediction or
 // store-conflict recovery).
-//
-//flea:hotpath
 func (b *StoreBuffer) FlushFrom(id uint64) {
 	for i := b.head; i < len(b.entries); i++ {
 		if b.entries[i].ID >= id {

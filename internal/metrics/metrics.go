@@ -37,7 +37,6 @@ type Counter struct {
 
 // Inc adds one.
 //
-//flea:hotpath
 //flea:inline
 //flea:noescape
 func (c *Counter) Inc() { c.v++ }
@@ -45,7 +44,6 @@ func (c *Counter) Inc() { c.v++ }
 // Add adds n (n may be negative only to reverse a speculative count that
 // was squashed; a counter must never go below zero at rest).
 //
-//flea:hotpath
 //flea:inline
 //flea:noescape
 func (c *Counter) Add(n int64) { c.v += n }
@@ -60,7 +58,6 @@ type Gauge struct {
 
 // Set replaces the value.
 //
-//flea:hotpath
 //flea:inline
 //flea:noescape
 func (g *Gauge) Set(n int64) { g.v = n }
@@ -73,7 +70,7 @@ func (g *Gauge) Value() int64 { return g.v }
 // counterpart of Counter: one atomic add per increment instead of one plain
 // store, so it never rides a simulator hot path.
 type SharedCounter struct {
-	v atomic.Int64 //flea:atomic
+	v atomic.Int64
 }
 
 // Inc adds one.
@@ -97,7 +94,7 @@ func (c *SharedCounter) Value() int64 { return c.v.Load() }
 // SharedGauge is a point-in-time int64 metric safe for concurrent update
 // (e.g. live queue depth observed by many workers).
 type SharedGauge struct {
-	v atomic.Int64 //flea:atomic
+	v atomic.Int64
 }
 
 // Set replaces the value.
@@ -121,15 +118,11 @@ func (g *SharedGauge) Value() int64 { return g.v.Load() }
 
 // Registry holds named counters and gauges.
 type Registry struct {
-	mu sync.Mutex
-	//flea:guardedby(mu)
-	counters map[string]*Counter
-	//flea:guardedby(mu)
-	gauges map[string]*Gauge
-	//flea:guardedby(mu)
+	mu             sync.Mutex // guards the four maps
+	counters       map[string]*Counter
+	gauges         map[string]*Gauge
 	sharedCounters map[string]*SharedCounter
-	//flea:guardedby(mu)
-	sharedGauges map[string]*SharedGauge
+	sharedGauges   map[string]*SharedGauge
 }
 
 // NewRegistry returns an empty registry.

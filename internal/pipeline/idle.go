@@ -49,7 +49,6 @@ type Idle struct {
 // class for any cycles skipped after it. A stall that is traced reports its
 // event through Emit after Stall.
 //
-//flea:hotpath
 //flea:inline
 func (q *Idle) Stall(col *stats.Collector, cls stats.CycleClass) {
 	col.Cycle(cls)
@@ -75,8 +74,6 @@ func (q *Idle) Emit(tr *trace.Tracer, ev trace.Event) {
 // never passes maxCycles, so a runaway run fails at the same cycle, nor a
 // context-poll cycle (a multiple of PollInterval), so the cycle loop keeps
 // its cancellation latency.
-//
-//flea:hotpath
 func (q *Idle) Skip(col *stats.Collector, tr *trace.Tracer, from, wake, maxCycles int64) int64 {
 	to := (from + PollInterval - 1) &^ (PollInterval - 1)
 	to = min(to, wake, maxCycles)

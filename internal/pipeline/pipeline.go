@@ -151,8 +151,6 @@ func (f *FrontEnd) Ring() *Ring { return f.ring }
 // Tick advances fetch by one cycle: at most one issue group is fetched along
 // the predicted path. It reports whether the front end changed state; a Tick
 // that did not leaves it idle until Wake.
-//
-//flea:hotpath
 func (f *FrontEnd) Tick(now int64) (acted bool) {
 	if f.stalled || f.halted || now < f.nextFetchAt || f.qlen >= f.cfg.QueueCap {
 		return false
@@ -230,7 +228,6 @@ func (f *FrontEnd) Tick(now int64) (acted bool) {
 // QueueCap. It wraps by compare-and-subtract: the capacity is not a
 // constant, so % would divide.
 //
-//flea:hotpath
 //flea:inline
 func (f *FrontEnd) slot(i int) int {
 	j := f.qhead + i
@@ -247,8 +244,6 @@ func (f *FrontEnd) slot(i int) int {
 // indirect branch, halted, or with its queue full, and no queued group still
 // on its way to dispersal. Machines call it after a cycle in which Tick did
 // not act.
-//
-//flea:hotpath
 func (f *FrontEnd) Wake(now int64) int64 {
 	w := Never
 	if !f.stalled && !f.halted && f.qlen < f.cfg.QueueCap {
@@ -264,8 +259,6 @@ func (f *FrontEnd) Wake(now int64) int64 {
 
 // predictBranch predicts direction and target for branch d at fetch.
 // done=true means fetch must stall (indirect with no target prediction).
-//
-//flea:hotpath
 func (f *FrontEnd) predictBranch(d *DynInst) (taken bool, target int32, done bool) {
 	in := d.In
 	switch in.Op {
@@ -298,8 +291,6 @@ func (f *FrontEnd) predictBranch(d *DynInst) (taken bool, target int32, done boo
 // Head returns the oldest fetched group if it has reached the dispersal
 // point by now, else nil. The returned group lives in the fetch queue: it
 // remains valid after Pop only until the next Tick.
-//
-//flea:hotpath
 func (f *FrontEnd) Head(now int64) *Group {
 	if f.qlen == 0 {
 		return nil
@@ -313,8 +304,6 @@ func (f *FrontEnd) Head(now int64) *Group {
 
 // Pop consumes the head group. Its records stay in the Ring, owned by the
 // caller, which retires or squashes them.
-//
-//flea:hotpath
 func (f *FrontEnd) Pop() {
 	f.qhead = f.slot(1)
 	f.qlen--
@@ -324,8 +313,6 @@ func (f *FrontEnd) Pop() {
 // in the Ring) and restarts fetch at pc on the next cycle. Machines call it
 // on branch misprediction (at resolution time), on indirect-branch
 // resolution when fetch was stalled, and on store-conflict recovery.
-//
-//flea:hotpath
 func (f *FrontEnd) Redirect(pc int32, now int64) {
 	if f.qlen > 0 {
 		f.ring.Truncate(f.queue[f.qhead].Start)

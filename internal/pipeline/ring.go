@@ -26,33 +26,28 @@ type Span struct{ Start, End uint64 }
 
 // Len returns the number of positions in s.
 //
-//flea:hotpath
 //flea:inline
 func (s Span) Len() int { return int(s.End - s.Start) }
 
 // At returns the record at position p, which must be live (Head ≤ p <
 // Tail). The pointer stays valid until p is retired or squashed.
 //
-//flea:hotpath
 //flea:inline
 //flea:noescape
 func (r *Ring) At(p uint64) *DynInst { return &r.buf[p&r.mask] }
 
 // Head returns the position of the oldest live record.
 //
-//flea:hotpath
 //flea:inline
 func (r *Ring) Head() uint64 { return r.head }
 
 // Tail returns the position the next fetched record takes.
 //
-//flea:hotpath
 //flea:inline
 func (r *Ring) Tail() uint64 { return r.tail }
 
 // Len returns the number of live records.
 //
-//flea:hotpath
 //flea:inline
 func (r *Ring) Len() int { return int(r.tail - r.head) }
 
@@ -60,14 +55,12 @@ func (r *Ring) Len() int { return int(r.tail - r.head) }
 // for: a machine that breaks its own bounds, which would soon overwrite
 // live records.
 //
-//flea:hotpath
 //flea:inline
 func (r *Ring) overfull() bool { return r.Len() > r.capacity }
 
 // Push claims the tail position for a newly fetched record, zeroed. The
 // front end is its only caller in the machines.
 //
-//flea:hotpath
 //flea:inline
 //flea:noescape
 func (r *Ring) Push() *DynInst {
@@ -80,7 +73,6 @@ func (r *Ring) Push() *DynInst {
 // Retire releases every record before position p: they retired, or were
 // dropped with the group that held them.
 //
-//flea:hotpath
 //flea:inline
 func (r *Ring) Retire(p uint64) { r.head = p }
 
@@ -88,6 +80,5 @@ func (r *Ring) Retire(p uint64) { r.head = p }
 // tail changes nothing, so the squashes of one recovery may come in any
 // order.
 //
-//flea:hotpath
 //flea:inline
 func (r *Ring) Truncate(p uint64) { r.tail = min(r.tail, p) }

@@ -10,9 +10,8 @@
 //
 // Generation is a pure function of (seed, Config): the same pair yields the
 // same program in any process, which is what makes corpus seeds and shrunk
-// reproducers meaningful. The package is in the nondeterminism analyzer's
-// scope, so it must not consult wall-clock time, global RNG state, or map
-// iteration order.
+// reproducers meaningful. So it must not consult wall-clock time, global
+// RNG state, or map iteration order.
 package progen
 
 import (

@@ -60,11 +60,9 @@ type resultCache struct {
 	// entry's done closes. The manager's submitMu additionally serializes
 	// whole submissions, so an acquire/abandon pair cannot be interleaved
 	// with another submission coalescing onto the same entry.
-	mu sync.Mutex
-	//flea:guardedby(mu)
+	mu      sync.Mutex
 	entries map[string]*entry
-	//flea:guardedby(mu)
-	lru *list.List // completed entries only; front = most recent
+	lru     *list.List // completed entries only; front = most recent
 }
 
 func newResultCache(maxEntries int, met *serviceMetrics) *resultCache {

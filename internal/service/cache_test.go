@@ -134,3 +134,42 @@ func TestCacheAbandon(t *testing.T) {
 		t.Fatalf("key not reclaimable after abandon")
 	}
 }
+
+// TestCacheEvictionUnderConcurrency runs a one-entry cache from several
+// goroutines at once: each acquires, completes and peeks keys of its own,
+// so every completion but the first evicts while the others read the map
+// and the LRU. Eviction must happen under mu; run with -race, where an
+// eviction outside the lock is reported as a data race.
+func TestCacheEvictionUnderConcurrency(t *testing.T) {
+	met := newServiceMetrics(metrics.NewRegistry())
+	c := newResultCache(1, met)
+	const workers, rounds = 4, 200
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; i < rounds; i++ {
+				key := fmt.Sprint("w", w, "/", i)
+				e, claimed := c.acquire(key)
+				if !claimed {
+					t.Errorf("acquire %s: a fresh key was not claimed", key)
+					return
+				}
+				c.complete(e, &UnitResult{Key: key}, nil, nil)
+				c.peek(key)
+			}
+		}(w)
+	}
+	wg.Wait()
+
+	const completions = workers * rounds
+	if got := met.cacheEvictions.Value(); got != completions-1 {
+		t.Errorf("evictions = %d, want %d", got, completions-1)
+	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if len(c.entries) != 1 || c.lru.Len() != 1 {
+		t.Errorf("cache holds %d entries and %d LRU elements, want 1 and 1", len(c.entries), c.lru.Len())
+	}
+}

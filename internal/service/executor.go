@@ -70,12 +70,10 @@ type workerPool struct {
 	failed   *metrics.SharedCounter
 	wg       sync.WaitGroup
 
-	mu       sync.Mutex
+	mu       sync.Mutex // guards items and closed
 	nonEmpty *sync.Cond
-	//flea:guardedby(mu)
-	items []*Task
-	//flea:guardedby(mu)
-	closed bool
+	items    []*Task
+	closed   bool
 }
 
 // newWorkerPool starts workers goroutines, each calling run on one queued
@@ -171,7 +169,6 @@ func (p *workerPool) get() (*Task, bool) {
 // counted before its completion releases the waiters.
 func (p *workerPool) worker() {
 	defer p.wg.Done()
-	//flea:bounded closed-queue handshake: get returns false after close+drain
 	for {
 		t, ok := p.get()
 		if !ok {

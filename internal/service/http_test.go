@@ -300,6 +300,55 @@ func TestHTTPEventsStream(t *testing.T) {
 	}
 }
 
+// TestHTTPEventsEndsWhenClientLeaves checks that an /events stream ends
+// when its client goes away while the job is still running: the handler
+// must watch the request's context, not only the job's next frame, or it
+// holds its goroutine and connection until the job moves.
+func TestHTTPEventsEndsWhenClientLeaves(t *testing.T) {
+	release := make(chan struct{})
+	m := New(Config{Workers: 1}, WithRunner(func(ctx context.Context, u UnitSpec) (*stats.Run, error) {
+		<-release
+		return stubRun(u), nil
+	}))
+	srv := NewServer(m)
+	eventsDone := make(chan struct{}, 1)
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		srv.ServeHTTP(w, r)
+		if strings.HasSuffix(r.URL.Path, "/events") {
+			eventsDone <- struct{}{}
+		}
+	}))
+	t.Cleanup(func() {
+		close(release)
+		ts.Close()
+		_ = m.Drain(context.Background())
+	})
+
+	_, ack := postJob(t, ts, `{"model":"2P","bench":"300.twolf"}`)
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	req, err := http.NewRequestWithContext(ctx, http.MethodGet, ts.URL+ack.Events, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sc := bufio.NewScanner(resp.Body)
+	if !sc.Scan() || sc.Text() != "event: progress" {
+		t.Fatalf("first /events line = %q, want the snapshot frame", sc.Text())
+	}
+	cancel()
+	resp.Body.Close()
+
+	select {
+	case <-eventsDone:
+	case <-time.After(2 * time.Second):
+		t.Fatal("the /events handler was still running 2 s after its client left")
+	}
+}
+
 // scrapeMetricsz reads the text /metricsz of ts: its lines as name → value,
 // and the whole body.
 func scrapeMetricsz(t *testing.T, ts *httptest.Server) (map[string]string, string) {

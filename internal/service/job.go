@@ -71,17 +71,12 @@ type Job struct {
 	cancel context.CancelFunc
 	done   chan struct{}
 
-	mu sync.Mutex
-	//flea:guardedby(mu)
-	state JobState
-	//flea:guardedby(mu)
+	mu        sync.Mutex // guards the fields below
+	state     JobState
 	completed int
-	//flea:guardedby(mu)
-	unitErrs []error
-	//flea:guardedby(mu)
-	finished time.Time
-	//flea:guardedby(mu)
-	subs []chan ProgressEvent
+	unitErrs  []error
+	finished  time.Time
+	subs      []chan ProgressEvent
 }
 
 // ID returns the job's identifier.

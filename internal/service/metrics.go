@@ -3,8 +3,9 @@ package service
 import "fleaflicker/internal/metrics"
 
 // Canonical service metric names. Every counter the serving layer bumps is
-// registered under one of these constants (statname enforces uniqueness and
-// constant registration), in the same registry /metricsz renders.
+// registered under one of these constants (TestMetricNamesUnique in
+// internal/metrics keeps the names distinct), in the same registry
+// /metricsz renders.
 const (
 	MetricJobsSubmitted  = "service.jobs.submitted"
 	MetricJobsCompleted  = "service.jobs.completed"

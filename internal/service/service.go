@@ -26,8 +26,7 @@
 //     Manager too — the backends (see WithExecutor).
 //
 // Everything here is cold-path admission control and reporting — the
-// simulation hot path remains the machines' cycle loops, and no function in
-// this package is a //flea:hotpath.
+// simulation hot path remains the machines' cycle loops.
 package service
 
 import (
@@ -152,15 +151,12 @@ type Manager struct {
 	// batch's cache claims and its all-or-nothing enqueue are atomic with
 	// respect to other submissions.
 	submitMu sync.Mutex
-	draining bool //flea:guardedby(submitMu)
+	draining bool
 
-	mu sync.Mutex // guards jobs / jobOrder / nextID
-	//flea:guardedby(mu)
-	jobs map[string]*Job
-	//flea:guardedby(mu)
+	mu       sync.Mutex // guards jobs / jobOrder / nextID
+	jobs     map[string]*Job
 	jobOrder []string
-	//flea:guardedby(mu)
-	nextID uint64
+	nextID   uint64
 }
 
 // New builds a manager and starts its executor: the local worker pool
@@ -342,8 +338,6 @@ func (m *Manager) submitUnits(spec JobSpec, units []UnitSpec, timeoutMS int64) (
 
 // forgetOldJobsLocked drops the oldest finished job records beyond MaxJobs.
 // Active jobs are never dropped. Caller holds m.mu.
-//
-//flea:locked(mu)
 func (m *Manager) forgetOldJobsLocked() {
 	for len(m.jobOrder) > m.cfg.MaxJobs {
 		dropped := false

@@ -177,8 +177,6 @@ func (c *Collector) Publish(reg *metrics.Registry) {
 // Cycle classifies one execution cycle. The total is incremented together
 // with the class counter, so the Figure 6 invariant (classes sum to the
 // total) holds by construction.
-//
-//flea:hotpath
 func (c *Collector) Cycle(cls CycleClass) {
 	c.v[iCycles]++
 	c.v[iByClass+int(cls)]++
@@ -188,22 +186,16 @@ func (c *Collector) Cycle(cls CycleClass) {
 // Cycle for the quiescent cycles a machine fast-forwards. Like Cycle it
 // bumps the total with the class, so the invariant still holds by
 // construction.
-//
-//flea:hotpath
 func (c *Collector) Cycles(cls CycleClass, n int64) {
 	c.v[iCycles] += n
 	c.v[iByClass+int(cls)] += n
 }
 
 // Instruction counts one architecturally retired instruction.
-//
-//flea:hotpath
 func (c *Collector) Instruction() { c.v[iInstructions]++ }
 
 // Access notes a data load served at level lvl initiated by pipe p, scaled
 // by the level latency table (Figure 7).
-//
-//flea:hotpath
 func (c *Collector) Access(lvl mem.Level, p Pipe, levelLat [mem.NumLevels]int) {
 	i := accessIndex(lvl, p)
 	c.v[iAccess+i]++
@@ -211,54 +203,34 @@ func (c *Collector) Access(lvl mem.Level, p Pipe, levelLat [mem.NumLevels]int) {
 }
 
 // MispredictA counts a misprediction detected and repaired at A-DET.
-//
-//flea:hotpath
 func (c *Collector) MispredictA() { c.v[iMispredictsA]++ }
 
 // MispredictB counts a misprediction detected at B-DET (full flush).
-//
-//flea:hotpath
 func (c *Collector) MispredictB() { c.v[iMispredictsB]++ }
 
 // ConflictFlush counts a flush triggered by an ALAT miss.
-//
-//flea:hotpath
 func (c *Collector) ConflictFlush() { c.v[iConflictFlushes]++ }
 
 // LoadPastDeferredStore counts an A-pipe load issued past a deferred store.
-//
-//flea:hotpath
 func (c *Collector) LoadPastDeferredStore() { c.v[iLoadsPastDeferredStore]++ }
 
 // StoreCommitted counts an architecturally committed store.
-//
-//flea:hotpath
 func (c *Collector) StoreCommitted() { c.v[iStoresTotal]++ }
 
 // StoreDeferred counts a store executed in the B-pipe.
-//
-//flea:hotpath
 func (c *Collector) StoreDeferred() { c.v[iStoresDeferred]++ }
 
 // Defer counts an instruction deferred to the B-pipe.
-//
-//flea:hotpath
 func (c *Collector) Defer() { c.v[iDeferred]++ }
 
 // PreExecute counts an instruction completed (or started) in the A-pipe.
-//
-//flea:hotpath
 func (c *Collector) PreExecute() { c.v[iPreExecuted]++ }
 
 // Regroup counts stop bits removed by the B-pipe regrouper.
-//
-//flea:hotpath
 func (c *Collector) Regroup(n int) { c.v[iRegrouped] += int64(n) }
 
 // CQOccupancy accumulates the per-cycle coupling-queue occupancy (and keeps
 // the instantaneous value for the occupancy gauge).
-//
-//flea:hotpath
 func (c *Collector) CQOccupancy(n int) {
 	c.v[iCQOccupancySum] += int64(n)
 	c.cqOccupancy = int64(n)
@@ -266,21 +238,15 @@ func (c *Collector) CQOccupancy(n int) {
 
 // CQOccupancyCycles accumulates occupancy n for each of cycles consecutive
 // cycles: the bulk form of CQOccupancy for fast-forwarded cycles.
-//
-//flea:hotpath
 func (c *Collector) CQOccupancyCycles(n int, cycles int64) {
 	c.v[iCQOccupancySum] += int64(n) * cycles
 	c.cqOccupancy = int64(n)
 }
 
 // RunaheadEntry counts one run-ahead episode begun.
-//
-//flea:hotpath
 func (c *Collector) RunaheadEntry() { c.v[iRunaheadEntries]++ }
 
 // RunaheadInst counts one instruction pre-executed in a run-ahead episode.
-//
-//flea:hotpath
 func (c *Collector) RunaheadInst() { c.v[iRunaheadInsts]++ }
 
 // MispredictsA returns the current A-DET misprediction count (machines use

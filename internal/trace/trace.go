@@ -13,8 +13,9 @@
 //
 // Tracing is zero-overhead when disabled: machines hold a *Tracer that is
 // nil by default, and every emission site is guarded by Enabled(), which is
-// a nil check. No event is constructed, and no instruction is formatted,
-// unless a sink is attached.
+// a nil check (TestEmissionsAreGuarded reads the machine packages' source
+// to hold them to it). No event is constructed, and no instruction is
+// formatted, unless a sink is attached.
 package trace
 
 import (

@@ -16,8 +16,6 @@ import (
 // the first cycle at which its verdict could differ, m.now+1 when it changed
 // machine state. Every structural stop but the anticipable stall lasts until
 // the B-pipe retires or the front end delivers, which are their own wakes.
-//
-//flea:hotpath
 func (m *Machine) stepA() (wake int64) {
 	if m.aHalted {
 		return pipeline.Never
@@ -90,8 +88,6 @@ func (m *Machine) emitA(d *pipeline.DynInst) {
 // valid, in-flight results of fixed-latency non-load producers. With
 // StallOnAnticipable the A-pipe waits these out (the compiler has already
 // modelled them) instead of deferring the chain to the B-pipe.
-//
-//flea:hotpath
 func (m *Machine) blockedOnAnticipable(g *pipeline.Group) bool {
 	anticipable := false
 	for p := g.Start; p < g.End; p++ {
@@ -115,8 +111,6 @@ func (m *Machine) blockedOnAnticipable(g *pipeline.Group) bool {
 // operands are valid and ready, otherwise defer it to the B-pipe. It reports
 // whether younger instructions in the same group must be squashed (an A-DET
 // misprediction or a halt).
-//
-//flea:hotpath
 func (m *Machine) processA(d *pipeline.DynInst) (squash bool) {
 	in := d.In
 	if !in.Always() {
@@ -184,8 +178,6 @@ func (m *Machine) processA(d *pipeline.DynInst) (squash bool) {
 
 // deferA suppresses an instruction, invalidating its destination so that
 // consumers are deferred transitively.
-//
-//flea:hotpath
 func (m *Machine) deferA(d *pipeline.DynInst) {
 	d.Deferred = true
 	m.col.Defer()
@@ -199,8 +191,6 @@ func (m *Machine) deferA(d *pipeline.DynInst) {
 // memory, initiating the cache access for timing. Loads are deferred when
 // their address is unknown, when an older buffered store has unknown data
 // (§3.4), or when no outstanding-load slot is free.
-//
-//flea:hotpath
 func (m *Machine) loadA(d *pipeline.DynInst) {
 	in := d.In
 	base, ok := m.readA(in.Src1)
@@ -243,8 +233,6 @@ func (m *Machine) loadA(d *pipeline.DynInst) {
 // store buffer only; architectural memory is written when the store reaches
 // the B-pipe. A store with a known address but unknown data leaves an
 // address-only buffer entry that defers overlapping younger loads.
-//
-//flea:hotpath
 func (m *Machine) storeA(d *pipeline.DynInst) {
 	in := d.In
 	base, okA := m.readA(in.Src1)
@@ -280,8 +268,6 @@ func (m *Machine) storeA(d *pipeline.DynInst) {
 // front end and younger same-group instructions are squashed; the coupling
 // queue holds nothing younger, so the B-pipe keeps draining (§3.6's "early"
 // repair).
-//
-//flea:hotpath
 func (m *Machine) resolveBranchA(d *pipeline.DynInst, predOn bool) (squash bool) {
 	in := d.In
 	taken := false

@@ -24,8 +24,6 @@ type bStatus struct {
 // stepB advances the backup (architectural) pipeline by one cycle and
 // classifies the cycle into one of the six Figure 6 classes. It returns the
 // cycle's wake, as stepA does.
-//
-//flea:hotpath
 func (m *Machine) stepB() (wake int64) {
 	if m.cq.len() == 0 {
 		cls := stats.FrontEndStall
@@ -124,8 +122,6 @@ func (m *Machine) stepB() (wake int64) {
 // popHead retires the first n instructions of the coupling queue: the
 // ring's head advances past them, and a group they leave partly dispatched
 // keeps the rest in place.
-//
-//flea:hotpath
 func (m *Machine) popHead(n int) {
 	m.cqCount -= n
 	head := m.ring.Head() + uint64(n)
@@ -144,8 +140,6 @@ func (m *Machine) popHead(n int) {
 // fits the machine's issue resources. Each merged boundary is a stop bit the
 // regrouper removed. Adjacent groups are adjacent in the ring, so the set is
 // one span, read in place.
-//
-//flea:hotpath
 func (m *Machine) buildDispatchSet() (set pipeline.Span, ngroups int) {
 	set = m.cq.at(0).Span
 	ngroups = 1
@@ -167,8 +161,6 @@ func (m *Machine) buildDispatchSet() (set pipeline.Span, ngroups int) {
 // could build a larger dispatch set than set, which spans ngroups queue
 // groups. canMerge depends on time only through the arrival of the set's
 // pre-executed results, and only when a queued group is left to merge.
-//
-//flea:hotpath
 func (m *Machine) regroupWake(set pipeline.Span, ngroups int) int64 {
 	w := pipeline.Never
 	if ngroups == m.cq.len() {
@@ -186,8 +178,6 @@ func (m *Machine) regroupWake(set pipeline.Span, ngroups int) int64 {
 // current dispatch set: combined width and functional-unit usage must fit,
 // and no instruction in next may depend on a result the set has not already
 // finished pre-executing.
-//
-//flea:hotpath
 func (m *Machine) canMerge(set, next pipeline.Span) bool {
 	if set.Len()+next.Len() > m.cfg.IssueWidth {
 		return false
@@ -230,8 +220,6 @@ func (m *Machine) canMerge(set, next pipeline.Span) bool {
 // instruction of the same merged set (setRead). Like the baseline's
 // groupBlocked, a blocked set reports the cycle the stall clears, or
 // m.now+1 for a resource stall.
-//
-//flea:hotpath
 func (m *Machine) bBlocked(set pipeline.Span) (cls stats.CycleClass, until int64, blocked bool) {
 	blockedUntil := int64(-1)
 	blockedByLoad := false
@@ -279,8 +267,6 @@ func (m *Machine) bBlocked(set pipeline.Span) (cls stats.CycleClass, until int64
 // dispatch set will read it when the set retires: the value of the set's
 // youngest earlier pre-executed, predicated-on writer of r, which merges
 // first, or else the B-file's.
-//
-//flea:hotpath
 func (m *Machine) setRead(set pipeline.Span, p uint64, r isa.Reg) isa.Value {
 	if r != isa.RegNone {
 		for k := p; k > set.Start; k-- {
@@ -294,8 +280,6 @@ func (m *Machine) setRead(set pipeline.Span, p uint64, r isa.Reg) isa.Value {
 
 // processB retires one instruction: merging an A-pipe result, or executing a
 // deferred instruction against architectural state.
-//
-//flea:hotpath
 func (m *Machine) processB(d *pipeline.DynInst) bStatus {
 	if d.Done {
 		return m.mergeB(d)
@@ -306,8 +290,6 @@ func (m *Machine) processB(d *pipeline.DynInst) bStatus {
 // mergeB incorporates a pre-executed instruction's results (the MRG stage).
 // The B-pipe trusts the A-pipe: nothing is recomputed, but pre-executed
 // loads must pass their ALAT check (§3.4).
-//
-//flea:hotpath
 func (m *Machine) mergeB(d *pipeline.DynInst) bStatus {
 	in := d.In
 	if d.PredOn && in.IsLoad() {
@@ -359,8 +341,6 @@ func (m *Machine) mergeB(d *pipeline.DynInst) bStatus {
 
 // executeDeferredB executes an instruction the A-pipe deferred, with normal
 // in-order semantics against the B-file and architectural memory.
-//
-//flea:hotpath
 func (m *Machine) executeDeferredB(d *pipeline.DynInst) bStatus {
 	in := d.In
 	m.col.Instruction()
@@ -420,7 +400,6 @@ func (m *Machine) executeDeferredB(d *pipeline.DynInst) bStatus {
 // predOnB evaluates the qualifying predicate against the B-file; p0 needs
 // no register read.
 //
-//flea:hotpath
 //flea:inline
 func (m *Machine) predOnB(in *isa.Decoded) bool {
 	return in.Always() || m.bst.Read(in.Pred) != 0
@@ -428,8 +407,6 @@ func (m *Machine) predOnB(in *isa.Decoded) bool {
 
 // setBReady scoreboards a decoded destination (isa.Decoded.Dest), which is
 // RegNone when nothing is written.
-//
-//flea:hotpath
 func (m *Machine) setBReady(r isa.Reg, at int64, fromLoad bool) {
 	if r == isa.RegNone {
 		return
@@ -441,8 +418,6 @@ func (m *Machine) setBReady(r isa.Reg, at int64, fromLoad bool) {
 // resolveBranchB resolves a deferred branch at B-DET. A misprediction here
 // flushes both pipes, the coupling queue and the front end, and repairs the
 // speculative A-file entries from the B-file (§3.6).
-//
-//flea:hotpath
 func (m *Machine) resolveBranchB(d *pipeline.DynInst, predOn bool) bStatus {
 	in := d.In
 	taken := false

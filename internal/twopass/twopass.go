@@ -162,13 +162,9 @@ func newCQRing(groups []cqGroup, capGroups int) cqRing {
 }
 
 // len returns the number of queued groups.
-//
-//flea:hotpath
 func (q *cqRing) len() int { return q.count }
 
 // at returns the i-th oldest queued group (0 is the head).
-//
-//flea:hotpath
 func (q *cqRing) at(i int) *cqGroup {
 	return &q.groups[q.slot(i)]
 }
@@ -177,7 +173,6 @@ func (q *cqRing) at(i int) *cqGroup {
 // wraps by compare-and-subtract: the capacity is not a constant, so % would
 // divide.
 //
-//flea:hotpath
 //flea:inline
 func (q *cqRing) slot(i int) int {
 	j := q.headIdx + i
@@ -189,8 +184,6 @@ func (q *cqRing) slot(i int) int {
 
 // pushTail claims the next free slot for group s, enqueued at enq. The
 // caller must have checked occupancy against CQSize.
-//
-//flea:hotpath
 func (q *cqRing) pushTail(s pipeline.Span, enq int64) {
 	*q.at(q.count) = cqGroup{Span: s, enq: enq}
 	q.count++
@@ -198,16 +191,12 @@ func (q *cqRing) pushTail(s pipeline.Span, enq int64) {
 
 // popHead discards the oldest group (its slot is reused by a later
 // pushTail).
-//
-//flea:hotpath
 func (q *cqRing) popHead() {
 	q.headIdx = q.slot(1)
 	q.count--
 }
 
 // truncate keeps the n oldest groups and discards the rest (tail squash).
-//
-//flea:hotpath
 func (q *cqRing) truncate(n int) { q.count = n }
 
 // Machine is one two-pass simulation instance.
@@ -391,8 +380,6 @@ func (m *Machine) Run() (*stats.Run, error) {
 // readA reports whether register r is consumable in the A-pipe at now, and
 // its value if so. A register is unusable either because its last writer was
 // deferred (V clear) or because its value is still in flight.
-//
-//flea:hotpath
 func (m *Machine) readA(r isa.Reg) (isa.Value, bool) {
 	if r == isa.RegNone || r.Hardwired() {
 		return isa.HardwiredValue(r), true
@@ -406,8 +393,6 @@ func (m *Machine) readA(r isa.Reg) (isa.Value, bool) {
 
 // writeA records an A-pipe result in the A-file. r is a decoded
 // destination (isa.Decoded.Dest): RegNone when nothing is written.
-//
-//flea:hotpath
 func (m *Machine) writeA(r isa.Reg, id uint64, v isa.Value, readyAt int64, fromLoad bool) {
 	if r == isa.RegNone {
 		return
@@ -418,8 +403,6 @@ func (m *Machine) writeA(r isa.Reg, id uint64, v isa.Value, readyAt int64, fromL
 // invalidateA clears the Valid bit of a deferred instruction's destination,
 // which transitively defers its consumers. r is a decoded destination other
 // than RegNone.
-//
-//flea:hotpath
 func (m *Machine) invalidateA(r isa.Reg, id uint64) {
 	e := &m.afile[r]
 	e.valid = false
@@ -431,8 +414,6 @@ func (m *Machine) invalidateA(r isa.Reg, id uint64) {
 // lands only if the A-file entry's DynID still names this instruction (no
 // younger write intervened), arriving FeedbackLatency cycles after the
 // result is produced. r is a decoded destination (isa.Decoded.Dest).
-//
-//flea:hotpath
 func (m *Machine) feedback(r isa.Reg, id uint64, v isa.Value, producedAt int64) {
 	if m.cfg.FeedbackLatency < 0 || r == isa.RegNone {
 		return
@@ -463,8 +444,6 @@ const RepairBandwidth = 8
 // was squashed (ID ≥ flushID), is overwritten with the architectural value.
 // It returns the number of registers repaired, which determines the
 // recovery latency.
-//
-//flea:hotpath
 func (m *Machine) repairAFile(flushID uint64) (repaired int) {
 	for r := range m.afile {
 		reg := isa.Reg(r)
@@ -483,8 +462,6 @@ func (m *Machine) repairAFile(flushID uint64) (repaired int) {
 // snapshotAFile records the A-file for checkpoint repair when a branch
 // defers. Snapshot arrays are recycled through cpFree so steady-state
 // checkpointing does not allocate.
-//
-//flea:hotpath
 func (m *Machine) snapshotAFile(branchID uint64) {
 	if !m.cfg.CheckpointRepair {
 		return
@@ -504,8 +481,6 @@ func (m *Machine) snapshotAFile(branchID uint64) {
 
 // dropCheckpoint discards a branch's snapshot (on retirement or squash) and
 // recycles its storage.
-//
-//flea:hotpath
 func (m *Machine) dropCheckpoint(id uint64) {
 	for i, e := range m.checkpoints {
 		if e.id != id {
@@ -519,8 +494,6 @@ func (m *Machine) dropCheckpoint(id uint64) {
 
 // restoreCheckpoint reinstates the A-file as of the mispredicted branch's
 // dispatch; reports whether a snapshot existed.
-//
-//flea:hotpath
 func (m *Machine) restoreCheckpoint(branchID uint64) bool {
 	for i := len(m.checkpoints) - 1; i >= 0; i-- {
 		if m.checkpoints[i].id == branchID {
@@ -534,8 +507,6 @@ func (m *Machine) restoreCheckpoint(branchID uint64) bool {
 // squashCQFrom removes every queued instruction with ID ≥ flushID, along
 // with its store-buffer and ALAT footprint, by pulling the ring's tail back
 // to the first of them.
-//
-//flea:hotpath
 func (m *Machine) squashCQFrom(flushID uint64) {
 	for gi := 0; gi < m.cq.len(); gi++ {
 		g := m.cq.at(gi)
@@ -564,8 +535,6 @@ func (m *Machine) squashCQFrom(flushID uint64) {
 }
 
 // uncount reverses the queue-occupancy bookkeeping of a squashed entry.
-//
-//flea:hotpath
 func (m *Machine) uncount(d *pipeline.DynInst) {
 	m.cqCount--
 	if d.Deferred {
