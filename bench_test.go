@@ -26,6 +26,7 @@ import (
 	"fleaflicker/internal/arch"
 	"fleaflicker/internal/core"
 	"fleaflicker/internal/experiments"
+	"fleaflicker/internal/progen"
 	"fleaflicker/internal/sched"
 	"fleaflicker/internal/stats"
 	"fleaflicker/internal/trace"
@@ -232,7 +233,9 @@ func BenchmarkThrottleSweep(b *testing.B) {
 }
 
 func BenchmarkScheduler(b *testing.B) {
-	p := workload.Random(77, workload.DefaultRandomConfig())
+	cfg := progen.DefaultConfig()
+	cfg.MaxGroup = 1
+	p := progen.Generate(77, cfg)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, _, err := sched.Schedule(p, sched.DefaultConfig()); err != nil {

@@ -61,14 +61,9 @@ func main() {
 		os.Exit(replay(ctx, *repro, *smoke, *ckpt))
 	}
 
-	gen := progen.DefaultConfig()
-	cells := diffsim.DefaultLattice()
+	cells, gen := diffsim.DefaultLattice(), progen.DefaultConfig()
 	if *smoke {
-		cells = diffsim.SmokeLattice()
-		gen.OuterTrips = 2
-		gen.BodyActions = 12
-		gen.ArrayBytes = 4 << 10
-		gen.ChainNodes = 8
+		cells, gen = diffsim.SmokeLattice(), progen.SmokeConfig()
 	}
 	if *trips > 0 {
 		gen.OuterTrips = *trips

@@ -1,6 +1,8 @@
 // Command fleasim runs a single program on a single machine model and
 // prints its statistics. The program is either a named suite benchmark
-// (-bench), a seeded random program (-random), or an assembly file.
+// (-bench), a generated program (-random SEED: progen.Generate at
+// DefaultConfig, the program fleafuzz checks for that seed without -smoke),
+// or an assembly file.
 //
 // Usage:
 //
@@ -33,6 +35,7 @@ import (
 
 	"fleaflicker/internal/core"
 	"fleaflicker/internal/mem"
+	"fleaflicker/internal/progen"
 	"fleaflicker/internal/program"
 	"fleaflicker/internal/sched"
 	"fleaflicker/internal/stats"
@@ -44,7 +47,7 @@ func main() {
 	var (
 		modelName    = flag.String("model", "2P", "machine model: base, 2P, 2Pre, runahead")
 		benchName    = flag.String("bench", "", "run a named suite benchmark")
-		randomSeed   = flag.Int64("random", -1, "run a generated random program with this seed")
+		randomSeed   = flag.Int64("random", -1, "run the progen program (DefaultConfig) for this seed")
 		verify       = flag.Bool("verify", false, "check final state against the reference executor")
 		doSched      = flag.Bool("sched", false, "re-schedule the input program before running (files only)")
 		feedback     = flag.Int("feedback", 0, "two-pass B->A feedback latency (-1 disables)")
@@ -195,7 +198,7 @@ func loadProgram(bench string, seed int64, args []string, reschedule bool) (*pro
 		}
 		return b.Program(), nil
 	case seed >= 0:
-		return workload.Random(seed, workload.DefaultRandomConfig()), nil
+		return progen.Generate(seed, progen.DefaultConfig()), nil
 	case len(args) == 1:
 		src, err := os.ReadFile(args[0])
 		if err != nil {

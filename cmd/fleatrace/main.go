@@ -3,6 +3,8 @@
 // dispatched (executed or deferred), what the B-pipe retired or stalled on,
 // and every flush. The text view is rendered from the same trace.Event
 // stream the machines emit; -chrome and -jsonl export that stream instead.
+// -random SEED traces progen.Generate's program for SEED at DefaultConfig,
+// the program fleafuzz checks for that seed without -smoke.
 //
 // Usage:
 //
@@ -17,6 +19,7 @@ import (
 	"os"
 
 	"fleaflicker/internal/core"
+	"fleaflicker/internal/progen"
 	"fleaflicker/internal/program"
 	"fleaflicker/internal/trace"
 	"fleaflicker/internal/workload"
@@ -25,7 +28,7 @@ import (
 func main() {
 	var (
 		benchName  = flag.String("bench", "", "trace a named suite benchmark")
-		randomSeed = flag.Int64("random", -1, "trace a generated random program")
+		randomSeed = flag.Int64("random", -1, "trace the progen program (DefaultConfig) for this seed")
 		from       = flag.Int64("from", 0, "first cycle to print")
 		cycles     = flag.Int64("cycles", 200, "number of cycles to print")
 		regroup    = flag.Bool("regroup", false, "enable B-pipe instruction regrouping (2Pre)")
@@ -120,7 +123,7 @@ func loadProgram(bench string, seed int64, args []string) (*program.Program, err
 		}
 		return b.Program(), nil
 	case seed >= 0:
-		return workload.Random(seed, workload.DefaultRandomConfig()), nil
+		return progen.Generate(seed, progen.DefaultConfig()), nil
 	case len(args) == 1:
 		src, err := os.ReadFile(args[0])
 		if err != nil {

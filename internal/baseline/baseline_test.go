@@ -6,9 +6,9 @@ import (
 	"testing"
 
 	"fleaflicker/internal/arch"
+	"fleaflicker/internal/progen"
 	"fleaflicker/internal/program"
 	"fleaflicker/internal/stats"
-	"fleaflicker/internal/workload"
 )
 
 // runBoth executes src on the reference executor and the baseline machine
@@ -334,10 +334,10 @@ func TestRejectsMalformedProgram(t *testing.T) {
 }
 
 func TestIndirectBranchFuzz(t *testing.T) {
-	rcfg := workload.DefaultRandomConfig()
-	rcfg.IndirectBranches = true
+	gcfg := progen.DefaultConfig()
+	gcfg.WeightIndirect = 3
 	for seed := int64(120); seed < 125; seed++ {
-		p := workload.Random(seed, rcfg)
+		p := progen.Generate(seed, gcfg)
 		ref, err := arch.Run(p, 10_000_000)
 		if err != nil {
 			t.Fatal(err)

@@ -3,9 +3,9 @@ package baseline
 import (
 	"testing"
 
+	"fleaflicker/internal/progen"
 	"fleaflicker/internal/program"
 	"fleaflicker/internal/stats"
-	"fleaflicker/internal/workload"
 )
 
 // newRA builds the run-ahead machine over p with the default episode
@@ -89,9 +89,9 @@ func TestRunaheadRandomEquivalence(t *testing.T) {
 		seeds = seeds[:2]
 	}
 	for _, seed := range seeds {
-		rcfg := workload.DefaultRandomConfig()
-		rcfg.ArrayBytes = 1 << 20
-		p := workload.Random(seed, rcfg)
+		gcfg := progen.DefaultConfig()
+		gcfg.ArrayBytes = 1 << 20
+		p := progen.Generate(seed, gcfg)
 		r := runRA(t, p)
 		if err := r.CheckInvariants(); err != nil {
 			t.Errorf("seed %d: %v", seed, err)
@@ -144,9 +144,9 @@ warm:   addi r9 = r9, -1 ;;
 }
 
 func TestRunaheadIndirectBranchFuzz(t *testing.T) {
-	rcfg := workload.DefaultRandomConfig()
-	rcfg.IndirectBranches = true
+	gcfg := progen.DefaultConfig()
+	gcfg.WeightIndirect = 3
 	for seed := int64(130); seed < 134; seed++ {
-		runRA(t, workload.Random(seed, rcfg))
+		runRA(t, progen.Generate(seed, gcfg))
 	}
 }

@@ -7,9 +7,7 @@ import (
 	"time"
 
 	"fleaflicker/internal/core"
-	"fleaflicker/internal/diffsim"
 	"fleaflicker/internal/experiments"
-	"fleaflicker/internal/progen"
 	"fleaflicker/internal/service"
 	"fleaflicker/internal/service/client"
 	"fleaflicker/internal/stats"
@@ -509,56 +507,19 @@ type fuzzShardReport struct {
 	Findings        []fuzzFindingSummary `json:"findings,omitempty"`
 }
 
-// fuzzGenConfig mirrors the serving layer's generator shaping (service
-// fuzzGen), so a local shard and a service shard check byte-identical
-// program populations and the two backends produce the same artifacts.
-func fuzzGenConfig(smoke bool) progen.Config {
-	gen := progen.DefaultConfig()
-	if smoke {
-		gen.OuterTrips = 2
-		gen.BodyActions = 12
-		gen.ArrayBytes = 4 << 10
-		gen.ChainNodes = 8
-	}
-	return gen
-}
-
-// runFuzzShard checks one seed range, locally or through a kind-"fuzz"
-// service job (which the server chunks and caches per seed range).
+// runFuzzShard checks one seed range, locally through the serving layer's
+// chunk runner or through a kind-"fuzz" service job (which the server
+// chunks and caches per seed range), so both backends check the same
+// campaign and produce the same artifact.
 func runFuzzShard(ctx context.Context, env Env, spec fuzzShardSpec) (*fuzzShardReport, error) {
 	if env.Service == nil {
-		cells := diffsim.DefaultLattice()
-		if spec.Smoke {
-			cells = diffsim.SmokeLattice()
-		}
-		st, err := diffsim.RunCampaign(ctx, diffsim.CampaignConfig{
-			SeedBase:        spec.SeedBase,
-			Programs:        spec.Programs,
-			Gen:             fuzzGenConfig(spec.Smoke),
-			Cells:           cells,
-			Shrink:          true,
-			CheckpointEvery: diffsim.AutoCheckpoint,
-		})
+		fr, err := service.DefaultFuzzRunner(ctx, service.UnitSpec{Fuzz: &service.FuzzUnit{
+			SeedBase: spec.SeedBase, Programs: spec.Programs, Smoke: spec.Smoke, Shrink: true, Checkpoint: true,
+		}})
 		if err != nil {
 			return nil, err
 		}
-		rep := &fuzzShardReport{
-			Programs:        st.Programs,
-			Skipped:         st.Skipped,
-			CellRuns:        st.CellRuns,
-			RefInstructions: st.RefInstructions,
-		}
-		for _, f := range st.Findings {
-			fs := fuzzFindingSummary{Seed: f.Seed}
-			for _, d := range f.Divergences {
-				fs.Cells = append(fs.Cells, d.Cell.String())
-			}
-			if f.Minimized != nil {
-				fs.MinimizedInsts = len(f.Minimized.Insts)
-			}
-			rep.Findings = append(rep.Findings, fs)
-		}
-		return rep, nil
+		return shardReport(fr), nil
 	}
 	st, err := runServiceJob(ctx, env.Service, service.JobSpec{
 		Kind: "fuzz",
@@ -568,12 +529,20 @@ func runFuzzShard(ctx context.Context, env Env, spec fuzzShardSpec) (*fuzzShardR
 	if err != nil {
 		return nil, err
 	}
-	rep := &fuzzShardReport{}
+	var frs []*service.FuzzReport
 	for _, u := range st.Units {
 		if u.Result == nil || u.Result.Fuzz == nil {
 			return nil, fmt.Errorf("fuzz job %s: unit %s has no fuzz report", st.ID, u.Key)
 		}
-		fr := u.Result.Fuzz
+		frs = append(frs, u.Result.Fuzz)
+	}
+	return shardReport(frs...), nil
+}
+
+// shardReport sums chunk reports into one shard artifact.
+func shardReport(frs ...*service.FuzzReport) *fuzzShardReport {
+	rep := &fuzzShardReport{}
+	for _, fr := range frs {
 		rep.Programs += fr.Programs
 		rep.Skipped += fr.Skipped
 		rep.CellRuns += fr.CellRuns
@@ -584,7 +553,7 @@ func runFuzzShard(ctx context.Context, env Env, spec fuzzShardSpec) (*fuzzShardR
 			})
 		}
 	}
-	return rep, nil
+	return rep
 }
 
 // FuzzCampaign builds the differential-fuzzing pipeline: plan → sharded

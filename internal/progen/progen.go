@@ -1,12 +1,14 @@
-// Package progen generates seed-deterministic random EPIC programs for the
-// differential fuzzer (internal/diffsim). Unlike workload.Random — which
-// emits one instruction per issue group and targets realistic benchmark
-// signatures — progen packs multi-instruction issue groups up to the machine
-// width and aims squarely at the corners where the machine models can
-// disagree: bounded-trip loops, pointer chains, store-to-load aliasing at
-// configurable distances, dangling deferred-load results that no consumer
-// ever reads, ALAT-style load/store conflicts, and data-dependent branches
-// that force A-DET and B-DET repairs.
+// Package progen generates seed-deterministic random EPIC programs: the
+// differential fuzzer's (internal/diffsim) population, the random-program
+// tests of the machine models and scheduler, and the -random programs of
+// cmd/fleasim and cmd/fleatrace. It packs multi-instruction issue groups up
+// to the machine width (MaxGroup 1 gives one instruction per group, the
+// input sched.Schedule expects) and aims squarely at the corners where the
+// machine models can disagree: bounded-trip loops, pointer chains,
+// store-to-load aliasing at configurable distances, dangling deferred-load
+// results that no consumer ever reads, ALAT-style load/store conflicts,
+// data-dependent branches that force A-DET and B-DET repairs, and computed
+// br.ind jumps through the BTB.
 //
 // Generation is a pure function of (seed, Config): the same pair yields the
 // same program in any process, which is what makes corpus seeds and shrunk
@@ -36,6 +38,11 @@ type Config struct {
 	WeightAlias    int // store/load pairs to one address at AliasDistance
 	WeightDangling int // loads into registers no instruction ever reads
 	WeightLoop     int // bounded-trip inner loops
+	// WeightIndirect weights computed two-way br.ind jumps, which exercise
+	// the BTB and the fetch-stall (no-prediction) path. Programs with them
+	// cannot pass through sched.Schedule or sched.IfConvert, which cannot
+	// remap a computed target.
+	WeightIndirect int
 
 	// PredPercent is the probability (0-100) that an eligible instruction
 	// carries a qualifying predicate.
@@ -68,8 +75,8 @@ type Config struct {
 	FUs        [isa.NumFUClasses]int
 }
 
-// DefaultConfig returns a mix exercising every action against the Table 1
-// machine shape.
+// DefaultConfig returns a mix exercising every action but computed jumps
+// (WeightIndirect 0) against the Table 1 machine shape.
 func DefaultConfig() Config {
 	return Config{
 		WeightALU:      8,
@@ -95,6 +102,19 @@ func DefaultConfig() Config {
 	}
 }
 
+// SmokeConfig returns DefaultConfig trimmed to the smoke budget (two outer
+// trips of 12 actions over a 4 KiB array and an 8-node chain), so a CI
+// campaign of thousands of programs finishes in seconds. It is the
+// generator's counterpart to diffsim.SmokeLattice.
+func SmokeConfig() Config {
+	cfg := DefaultConfig()
+	cfg.OuterTrips = 2
+	cfg.BodyActions = 12
+	cfg.ArrayBytes = 4 << 10
+	cfg.ChainNodes = 8
+	return cfg
+}
+
 // Register conventions. Working registers are the pool actions read and
 // write; dead registers are only ever written (their loads' results dangle
 // in the CQ/CRS with no consumer); the rest are structural.
@@ -103,6 +123,8 @@ const (
 	deadLo, deadHi = 35, 39
 	addrReg        = 40 // masked array address
 	aliasReg       = 41 // pinned address of the current alias pair
+	jumpReg        = 42 // computed br.ind target
+	parityReg      = 43 // the bit that picks a computed jump's target
 	leafLo         = 30 // r30-r32 leaf-local
 	arrayBase      = 50
 	chainPtr       = 52 // current pointer-chain position
@@ -170,6 +192,22 @@ func (g *gen) emit(in isa.Inst) {
 		g.closeGroup()
 	}
 	g.b.Emit(in)
+	g.placed(&in)
+}
+
+// movLabel loads label's address into dst under pred, packed like any other
+// instruction.
+func (g *gen) movLabel(pred, dst isa.Reg, label string) {
+	in := isa.Inst{Op: isa.OpMovI, Pred: pred, Dst: dst, Src1: isa.RegNone, Src2: isa.RegNone}
+	if !g.fits(&in) {
+		g.closeGroup()
+	}
+	g.b.MovLabel(pred, dst, label)
+	g.placed(&in)
+}
+
+// placed records in, just emitted, in the open group's state.
+func (g *gen) placed(in *isa.Inst) {
 	g.groupLen++
 	g.classCount[in.Op.Class()]++
 	if in.HasDest() {
@@ -362,12 +400,32 @@ func (g *gen) actLoop() {
 	g.br(isa.P(14), lbl)
 }
 
+// actIndirect jumps through br.ind to one of two targets picked by a data
+// bit, then rejoins.
+func (g *gen) actIndirect() {
+	n := g.nextLabel
+	g.nextLabel++
+	aL, bL, jL := fmt.Sprintf("ind%dA", n), fmt.Sprintf("ind%dB", n), fmt.Sprintf("ind%dJ", n)
+	p := g.predReg()
+	g.emit(isa.Inst{Op: isa.OpAndI, Dst: isa.R(parityReg), Src1: g.intReg(), Src2: isa.RegNone, Imm: 1})
+	g.emit(isa.Inst{Op: isa.OpCmpEqI, Dst: p, Src1: isa.R(parityReg), Src2: isa.RegNone, Imm: 0})
+	g.movLabel(isa.P(0), isa.R(jumpReg), aL)
+	g.movLabel(p, isa.R(jumpReg), bL)
+	g.emit(isa.Inst{Op: isa.OpBrInd, Dst: isa.RegNone, Src1: isa.R(jumpReg), Src2: isa.RegNone})
+	g.label(aL)
+	g.emit(isa.Inst{Op: isa.OpXorI, Dst: g.intReg(), Src1: g.intReg(), Src2: isa.RegNone, Imm: 3})
+	g.br(isa.P(0), jL)
+	g.label(bL)
+	g.emit(isa.Inst{Op: isa.OpAddI, Dst: g.intReg(), Src1: g.intReg(), Src2: isa.RegNone, Imm: 5})
+	g.label(jL)
+}
+
 // Generate builds a deterministic pseudo-random program from seed. The
 // program always terminates: its backward branches are counted loops,
-// forward branches only skip ahead, calls reach leaf functions that return,
-// and every memory access lands inside the program's own data footprint.
-// The result satisfies program.Validate for the configured machine shape;
-// a violation is a generator bug and panics.
+// forward and computed branches only skip ahead, calls reach leaf functions
+// that return, and every memory access lands inside the program's own data
+// footprint. The result satisfies program.Validate for the configured
+// machine shape; a violation is a generator bug and panics.
 func Generate(seed int64, cfg Config) *program.Program {
 	if cfg.IssueWidth <= 0 {
 		cfg.IssueWidth = 8
@@ -456,6 +514,7 @@ func Generate(seed int64, cfg Config) *program.Program {
 		{cfg.WeightLoop, g.actLoop},
 		{cfg.WeightBranch, func() { pendings = g.actBranch(pendings) }},
 		{cfg.WeightCall, func() { g.call(fmt.Sprintf("leaf%d", g.rng.Intn(nLeaves))) }},
+		{cfg.WeightIndirect, g.actIndirect},
 	}
 	total := 0
 	for _, a := range actions {

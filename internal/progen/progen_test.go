@@ -12,16 +12,27 @@ import (
 	"fleaflicker/internal/isa"
 )
 
+// TestGeneratedProgramsValidateAndHalt runs DefaultConfig's programs, and
+// programs with computed jumps both packed and one instruction per group,
+// to completion.
 func TestGeneratedProgramsValidateAndHalt(t *testing.T) {
-	cfg := DefaultConfig()
-	for seed := int64(0); seed < 25; seed++ {
-		p := Generate(seed, cfg) // Generate panics if Validate fails
-		res, err := arch.Run(p, 5_000_000)
-		if err != nil {
-			t.Fatalf("seed %d: reference execution failed: %v", seed, err)
-		}
-		if res.Instructions == 0 {
-			t.Fatalf("seed %d: program executed no instructions", seed)
+	indirect := DefaultConfig()
+	indirect.WeightIndirect = 3
+	single := indirect
+	single.MaxGroup = 1
+	for _, tc := range []struct {
+		name string
+		cfg  Config
+	}{{"default", DefaultConfig()}, {"indirect", indirect}, {"indirect-single", single}} {
+		for seed := int64(0); seed < 25; seed++ {
+			p := Generate(seed, tc.cfg) // Generate panics if Validate fails
+			res, err := arch.Run(p, 5_000_000)
+			if err != nil {
+				t.Fatalf("%s seed %d: reference execution failed: %v", tc.name, seed, err)
+			}
+			if res.Instructions == 0 {
+				t.Fatalf("%s seed %d: program executed no instructions", tc.name, seed)
+			}
 		}
 	}
 }
@@ -62,13 +73,62 @@ func TestZeroWeightDisablesAction(t *testing.T) {
 			t.Fatalf("inst %d: call emitted with WeightCall=0", i)
 		}
 	}
+	// DefaultConfig leaves computed jumps off, so its programs stay
+	// schedulable by sched.Schedule.
+	for seed := int64(0); seed < 50; seed++ {
+		for i, in := range Generate(seed, DefaultConfig()).Insts {
+			if in.Op == isa.OpBrInd {
+				t.Fatalf("seed %d inst %d: br.ind emitted by DefaultConfig", seed, i)
+			}
+		}
+	}
 }
 
-// genHash is the digest compared across processes by the determinism test.
+// TestOpCoverageFloor pins the operations the generator reaches with every
+// action on: a weight or action change that silently stops emitting one of
+// them fails here. The list is every operation the second generator that
+// progen replaced emitted, plus the ones only progen emits.
+func TestOpCoverageFloor(t *testing.T) {
+	want := []string{
+		"add", "addi", "and", "andi", "br", "br.call", "br.ind", "br.ret",
+		"cmp.eq", "cmp.le", "cmp.leu", "cmp.lt", "cmp.ltu", "cmp.ne",
+		"cmpi.eq", "cmpi.ne", "f2i", "fadd", "fcmp.lt", "fmul", "fsub",
+		"halt", "i2f", "ld4", "movi", "mul", "or", "ori", "sar", "sari",
+		"shl", "shli", "shri", "st1", "st2", "st4", "sub", "xor", "xori",
+	}
+	cfg := DefaultConfig()
+	cfg.WeightIndirect = 3
+	seen := map[string]bool{}
+	for seed := int64(0); seed < 500; seed++ {
+		for _, in := range Generate(seed, cfg).Insts {
+			seen[in.Op.String()] = true
+		}
+	}
+	for _, op := range want {
+		if !seen[op] {
+			t.Errorf("seeds 0-499 never emit %s", op)
+		}
+	}
+}
+
+// pinnedDigest is genHash at the commit that introduced it. DefaultConfig's
+// programs are the fuzz campaigns' and perfbench's populations and every
+// corpus seed's meaning, so changing them must be a deliberate act that
+// updates this constant.
+const pinnedDigest = "101daca4826bfd421ccac8f9dc306926b3fb71b63040279c8c5f7a466e06920c"
+
+func TestGenerateMatchesPinnedDigest(t *testing.T) {
+	if got := genHash(); got != pinnedDigest {
+		t.Fatalf("DefaultConfig seeds 0-499 digest %s, pinned %s", got, pinnedDigest)
+	}
+}
+
+// genHash is the sha256 of the concatenated MarshalFlea of DefaultConfig
+// seeds 0-499, compared across processes and with pinnedDigest.
 func genHash() string {
 	cfg := DefaultConfig()
 	h := sha256.New()
-	for seed := int64(0); seed < 8; seed++ {
+	for seed := int64(0); seed < 500; seed++ {
 		h.Write(Generate(seed, cfg).MarshalFlea())
 	}
 	return fmt.Sprintf("%x", h.Sum(nil))

@@ -6,6 +6,7 @@ package program
 
 import (
 	"fmt"
+	"sort"
 	"strings"
 
 	"fleaflicker/internal/isa"
@@ -141,15 +142,18 @@ func (p *Program) Validate(issueWidth int, fuCounts [isa.NumFUClasses]int) error
 }
 
 // Dump renders the program as assembly text with group separators, for
-// debugging and the trace tool.
+// debugging and the trace tool. Every label at a PC is printed, in sorted
+// order, so the text is the same on every call.
 func (p *Program) Dump() string {
-	rev := make(map[int32]string, len(p.Labels))
+	rev := make(map[int32][]string, len(p.Labels))
 	for name, pc := range p.Labels {
-		rev[pc] = name
+		rev[pc] = append(rev[pc], name)
 	}
 	var b strings.Builder
 	for i := range p.Insts {
-		if name, ok := rev[int32(i)]; ok {
+		names := rev[int32(i)]
+		sort.Strings(names)
+		for _, name := range names {
 			fmt.Fprintf(&b, "%s:\n", name)
 		}
 		fmt.Fprintf(&b, "%5d:  %s\n", i, p.Insts[i].String())

@@ -350,6 +350,29 @@ func TestDump(t *testing.T) {
 	}
 }
 
+// TestDumpSharedPCLabels pins Dump's text when several labels share a PC:
+// it prints all of them, in sorted order, identically on every call.
+func TestDumpSharedPCLabels(t *testing.T) {
+	p := MustAssemble("shared", `
+        movi r1 = 1 ;;
+zeta:
+alpha:  addi r1 = r1, 1 ;;
+        halt ;;
+`)
+	want := p.Dump()
+	if !strings.Contains(want, "alpha:\nzeta:\n") {
+		t.Fatalf("Dump does not list both labels at PC 1 in sorted order:\n%s", want)
+	}
+	for i := 0; i < 20; i++ {
+		if got := p.Dump(); got != want {
+			t.Fatalf("call %d: Dump changed:\n%s\nfirst call:\n%s", i, got, want)
+		}
+	}
+	if _, err := Assemble("roundtrip", want); err != nil {
+		t.Fatalf("reassembling Dump output: %v\n%s", err, want)
+	}
+}
+
 // Round-trip property: assembling Dump's output reproduces the instruction
 // stream exactly (text labels collapse to @N targets, which the assembler
 // accepts).

@@ -5,10 +5,10 @@ import (
 
 	"fleaflicker/internal/arch"
 	"fleaflicker/internal/baseline"
+	"fleaflicker/internal/progen"
 	"fleaflicker/internal/program"
 	"fleaflicker/internal/sched"
 	"fleaflicker/internal/twopass"
-	"fleaflicker/internal/workload"
 )
 
 func DefaultConfig() sched.Config { return sched.DefaultConfig() }
@@ -25,15 +25,15 @@ func MustSchedule(p *program.Program, cfg sched.Config) *program.Program {
 // on the reference executor AND on both timed machines, while increasing
 // issue-group density.
 func TestScheduledRandomProgramsEquivalent(t *testing.T) {
-	rcfg := workload.DefaultRandomConfig()
-	rcfg.Calls = true
+	gcfg := progen.DefaultConfig()
+	gcfg.MaxGroup = 1
 	seeds := []int64{101, 102, 103, 104, 105, 106}
 	if testing.Short() {
 		seeds = seeds[:2]
 	}
 	denser := 0
 	for _, seed := range seeds {
-		p := workload.Random(seed, rcfg)
+		p := progen.Generate(seed, gcfg)
 		out, st, err := Schedule(p, DefaultConfig())
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
@@ -77,9 +77,10 @@ func TestScheduledRandomProgramsEquivalent(t *testing.T) {
 func TestScheduledProgramsRunFaster(t *testing.T) {
 	// Denser groups should reduce baseline cycles on a compute-heavy
 	// random program (small footprint: few cache misses).
-	rcfg := workload.DefaultRandomConfig()
-	rcfg.ArrayBytes = 4 << 10
-	p := workload.Random(200, rcfg)
+	gcfg := progen.DefaultConfig()
+	gcfg.ArrayBytes = 4 << 10
+	gcfg.MaxGroup = 1
+	p := progen.Generate(200, gcfg)
 	out := MustSchedule(p, DefaultConfig())
 
 	run := func(q *program.Program) int64 {
@@ -103,13 +104,15 @@ func TestScheduledProgramsRunFaster(t *testing.T) {
 // If-conversion followed by scheduling must preserve semantics on random
 // programs, across the reference executor and both timed machines.
 func TestIfConvertedRandomProgramsEquivalent(t *testing.T) {
+	gcfg := progen.DefaultConfig()
+	gcfg.MaxGroup = 1
 	seeds := []int64{501, 502, 503, 504, 505}
 	if testing.Short() {
 		seeds = seeds[:2]
 	}
 	converted := 0
 	for _, seed := range seeds {
-		p := workload.Random(seed, workload.DefaultRandomConfig())
+		p := progen.Generate(seed, gcfg)
 		conv, st, err := sched.IfConvert(p, 4)
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)

@@ -124,25 +124,16 @@ func (s *JobSpec) expandFuzz(limit int) ([]UnitSpec, error) {
 	return units, nil
 }
 
-// fuzzGen returns the generator shape for a fuzz unit. Smoke trims dynamic
-// instruction counts so a CI chunk finishes in seconds.
-func fuzzGen(smoke bool) progen.Config {
-	gen := progen.DefaultConfig()
-	if smoke {
-		gen.OuterTrips = 2
-		gen.BodyActions = 12
-		gen.ArrayBytes = 4 << 10
-		gen.ChainNodes = 8
-	}
-	return gen
-}
-
-// defaultFuzzRunner runs one chunk's differential campaign.
-func defaultFuzzRunner(ctx context.Context, u UnitSpec) (*FuzzReport, error) {
+// DefaultFuzzRunner runs one chunk's differential campaign: the default
+// lattice and generator shape, or with Smoke the smoke lattice and
+// progen.SmokeConfig. It is the Manager's default FuzzRunner, and
+// fleaflow's in-process fuzz shards call it too, so a shard checks the same
+// campaign locally as through a daemon.
+func DefaultFuzzRunner(ctx context.Context, u UnitSpec) (*FuzzReport, error) {
 	fz := u.Fuzz
-	cells := diffsim.DefaultLattice()
+	cells, gen := diffsim.DefaultLattice(), progen.DefaultConfig()
 	if fz.Smoke {
-		cells = diffsim.SmokeLattice()
+		cells, gen = diffsim.SmokeLattice(), progen.SmokeConfig()
 	}
 	var ckpt int64
 	if fz.Checkpoint {
@@ -151,7 +142,7 @@ func defaultFuzzRunner(ctx context.Context, u UnitSpec) (*FuzzReport, error) {
 	st, err := diffsim.RunCampaign(ctx, diffsim.CampaignConfig{
 		SeedBase:        fz.SeedBase,
 		Programs:        fz.Programs,
-		Gen:             fuzzGen(fz.Smoke),
+		Gen:             gen,
 		Cells:           cells,
 		Shrink:          fz.Shrink,
 		CheckpointEvery: ckpt,

@@ -170,7 +170,7 @@ func New(cfg Config, opts ...Option) *Manager {
 		reg:        reg,
 		met:        met,
 		cache:      newResultCache(cfg.CacheEntries, met),
-		fuzzRunner: defaultFuzzRunner,
+		fuzzRunner: DefaultFuzzRunner,
 		latency:    &LatencyHistogram{},
 		started:    time.Now(),
 		jobs:       make(map[string]*Job),

@@ -8,9 +8,9 @@ import (
 
 	"fleaflicker/internal/arch"
 	"fleaflicker/internal/baseline"
+	"fleaflicker/internal/progen"
 	"fleaflicker/internal/program"
 	"fleaflicker/internal/stats"
-	"fleaflicker/internal/workload"
 )
 
 // runTP simulates src on a two-pass machine with the given config and
@@ -24,12 +24,21 @@ func runTP(t *testing.T, cfg Config, src string) *stats.Run {
 	return runProg(t, cfg, p)
 }
 
+// runProg simulates p on a two-pass machine with cfg and checks its final
+// state and retired-instruction count against the reference executor. The
+// timed run is capped at cyclesPerRefInstruction cycles per reference
+// instruction plus cyclesSlack: far above what a correct machine needs (at
+// most about 90 on the five-instruction hand-written programs, about 4 on
+// generated ones), so a livelock fails in milliseconds instead of spinning
+// to the default MaxCycles.
 func runProg(t *testing.T, cfg Config, p *program.Program) *stats.Run {
 	t.Helper()
+	const cyclesPerRefInstruction, cyclesSlack = 50, 5_000
 	ref, err := arch.Run(p, 50_000_000)
 	if err != nil {
 		t.Fatal(err)
 	}
+	cfg.MaxCycles = cyclesPerRefInstruction*ref.Instructions + cyclesSlack
 	m, err := New(cfg, p)
 	if err != nil {
 		t.Fatal(err)
@@ -358,7 +367,7 @@ loop:   add r6 = r5, r9 ;;        // reads last iteration's r5
 }
 
 func TestFeedbackLatencyMonotonic(t *testing.T) {
-	p := workload.Random(7, workload.DefaultRandomConfig())
+	p := progen.Generate(7, progen.DefaultConfig())
 	var deferred []int64
 	for _, lat := range []int{0, 4, 16} {
 		cfg := DefaultConfig()
@@ -404,7 +413,7 @@ func TestStallOnAnticipable(t *testing.T) {
 func TestFiniteALATFalsePositivesStillCorrect(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.ALATCapacity = 2 // absurdly small: many false conflicts
-	p := workload.Random(3, workload.DefaultRandomConfig())
+	p := progen.Generate(3, progen.DefaultConfig())
 	r := runProg(t, cfg, p)
 	_ = r
 }
@@ -476,7 +485,7 @@ outer:  cmpi.ne p2 = r50, 0 ;;
 }
 
 func TestMispredictSplitRecorded(t *testing.T) {
-	p := workload.Random(11, workload.DefaultRandomConfig())
+	p := progen.Generate(11, progen.DefaultConfig())
 	r := runProg(t, DefaultConfig(), p)
 	if r.MispredictsA+r.MispredictsB == 0 {
 		t.Errorf("random program produced no mispredictions at all")
@@ -504,7 +513,7 @@ func TestRandomProgramEquivalence(t *testing.T) {
 	for name, mk := range cfgs {
 		t.Run(name, func(t *testing.T) {
 			for _, seed := range seeds {
-				p := workload.Random(seed, workload.DefaultRandomConfig())
+				p := progen.Generate(seed, progen.DefaultConfig())
 				r := runProg(t, mk(), p)
 				if err := r.CheckInvariants(); err != nil {
 					t.Errorf("seed %d: %v", seed, err)
@@ -519,11 +528,11 @@ func TestRandomProgramEquivalenceStressed(t *testing.T) {
 	if testing.Short() {
 		t.Skip("stress test")
 	}
-	rcfg := workload.DefaultRandomConfig()
-	rcfg.ArrayBytes = 4 << 20 // blow out the L3
-	rcfg.Iterations = 20
+	gcfg := progen.DefaultConfig()
+	gcfg.ArrayBytes = 4 << 20 // blow out the L3
+	gcfg.OuterTrips = 20
 	for seed := int64(20); seed < 26; seed++ {
-		p := workload.Random(seed, rcfg)
+		p := progen.Generate(seed, gcfg)
 		cfg := DefaultConfig()
 		cfg.Regroup = seed%2 == 0
 		runProg(t, cfg, p)
@@ -533,7 +542,7 @@ func TestRandomProgramEquivalenceStressed(t *testing.T) {
 // Differential cycle accounting: every configuration's classes sum to total.
 func TestInvariantsAcrossSeeds(t *testing.T) {
 	for seed := int64(30); seed < 34; seed++ {
-		p := workload.Random(seed, workload.DefaultRandomConfig())
+		p := progen.Generate(seed, progen.DefaultConfig())
 		r := runProg(t, DefaultConfig(), p)
 		var sum int64
 		for _, c := range r.ByClass {
@@ -547,10 +556,10 @@ func TestInvariantsAcrossSeeds(t *testing.T) {
 
 func TestTwoPassBeatsBaselineOnMissHeavyCode(t *testing.T) {
 	// The headline claim, on a random program with a large footprint.
-	rcfg := workload.DefaultRandomConfig()
-	rcfg.ArrayBytes = 8 << 20
-	rcfg.Iterations = 30
-	p := workload.Random(42, rcfg)
+	gcfg := progen.DefaultConfig()
+	gcfg.ArrayBytes = 8 << 20
+	gcfg.OuterTrips = 30
+	p := progen.Generate(42, gcfg)
 	bm, err := baseline.New(baseline.DefaultConfig(), p)
 	if err != nil {
 		t.Fatal(err)
@@ -578,7 +587,7 @@ func TestRejectsBadConfig(t *testing.T) {
 }
 
 func TestScalarStatsPresence(t *testing.T) {
-	p := workload.Random(55, workload.DefaultRandomConfig())
+	p := progen.Generate(55, progen.DefaultConfig())
 	r := runProg(t, DefaultConfig(), p)
 	if r.StoresTotal == 0 {
 		t.Errorf("no stores recorded")
@@ -597,7 +606,7 @@ func TestScalarStatsPresence(t *testing.T) {
 func TestCheckpointRepairEquivalence(t *testing.T) {
 	// §3.6's alternative recovery must be architecturally transparent.
 	for seed := int64(60); seed < 66; seed++ {
-		p := workload.Random(seed, workload.DefaultRandomConfig())
+		p := progen.Generate(seed, progen.DefaultConfig())
 		cfg := DefaultConfig()
 		cfg.CheckpointRepair = true
 		runProg(t, cfg, p)
@@ -660,7 +669,7 @@ func TestStoreBufferCapEquivalence(t *testing.T) {
 	cfg.SBSize = 2 // absurdly small: store bursts spill to the B-pipe
 	var totalDeferred int64
 	for seed := int64(70); seed < 74; seed++ {
-		p := workload.Random(seed, workload.DefaultRandomConfig())
+		p := progen.Generate(seed, progen.DefaultConfig())
 		r := runProg(t, cfg, p)
 		totalDeferred += r.StoresDeferred
 	}
@@ -736,7 +745,7 @@ func TestConflictPredictorEquivalence(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.ConflictPredictor = true
 	for seed := int64(80); seed < 84; seed++ {
-		runProg(t, cfg, workload.Random(seed, workload.DefaultRandomConfig()))
+		runProg(t, cfg, progen.Generate(seed, progen.DefaultConfig()))
 	}
 }
 
@@ -744,8 +753,8 @@ func TestConflictPredictorEquivalence(t *testing.T) {
 // and indirect B-DET resolution; random programs with them must stay
 // equivalent under every recovery-heavy configuration.
 func TestIndirectBranchFuzz(t *testing.T) {
-	rcfg := workload.DefaultRandomConfig()
-	rcfg.IndirectBranches = true
+	gcfg := progen.DefaultConfig()
+	gcfg.WeightIndirect = 3
 	cfgs := []Config{DefaultConfig()}
 	re := DefaultConfig()
 	re.Regroup = true
@@ -755,7 +764,7 @@ func TestIndirectBranchFuzz(t *testing.T) {
 	small.ALATCapacity = 4
 	cfgs = append(cfgs, small)
 	for seed := int64(90); seed < 96; seed++ {
-		p := workload.Random(seed, rcfg)
+		p := progen.Generate(seed, gcfg)
 		for ci, cfg := range cfgs {
 			r := runProg(t, cfg, p)
 			if ci == 0 && r.MispredictsA+r.MispredictsB == 0 {

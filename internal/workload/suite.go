@@ -1,3 +1,7 @@
+// Package workload provides the benchmark programs of the evaluation: ten
+// synthetic kernels reproducing the memory/branch signatures of the paper's
+// SPEC benchmarks (Table 2). Seeded random programs for differential testing
+// come from internal/progen.
 package workload
 
 import (

@@ -106,25 +106,3 @@ func TestKernelsEquivalentAcrossMachines(t *testing.T) {
 		})
 	}
 }
-
-func TestRandomProgramsTerminate(t *testing.T) {
-	for seed := int64(400); seed < 404; seed++ {
-		p := Random(seed, DefaultRandomConfig())
-		if _, err := arch.Run(p, 10_000_000); err != nil {
-			t.Errorf("seed %d: %v", seed, err)
-		}
-	}
-}
-
-func TestRandomDeterministic(t *testing.T) {
-	a := Random(9, DefaultRandomConfig())
-	b := Random(9, DefaultRandomConfig())
-	if len(a.Insts) != len(b.Insts) {
-		t.Fatalf("same seed produced different programs")
-	}
-	for i := range a.Insts {
-		if a.Insts[i] != b.Insts[i] {
-			t.Fatalf("same seed differs at instruction %d", i)
-		}
-	}
-}
