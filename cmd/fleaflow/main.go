@@ -7,13 +7,13 @@
 //
 //	fleaflow list
 //	fleaflow graph <pipeline> [-dot]
-//	fleaflow run <pipeline> [-store dir] [-service URL] [-par n] [-fresh]
+//	fleaflow run <pipeline> [-store dir] [-par n] [-fresh] [-q]
 //	             [-out dir] [-experiments path]
 //	             [-fuzz-programs n] [-fuzz-shards n] [-fuzz-smoke]
 //
-// -out and -experiments apply to figure6 only, and -service to every
-// pipeline but extensions, whose stages always run in-process; `run` rejects
-// them elsewhere with a usage error.
+// Every stage runs in-process. -out and -experiments apply to figure6 only,
+// and the -fuzz-* flags to fuzz-campaign only; `run` rejects them elsewhere
+// with a usage error.
 //
 // `run` is SIGINT-safe: interrupting a campaign cancels in-flight stages,
 // keeps every completed artifact, and a plain rerun redoes only unfinished
@@ -33,7 +33,6 @@ import (
 
 	"fleaflicker/internal/fleaflow"
 	"fleaflicker/internal/metrics"
-	"fleaflicker/internal/service/client"
 )
 
 func main() {
@@ -88,23 +87,18 @@ func list() error {
 
 // envFlags registers the pipeline-shaping flags shared by graph and run,
 // returning a builder for the resulting Env.
-func envFlags(fs *flag.FlagSet) func() (fleaflow.Env, error) {
+func envFlags(fs *flag.FlagSet) func() fleaflow.Env {
 	var (
-		serviceURL   = fs.String("service", "", "run simulation stages through this fleasimd daemon or coordinator (POST /v1/jobs) instead of in-process")
 		fuzzPrograms = fs.Int("fuzz-programs", 0, "fuzz-campaign: program budget (0 = 200)")
 		fuzzShards   = fs.Int("fuzz-shards", 0, "fuzz-campaign: lattice shards (0 = 4)")
 		fuzzSmoke    = fs.Bool("fuzz-smoke", false, "fuzz-campaign: four-cell smoke lattice and small programs")
 	)
-	return func() (fleaflow.Env, error) {
-		env := fleaflow.Env{
+	return func() fleaflow.Env {
+		return fleaflow.Env{
 			FuzzPrograms: *fuzzPrograms,
 			FuzzShards:   *fuzzShards,
 			FuzzSmoke:    *fuzzSmoke,
 		}
-		if *serviceURL != "" {
-			env.Service = client.New(*serviceURL)
-		}
-		return env, nil
 	}
 }
 
@@ -116,11 +110,7 @@ func graphCmd(args []string) error {
 	if err != nil {
 		return err
 	}
-	env, err := buildEnv()
-	if err != nil {
-		return err
-	}
-	p, err := fleaflow.Builtin(name, env)
+	p, err := fleaflow.Builtin(name, buildEnv())
 	if err != nil {
 		return err
 	}
@@ -147,11 +137,7 @@ func runCmd(ctx context.Context, args []string) error {
 	if err != nil {
 		return err
 	}
-	env, err := buildEnv()
-	if err != nil {
-		return err
-	}
-	p, err := fleaflow.Builtin(name, env)
+	p, err := fleaflow.Builtin(name, buildEnv())
 	if err != nil {
 		return err
 	}
@@ -218,14 +204,14 @@ func pipelineArg(fs *flag.FlagSet, args []string) (string, error) {
 }
 
 // ignoredFlag reports whether pipeline has no use for the run flag named
-// flag: only figure6 writes CSVs and EXPERIMENTS.md, and the extensions
-// stages always run in-process.
+// flag: only figure6 writes CSVs and EXPERIMENTS.md, and only fuzz-campaign
+// reads the fuzz flags.
 func ignoredFlag(pipeline, flag string) bool {
 	switch flag {
 	case "out", "experiments":
 		return pipeline != "figure6"
-	case "service":
-		return pipeline == "extensions"
+	case "fuzz-programs", "fuzz-shards", "fuzz-smoke":
+		return pipeline != "fuzz-campaign"
 	}
 	return false
 }

@@ -16,17 +16,19 @@ func TestRunRejectsIgnoredFlags(t *testing.T) {
 	}{
 		{"extensions", "-out", "out"},
 		{"extensions", "-experiments", "EXPERIMENTS.md"},
-		{"extensions", "-service", "http://127.0.0.1:1"},
 		{"smoke", "-out", "out"},
 		{"fuzz-campaign", "-experiments", "EXPERIMENTS.md"},
+		{"figure6", "-fuzz-programs", "5"},
+		{"extensions", "-fuzz-shards", "2"},
+		{"smoke", "-fuzz-smoke", "true"},
 	} {
 		dir := t.TempDir()
 		store := filepath.Join(dir, "store")
 		value := tc.value
-		if tc.flag != "-service" {
+		if tc.flag == "-out" || tc.flag == "-experiments" {
 			value = filepath.Join(dir, value)
 		}
-		err := run(context.Background(), []string{"run", tc.pipeline, "-store", store, tc.flag, value})
+		err := run(context.Background(), []string{"run", tc.pipeline, "-store", store, tc.flag + "=" + value})
 		if err == nil || !strings.Contains(err.Error(), "does not apply") {
 			t.Errorf("run %s %s: err = %v, want a usage error", tc.pipeline, tc.flag, err)
 		}

@@ -1,9 +1,7 @@
 // Package fleaflow is the experiment-DAG orchestrator: a campaign (every
 // paper figure, a fuzzing sweep) is a graph of typed stages whose outputs
-// are content-addressed artifacts, so reruns skip completed work, an
-// interrupted campaign resumes from what its artifact store already holds,
-// and service-backed stages reuse the fleasimd result cache and federation
-// for free.
+// are content-addressed artifacts, so reruns skip completed work and an
+// interrupted campaign resumes from what its artifact store already holds.
 //
 // The artifact key of a stage is the SHA-256 of its definition plus the
 // keys of its inputs, so the addressing is recursive: editing an upstream

@@ -9,22 +9,13 @@ import (
 	"fleaflicker/internal/core"
 	"fleaflicker/internal/experiments"
 	"fleaflicker/internal/service"
-	"fleaflicker/internal/service/client"
 	"fleaflicker/internal/stats"
 	"fleaflicker/internal/workload"
 )
 
-// Env configures how built-in pipelines execute their simulation stages.
+// Env holds the options that shape the built-in pipelines. Only
+// FuzzCampaign reads them.
 type Env struct {
-	// Service, when non-nil, runs simulation stages through POST /v1/jobs
-	// against a fleasimd daemon or coordinator instead of in-process. The
-	// serving layer's content-addressed result cache (and, behind a
-	// coordinator, cache federation) then operates underneath this layer's
-	// artifact cache: an artifact miss that re-runs a stage can still be
-	// served without fresh simulation. The artifact keys do not change —
-	// local and service execution compute the same results.
-	Service *client.Client
-
 	// FuzzPrograms is the fuzz-campaign program budget (0 = 200).
 	FuzzPrograms int
 	// FuzzShards is how many lattice shards split that budget (0 = 4).
@@ -41,7 +32,7 @@ type Env struct {
 const (
 	figure6DefV    = 1
 	extensionsDefV = 1
-	fuzzDefV       = 1
+	fuzzDefV       = 2
 	smokeDefV      = 1
 )
 
@@ -76,7 +67,7 @@ func Builtin(name string, env Env) (*Pipeline, error) {
 	case "fuzz-campaign":
 		return FuzzCampaign(env), nil
 	case "smoke":
-		return Smoke(env), nil
+		return Smoke(), nil
 	}
 	return nil, fmt.Errorf("fleaflow: unknown pipeline %q (have %v)", name, BuiltinNames())
 }
@@ -119,13 +110,14 @@ type renderStageDef struct {
 }
 
 // Figure6 builds the cross-model stall-tolerance campaign: the verified
-// Figure 6/7 suite (one stage per benchmark, reference shared per bench
-// via experiments.RunSuite's reference cell), the Figure 8 feedback sweep,
-// the ablation sweeps, and every table EXPERIMENTS.md carries, assembled
-// into one final report artifact. Table 2, Figure 8 and the sweeps depend on
-// the suite stages of their benchmarks and take the results those already
-// hold: the instruction counts, and the 2P run at the base configuration.
-func Figure6(env Env) *Pipeline {
+// Figure 6/7 suite (one stage per benchmark, whose models share one
+// functional reference inside experiments.RunSuite), the Figure 8 feedback
+// sweep, the ablation sweeps, and every table EXPERIMENTS.md carries,
+// assembled into one final report artifact. Table 2, Figure 8 and the
+// sweeps depend on the suite stages of their benchmarks and take the
+// results those already hold: the instruction counts, and the 2P run at the
+// base configuration. No Env field shapes figure6.
+func Figure6(_ Env) *Pipeline {
 	cfg := core.DefaultConfig()
 	models := core.Models()
 	benches := workload.Suite()
@@ -172,7 +164,7 @@ func Figure6(env Env) *Pipeline {
 			Def:     suiteStageDef{V: figure6DefV, Bench: b.Name, Models: modelNames, Verify: true, Config: cfg},
 			Timeout: 30 * time.Minute,
 			Run: func(ctx context.Context, in *Inputs) (any, error) {
-				return runSuiteStage(ctx, env, cfg, models, b)
+				return experiments.RunSuite(ctx, cfg, models, []*workload.Benchmark{b})
 			},
 		})
 	}
@@ -221,7 +213,7 @@ func Figure6(env Env) *Pipeline {
 			if err != nil {
 				return nil, err
 			}
-			points, err := runFig8Stage(ctx, env, cfg, fig8Benches, done)
+			points, err := experiments.Fig8(ctx, cfg, fig8Benches, done)
 			if err != nil {
 				return nil, err
 			}
@@ -258,7 +250,7 @@ func Figure6(env Env) *Pipeline {
 				if err != nil {
 					return nil, err
 				}
-				points, err := runSweepStage(ctx, env, cfg, sw.kind, sweepBench, sw.values, done)
+				points, err := runSweep(ctx, cfg, sw.kind, sweepBench, sw.values, done)
 				if err != nil {
 					return nil, err
 				}
@@ -295,6 +287,20 @@ func Figure6(env Env) *Pipeline {
 	})
 
 	return &Pipeline{Name: "figure6", Doc: BuiltinDoc("figure6"), Stages: stages}
+}
+
+// runSweep runs one single-parameter ablation sweep of figure6. A point at
+// the suite's configuration takes done's 2P run (see SuiteRuns.Reuse).
+func runSweep(ctx context.Context, cfg core.Config, kind, bench string, values []int, done *experiments.SuiteRuns) ([]experiments.SweepPoint, error) {
+	switch kind {
+	case "cq":
+		return experiments.CQSweep(ctx, cfg, bench, values, done)
+	case "alat":
+		return experiments.ALATSweep(ctx, cfg, bench, values, done)
+	case "throttle":
+		return experiments.ThrottleSweep(ctx, cfg, bench, values, done)
+	}
+	return nil, fmt.Errorf("fleaflow: unknown sweep kind %q", kind)
 }
 
 // suiteStages returns the names of the named benchmarks' suite stages.
@@ -395,9 +401,7 @@ type studyStageDef struct {
 
 // Extensions builds the studies beyond the paper's figures: 2P on the
 // futuristic machine §4 gestures at, the perfect-memory ablation, and
-// if-conversion ahead of the two-pass machine, joined into one report. Its
-// stages always run in-process: the service's config overrides cannot
-// express the alternative machines' caches.
+// if-conversion ahead of the two-pass machine, joined into one report.
 func Extensions() *Pipeline {
 	cfg := core.DefaultConfig()
 	machineBenches := []string{"181.mcf", "183.equake", "300.twolf"}
@@ -507,53 +511,25 @@ type fuzzShardReport struct {
 	Findings        []fuzzFindingSummary `json:"findings,omitempty"`
 }
 
-// runFuzzShard checks one seed range, locally through the serving layer's
-// chunk runner or through a kind-"fuzz" service job (which the server
-// chunks and caches per seed range), so both backends check the same
-// campaign and produce the same artifact.
-func runFuzzShard(ctx context.Context, env Env, spec fuzzShardSpec) (*fuzzShardReport, error) {
-	if env.Service == nil {
-		fr, err := service.DefaultFuzzRunner(ctx, service.UnitSpec{Fuzz: &service.FuzzUnit{
-			SeedBase: spec.SeedBase, Programs: spec.Programs, Smoke: spec.Smoke, Shrink: true, Checkpoint: true,
-		}})
-		if err != nil {
-			return nil, err
-		}
-		return shardReport(fr), nil
-	}
-	st, err := runServiceJob(ctx, env.Service, service.JobSpec{
-		Kind: "fuzz",
-		Seed: spec.SeedBase,
-		Fuzz: &service.FuzzSpec{Programs: spec.Programs, Smoke: spec.Smoke, Shrink: true, Checkpoint: true},
-	})
+// runFuzzShard checks one seed range through the serving layer's chunk
+// runner, timing every lattice cell from cycle zero.
+func runFuzzShard(ctx context.Context, spec fuzzShardSpec) (*fuzzShardReport, error) {
+	fr, err := service.DefaultFuzzRunner(ctx, service.UnitSpec{Fuzz: &service.FuzzUnit{
+		SeedBase: spec.SeedBase, Programs: spec.Programs, Smoke: spec.Smoke, Shrink: true,
+	}})
 	if err != nil {
 		return nil, err
 	}
-	var frs []*service.FuzzReport
-	for _, u := range st.Units {
-		if u.Result == nil || u.Result.Fuzz == nil {
-			return nil, fmt.Errorf("fuzz job %s: unit %s has no fuzz report", st.ID, u.Key)
-		}
-		frs = append(frs, u.Result.Fuzz)
+	rep := &fuzzShardReport{
+		Programs: fr.Programs, Skipped: fr.Skipped,
+		CellRuns: fr.CellRuns, RefInstructions: fr.RefInstructions,
 	}
-	return shardReport(frs...), nil
-}
-
-// shardReport sums chunk reports into one shard artifact.
-func shardReport(frs ...*service.FuzzReport) *fuzzShardReport {
-	rep := &fuzzShardReport{}
-	for _, fr := range frs {
-		rep.Programs += fr.Programs
-		rep.Skipped += fr.Skipped
-		rep.CellRuns += fr.CellRuns
-		rep.RefInstructions += fr.RefInstructions
-		for _, f := range fr.Findings {
-			rep.Findings = append(rep.Findings, fuzzFindingSummary{
-				Seed: f.Seed, Cells: f.Cells, MinimizedInsts: f.MinimizedInsts,
-			})
-		}
+	for _, f := range fr.Findings {
+		rep.Findings = append(rep.Findings, fuzzFindingSummary{
+			Seed: f.Seed, Cells: f.Cells, MinimizedInsts: f.MinimizedInsts,
+		})
 	}
-	return rep
+	return rep, nil
 }
 
 // FuzzCampaign builds the differential-fuzzing pipeline: plan → sharded
@@ -615,7 +591,7 @@ func FuzzCampaign(env Env) *Pipeline {
 				if idx >= len(plan.Shards) {
 					return nil, fmt.Errorf("fleaflow: shard %d outside plan of %d", idx, len(plan.Shards))
 				}
-				return runFuzzShard(ctx, env, plan.Shards[idx])
+				return runFuzzShard(ctx, plan.Shards[idx])
 			},
 		})
 	}
@@ -662,7 +638,7 @@ func FuzzCampaign(env Env) *Pipeline {
 // Smoke builds the tiny two-stage CI pipeline: one real (fast) simulation
 // and a render stage consuming it — enough graph to exercise keying,
 // caching, and resume in seconds.
-func Smoke(env Env) *Pipeline {
+func Smoke() *Pipeline {
 	cfg := core.DefaultConfig()
 	const bench = "254.gap" // smallest suite kernel (~87K instructions)
 	probe := &Stage{
@@ -670,24 +646,13 @@ func Smoke(env Env) *Pipeline {
 		Def:     suiteStageDef{V: smokeDefV, Bench: bench, Models: []string{core.Baseline.String()}, Config: cfg},
 		Timeout: 5 * time.Minute,
 		Run: func(ctx context.Context, in *Inputs) (any, error) {
-			var r *stats.Run
-			if env.Service == nil {
-				b, err := workload.ByName(bench)
-				if err != nil {
-					return nil, err
-				}
-				r, err = core.Simulate(ctx, core.Baseline, b.Program(), core.WithConfig(cfg))
-				if err != nil {
-					return nil, err
-				}
-			} else {
-				var err error
-				r, err = serviceRunUnit(ctx, env.Service, service.JobSpec{
-					Model: core.Baseline.String(), Bench: bench,
-				})
-				if err != nil {
-					return nil, err
-				}
+			b, err := workload.ByName(bench)
+			if err != nil {
+				return nil, err
+			}
+			r, err := core.Simulate(ctx, core.Baseline, b.Program(), core.WithConfig(cfg))
+			if err != nil {
+				return nil, err
 			}
 			return struct {
 				Cycles       int64 `json:"cycles"`

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"fleaflicker/internal/core"
+	"fleaflicker/internal/experiments"
 	"fleaflicker/internal/metrics"
 )
 
@@ -38,7 +39,7 @@ func TestBuiltinsWellFormed(t *testing.T) {
 func TestSmokePipelineEndToEnd(t *testing.T) {
 	st := testStore(t)
 	reg := metrics.NewRegistry()
-	rep, err := Run(context.Background(), Smoke(Env{}), Options{Store: st, Registry: reg})
+	rep, err := Run(context.Background(), Smoke(), Options{Store: st, Registry: reg})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -56,7 +57,7 @@ func TestSmokePipelineEndToEnd(t *testing.T) {
 		t.Errorf("%s = %d, want 2", MetricStagesRan, got)
 	}
 
-	rep, err = Run(context.Background(), Smoke(Env{}), Options{Store: st, Registry: reg})
+	rep, err = Run(context.Background(), Smoke(), Options{Store: st, Registry: reg})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,8 +87,8 @@ func TestFuzzCampaignSmoke(t *testing.T) {
 		t.Errorf("campaign report wrong: %q", doc.Markdown)
 	}
 
-	// The plan splits the program budget without loss and with the service
-	// layer's seed chunking (base + offset).
+	// The plan splits the program budget without loss into consecutive
+	// seed ranges (base + offset).
 	var plan fuzzPlan
 	if err := st.Get(rep.Key("plan"), &plan); err != nil {
 		t.Fatal(err)
@@ -177,22 +178,22 @@ func TestGraphRenderers(t *testing.T) {
 	}
 }
 
-// TestLocalStagesHonourCancellation: the local (no-service) sweep, Figure 8
-// and smoke-probe stages pass the stage context into their simulations, so
-// a stage timeout or an interrupt stops them.
-func TestLocalStagesHonourCancellation(t *testing.T) {
+// TestStagesHonourCancellation: the sweep, Figure 8 and smoke-probe stages
+// pass the stage context into their simulations, so a stage timeout or an
+// interrupt stops them.
+func TestStagesHonourCancellation(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	cfg := core.DefaultConfig()
 	for _, kind := range []string{"cq", "alat", "throttle"} {
-		if _, err := runSweepStage(ctx, Env{}, cfg, kind, "254.gap", []int{16}, nil); !errors.Is(err, context.Canceled) {
+		if _, err := runSweep(ctx, cfg, kind, "254.gap", []int{16}, nil); !errors.Is(err, context.Canceled) {
 			t.Errorf("%s sweep: err = %v, want context.Canceled", kind, err)
 		}
 	}
-	if _, err := runFig8Stage(ctx, Env{}, cfg, []string{"254.gap"}, nil); !errors.Is(err, context.Canceled) {
+	if _, err := experiments.Fig8(ctx, cfg, []string{"254.gap"}, nil); !errors.Is(err, context.Canceled) {
 		t.Errorf("fig8: err = %v, want context.Canceled", err)
 	}
-	probe := Smoke(Env{}).Stages[0]
+	probe := Smoke().Stages[0]
 	if _, err := probe.Run(ctx, nil); !errors.Is(err, context.Canceled) {
 		t.Errorf("smoke %s: err = %v, want context.Canceled", probe.Name, err)
 	}

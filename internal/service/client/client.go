@@ -5,9 +5,8 @@
 // cache-federation peer lookup, and the /metricsz scrape — used to be
 // duplicated between cmd/fleaload and the cluster coordinator's backend
 // handles, which meant a wire change (the retry-hint rename, once) had to be
-// fixed in two parsers. The load harness, the coordinator (internal/cluster)
-// and the experiment orchestrator (internal/fleaflow) all speak through this
-// package now.
+// fixed in two parsers. The load harness and the coordinator
+// (internal/cluster) both speak through this package now.
 package client
 
 import (

@@ -127,8 +127,7 @@ func (s *JobSpec) expandFuzz(limit int) ([]UnitSpec, error) {
 // DefaultFuzzRunner runs one chunk's differential campaign: the default
 // lattice and generator shape, or with Smoke the smoke lattice and
 // progen.SmokeConfig. It is the Manager's default FuzzRunner, and
-// fleaflow's in-process fuzz shards call it too, so a shard checks the same
-// campaign locally as through a daemon.
+// fleaflow's fuzz shards call it too.
 func DefaultFuzzRunner(ctx context.Context, u UnitSpec) (*FuzzReport, error) {
 	fz := u.Fuzz
 	cells, gen := diffsim.DefaultLattice(), progen.DefaultConfig()
