@@ -104,7 +104,9 @@ cluster-smoke:
 		-run='^(TestClusterSmokeCampaign|TestClusterKillBackendMidCampaign|TestClusterSpeedup|TestClusterStealVsComplete|TestClusterBackendDiesMidJob)$$' \
 		./internal/cluster/
 
-# flow-smoke is the orchestration gate: the tiny two-stage smoke pipeline,
+# flow-smoke is the orchestration gate: `graph figure6` must succeed and
+# `graph figure6 -fuzz-shards 8` must fail (a flag the pipeline ignores is a
+# usage error), the tiny two-stage smoke pipeline,
 # the four-stage extension studies and the six-stage smoke fuzz campaign
 # each run twice against a scratch artifact store and the second invocation
 # must be 100% cache hits (zero fresh simulations), then the kill-and-resume
@@ -113,6 +115,8 @@ cluster-smoke:
 # pipelines' end-to-end tests.
 flow-smoke:
 	$(GO) build -o bin/fleaflow ./cmd/fleaflow
+	bin/fleaflow graph figure6 > /dev/null
+	! bin/fleaflow graph figure6 -fuzz-shards 8 2> /dev/null
 	rm -rf bin/.flow-smoke-store
 	bin/fleaflow run smoke -store bin/.flow-smoke-store -q
 	bin/fleaflow run smoke -store bin/.flow-smoke-store -q | grep -q '0 ran, 2 cached'

@@ -12,8 +12,8 @@
 //	             [-fuzz-programs n] [-fuzz-shards n] [-fuzz-smoke]
 //
 // Every stage runs in-process. -out and -experiments apply to figure6 only,
-// and the -fuzz-* flags to fuzz-campaign only; `run` rejects them elsewhere
-// with a usage error.
+// and the -fuzz-* flags to fuzz-campaign only; `graph` and `run` reject
+// them elsewhere with a usage error.
 //
 // `run` is SIGINT-safe: interrupting a campaign cancels in-flight stages,
 // keeps every completed artifact, and a plain rerun redoes only unfinished
@@ -32,7 +32,6 @@ import (
 	"time"
 
 	"fleaflicker/internal/fleaflow"
-	"fleaflicker/internal/metrics"
 )
 
 func main() {
@@ -114,6 +113,9 @@ func graphCmd(args []string) error {
 	if err != nil {
 		return err
 	}
+	if err := rejectIgnoredFlags(fs, name); err != nil {
+		return err
+	}
 	if *dot {
 		fmt.Print(fleaflow.DOT(p))
 	} else {
@@ -153,7 +155,6 @@ func runCmd(ctx context.Context, args []string) error {
 		Store:       store,
 		Parallelism: *par,
 		Fresh:       *fresh,
-		Registry:    metrics.NewRegistry(),
 	}
 	if !*quiet {
 		start := time.Now()
@@ -203,9 +204,9 @@ func pipelineArg(fs *flag.FlagSet, args []string) (string, error) {
 	return name, nil
 }
 
-// ignoredFlag reports whether pipeline has no use for the run flag named
-// flag: only figure6 writes CSVs and EXPERIMENTS.md, and only fuzz-campaign
-// reads the fuzz flags.
+// ignoredFlag reports whether pipeline has no use for the graph or run flag
+// named flag: only figure6 writes CSVs and EXPERIMENTS.md, and only
+// fuzz-campaign reads the fuzz flags.
 func ignoredFlag(pipeline, flag string) bool {
 	switch flag {
 	case "out", "experiments":

@@ -8,6 +8,7 @@
 //
 //	fleasim [-model base|2P|2Pre|runahead] [-verify] [-sched]
 //	        [-feedback N] [-cq N] [-alat N] [-throttle N] [-anticipable]
+//	        [-checkpoint] [-sb N] [-conflictpred]
 //	        [-ckpt-every N] [-trace FILE.json] [-jsonl FILE.jsonl]
 //	        (-bench NAME | -random SEED | FILE.s)
 //	fleasim -repro FILE.flea

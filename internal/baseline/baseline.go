@@ -24,7 +24,6 @@ import (
 	"fleaflicker/internal/checkpoint"
 	"fleaflicker/internal/isa"
 	"fleaflicker/internal/mem"
-	"fleaflicker/internal/metrics"
 	"fleaflicker/internal/pipeline"
 	"fleaflicker/internal/program"
 	"fleaflicker/internal/stats"
@@ -84,10 +83,8 @@ type Machine struct {
 	now    int64
 	halted bool
 	col    *stats.Collector
-	// reg, when non-nil, receives the counters when Run returns.
-	reg *metrics.Registry
-	tr  *trace.Tracer
-	ctx context.Context
+	tr     *trace.Tracer
+	ctx    context.Context
 
 	// model is "base" or "runahead".
 	model string
@@ -123,7 +120,6 @@ func NewRunahead(cfg Config, exitPenalty, minStall int, prog *program.Program, i
 	m.ra = pipeline.Reuse[episode](cfg.Arena)
 	*m.ra = episode{}
 	m.ra.exitPenalty, m.ra.minStall = exitPenalty, minStall
-	m.col.TrackRunahead()
 	return m, nil
 }
 
@@ -165,18 +161,15 @@ func (m *Machine) Model() string { return m.model }
 func (m *Machine) State() *arch.State { return m.st }
 
 // Attach binds the machine's observability before Run: ctx cancels the
-// cycle loop, reg (when non-nil) receives the machine's counters when Run
-// returns (stats.Collector.Publish), and tr (which may be nil) receives
-// trace events. Must not be called after Run has started.
-func (m *Machine) Attach(ctx context.Context, reg *metrics.Registry, tr *trace.Tracer) {
+// cycle loop and tr (which may be nil) receives trace events. Must not be
+// called after Run has started.
+func (m *Machine) Attach(ctx context.Context, tr *trace.Tracer) {
 	m.ctx = ctx
-	m.reg = reg
 	m.tr = tr
 }
 
 // Run simulates to completion and returns the measurements.
 func (m *Machine) Run() (*stats.Run, error) {
-	defer m.col.Publish(m.reg)
 	for !m.halted {
 		if m.now >= m.cfg.MaxCycles {
 			return nil, fmt.Errorf("%s: %q exceeded %d cycles", m.Model(), m.prog.Name, m.cfg.MaxCycles)

@@ -98,7 +98,6 @@ func (m *Machine) runaheadGroup(g *pipeline.Group) {
 	for p := g.Start; p < g.End; p++ {
 		d := m.ring.At(p)
 		in := d.In
-		m.col.RunaheadInst()
 		if m.tr.Enabled() {
 			m.tr.Emit(trace.Event{Cycle: m.now, Type: trace.EvPreExec, Pipe: trace.PipeB,
 				ID: d.ID, PC: d.PC, Note: in.String()})

@@ -2,9 +2,8 @@
 // machine model (baseline in-order EPIC, two-pass "flea-flicker" with and
 // without regrouping, and the run-ahead comparator) behind a single
 // Simulate entry point. Functional options attach verification against the
-// functional reference executor, a cycle-level trace sink, and a metrics
-// registry that receives the run's counters; the context cancels the
-// machine's cycle loop.
+// functional reference executor and a cycle-level trace sink; the context
+// cancels the machine's cycle loop.
 package core
 
 import (
@@ -17,7 +16,6 @@ import (
 	"fleaflicker/internal/checkpoint"
 	"fleaflicker/internal/isa"
 	"fleaflicker/internal/mem"
-	"fleaflicker/internal/metrics"
 	"fleaflicker/internal/pipeline"
 	"fleaflicker/internal/program"
 	"fleaflicker/internal/stats"
@@ -142,14 +140,13 @@ func (c Config) TwoPassConfig(regroup bool) twopass.Config {
 }
 
 // machine is what every model implementation provides. Attach binds the
-// run's context, the registry (nil for none) its counters are published into
-// when Run returns, and the tracer (nil for none). RestoreSnapshot starts
-// the machine from a functional snapshot instead of the program entry. Both
+// run's context and the tracer (nil for none). RestoreSnapshot starts the
+// machine from a functional snapshot instead of the program entry. Both
 // must be called before Run.
 type machine interface {
 	Run() (*stats.Run, error)
 	State() *arch.State
-	Attach(ctx context.Context, reg *metrics.Registry, tr *trace.Tracer)
+	Attach(ctx context.Context, tr *trace.Tracer)
 	RestoreSnapshot(snap *checkpoint.Snapshot) error
 }
 

@@ -118,7 +118,7 @@ func TestFastForwardFires(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			m.Attach(context.Background(), nil, nil)
+			m.Attach(context.Background(), nil)
 			r, err := m.Run()
 			if err != nil {
 				t.Fatalf("%v on %s: %v", model, p.Name, err)

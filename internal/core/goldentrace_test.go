@@ -8,12 +8,8 @@ import (
 	"path/filepath"
 	"testing"
 
-	"fleaflicker/internal/mem"
-	"fleaflicker/internal/metrics"
 	"fleaflicker/internal/program"
-	"fleaflicker/internal/stats"
 	"fleaflicker/internal/trace"
-	"fleaflicker/internal/workload"
 )
 
 var updateGolden = flag.Bool("update", false, "rewrite golden trace files")
@@ -119,58 +115,5 @@ func compareGolden(t *testing.T, golden string, got []byte) {
 			}
 		}
 		t.Fatalf("trace differs (got %d bytes, want %d)", len(got), len(want))
-	}
-}
-
-// TestMetricsDeriveStatsOnSuite runs a real suite benchmark on every model
-// twice — once with the machine's private registry, once with an external
-// one — and checks that the external registry's counters agree with the
-// private run's aggregates field by field. This is the "aggregates and traces can
-// never disagree" guarantee: both views come from the same counters.
-func TestMetricsDeriveStatsOnSuite(t *testing.T) {
-	b, err := workload.ByName("300.twolf")
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, model := range Models() {
-		legacy, err := Simulate(context.Background(), model, b.Program())
-		if err != nil {
-			t.Fatal(err)
-		}
-		reg := metrics.NewRegistry()
-		r, err := Simulate(context.Background(), model, b.Program(), WithMetrics(reg))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if r.Cycles != legacy.Cycles || r.Instructions != legacy.Instructions {
-			t.Errorf("%v: run with metrics differs from legacy: %d/%d vs %d/%d cycles/insts",
-				model, r.Cycles, r.Instructions, legacy.Cycles, legacy.Instructions)
-		}
-		check := func(name string, want int64) {
-			t.Helper()
-			if v, _ := reg.CounterValue(name); v != want {
-				t.Errorf("%v: registry %s = %d, legacy Run = %d", model, name, v, want)
-			}
-		}
-		check(stats.MetricCycles, legacy.Cycles)
-		check(stats.MetricInstructions, legacy.Instructions)
-		for c := stats.CycleClass(0); c < stats.NumCycleClasses; c++ {
-			check(stats.ClassMetricName(c), legacy.ByClass[c])
-		}
-		check(stats.MetricMispredictsA, legacy.MispredictsA)
-		check(stats.MetricMispredictsB, legacy.MispredictsB)
-		check(stats.MetricConflictFlushes, legacy.ConflictFlushes)
-		check(stats.MetricStoresTotal, legacy.StoresTotal)
-		check(stats.MetricStoresDeferred, legacy.StoresDeferred)
-		check(stats.MetricDeferred, legacy.Deferred)
-		check(stats.MetricPreExecuted, legacy.PreExecuted)
-		check(stats.MetricRegrouped, legacy.Regrouped)
-		check(stats.MetricCQOccupancySum, legacy.CQOccupancySum)
-		for lvl := mem.Level(0); lvl < mem.NumLevels; lvl++ {
-			for p := stats.Pipe(0); p < stats.NumPipes; p++ {
-				check(stats.AccessMetricName(lvl, p, false), legacy.Access[lvl][p])
-				check(stats.AccessMetricName(lvl, p, true), legacy.AccessCycles[lvl][p])
-			}
-		}
 	}
 }

@@ -182,7 +182,7 @@ func TestRecycledMachineMatchesNew(t *testing.T) {
 			if d := firstDifference("machine", reflect.ValueOf(recycled), reflect.ValueOf(fresh), map[[2]uintptr]bool{}); d != "" {
 				t.Errorf("%s: the recycled machine differs from a new one at %s", where, d)
 			}
-			recycled.Attach(context.Background(), nil, nil)
+			recycled.Attach(context.Background(), nil)
 			r, err := recycled.Run()
 			switch {
 			case build1.maxCycles > 0:

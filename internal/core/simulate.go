@@ -7,7 +7,6 @@ import (
 	"fleaflicker/internal/arch"
 	"fleaflicker/internal/checkpoint"
 	"fleaflicker/internal/mem"
-	"fleaflicker/internal/metrics"
 	"fleaflicker/internal/program"
 	"fleaflicker/internal/stats"
 	"fleaflicker/internal/trace"
@@ -23,7 +22,6 @@ type options struct {
 	ref      *Reference
 	storeLog *mem.StoreLog
 	sink     trace.Sink
-	reg      *metrics.Registry
 	closeMu  bool // close the sink when Simulate returns
 	resume   *checkpoint.Snapshot
 }
@@ -137,22 +135,10 @@ func WithTrace(sink trace.Sink) Option {
 	return func(o *options) { o.sink = sink; o.closeMu = true }
 }
 
-// WithMetrics publishes the machine's counters into reg when the run ends,
-// overwriting any values reg already holds under the same names. The
-// machine counts into its own stats.Collector and touches reg only then; the
-// returned stats.Run is derived from the same counters
-// (stats.Collector.Snapshot), so the registry and the aggregate report
-// cannot disagree. Without this option no registry is built. A registry
-// belongs to one running machine at a time; do not share one across
-// concurrent Simulate calls.
-func WithMetrics(reg *metrics.Registry) Option {
-	return func(o *options) { o.reg = reg }
-}
-
 // Simulate runs prog to completion on the selected machine model. It is the
 // primary entry point: ctx cancels the machine's cycle loop (checked every
-// 4096 cycles), and options attach configuration, verification, tracing,
-// and metrics. With no options it is equivalent to Run with DefaultConfig.
+// 4096 cycles), and options attach configuration, verification and
+// tracing. With no options it is equivalent to Run with DefaultConfig.
 func Simulate(ctx context.Context, model Model, prog *program.Program, opts ...Option) (*stats.Run, error) {
 	o := options{cfg: DefaultConfig()}
 	for _, opt := range opts {
@@ -196,7 +182,7 @@ func Simulate(ctx context.Context, model Model, prog *program.Program, opts ...O
 		}
 		m.State().Mem.Observe(o.storeLog.Record)
 	}
-	m.Attach(ctx, o.reg, tr)
+	m.Attach(ctx, tr)
 
 	r, runErr := m.Run()
 	if o.closeMu && o.sink != nil {

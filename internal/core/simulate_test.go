@@ -7,9 +7,7 @@ import (
 	"strings"
 	"testing"
 
-	"fleaflicker/internal/metrics"
 	"fleaflicker/internal/program"
-	"fleaflicker/internal/stats"
 	"fleaflicker/internal/trace"
 )
 
@@ -125,20 +123,5 @@ skip:   add r4 = r3, r3 ;;
 		if !seen[want] {
 			t.Errorf("chrome trace lacks %q events; saw %v", want, seen)
 		}
-	}
-}
-
-// WithMetrics exposes the same counters the returned Run is derived from.
-func TestSimulateWithMetrics(t *testing.T) {
-	reg := metrics.NewRegistry()
-	r, err := Simulate(context.Background(), TwoPass, simProg(t), WithMetrics(reg))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if v, ok := reg.CounterValue(stats.MetricCycles); !ok || v != r.Cycles {
-		t.Errorf("registry cycles = %d (%v), Run.Cycles = %d", v, ok, r.Cycles)
-	}
-	if v, ok := reg.CounterValue(stats.MetricInstructions); !ok || v != r.Instructions {
-		t.Errorf("registry instructions = %d (%v), Run.Instructions = %d", v, ok, r.Instructions)
 	}
 }

@@ -4,8 +4,6 @@ import (
 	"context"
 	"fmt"
 	"sync"
-
-	"fleaflicker/internal/metrics"
 )
 
 // StageStatus is the terminal (or in-flight) disposition of one stage.
@@ -102,8 +100,6 @@ type Options struct {
 	// Observer, when non-nil, receives progress events from the scheduler
 	// goroutine.
 	Observer func(Event)
-	// Registry, when non-nil, receives the fleaflow.* metrics.
-	Registry *metrics.Registry
 }
 
 // task is one dispatched stage execution.
@@ -150,8 +146,6 @@ func Run(ctx context.Context, p *Pipeline, opts Options) (*Report, error) {
 	if par > len(order) {
 		par = len(order)
 	}
-	em := newEngineMetrics(opts.Registry)
-
 	index := make(map[string]*Stage, len(order))
 	waiting := make(map[string]int, len(order))
 	children := make(map[string][]string, len(order))
@@ -193,9 +187,6 @@ func Run(ctx context.Context, p *Pipeline, opts Options) (*Report, error) {
 		}
 		res.Status = StatusParked
 		*remaining--
-		if em != nil {
-			em.parked.Inc()
-		}
 		emit(name, StatusParked, "", "")
 		for _, ch := range children[name] {
 			park(ch, remaining)
@@ -215,24 +206,12 @@ func Run(ctx context.Context, p *Pipeline, opts Options) (*Report, error) {
 		res.Status = status
 		res.Key = key
 		remaining--
-		switch status {
-		case StatusDone:
-			if em != nil {
-				em.ran.Inc()
-			}
-		case StatusCached:
-			if em != nil {
-				em.cached.Inc()
-			}
-		case StatusFailed:
-			res.Err = runErr.Error()
-			if em != nil {
-				em.failed.Inc()
-			}
-		}
 		errText := ""
 		if runErr != nil {
 			errText = runErr.Error()
+		}
+		if status == StatusFailed {
+			res.Err = errText
 		}
 		emit(name, status, key, errText)
 		for _, ch := range children[name] {
@@ -279,9 +258,6 @@ func Run(ctx context.Context, p *Pipeline, opts Options) (*Report, error) {
 			emit(name, StatusRunning, key, "")
 			tasks <- task{stage: st, key: key, in: &Inputs{store: opts.Store, keys: depKeys}}
 			inflight++
-			if em != nil {
-				em.inflight.Set(int64(inflight))
-			}
 		}
 		if remaining == 0 {
 			break
@@ -291,9 +267,6 @@ func Run(ctx context.Context, p *Pipeline, opts Options) (*Report, error) {
 			ctxErr = ctx.Err()
 		case out := <-done:
 			inflight--
-			if em != nil {
-				em.inflight.Set(int64(inflight))
-			}
 			if out.err != nil {
 				complete(out.name, StatusFailed, out.key, out.err)
 			} else {
@@ -318,9 +291,6 @@ func Run(ctx context.Context, p *Pipeline, opts Options) (*Report, error) {
 				continue
 			}
 			complete(out.name, StatusFailed, out.key, err)
-		}
-		if em != nil {
-			em.inflight.Set(0)
 		}
 		for _, name := range order {
 			if results[name].Status == StatusPending {

@@ -8,41 +8,46 @@ import (
 
 func TestCounterAndGaugeBasics(t *testing.T) {
 	r := NewRegistry()
-	c := r.Counter("cycles")
+	c := r.SharedCounter("jobs")
 	c.Inc()
 	c.Add(4)
 	if c.Value() != 5 {
 		t.Errorf("counter = %d, want 5", c.Value())
 	}
-	if again := r.Counter("cycles"); again != c {
-		t.Error("Counter should return the same handle for the same name")
+	if again := r.SharedCounter("jobs"); again != c {
+		t.Error("SharedCounter should return the same handle for the same name")
 	}
-	g := r.Gauge("cq.occupancy")
+	g := r.SharedGauge("queue.depth")
 	g.Set(17)
-	if g.Value() != 17 {
-		t.Errorf("gauge = %d, want 17", g.Value())
+	g.Add(-2)
+	if g.Value() != 15 {
+		t.Errorf("gauge = %d, want 15", g.Value())
 	}
-	if again := r.Gauge("cq.occupancy"); again != g {
-		t.Error("Gauge should return the same handle for the same name")
+	if again := r.SharedGauge("queue.depth"); again != g {
+		t.Error("SharedGauge should return the same handle for the same name")
 	}
 }
 
 func TestCounterValueLookup(t *testing.T) {
 	r := NewRegistry()
-	r.Counter("a").Add(3)
+	r.SharedCounter("a").Add(3)
+	r.SharedGauge("g").Set(1)
 	if v, ok := r.CounterValue("a"); !ok || v != 3 {
 		t.Errorf("CounterValue(a) = %d, %v", v, ok)
 	}
 	if _, ok := r.CounterValue("missing"); ok {
 		t.Error("missing counter should report !ok")
 	}
+	if _, ok := r.CounterValue("g"); ok {
+		t.Error("a gauge is not a counter")
+	}
 }
 
 func TestEachIsSortedAndComplete(t *testing.T) {
 	r := NewRegistry()
-	r.Counter("z").Inc()
-	r.Counter("a").Add(2)
-	r.Counter("m").Add(3)
+	r.SharedCounter("z").Inc()
+	r.SharedCounter("a").Add(2)
+	r.SharedCounter("m").Add(3)
 	var names []string
 	var total int64
 	r.EachCounter(func(name string, v int64) {
@@ -55,22 +60,12 @@ func TestEachIsSortedAndComplete(t *testing.T) {
 	if total != 6 {
 		t.Errorf("EachCounter total = %d", total)
 	}
-	r.Gauge("g2").Set(2)
-	r.Gauge("g1").Set(1)
+	r.SharedGauge("g2").Set(2)
+	r.SharedGauge("g1").Set(1)
 	names = names[:0]
 	r.EachGauge(func(name string, v int64) { names = append(names, name) })
 	if strings.Join(names, ",") != "g1,g2" {
 		t.Errorf("EachGauge order = %v", names)
-	}
-}
-
-func TestDump(t *testing.T) {
-	r := NewRegistry()
-	r.Counter("beta").Add(2)
-	r.Counter("alpha").Add(1)
-	want := "alpha 1\nbeta 2\n"
-	if d := r.Dump(); d != want {
-		t.Errorf("Dump() = %q, want %q", d, want)
 	}
 }
 
@@ -105,52 +100,23 @@ func TestSharedCounterConcurrent(t *testing.T) {
 	}
 }
 
-func TestSharedAndPlainEnumerateTogether(t *testing.T) {
-	r := NewRegistry()
-	r.Counter("sim.cycles").Add(7)
-	r.SharedCounter("service.hits").Add(3)
-	var names []string
-	var total int64
-	r.EachCounter(func(name string, v int64) {
-		names = append(names, name)
-		total += v
-	})
-	if strings.Join(names, ",") != "service.hits,sim.cycles" || total != 10 {
-		t.Errorf("EachCounter = %v total %d", names, total)
-	}
-	if v, ok := r.CounterValue("service.hits"); !ok || v != 3 {
-		t.Errorf("CounterValue(service.hits) = %d, %v", v, ok)
-	}
-	r.Gauge("sim.occ").Set(4)
-	r.SharedGauge("service.busy").Set(2)
-	names = names[:0]
-	r.EachGauge(func(name string, v int64) { names = append(names, name) })
-	if strings.Join(names, ",") != "service.busy,sim.occ" {
-		t.Errorf("EachGauge = %v", names)
-	}
-	want := "service.hits 3\nsim.cycles 7\n"
-	if d := r.Dump(); d != want {
-		t.Errorf("Dump() = %q, want %q", d, want)
-	}
-}
-
 func TestSnapshot(t *testing.T) {
 	r := NewRegistry()
-	r.Counter("c.plain").Add(3)
-	r.SharedCounter("c.shared").Add(4)
-	r.Gauge("g.plain").Set(5)
-	r.SharedGauge("g.shared").Set(6)
+	r.SharedCounter("c.a").Add(3)
+	r.SharedCounter("c.b").Add(4)
+	r.SharedGauge("g.a").Set(5)
+	r.SharedGauge("g.b").Set(6)
 
 	counters, gauges := r.Snapshot()
-	if counters["c.plain"] != 3 || counters["c.shared"] != 4 {
+	if len(counters) != 2 || counters["c.a"] != 3 || counters["c.b"] != 4 {
 		t.Errorf("counters = %v", counters)
 	}
-	if gauges["g.plain"] != 5 || gauges["g.shared"] != 6 {
+	if len(gauges) != 2 || gauges["g.a"] != 5 || gauges["g.b"] != 6 {
 		t.Errorf("gauges = %v", gauges)
 	}
 	// The snapshot is a copy: mutating it must not touch the registry.
-	counters["c.plain"] = 99
-	if v, _ := r.CounterValue("c.plain"); v != 3 {
+	counters["c.a"] = 99
+	if v, _ := r.CounterValue("c.a"); v != 3 {
 		t.Errorf("registry counter mutated through snapshot copy: %d", v)
 	}
 }

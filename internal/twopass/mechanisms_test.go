@@ -73,7 +73,7 @@ warm:   addi r9 = r9, -1 ;;
 	// A track with Arg=1; B-pipe retires are EvMerge/EvReplay.
 	var lastADET int64 = -1
 	retiredDuringRedirect := 0
-	m.Attach(context.Background(), nil, trace.New(trace.FuncSink(func(e trace.Event) {
+	m.Attach(context.Background(), trace.New(trace.FuncSink(func(e trace.Event) {
 		switch {
 		case e.Type == trace.EvBranchResolve && e.Pipe == trace.PipeA && e.Arg == 1:
 			lastADET = e.Cycle

@@ -32,7 +32,6 @@ import (
 	"fleaflicker/internal/checkpoint"
 	"fleaflicker/internal/isa"
 	"fleaflicker/internal/mem"
-	"fleaflicker/internal/metrics"
 	"fleaflicker/internal/pipeline"
 	"fleaflicker/internal/program"
 	"fleaflicker/internal/stats"
@@ -248,8 +247,6 @@ type Machine struct {
 	now    int64
 	halted bool
 	col    *stats.Collector
-	// reg, when non-nil, receives the counters when Run returns.
-	reg *metrics.Registry
 	// tr is the observability event stream (nil when disabled); see
 	// internal/trace for the event vocabulary. cmd/fleatrace and the
 	// mechanism tests attach sinks through Attach.
@@ -333,18 +330,15 @@ func (m *Machine) RestoreSnapshot(snap *checkpoint.Snapshot) error {
 func (m *Machine) State() *arch.State { return m.bst }
 
 // Attach binds the machine's observability before Run: ctx cancels the
-// cycle loop, reg (when non-nil) receives the machine's counters when Run
-// returns (stats.Collector.Publish), and tr (which may be nil) receives
-// trace events. Must not be called after Run has started.
-func (m *Machine) Attach(ctx context.Context, reg *metrics.Registry, tr *trace.Tracer) {
+// cycle loop and tr (which may be nil) receives trace events. Must not be
+// called after Run has started.
+func (m *Machine) Attach(ctx context.Context, tr *trace.Tracer) {
 	m.ctx = ctx
-	m.reg = reg
 	m.tr = tr
 }
 
 // Run simulates to completion and returns the measurements.
 func (m *Machine) Run() (*stats.Run, error) {
-	defer m.col.Publish(m.reg)
 	for !m.halted {
 		if m.now >= m.cfg.MaxCycles {
 			return nil, fmt.Errorf("twopass: %q exceeded %d cycles", m.prog.Name, m.cfg.MaxCycles)
