@@ -105,28 +105,27 @@ cluster-smoke:
 		./internal/cluster/
 
 # flow-smoke is the orchestration gate: `graph figure6` must succeed and
-# `graph figure6 -fuzz-shards 8` must fail (a flag the pipeline ignores is a
-# usage error), the tiny two-stage smoke pipeline,
-# the four-stage extension studies and the six-stage smoke fuzz campaign
-# each run twice against a scratch artifact store and the second invocation
-# must be 100% cache hits (zero fresh simulations), then the kill-and-resume
-# property — interrupt a campaign mid-flight, rerun, only unfinished stages
-# execute — is checked under the race detector along with the built-in
-# pipelines' end-to-end tests.
+# `run extensions -out ...` must fail before creating anything (a flag the
+# pipeline ignores is a usage error), the tiny two-stage smoke pipeline and
+# the four-stage extension studies each run twice against a scratch
+# artifact store and the second invocation must be 100% cache hits (zero
+# fresh simulations), then the kill-and-resume property — interrupt a
+# campaign mid-flight, rerun, only unfinished stages execute — and a
+# cancellation racing a stage failure are checked under the race detector
+# along with the smoke pipeline's end-to-end test.
 flow-smoke:
 	$(GO) build -o bin/fleaflow ./cmd/fleaflow
 	bin/fleaflow graph figure6 > /dev/null
-	! bin/fleaflow graph figure6 -fuzz-shards 8 2> /dev/null
-	rm -rf bin/.flow-smoke-store
+	rm -rf bin/.flow-smoke-store bin/.flow-smoke-out
+	! bin/fleaflow run extensions -out bin/.flow-smoke-out -store bin/.flow-smoke-store 2> /dev/null
+	test ! -e bin/.flow-smoke-out && test ! -e bin/.flow-smoke-store
 	bin/fleaflow run smoke -store bin/.flow-smoke-store -q
 	bin/fleaflow run smoke -store bin/.flow-smoke-store -q | grep -q '0 ran, 2 cached'
 	bin/fleaflow run extensions -store bin/.flow-smoke-store -q
 	bin/fleaflow run extensions -store bin/.flow-smoke-store -q | grep -q '0 ran, 4 cached'
-	bin/fleaflow run fuzz-campaign -fuzz-smoke -store bin/.flow-smoke-store -q
-	bin/fleaflow run fuzz-campaign -fuzz-smoke -store bin/.flow-smoke-store -q | grep -q '0 ran, 6 cached'
 	rm -rf bin/.flow-smoke-store
 	$(GO) test -race -count=1 \
-		-run='^(TestRunCancelAndResume|TestRunCachesArtifacts|TestSmokePipelineEndToEnd|TestFuzzCampaignSmoke)$$' \
+		-run='^(TestRunCancelAndResume|TestRunCancelRacingFailureIsCancellation|TestRunCachesArtifacts|TestSmokePipelineEndToEnd)$$' \
 		./internal/fleaflow/
 
 # fuzz is the long-form campaign used nightly: the full config lattice

@@ -1,7 +1,7 @@
 // Command fleaflow runs experiment campaigns as cached DAGs: every paper
-// figure, the extension studies and the differential-fuzzing sweep are
-// pipelines of content-addressed stages, so reruns skip completed work and an
-// interrupted campaign resumes from its artifact store.
+// figure and the extension studies are pipelines of content-addressed
+// stages, so reruns skip completed work and an interrupted campaign resumes
+// from its artifact store.
 //
 // Usage:
 //
@@ -9,11 +9,10 @@
 //	fleaflow graph <pipeline> [-dot]
 //	fleaflow run <pipeline> [-store dir] [-par n] [-fresh] [-q]
 //	             [-out dir] [-experiments path]
-//	             [-fuzz-programs n] [-fuzz-shards n] [-fuzz-smoke]
 //
-// Every stage runs in-process. -out and -experiments apply to figure6 only,
-// and the -fuzz-* flags to fuzz-campaign only; `graph` and `run` reject
-// them elsewhere with a usage error.
+// Every stage runs in-process. -out and -experiments apply to figure6 only;
+// `run` rejects them elsewhere with a usage error. Differential fuzzing is
+// cmd/fleafuzz's job.
 //
 // `run` is SIGINT-safe: interrupting a campaign cancels in-flight stages,
 // keeps every completed artifact, and a plain rerun redoes only unfinished
@@ -75,7 +74,7 @@ func run(ctx context.Context, args []string) error {
 
 func list() error {
 	for _, name := range fleaflow.BuiltinNames() {
-		p, err := fleaflow.Builtin(name, fleaflow.Env{})
+		p, err := fleaflow.Builtin(name)
 		if err != nil {
 			return err
 		}
@@ -84,36 +83,15 @@ func list() error {
 	return nil
 }
 
-// envFlags registers the pipeline-shaping flags shared by graph and run,
-// returning a builder for the resulting Env.
-func envFlags(fs *flag.FlagSet) func() fleaflow.Env {
-	var (
-		fuzzPrograms = fs.Int("fuzz-programs", 0, "fuzz-campaign: program budget (0 = 200)")
-		fuzzShards   = fs.Int("fuzz-shards", 0, "fuzz-campaign: lattice shards (0 = 4)")
-		fuzzSmoke    = fs.Bool("fuzz-smoke", false, "fuzz-campaign: four-cell smoke lattice and small programs")
-	)
-	return func() fleaflow.Env {
-		return fleaflow.Env{
-			FuzzPrograms: *fuzzPrograms,
-			FuzzShards:   *fuzzShards,
-			FuzzSmoke:    *fuzzSmoke,
-		}
-	}
-}
-
 func graphCmd(args []string) error {
 	fs := flag.NewFlagSet("fleaflow graph", flag.ContinueOnError)
 	dot := fs.Bool("dot", false, "emit Graphviz DOT instead of the ASCII listing")
-	buildEnv := envFlags(fs)
 	name, err := pipelineArg(fs, args)
 	if err != nil {
 		return err
 	}
-	p, err := fleaflow.Builtin(name, buildEnv())
+	p, err := fleaflow.Builtin(name)
 	if err != nil {
-		return err
-	}
-	if err := rejectIgnoredFlags(fs, name); err != nil {
 		return err
 	}
 	if *dot {
@@ -134,12 +112,11 @@ func runCmd(ctx context.Context, args []string) error {
 		expPath  = fs.String("experiments", "", "patch this EXPERIMENTS.md's fleaflow sections (figure6 only)")
 		quiet    = fs.Bool("q", false, "suppress per-stage progress lines")
 	)
-	buildEnv := envFlags(fs)
 	name, err := pipelineArg(fs, args)
 	if err != nil {
 		return err
 	}
-	p, err := fleaflow.Builtin(name, buildEnv())
+	p, err := fleaflow.Builtin(name)
 	if err != nil {
 		return err
 	}
@@ -204,25 +181,13 @@ func pipelineArg(fs *flag.FlagSet, args []string) (string, error) {
 	return name, nil
 }
 
-// ignoredFlag reports whether pipeline has no use for the graph or run flag
-// named flag: only figure6 writes CSVs and EXPERIMENTS.md, and only
-// fuzz-campaign reads the fuzz flags.
-func ignoredFlag(pipeline, flag string) bool {
-	switch flag {
-	case "out", "experiments":
-		return pipeline != "figure6"
-	case "fuzz-programs", "fuzz-shards", "fuzz-smoke":
-		return pipeline != "fuzz-campaign"
-	}
-	return false
-}
-
 // rejectIgnoredFlags fails with a usage error, before anything is created
-// or run, when a flag set on the command line does not apply to pipeline.
+// or run, when a flag set on the command line does not apply to pipeline:
+// only figure6 writes CSVs and EXPERIMENTS.md.
 func rejectIgnoredFlags(fs *flag.FlagSet, pipeline string) error {
 	var err error
 	fs.Visit(func(f *flag.Flag) {
-		if err == nil && ignoredFlag(pipeline, f.Name) {
+		if err == nil && pipeline != "figure6" && (f.Name == "out" || f.Name == "experiments") {
 			err = fmt.Errorf("flag -%s does not apply to pipeline %s", f.Name, pipeline)
 		}
 	})
@@ -240,8 +205,6 @@ func finish(name string, store *fleaflow.Store, rep *fleaflow.Report, outDir, ex
 		return finishFigure6(store, rep, outDir, expPath)
 	case "extensions":
 		return printDoc(store, rep, "report")
-	case "fuzz-campaign":
-		return printDoc(store, rep, "divergence-report")
 	case "smoke":
 		return printDoc(store, rep, "summary")
 	}

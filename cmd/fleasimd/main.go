@@ -13,9 +13,9 @@
 //
 // Endpoints:
 //
-//	POST /v1/jobs            submit a run, a server-side-expanded sweep, or
-//	                         a differential fuzzing campaign (kind "fuzz",
-//	                         chunked into one unit per seed range)
+//	POST /v1/jobs            submit a run (one unit) or a differential
+//	                         fuzzing campaign (kind "fuzz", chunked into one
+//	                         unit per seed range, at most -max-units chunks)
 //	POST /v1/units           submit pre-resolved units (coordinator dispatch)
 //	GET  /v1/jobs/{id}       job status and per-unit results
 //	GET  /v1/jobs/{id}/events  SSE progress stream
@@ -68,7 +68,7 @@ func main() {
 		queueDepth   = flag.Int("queue-depth", 256, "bounded admission queue capacity, in units")
 		cacheEntries = flag.Int("cache", 4096, "result-cache capacity, in units (-1 = unbounded)")
 		jobTimeout   = flag.Duration("job-timeout", 2*time.Minute, "default per-job timeout")
-		maxUnits     = flag.Int("max-units", 1024, "maximum units a single sweep may expand to")
+		maxUnits     = flag.Int("max-units", 1024, "maximum units per job: fuzz seed chunks, or a coordinator's unit batch")
 		drainTimeout = flag.Duration("drain-timeout", 30*time.Second, "graceful-drain deadline on shutdown")
 
 		coordinator = flag.Bool("coordinator", false, "serve as a cluster coordinator instead of a backend")

@@ -2,11 +2,11 @@
 // its HTTP API exactly as a remote client would, and watch the result cache
 // work.
 //
-// The program starts a Manager on a local listener, submits a parameter
-// sweep (two models × three coupling-queue sizes, expanded server-side into
-// six simulation units), follows the job's SSE progress stream, then
-// re-submits one equivalent single run to show it served from cache without
-// a fresh simulation. Finally it prints the service counters and drains.
+// The program starts a Manager on a local listener, submits six run jobs
+// (two models × three coupling-queue sizes), follows each job's SSE
+// progress stream, then re-submits one of the runs to show it served from
+// cache without a fresh simulation. Finally it prints the service counters
+// and drains.
 //
 // Run with: go run ./examples/service
 package main
@@ -43,41 +43,45 @@ func run() error {
 	base := "http://" + ln.Addr().String()
 	fmt.Printf("fleasimd (in-process) serving on %s\n\n", base)
 
-	// 1. Submit a sweep: the grid expands server-side into 6 units.
-	ack, err := submit(base, `{
-		"kind": "sweep",
-		"models": ["base", "2P"],
-		"benches": ["300.twolf"],
-		"sweep": {"cq_sizes": [16, 64, 256]}
-	}`)
-	if err != nil {
-		return err
+	// 1. Submit the runs; each is admitted at once and queues for a worker.
+	type submitted struct {
+		model string
+		cq    int
+		ack   *ack
 	}
-	fmt.Printf("sweep accepted: id=%s units=%d\n", ack.ID, ack.TotalUnits)
-
-	// 2. Follow its SSE progress stream to completion.
-	if err := follow(base, ack.Events); err != nil {
-		return err
-	}
-
-	// 3. Fetch the final status and print the per-unit results.
-	st, err := status(base, ack.ID)
-	if err != nil {
-		return err
-	}
-	fmt.Printf("\n%-6s %-10s %-8s %8s %10s\n", "model", "params", "cached", "cycles", "sim ms")
-	for _, u := range st.Units {
-		params := "-"
-		for _, p := range u.Params {
-			params = fmt.Sprintf("%s=%d", p.Name, p.Value)
+	var jobs []submitted
+	for _, model := range []string{"base", "2P"} {
+		for _, cq := range []int{16, 64, 256} {
+			a, err := submit(base, fmt.Sprintf(
+				`{"model": %q, "bench": "300.twolf", "config": {"cq_size": %d}}`, model, cq))
+			if err != nil {
+				return err
+			}
+			fmt.Printf("run accepted: id=%s %s cq_size=%d\n", a.ID, model, cq)
+			jobs = append(jobs, submitted{model, cq, a})
 		}
-		fmt.Printf("%-6s %-10s %-8v %8d %10.2f\n",
-			u.Model, params, u.Cached, u.Result.Run.Cycles, u.Result.DurationMS)
 	}
 
-	// 4. An equivalent single run: same model, bench and cq_size as one of
-	// the sweep's grid points, so its cache key matches and no simulation
-	// runs.
+	// 2. Follow each job's SSE progress stream to completion.
+	for _, j := range jobs {
+		if err := follow(base, j.ack.Events); err != nil {
+			return err
+		}
+	}
+
+	// 3. Fetch the final statuses and print the results.
+	fmt.Printf("\n%-6s %-8s %-8s %8s %10s\n", "model", "cq_size", "cached", "cycles", "sim ms")
+	for _, j := range jobs {
+		st, err := status(base, j.ack.ID)
+		if err != nil {
+			return err
+		}
+		u := st.Units[0]
+		fmt.Printf("%-6s %-8d %-8v %8d %10.2f\n",
+			j.model, j.cq, u.Cached, u.Result.Run.Cycles, u.Result.DurationMS)
+	}
+
+	// 4. The same run again: its cache key matches, so no simulation runs.
 	ack2, err := submit(base, `{"model": "2P", "bench": "300.twolf", "config": {"cq_size": 64}}`)
 	if err != nil {
 		return err
@@ -86,7 +90,7 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	fmt.Printf("\nre-submitted 2P/cq=64 as a single run: cached=%v (served without a fresh simulation)\n",
+	fmt.Printf("\nre-submitted 2P/cq=64: cached=%v (served without a fresh simulation)\n",
 		st2.Units[0].Cached)
 
 	// 5. The service counters, as /metricsz reports them.
@@ -114,9 +118,8 @@ func run() error {
 }
 
 type ack struct {
-	ID         string `json:"id"`
-	Events     string `json:"events"`
-	TotalUnits int    `json:"total_units"`
+	ID     string `json:"id"`
+	Events string `json:"events"`
 }
 
 func submit(base, body string) (*ack, error) {
@@ -154,14 +157,13 @@ func follow(base, events string) error {
 			if err := json.Unmarshal([]byte(strings.TrimPrefix(line, "data: ")), &ev); err != nil {
 				return err
 			}
-			if ev.State != "" {
-				fmt.Printf("  sse: %s (%d/%d)\n", ev.State, ev.Completed, ev.Total)
-				if event == "done" {
-					return nil
-				}
-				continue
+			switch {
+			case event == "done":
+				fmt.Printf("  sse %s: %s (%d/%d)\n", ev.JobID, ev.State, ev.Completed, ev.Total)
+				return nil
+			case ev.Key != "": // the opening snapshot frame names no unit
+				fmt.Printf("  sse %s: progress %d/%d  unit=%.8s\n", ev.JobID, ev.Completed, ev.Total, ev.Key)
 			}
-			fmt.Printf("  sse: progress %d/%d  unit=%.8s\n", ev.Completed, ev.Total, ev.Key)
 		}
 	}
 	return fmt.Errorf("stream ended without a done frame")

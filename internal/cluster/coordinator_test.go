@@ -35,17 +35,23 @@ func patientProbes(c Config) Config {
 	return c
 }
 
-// stubRunner fabricates a deterministic result after an optional pause and
-// counts real executions across all backends.
+// stubRunner fabricates a deterministic result for a run or a fuzz chunk
+// after an optional pause and counts real executions across all backends.
 func stubRunner(executions *atomic.Int64, pause time.Duration) service.Option {
-	return service.WithRunner(func(ctx context.Context, u service.UnitSpec) (*stats.Run, error) {
+	wait := func(ctx context.Context) error {
 		executions.Add(1)
 		if pause > 0 {
 			select {
 			case <-ctx.Done():
-				return nil, ctx.Err()
+				return ctx.Err()
 			case <-time.After(pause):
 			}
+		}
+		return nil
+	}
+	run := service.WithRunner(func(ctx context.Context, u service.UnitSpec) (*stats.Run, error) {
+		if err := wait(ctx); err != nil {
+			return nil, err
 		}
 		return &stats.Run{
 			Benchmark:    u.Bench,
@@ -54,6 +60,13 @@ func stubRunner(executions *atomic.Int64, pause time.Duration) service.Option {
 			Instructions: 500,
 		}, nil
 	})
+	fuzz := service.WithFuzzRunner(func(ctx context.Context, u service.UnitSpec) (*service.FuzzReport, error) {
+		if err := wait(ctx); err != nil {
+			return nil, err
+		}
+		return &service.FuzzReport{Programs: u.Fuzz.Programs, Cells: 4, CellRuns: int64(4 * u.Fuzz.Programs)}, nil
+	})
+	return func(m *service.Manager) { run(m); fuzz(m) }
 }
 
 // waitClusterDone fails the test when the job does not reach a terminal
@@ -67,16 +80,10 @@ func waitClusterDone(t *testing.T, j *service.Job) {
 	}
 }
 
-// sweepSpec expands to n distinct units (distinct CQ sizes → distinct keys).
-func sweepSpec(n int) service.JobSpec {
-	sizes := make([]int, n)
-	for i := range sizes {
-		sizes[i] = 16 + i
-	}
-	return service.JobSpec{
-		Kind: "sweep", Model: "2P", Bench: "300.twolf",
-		Sweep: &service.SweepAxes{CQSizes: sizes},
-	}
+// chunkedSpec expands to n distinct units: a fuzz campaign of n one-program
+// chunks (distinct seed ranges → distinct keys).
+func chunkedSpec(n int) service.JobSpec {
+	return service.JobSpec{Kind: "fuzz", Seed: 16, Fuzz: &service.FuzzSpec{Programs: n, ChunkSize: 1}}
 }
 
 // TestClusterBackendDownAtSubmit kills one backend before any submission:
@@ -92,7 +99,7 @@ func TestClusterBackendDownAtSubmit(t *testing.T) {
 	defer l.Close()
 	l.KillBackend(0)
 
-	job, err := l.Coordinator.Submit(sweepSpec(12))
+	job, err := l.Coordinator.Submit(chunkedSpec(12))
 	if err != nil {
 		t.Fatalf("submit: %v", err)
 	}
@@ -131,7 +138,7 @@ func TestClusterAllBackendsDown(t *testing.T) {
 		}
 		time.Sleep(10 * time.Millisecond)
 	}
-	if _, err := l.Coordinator.Submit(sweepSpec(4)); !errors.Is(err, ErrNoBackends) {
+	if _, err := l.Coordinator.Submit(chunkedSpec(4)); !errors.Is(err, ErrNoBackends) {
 		t.Fatalf("submit with all backends down: err = %v, want ErrNoBackends", err)
 	}
 }
@@ -148,7 +155,7 @@ func TestClusterBackendDiesMidJob(t *testing.T) {
 	}
 	defer l.Close()
 
-	job, err := l.Coordinator.Submit(sweepSpec(18))
+	job, err := l.Coordinator.Submit(chunkedSpec(18))
 	if err != nil {
 		t.Fatalf("submit: %v", err)
 	}
@@ -194,7 +201,7 @@ func TestClusterStealVsComplete(t *testing.T) {
 	defer l.Close()
 
 	const units = 40
-	job, err := l.Coordinator.Submit(sweepSpec(units))
+	job, err := l.Coordinator.Submit(chunkedSpec(units))
 	if err != nil {
 		t.Fatalf("submit: %v", err)
 	}
@@ -384,7 +391,7 @@ func TestClusterBackpressureRetries(t *testing.T) {
 	defer l.Close()
 
 	const units = 24
-	job, err := l.Coordinator.Submit(sweepSpec(units))
+	job, err := l.Coordinator.Submit(chunkedSpec(units))
 	if err != nil {
 		t.Fatalf("submit: %v", err)
 	}
@@ -408,7 +415,7 @@ func TestClusterDrainRejectsNewJobs(t *testing.T) {
 	}
 	defer l.Close()
 
-	job, err := l.Coordinator.Submit(sweepSpec(6))
+	job, err := l.Coordinator.Submit(chunkedSpec(6))
 	if err != nil {
 		t.Fatalf("submit: %v", err)
 	}
@@ -422,7 +429,7 @@ func TestClusterDrainRejectsNewJobs(t *testing.T) {
 		}
 		time.Sleep(time.Millisecond)
 	}
-	if _, err := l.Coordinator.Submit(sweepSpec(1)); !errors.Is(err, service.ErrDraining) {
+	if _, err := l.Coordinator.Submit(chunkedSpec(1)); !errors.Is(err, service.ErrDraining) {
 		t.Fatalf("submit while draining: err = %v, want ErrDraining", err)
 	}
 	if err := <-drained; err != nil {
@@ -445,7 +452,7 @@ func TestClusterStatusWireShape(t *testing.T) {
 	}
 	defer l.Close()
 
-	job, err := l.Coordinator.Submit(sweepSpec(3))
+	job, err := l.Coordinator.Submit(chunkedSpec(3))
 	if err != nil {
 		t.Fatalf("submit: %v", err)
 	}
@@ -455,21 +462,14 @@ func TestClusterStatusWireShape(t *testing.T) {
 		t.Fatalf("status = %+v, want done 3/3", st)
 	}
 	for i, u := range st.Units {
-		if u.Key == "" || u.Model != "2P" || u.Bench != "300.twolf" {
+		if u.Key == "" || u.Model != "fuzz" {
 			t.Fatalf("unit %d malformed: %+v", i, u)
 		}
-		if u.Result == nil || u.Result.Run == nil {
+		if u.Result == nil || u.Result.Fuzz == nil {
 			t.Fatalf("unit %d missing result", i)
 		}
-		want := fmt.Sprintf("cq_size=%d", 16+i)
-		found := false
-		for _, p := range u.Params {
-			if fmt.Sprintf("%s=%v", p.Name, p.Value) == want {
-				found = true
-			}
-		}
-		if !found {
-			t.Fatalf("unit %d params %v missing %s", i, u.Params, want)
+		if want := fmt.Sprintf("seeds[%d,%d)", 16+i, 17+i); u.Bench != want {
+			t.Fatalf("unit %d labelled %q, want %q", i, u.Bench, want)
 		}
 	}
 }
@@ -490,7 +490,7 @@ func TestClusterDrainTimeoutSealsQueuedUnits(t *testing.T) {
 
 	// One slot, one worker, 1s per unit: at the 100ms drain deadline one
 	// unit is in flight and the rest are still queued coordinator-side.
-	job, err := l.Coordinator.Submit(sweepSpec(6))
+	job, err := l.Coordinator.Submit(chunkedSpec(6))
 	if err != nil {
 		t.Fatalf("submit: %v", err)
 	}
@@ -537,7 +537,7 @@ func TestClusterBackpressureCapFailsUnit(t *testing.T) {
 	// 12 units against a 1-deep, 50ms-per-unit backend: a 2-backoff budget
 	// (~10ms) cannot outlast the ~600ms of queued work, so some units must
 	// exhaust their retries.
-	job, err := l.Coordinator.Submit(sweepSpec(12))
+	job, err := l.Coordinator.Submit(chunkedSpec(12))
 	if err != nil {
 		t.Fatalf("submit: %v", err)
 	}

@@ -17,7 +17,7 @@ import (
 
 // equivalenceStream is the seeded job stream the stack-equivalence oracle
 // drives: a sample of Table 2 runs with one repeat (a cache hit on every
-// stack), a CQ-size sweep of the cheapest kernel and one chunked
+// stack), two CQ sizes of the cheapest kernel and one chunked
 // differential fuzz job.
 func equivalenceStream(seed int64) []service.JobSpec {
 	rng := rand.New(rand.NewSource(seed))
@@ -32,10 +32,12 @@ func equivalenceStream(seed int64) []service.JobSpec {
 		})
 	}
 	specs = append(specs, specs[rng.Intn(len(specs))])
-	specs = append(specs, service.JobSpec{
-		Kind: "sweep", Model: "2P", Bench: "300.twolf",
-		Sweep: &service.SweepAxes{CQSizes: []int{16, 32}},
-	})
+	for _, cq := range []int{16, 32} {
+		specs = append(specs, service.JobSpec{
+			Model: "2P", Bench: "300.twolf",
+			Config: service.ConfigOverrides{CQSize: &cq},
+		})
+	}
 	specs = append(specs, service.JobSpec{
 		Kind: "fuzz", Seed: 1 + rng.Int63n(1000),
 		Fuzz: &service.FuzzSpec{Programs: 40, ChunkSize: 20, Smoke: true},

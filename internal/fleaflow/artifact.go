@@ -1,5 +1,5 @@
 // Package fleaflow is the experiment-DAG orchestrator: a campaign (every
-// paper figure, a fuzzing sweep) is a graph of typed stages whose outputs
+// paper figure, the extension studies) is a graph of typed stages whose outputs
 // are content-addressed artifacts, so reruns skip completed work and an
 // interrupted campaign resumes from what its artifact store already holds.
 //

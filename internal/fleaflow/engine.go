@@ -269,6 +269,9 @@ func Run(ctx context.Context, p *Pipeline, opts Options) (*Report, error) {
 			inflight--
 			if out.err != nil {
 				complete(out.name, StatusFailed, out.key, out.err)
+				// A failure that arrives after cancellation is the
+				// cancellation's, whichever wake-up select took first.
+				ctxErr = ctx.Err()
 			} else {
 				complete(out.name, StatusDone, out.key, nil)
 			}

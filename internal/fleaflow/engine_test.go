@@ -390,3 +390,47 @@ func TestInputsUndeclaredDep(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestRunCancelRacingFailureIsCancellation forces the scheduler's two wake-ups
+// to be ready together: the run is cancelled and the last running stage has
+// already returned its cancellation error when the scheduler next selects.
+// Whichever case it takes, Run must report context.Canceled, never the
+// stage failure, and leave the same stage states.
+func TestRunCancelRacingFailureIsCancellation(t *testing.T) {
+	for i := 0; i < 40; i++ {
+		ctx, cancel := context.WithCancel(context.Background())
+		returned := make(chan struct{})
+		var calls atomic.Int64
+		p := &Pipeline{Name: "race", Stages: []*Stage{
+			countStage("first", nil, &calls),
+			{Name: "gate", Def: 1, Run: func(ctx context.Context, in *Inputs) (any, error) {
+				defer close(returned)
+				<-ctx.Done()
+				return nil, ctx.Err()
+			}},
+			countStage("last", []string{"gate"}, &calls),
+		}}
+		rep, err := Run(ctx, p, Options{
+			Store:       testStore(t),
+			Parallelism: 2,
+			Observer: func(ev Event) {
+				// Hold the scheduler inside complete("first") until gate
+				// has returned and its worker is sending the failure.
+				if ev.Stage == "first" && ev.Status == StatusDone {
+					cancel()
+					<-returned
+					time.Sleep(2 * time.Millisecond)
+				}
+			},
+		})
+		cancel()
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("run %d: err = %v, want context.Canceled", i, err)
+		}
+		for stage, want := range map[string]StageStatus{"first": StatusDone, "gate": StatusFailed, "last": StatusParked} {
+			if got := rep.Result(stage).Status; got != want {
+				t.Fatalf("run %d: %s = %s, want %s", i, stage, got, want)
+			}
+		}
+	}
+}

@@ -8,22 +8,13 @@ import (
 
 	"fleaflicker/internal/core"
 	"fleaflicker/internal/experiments"
-	"fleaflicker/internal/service"
 	"fleaflicker/internal/stats"
 	"fleaflicker/internal/workload"
 )
 
-// Env holds the options that shape the built-in pipelines. Only
-// FuzzCampaign reads them.
-type Env struct {
-	// FuzzPrograms is the fuzz-campaign program budget (0 = 200).
-	FuzzPrograms int
-	// FuzzShards is how many lattice shards split that budget (0 = 4).
-	FuzzShards int
-	// FuzzSmoke selects the four-cell smoke lattice and small programs,
-	// mirroring the serving layer's FuzzSpec.Smoke.
-	FuzzSmoke bool
-}
+// Env is the empty options value Figure6 takes; no built-in pipeline has
+// options.
+type Env struct{}
 
 // Definition version constants: a renderer or campaign-shape change that
 // alters stage output without changing its inputs is re-keyed by bumping
@@ -32,13 +23,12 @@ type Env struct {
 const (
 	figure6DefV    = 1
 	extensionsDefV = 1
-	fuzzDefV       = 2
 	smokeDefV      = 1
 )
 
 // BuiltinNames lists the built-in pipelines in presentation order.
 func BuiltinNames() []string {
-	return []string{"figure6", "extensions", "fuzz-campaign", "smoke"}
+	return []string{"figure6", "extensions", "smoke"}
 }
 
 // BuiltinDoc returns the one-line description of a built-in ("" if
@@ -49,8 +39,6 @@ func BuiltinDoc(name string) string {
 		return "every paper figure and sweep as one cached campaign; regenerates the EXPERIMENTS.md block"
 	case "extensions":
 		return "futuristic-machine and perfect-memory ablations and the if-conversion study"
-	case "fuzz-campaign":
-		return "progen -> sharded diffsim lattice -> divergence report"
 	case "smoke":
 		return "tiny two-stage pipeline exercising the artifact cache (CI)"
 	}
@@ -58,14 +46,12 @@ func BuiltinDoc(name string) string {
 }
 
 // Builtin constructs a built-in pipeline by name.
-func Builtin(name string, env Env) (*Pipeline, error) {
+func Builtin(name string) (*Pipeline, error) {
 	switch name {
 	case "figure6":
-		return Figure6(env), nil
+		return Figure6(Env{}), nil
 	case "extensions":
 		return Extensions(), nil
-	case "fuzz-campaign":
-		return FuzzCampaign(env), nil
 	case "smoke":
 		return Smoke(), nil
 	}
@@ -116,7 +102,7 @@ type renderStageDef struct {
 // assembled into one final report artifact. Table 2, Figure 8 and the
 // sweeps depend on the suite stages of their benchmarks and take the
 // results those already hold: the instruction counts, and the 2P run at the
-// base configuration. No Env field shapes figure6.
+// base configuration. The Env argument carries nothing.
 func Figure6(_ Env) *Pipeline {
 	cfg := core.DefaultConfig()
 	models := core.Models()
@@ -470,167 +456,6 @@ func Extensions() *Pipeline {
 		},
 	})
 	return &Pipeline{Name: "extensions", Doc: BuiltinDoc("extensions"), Stages: stages}
-}
-
-// ---- fuzz-campaign ----
-
-// fuzzPlanDef keys the campaign plan; fuzzPlan is its artifact.
-type fuzzPlanDef struct {
-	V        int   `json:"v"`
-	Programs int   `json:"programs"`
-	Shards   int   `json:"shards"`
-	SeedBase int64 `json:"seed_base"`
-	Smoke    bool  `json:"smoke"`
-}
-
-type fuzzShardSpec struct {
-	SeedBase int64 `json:"seed_base"`
-	Programs int   `json:"programs"`
-	Smoke    bool  `json:"smoke"`
-}
-
-type fuzzPlan struct {
-	Shards []fuzzShardSpec `json:"shards"`
-}
-
-// fuzzFindingSummary is one diverging program in a shard artifact.
-type fuzzFindingSummary struct {
-	Seed           int64    `json:"seed"`
-	Cells          []string `json:"cells"`
-	MinimizedInsts int      `json:"minimized_insts,omitempty"`
-}
-
-// fuzzShardReport is one shard's artifact: the same aggregate the serving
-// layer's FuzzReport carries, minus the replayable .flea bodies (those
-// stay reachable by re-running the seed with cmd/fleafuzz).
-type fuzzShardReport struct {
-	Programs        int                  `json:"programs"`
-	Skipped         int                  `json:"skipped"`
-	CellRuns        int64                `json:"cell_runs"`
-	RefInstructions int64                `json:"ref_instructions"`
-	Findings        []fuzzFindingSummary `json:"findings,omitempty"`
-}
-
-// runFuzzShard checks one seed range through the serving layer's chunk
-// runner, timing every lattice cell from cycle zero.
-func runFuzzShard(ctx context.Context, spec fuzzShardSpec) (*fuzzShardReport, error) {
-	fr, err := service.DefaultFuzzRunner(ctx, service.UnitSpec{Fuzz: &service.FuzzUnit{
-		SeedBase: spec.SeedBase, Programs: spec.Programs, Smoke: spec.Smoke, Shrink: true,
-	}})
-	if err != nil {
-		return nil, err
-	}
-	rep := &fuzzShardReport{
-		Programs: fr.Programs, Skipped: fr.Skipped,
-		CellRuns: fr.CellRuns, RefInstructions: fr.RefInstructions,
-	}
-	for _, f := range fr.Findings {
-		rep.Findings = append(rep.Findings, fuzzFindingSummary{
-			Seed: f.Seed, Cells: f.Cells, MinimizedInsts: f.MinimizedInsts,
-		})
-	}
-	return rep, nil
-}
-
-// FuzzCampaign builds the differential-fuzzing pipeline: plan → sharded
-// lattice campaign → divergence report.
-func FuzzCampaign(env Env) *Pipeline {
-	programs := env.FuzzPrograms
-	if programs <= 0 {
-		programs = 200
-	}
-	shards := env.FuzzShards
-	if shards <= 0 {
-		shards = 4
-	}
-	if shards > programs {
-		shards = programs
-	}
-	const seedBase = 1
-
-	var stages []*Stage
-	stages = append(stages, &Stage{
-		Name: "plan",
-		Def:  fuzzPlanDef{V: fuzzDefV, Programs: programs, Shards: shards, SeedBase: seedBase, Smoke: env.FuzzSmoke},
-		Run: func(ctx context.Context, in *Inputs) (any, error) {
-			plan := fuzzPlan{}
-			per := programs / shards
-			extra := programs % shards
-			off := 0
-			for i := 0; i < shards; i++ {
-				n := per
-				if i < extra {
-					n++
-				}
-				plan.Shards = append(plan.Shards, fuzzShardSpec{
-					SeedBase: seedBase + int64(off), Programs: n, Smoke: env.FuzzSmoke,
-				})
-				off += n
-			}
-			return plan, nil
-		},
-	})
-	var shardNames []string
-	for i := 0; i < shards; i++ {
-		name := fmt.Sprintf("shard/%d", i)
-		shardNames = append(shardNames, name)
-		idx := i
-		stages = append(stages, &Stage{
-			Name: name,
-			Deps: []string{"plan"},
-			Def: struct {
-				V     int `json:"v"`
-				Index int `json:"index"`
-			}{fuzzDefV, idx},
-			Timeout: 60 * time.Minute,
-			Run: func(ctx context.Context, in *Inputs) (any, error) {
-				var plan fuzzPlan
-				if err := in.Decode("plan", &plan); err != nil {
-					return nil, err
-				}
-				if idx >= len(plan.Shards) {
-					return nil, fmt.Errorf("fleaflow: shard %d outside plan of %d", idx, len(plan.Shards))
-				}
-				return runFuzzShard(ctx, plan.Shards[idx])
-			},
-		})
-	}
-	stages = append(stages, &Stage{
-		Name: "divergence-report",
-		Deps: shardNames,
-		Def:  renderStageDef{V: fuzzDefV, Kind: "divergence-report"},
-		Run: func(ctx context.Context, in *Inputs) (any, error) {
-			var total fuzzShardReport
-			var b strings.Builder
-			for _, dep := range shardNames {
-				var rep fuzzShardReport
-				if err := in.Decode(dep, &rep); err != nil {
-					return nil, err
-				}
-				total.Programs += rep.Programs
-				total.Skipped += rep.Skipped
-				total.CellRuns += rep.CellRuns
-				total.RefInstructions += rep.RefInstructions
-				total.Findings = append(total.Findings, rep.Findings...)
-			}
-			fmt.Fprintf(&b, "Differential fuzzing campaign: %d programs checked (%d skipped), %d cell runs, %d reference instructions\n",
-				total.Programs, total.Skipped, total.CellRuns, total.RefInstructions)
-			if len(total.Findings) == 0 {
-				b.WriteString("No divergences: every lattice cell agreed with the reference on every program.\n")
-			} else {
-				fmt.Fprintf(&b, "%d diverging programs:\n", len(total.Findings))
-				for _, f := range total.Findings {
-					fmt.Fprintf(&b, "  seed %d: %d cells diverged (%s)", f.Seed, len(f.Cells), strings.Join(f.Cells, "; "))
-					if f.MinimizedInsts > 0 {
-						fmt.Fprintf(&b, ", minimized to %d instructions", f.MinimizedInsts)
-					}
-					b.WriteString("\n")
-				}
-			}
-			return Doc{Markdown: b.String()}, nil
-		},
-	})
-	return &Pipeline{Name: "fuzz-campaign", Doc: BuiltinDoc("fuzz-campaign"), Stages: stages}
 }
 
 // ---- smoke ----

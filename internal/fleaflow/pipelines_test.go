@@ -13,7 +13,7 @@ import (
 
 func TestBuiltinsWellFormed(t *testing.T) {
 	for _, name := range BuiltinNames() {
-		p, err := Builtin(name, Env{})
+		p, err := Builtin(name)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
@@ -27,7 +27,7 @@ func TestBuiltinsWellFormed(t *testing.T) {
 			t.Errorf("pipeline name %q != builtin name %q", p.Name, name)
 		}
 	}
-	if _, err := Builtin("no-such", Env{}); err == nil {
+	if _, err := Builtin("no-such"); err == nil {
 		t.Error("unknown builtin accepted")
 	}
 	if BuiltinDoc("no-such") != "" {
@@ -58,43 +58,6 @@ func TestSmokePipelineEndToEnd(t *testing.T) {
 	}
 	if rep.Cached != 2 || rep.Ran != 0 {
 		t.Fatalf("second run not fully cached: %+v", rep)
-	}
-}
-
-func TestFuzzCampaignSmoke(t *testing.T) {
-	st := testStore(t)
-	env := Env{FuzzPrograms: 6, FuzzShards: 2, FuzzSmoke: true}
-	rep, err := Run(context.Background(), FuzzCampaign(env), Options{Store: st, Parallelism: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.Ran != 4 { // plan + 2 shards + report
-		t.Fatalf("report: %+v", rep)
-	}
-	var doc Doc
-	if err := st.Get(rep.Key("divergence-report"), &doc); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(doc.Markdown, "6 programs checked") {
-		t.Errorf("campaign report wrong: %q", doc.Markdown)
-	}
-
-	// The plan splits the program budget without loss into consecutive
-	// seed ranges (base + offset).
-	var plan fuzzPlan
-	if err := st.Get(rep.Key("plan"), &plan); err != nil {
-		t.Fatal(err)
-	}
-	total, nextSeed := 0, int64(1)
-	for _, sh := range plan.Shards {
-		if sh.SeedBase != nextSeed {
-			t.Errorf("shard seed %d, want %d", sh.SeedBase, nextSeed)
-		}
-		total += sh.Programs
-		nextSeed += int64(sh.Programs)
-	}
-	if total != 6 {
-		t.Errorf("plan covers %d programs, want 6", total)
 	}
 }
 

@@ -11,7 +11,7 @@ import (
 // This file adds the "fuzz" job kind: a differential co-simulation campaign
 // (internal/diffsim) submitted as a service job. The campaign's seed range
 // is split into fixed-size chunks, one unit per chunk, so a large campaign
-// spreads across the worker pool, streams progress like any sweep, and —
+// spreads across the worker pool, streams progress per chunk, and —
 // because each chunk's verdict is a pure function of (seed range, shape) —
 // caches and coalesces exactly like simulation units do.
 
@@ -80,7 +80,7 @@ type FuzzReport struct {
 // tests substitute stubs.
 type FuzzRunner func(ctx context.Context, u UnitSpec) (*FuzzReport, error)
 
-// WithFuzzRunner replaces the fuzz-campaign runner (test seam).
+// WithFuzzRunner replaces the fuzz-chunk runner (test seam).
 func WithFuzzRunner(r FuzzRunner) Option {
 	return func(m *Manager) { m.fuzzRunner = r }
 }
@@ -88,8 +88,8 @@ func WithFuzzRunner(r FuzzRunner) Option {
 // expandFuzz resolves a kind-"fuzz" spec into one unit per seed chunk,
 // rejecting more than limit chunks (limit > 0) before building any.
 func (s *JobSpec) expandFuzz(limit int) ([]UnitSpec, error) {
-	if s.Model != "" || s.Bench != "" || len(s.Models) > 0 || len(s.Benches) > 0 || s.Sweep != nil {
-		return nil, fmt.Errorf("%w: kind fuzz takes no model, bench or sweep axes", ErrInvalidSpec)
+	if s.Model != "" || s.Bench != "" {
+		return nil, fmt.Errorf("%w: kind fuzz takes no model or bench", ErrInvalidSpec)
 	}
 	if s.Fuzz == nil || s.Fuzz.Programs <= 0 {
 		return nil, fmt.Errorf("%w: kind fuzz requires fuzz.programs > 0", ErrInvalidSpec)
@@ -98,15 +98,16 @@ func (s *JobSpec) expandFuzz(limit int) ([]UnitSpec, error) {
 	if chunk <= 0 {
 		chunk = defaultFuzzChunk
 	}
-	if err := checkUnitCount(limit, (s.Fuzz.Programs-1)/chunk+1); err != nil {
-		return nil, err
+	count := (s.Fuzz.Programs-1)/chunk + 1
+	if limit > 0 && count > limit {
+		return nil, fmt.Errorf("%w: %d units exceeds the per-job limit of %d", ErrInvalidSpec, count, limit)
 	}
 	var units []UnitSpec
-	for off := 0; off < s.Fuzz.Programs; off += chunk {
-		n := s.Fuzz.Programs - off
-		if n > chunk {
-			n = chunk
-		}
+	// Offsets come from the chunk index, never from a running sum that a
+	// chunk size near MaxInt would overflow.
+	for i := 0; i < count; i++ {
+		off := i * chunk
+		n := min(chunk, s.Fuzz.Programs-off)
 		base := s.Seed + int64(off)
 		units = append(units, UnitSpec{
 			ModelName: "fuzz",
@@ -124,11 +125,10 @@ func (s *JobSpec) expandFuzz(limit int) ([]UnitSpec, error) {
 	return units, nil
 }
 
-// DefaultFuzzRunner runs one chunk's differential campaign: the default
+// defaultFuzzRunner runs one chunk's differential campaign: the default
 // lattice and generator shape, or with Smoke the smoke lattice and
-// progen.SmokeConfig. It is the Manager's default FuzzRunner, and
-// fleaflow's fuzz shards call it too.
-func DefaultFuzzRunner(ctx context.Context, u UnitSpec) (*FuzzReport, error) {
+// progen.SmokeConfig. It is the Manager's default FuzzRunner.
+func defaultFuzzRunner(ctx context.Context, u UnitSpec) (*FuzzReport, error) {
 	fz := u.Fuzz
 	cells, gen := diffsim.DefaultLattice(), progen.DefaultConfig()
 	if fz.Smoke {

@@ -4,12 +4,18 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"math"
 	"sync/atomic"
 	"testing"
 )
 
 func fuzzSpec(programs, chunk int) JobSpec {
 	return JobSpec{Kind: "fuzz", Seed: 100, Fuzz: &FuzzSpec{Programs: programs, ChunkSize: chunk, Smoke: true, Shrink: true}}
+}
+
+// stubFuzz fabricates a clean report for a fuzz chunk without simulating.
+func stubFuzz(ctx context.Context, u UnitSpec) (*FuzzReport, error) {
+	return &FuzzReport{Programs: u.Fuzz.Programs, Cells: 4, CellRuns: int64(4 * u.Fuzz.Programs)}, nil
 }
 
 func TestFuzzSpecExpandsIntoChunks(t *testing.T) {
@@ -50,6 +56,21 @@ func TestFuzzSpecExpandsIntoChunks(t *testing.T) {
 	}
 }
 
+// TestFuzzSpecHugeChunkTerminates: a chunk size near MaxInt must not
+// overflow the chunk offsets, or expansion never ends and holds the request
+// handler while its memory grows.
+func TestFuzzSpecHugeChunkTerminates(t *testing.T) {
+	spec := JobSpec{Kind: "fuzz", Fuzz: &FuzzSpec{Programs: math.MaxInt, ChunkSize: math.MaxInt - 1}}
+	units, err := spec.expand(64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(units) != 2 || units[0].Fuzz.Programs != math.MaxInt-1 || units[1].Fuzz.Programs != 1 ||
+		units[1].Fuzz.SeedBase != math.MaxInt-1 {
+		t.Fatalf("got %d units, want [0,+MaxInt-1) and [MaxInt-1,+1)", len(units))
+	}
+}
+
 func TestFuzzSpecValidation(t *testing.T) {
 	cases := []JobSpec{
 		{Kind: "fuzz"},                    // no fuzz payload
@@ -69,7 +90,7 @@ func TestFuzzJobRunsChunksAndCaches(t *testing.T) {
 	var executions atomic.Int64
 	m := New(Config{Workers: 2}, WithFuzzRunner(func(ctx context.Context, u UnitSpec) (*FuzzReport, error) {
 		executions.Add(1)
-		return &FuzzReport{Programs: u.Fuzz.Programs, Cells: 4, CellRuns: int64(4 * u.Fuzz.Programs)}, nil
+		return stubFuzz(ctx, u)
 	}))
 	defer m.Drain(context.Background())
 

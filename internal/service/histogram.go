@@ -7,7 +7,7 @@ import (
 
 // histBuckets is the number of geometric latency buckets: lower bound 50µs
 // with a ×1.25 ratio covers ~50µs to ~5 minutes, ample for both a single
-// cached lookup and a verified full-suite sweep.
+// cached lookup and a long fuzz chunk.
 const (
 	histBuckets    = 64
 	histFirstBound = 50 * time.Microsecond

@@ -10,12 +10,12 @@ import (
 	"time"
 )
 
-// maxBodyBytes bounds a submission body; a full sweep grid spec is tiny.
+// maxBodyBytes bounds a submission body; a job spec is tiny.
 const maxBodyBytes = 1 << 20
 
 // Server is the HTTP façade over a Manager:
 //
-//	POST /v1/jobs            submit a run or sweep; 202 with the job id
+//	POST /v1/jobs            submit a run or fuzz campaign; 202 with the job id
 //	POST /v1/units           submit pre-resolved units (coordinator dispatch)
 //	GET  /v1/jobs/{id}       status + per-unit stats payload
 //	GET  /v1/jobs/{id}/events  SSE progress stream
@@ -73,12 +73,18 @@ type submitResponse struct {
 	CachedUnits int    `json:"cached_units"`
 }
 
+// decodeBody decodes one request body into v: at most maxBodyBytes, and
+// no field that v does not declare.
+func decodeBody(body io.Reader, v any) error {
+	dec := json.NewDecoder(io.LimitReader(body, maxBodyBytes))
+	dec.DisallowUnknownFields()
+	return dec.Decode(v)
+}
+
 // handleSubmit admits one job.
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
-	dec := json.NewDecoder(io.LimitReader(r.Body, maxBodyBytes))
-	dec.DisallowUnknownFields()
 	var spec JobSpec
-	if err := dec.Decode(&spec); err != nil {
+	if err := decodeBody(r.Body, &spec); err != nil {
 		WriteJSON(w, http.StatusBadRequest, errorBody{Error: fmt.Sprintf("decoding job spec: %v", err)})
 		return
 	}
@@ -136,10 +142,8 @@ type UnitSubmission struct {
 
 // handleSubmitUnits admits a batch of pre-resolved units.
 func (s *Server) handleSubmitUnits(w http.ResponseWriter, r *http.Request) {
-	dec := json.NewDecoder(io.LimitReader(r.Body, maxBodyBytes))
-	dec.DisallowUnknownFields()
 	var sub UnitSubmission
-	if err := dec.Decode(&sub); err != nil {
+	if err := decodeBody(r.Body, &sub); err != nil {
 		WriteJSON(w, http.StatusBadRequest, errorBody{Error: fmt.Sprintf("decoding unit submission: %v", err)})
 		return
 	}

@@ -93,35 +93,31 @@ func TestHTTPSubmitAndStatus(t *testing.T) {
 	}
 }
 
-func TestHTTPSweepExpandsServerSide(t *testing.T) {
-	_, ts := newTestServer(t, Config{Workers: 4})
+// TestHTTPFuzzExpandsServerSide: a fuzz campaign posted over HTTP is
+// chunked server-side into one unit per seed range, each labelled with it.
+func TestHTTPFuzzExpandsServerSide(t *testing.T) {
+	_, ts := newTestServer(t, Config{Workers: 4}, WithFuzzRunner(stubFuzz))
 
 	code, ack := postJob(t, ts, `{
-		"kind": "sweep",
-		"models": ["base", "2P"],
-		"benches": ["300.twolf"],
-		"sweep": {"cq_sizes": [16, 32, 64]}
+		"kind": "fuzz",
+		"seed": 5,
+		"fuzz": {"programs": 6, "chunk_size": 2, "smoke": true}
 	}`)
 	if code != http.StatusAccepted {
 		t.Fatalf("submit status = %d, want 202", code)
 	}
-	if ack.TotalUnits != 6 {
-		t.Fatalf("sweep total units = %d, want 6", ack.TotalUnits)
+	if ack.TotalUnits != 3 {
+		t.Fatalf("fuzz total units = %d, want 3", ack.TotalUnits)
 	}
 	st := getStatus(t, ts, ack.ID)
 	if st.State != "done" {
-		t.Fatalf("sweep state = %q (%s)", st.State, st.Error)
+		t.Fatalf("fuzz state = %q (%s)", st.State, st.Error)
 	}
-	withParam := 0
-	for _, u := range st.Units {
-		for _, p := range u.Params {
-			if p.Name == "cq_size" {
-				withParam++
-			}
+	for i, u := range st.Units {
+		want := fmt.Sprintf("seeds[%d,%d)", 5+2*i, 7+2*i)
+		if u.Model != "fuzz" || u.Bench != want {
+			t.Fatalf("unit %d labelled %s/%s, want fuzz/%s", i, u.Model, u.Bench, want)
 		}
-	}
-	if withParam != 6 {
-		t.Fatalf("units labelled with cq_size = %d, want 6", withParam)
 	}
 }
 
@@ -224,16 +220,12 @@ func TestHTTPQueueFullReturns429(t *testing.T) {
 
 func TestHTTPEventsStream(t *testing.T) {
 	gate := make(chan struct{}, 8)
-	_, ts := newTestServer(t, Config{Workers: 1}, WithRunner(func(ctx context.Context, u UnitSpec) (*stats.Run, error) {
+	_, ts := newTestServer(t, Config{Workers: 1}, WithFuzzRunner(func(ctx context.Context, u UnitSpec) (*FuzzReport, error) {
 		<-gate
-		return stubRun(u), nil
+		return stubFuzz(ctx, u)
 	}))
 
-	_, ack := postJob(t, ts, `{
-		"kind": "sweep",
-		"models": ["2P"], "benches": ["300.twolf"],
-		"sweep": {"cq_sizes": [16, 32]}
-	}`)
+	_, ack := postJob(t, ts, `{"kind": "fuzz", "fuzz": {"programs": 2, "chunk_size": 1}}`)
 
 	resp, err := http.Get(ts.URL + ack.Events)
 	if err != nil {
@@ -550,6 +542,53 @@ func TestHTTPSubmitUnits(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("bad unit: status = %d, want 400", resp.StatusCode)
+	}
+}
+
+// TestHTTPRejectsRemovedSweepShapes: the job and unit endpoints answer the
+// shapes of the removed sweep kind with 400 and an error body, and
+// neither admits a job.
+func TestHTTPRejectsRemovedSweepShapes(t *testing.T) {
+	m, ts := newTestServer(t, Config{Workers: 1})
+	post := func(path, body string) {
+		t.Helper()
+		resp, err := http.Post(ts.URL+path, "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatalf("%s %s: %v", path, body, err)
+		}
+		defer resp.Body.Close()
+		var eb errorBody
+		if err := json.NewDecoder(resp.Body).Decode(&eb); err != nil {
+			t.Fatalf("%s %s: decoding the error body: %v", path, body, err)
+		}
+		if resp.StatusCode != http.StatusBadRequest || eb.Error == "" {
+			t.Errorf("%s %s: status %d, error %q; want 400 with an error", path, body, resp.StatusCode, eb.Error)
+		}
+	}
+	for _, body := range []string{
+		`{"kind":"sweep","model":"2P","bench":"300.twolf"}`,
+		`{"kind":"sweep","models":["base","2P"],"benches":["300.twolf"],"sweep":{"cq_sizes":[16,64]}}`,
+		`{"model":"2P","bench":"300.twolf","models":["base"]}`,
+		`{"model":"2P","bench":"300.twolf","benches":["181.mcf"]}`,
+		`{"model":"2P","bench":"300.twolf","sweep":{"cq_sizes":[16]}}`,
+		`{"model":"2P","bench":"300.twolf","sweep":null}`,
+	} {
+		post("/v1/jobs", body)
+	}
+
+	u := expandOne(t, runSpec())
+	raw, err := json.Marshal(UnitSubmission{Units: []WireUnit{u.Wire()}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	withParams := strings.Replace(string(raw), `"model":`, `"params":[{"name":"cq_size","value":64}],"model":`, 1)
+	post("/v1/units", withParams)
+
+	m.mu.Lock()
+	n := len(m.jobs)
+	m.mu.Unlock()
+	if n != 0 {
+		t.Errorf("%d jobs admitted, want 0", n)
 	}
 }
 

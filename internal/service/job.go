@@ -114,10 +114,9 @@ func (j *Job) CachedUnits() int {
 
 // UnitStatus is the reporting view of one unit within a job.
 type UnitStatus struct {
-	Key    string  `json:"key"`
-	Model  string  `json:"model"`
-	Bench  string  `json:"bench"`
-	Params []Param `json:"params,omitempty"`
+	Key   string `json:"key"`
+	Model string `json:"model"`
+	Bench string `json:"bench"`
 	// Cached reports that this job did not trigger a fresh execution for
 	// the unit (completed cache hit or coalesced onto one in flight).
 	Cached bool   `json:"cached"`
@@ -175,7 +174,6 @@ func (j *Job) Status() Status {
 			Key:    j.entries[i].key,
 			Model:  u.ModelName,
 			Bench:  u.Bench,
-			Params: u.Params,
 			Cached: j.cachedAtSubmit[i],
 			State:  "pending",
 		}
@@ -237,12 +235,5 @@ func (j *Job) publish(ev ProgressEvent) {
 
 // unitLabel renders a unit for error messages.
 func unitLabel(u *UnitSpec) string {
-	if len(u.Params) == 0 {
-		return fmt.Sprintf("%s/%s", u.Bench, u.ModelName)
-	}
-	s := fmt.Sprintf("%s/%s", u.Bench, u.ModelName)
-	for _, p := range u.Params {
-		s += fmt.Sprintf("/%s=%d", p.Name, p.Value)
-	}
-	return s
+	return fmt.Sprintf("%s/%s", u.Bench, u.ModelName)
 }

@@ -75,7 +75,9 @@ type Config struct {
 	// DefaultTimeout bounds a job that does not set timeout_ms (default
 	// 120s).
 	DefaultTimeout time.Duration
-	// MaxUnitsPerJob rejects grids larger than this (default 1024).
+	// MaxUnitsPerJob rejects a job of more units than this (default
+	// 1024): a fuzz campaign of more seed chunks, or a coordinator's
+	// batch of more pre-resolved units.
 	MaxUnitsPerJob int
 	// MaxJobs bounds retained job records; the oldest finished jobs are
 	// forgotten beyond it (default 4096).
@@ -170,7 +172,7 @@ func New(cfg Config, opts ...Option) *Manager {
 		reg:        reg,
 		met:        met,
 		cache:      newResultCache(cfg.CacheEntries, met),
-		fuzzRunner: DefaultFuzzRunner,
+		fuzzRunner: defaultFuzzRunner,
 		latency:    &LatencyHistogram{},
 		started:    time.Now(),
 		jobs:       make(map[string]*Job),
@@ -254,9 +256,6 @@ func (m *Manager) Submit(spec JobSpec) (*Job, error) {
 	units, err := spec.expand(m.cfg.MaxUnitsPerJob)
 	if err != nil {
 		return nil, err
-	}
-	if len(units) == 0 {
-		return nil, fmt.Errorf("%w: spec expands to zero units", ErrInvalidSpec)
 	}
 	return m.submitUnits(spec, units, spec.TimeoutMS)
 }

@@ -6,7 +6,6 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -335,15 +334,15 @@ func TestFailedUnitRetriesFresh(t *testing.T) {
 	}
 }
 
-// TestSweepExpansionSharesCacheWithEquivalentRun verifies a sweep grid point
-// and the equivalent single run share one cache slot, and that the sweep's
-// unit count is the full cartesian product.
-func TestSweepExpansionSharesCacheWithEquivalentRun(t *testing.T) {
+// TestEquivalentRunsShareCacheSlot verifies the cache keys a run by its
+// resolved configuration: a run that sets cq_size to the Table 1 value and
+// a plain run share one cache slot, while a different cq_size does not.
+func TestEquivalentRunsShareCacheSlot(t *testing.T) {
 	var executions atomic.Int64
 	m := New(Config{Workers: 4}, WithRunner(countingRunner(&executions)))
 	defer m.Drain(context.Background())
 
-	cq := 64
+	cq, cq16 := 64, 16
 	single, err := m.Submit(JobSpec{
 		Model:  "2P",
 		Bench:  "300.twolf",
@@ -354,29 +353,31 @@ func TestSweepExpansionSharesCacheWithEquivalentRun(t *testing.T) {
 	}
 	waitDone(t, single)
 
-	sweep, err := m.Submit(JobSpec{
-		Kind:    "sweep",
-		Models:  []string{"2P", "base"},
-		Benches: []string{"300.twolf"},
-		Sweep:   &SweepAxes{CQSizes: []int{16, 64}},
-	})
-	if err != nil {
-		t.Fatal(err)
+	var jobs []*Job
+	for _, spec := range []JobSpec{
+		runSpec(),
+		{Model: "2P", Bench: "300.twolf", Config: ConfigOverrides{CQSize: &cq16}},
+		{Model: "base", Bench: "300.twolf", Config: ConfigOverrides{CQSize: &cq}},
+	} {
+		j, err := m.Submit(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		waitDone(t, j)
+		jobs = append(jobs, j)
 	}
-	waitDone(t, sweep)
 
-	st := sweep.Status()
-	if st.TotalUnits != 4 {
-		t.Fatalf("sweep units = %d, want 4 (2 models × 2 cq sizes)", st.TotalUnits)
+	// 1 + 3 runs, minus the plain 2P run's shared slot.
+	if got := executions.Load(); got != 3 {
+		t.Fatalf("executions = %d, want 3 (the plain run must reuse the cq_size=64 run's cache slot)", got)
 	}
-	// 1 single + 4 sweep points, minus the shared (2P, cq=64) slot.
-	if got := executions.Load(); got != 4 {
-		t.Fatalf("executions = %d, want 4 (sweep point must reuse the single run's cache slot)", got)
+	for i, want := range []int{1, 0, 0} {
+		if got := jobs[i].CachedUnits(); got != want {
+			t.Fatalf("run %d CachedUnits = %d, want %d", i, got, want)
+		}
 	}
-	if st.CachedUnits != 1 {
-		t.Fatalf("sweep CachedUnits = %d, want 1", st.CachedUnits)
-	}
-	for _, u := range st.Units {
+	for _, j := range jobs {
+		u := j.Status().Units[0]
 		if u.State != "done" {
 			t.Fatalf("unit %s state = %q, want done (%s)", u.Key, u.State, u.Error)
 		}
@@ -474,10 +475,9 @@ func TestInvalidSpecs(t *testing.T) {
 		{Model: "2P"},                       // no bench
 		{Model: "nope", Bench: "300.twolf"}, // unknown model
 		{Model: "2P", Bench: "nope"},        // unknown bench
-		{Kind: "batch", Model: "2P", Bench: "300.twolf"},            // unknown kind
-		{Model: "2P", Bench: "300.twolf", Models: []string{"base"}}, // run with 2 models
-		{Kind: "sweep", Models: []string{"2P"}, Benches: []string{"300.twolf"},
-			Sweep: &SweepAxes{CQSizes: []int{0}}}, // non-positive swept value
+		{Kind: "batch", Model: "2P", Bench: "300.twolf"}, // unknown kind
+		{Kind: "sweep", Model: "2P", Bench: "300.twolf"}, // the removed sweep kind
+		{Kind: "sweep"}, // the removed sweep kind, empty
 	}
 	for i, s := range bad {
 		if _, err := m.Submit(s); !errors.Is(err, ErrInvalidSpec) {
@@ -486,54 +486,29 @@ func TestInvalidSpecs(t *testing.T) {
 	}
 }
 
-// TestOversizedGridRejectedBeforeExpansion: a sweep or fuzz spec that
-// exceeds the per-job unit limit, or whose unit count overflows int, is
-// rejected from its sizes alone, without building the units it describes.
+// TestOversizedGridRejectedBeforeExpansion: a fuzz spec that exceeds the
+// per-job unit limit is rejected from its sizes alone, without building the
+// units it describes.
 func TestOversizedGridRejectedBeforeExpansion(t *testing.T) {
 	m := New(Config{Workers: 1}, WithRunner(countingRunner(new(atomic.Int64))))
 	defer m.Drain(context.Background())
-	axis := func(n int) []int {
-		v := make([]int, n)
-		for i := range v {
-			v[i] = i + 1
-		}
-		return v
-	}
-	sweep := func(axes SweepAxes) JobSpec {
-		return JobSpec{Kind: "sweep", Models: []string{"2P"}, Benches: []string{"300.twolf"}, Sweep: &axes}
-	}
 
-	// 90,000 units each: 300 × 300 sweep points (about 225 MiB if the grid
-	// were built) and 90,000 one-program fuzz chunks.
-	for name, spec := range map[string]JobSpec{
-		"sweep": sweep(SweepAxes{CQSizes: axis(300), DeferThrottles: axis(300)}),
-		"fuzz":  {Kind: "fuzz", Fuzz: &FuzzSpec{Programs: 90_000, ChunkSize: 1}},
-	} {
-		var before, after runtime.MemStats
-		runtime.ReadMemStats(&before)
-		_, err := m.Submit(spec)
-		runtime.ReadMemStats(&after)
-		if !errors.Is(err, ErrInvalidSpec) {
-			t.Fatalf("%s: err = %v, want ErrInvalidSpec", name, err)
-		}
-		if d := after.TotalAlloc - before.TotalAlloc; d > 1<<20 {
-			t.Errorf("%s: rejecting 90,000 units allocated %d bytes, want under 1 MiB", name, d)
-		}
+	// 90,000 one-program fuzz chunks.
+	spec := JobSpec{Kind: "fuzz", Fuzz: &FuzzSpec{Programs: 90_000, ChunkSize: 1}}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := m.Submit(spec)
+	runtime.ReadMemStats(&after)
+	if !errors.Is(err, ErrInvalidSpec) {
+		t.Fatalf("err = %v, want ErrInvalidSpec", err)
 	}
-
-	// 2^16 values on each of four axes: 2^64 points overflow int.
-	v := axis(1 << 16)
-	huge := sweep(SweepAxes{CQSizes: v, FeedbackLatencies: v, ALATCapacities: v, DeferThrottles: v})
-	if _, err := m.Submit(huge); !errors.Is(err, ErrInvalidSpec) || !strings.Contains(err.Error(), "overflow") {
-		t.Errorf("overflowing grid: err = %v, want ErrInvalidSpec naming the overflow", err)
-	}
-	if _, err := ExpandUnits(huge); !errors.Is(err, ErrInvalidSpec) {
-		t.Errorf("ExpandUnits of an overflowing grid: err = %v, want ErrInvalidSpec", err)
+	if d := after.TotalAlloc - before.TotalAlloc; d > 1<<20 {
+		t.Errorf("rejecting 90,000 units allocated %d bytes, want under 1 MiB", d)
 	}
 }
 
-// TestUnitKeyStability pins the key's sensitivity: config and model changes
-// alter it, sweep labels do not.
+// TestUnitKeyStability pins the key's sensitivity (config, model, seed and
+// verification alter it) and its exact bytes for each unit shape.
 func TestUnitKeyStability(t *testing.T) {
 	mk := func(mutate func(*JobSpec)) string {
 		s := runSpec()
@@ -564,22 +539,30 @@ func TestUnitKeyStability(t *testing.T) {
 		t.Fatal("verify change should alter the key")
 	}
 
-	// A sweep point with cq_size=64 must share the key of a plain run whose
-	// override sets cq_size=64 — Params are presentation-only.
-	cq64 := 64
-	plain := JobSpec{Model: "2P", Bench: "300.twolf", Config: ConfigOverrides{CQSize: &cq64}}
-	pu, err := plain.expand(0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sweep := JobSpec{Kind: "sweep", Models: []string{"2P"}, Benches: []string{"300.twolf"},
-		Sweep: &SweepAxes{CQSizes: []int{64}}}
-	su, err := sweep.expand(0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if pu[0].Key() != su[0].Key() {
-		t.Fatal("equivalent run and sweep point must share a cache key")
+	// The keys are pinned byte for byte: daemon cache hits and cluster
+	// federation both match results by key, so any change to the key's
+	// encoding silently orphans every stored result.
+	cq16 := 16
+	for name, tc := range map[string]struct {
+		spec JobSpec
+		key  string
+	}{
+		"run": {JobSpec{Model: "2P", Bench: "300.twolf"},
+			"9ffcd4e845e3c047ea1bfaf998188dd77c4b1ea287a3a754d02220ce72a78430"},
+		"config": {JobSpec{Model: "2P", Bench: "300.twolf", Config: ConfigOverrides{CQSize: &cq16}},
+			"d4d84bd5f4856dd22105f84cba097953c92fea10f626fe00bb56ddd99b6ef3a0"},
+		"verify": {JobSpec{Model: "base", Bench: "181.mcf", Verify: true},
+			"6dfd66ead6675369ceb62525d05207b5548624fefa7de13b99ca88a9e0806c68"},
+		"fuzz": {JobSpec{Kind: "fuzz", Seed: 11, Fuzz: &FuzzSpec{Programs: 100, ChunkSize: 100, Smoke: true, Shrink: true}},
+			"73621c032b799c6a8530df2624ac1263beb7ffeab779c1c4214a10667844929c"},
+	} {
+		units, err := tc.spec.expand(0)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if got := units[0].Key(); got != tc.key {
+			t.Errorf("%s key = %s, want %s", name, got, tc.key)
+		}
 	}
 }
 

@@ -6,7 +6,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"math"
 
 	"fleaflicker/internal/core"
 	"fleaflicker/internal/workload"
@@ -17,20 +16,15 @@ import (
 var ErrInvalidSpec = errors.New("service: invalid job spec")
 
 // JobSpec is the wire format of one submission: a single run (kind "run",
-// the default), a parameter-sweep grid (kind "sweep") expanded server-side
-// into one simulation unit per grid point, or a differential fuzzing
-// campaign (kind "fuzz") chunked into one unit per seed range.
+// the default) or a differential fuzzing campaign (kind "fuzz") chunked
+// into one unit per seed range.
 type JobSpec struct {
-	// Kind selects the submission shape: "run" (default), "sweep" or
-	// "fuzz".
+	// Kind selects the submission shape: "run" (default) or "fuzz".
 	Kind string `json:"kind,omitempty"`
 
-	// Model and Bench name a single run's cell. Sweeps use the plural
-	// forms; a sweep with Model/Bench set treats them as one-element lists.
-	Model   string   `json:"model,omitempty"`
-	Bench   string   `json:"bench,omitempty"`
-	Models  []string `json:"models,omitempty"`
-	Benches []string `json:"benches,omitempty"`
+	// Model and Bench name a run's cell.
+	Model string `json:"model,omitempty"`
+	Bench string `json:"bench,omitempty"`
 
 	// Verify checks every unit against the functional reference executor.
 	Verify bool `json:"verify,omitempty"`
@@ -49,23 +43,9 @@ type JobSpec struct {
 	// core.DefaultConfig values.
 	Config ConfigOverrides `json:"config,omitempty"`
 
-	// Sweep adds parameter axes; the grid is the cartesian product of
-	// models × benches × every non-empty axis.
-	Sweep *SweepAxes `json:"sweep,omitempty"`
-
 	// Fuzz configures a kind-"fuzz" differential campaign; Seed is the
 	// first generator seed.
 	Fuzz *FuzzSpec `json:"fuzz,omitempty"`
-}
-
-// SweepAxes are the server-side expanded sweep dimensions, mirroring the
-// ablation sweeps of internal/experiments (CQ size, B→A feedback latency,
-// ALAT capacity, deferral throttle).
-type SweepAxes struct {
-	CQSizes           []int `json:"cq_sizes,omitempty"`
-	FeedbackLatencies []int `json:"feedback_latencies,omitempty"`
-	ALATCapacities    []int `json:"alat_capacities,omitempty"`
-	DeferThrottles    []int `json:"defer_throttles,omitempty"`
 }
 
 // ConfigOverrides is the JSON-friendly partial view of core.Config: only
@@ -117,12 +97,6 @@ func (o ConfigOverrides) apply(cfg core.Config) core.Config {
 	return cfg
 }
 
-// Param records one sweep-axis coordinate of a unit, for reporting.
-type Param struct {
-	Name  string `json:"name"`
-	Value int    `json:"value"`
-}
-
 // UnitSpec is one fully resolved simulation: the service's unit of
 // execution, caching and deduplication.
 type UnitSpec struct {
@@ -131,7 +105,6 @@ type UnitSpec struct {
 	Bench     string      `json:"bench"`
 	Seed      int64       `json:"seed,omitempty"`
 	Verify    bool        `json:"verify,omitempty"`
-	Params    []Param     `json:"params,omitempty"`
 	Config    core.Config `json:"-"`
 	// Fuzz marks this unit as one chunk of a differential fuzzing campaign
 	// instead of a single simulation (ModelName is then "fuzz" and Bench a
@@ -142,8 +115,7 @@ type UnitSpec struct {
 // Key returns the unit's content-addressed cache key: a SHA-256 over the
 // canonical encoding of everything that determines the simulation's output
 // (model, benchmark, seed, verification, and the fully resolved machine
-// configuration). Sweep-axis labels are presentation-only and excluded, so
-// a sweep point and an equivalent single run share one cache slot.
+// configuration).
 func (u *UnitSpec) Key() string {
 	payload := struct {
 		Model  string      `json:"model"`
@@ -173,145 +145,45 @@ func modelByName(name string) (core.Model, error) {
 	return 0, fmt.Errorf("%w: unknown model %q (have base, 2P, 2Pre, runahead)", ErrInvalidSpec, name)
 }
 
-// expand resolves the spec into its simulation units: validation, default
-// filling, and server-side cartesian expansion of the sweep grid. A spec
-// that would expand to more than limit units (limit > 0), or to a count that
-// overflows int, is rejected before any unit is built, so the size of a
-// request body bounds the work admission does.
+// expand resolves the spec into its simulation units: validation and
+// default filling. A run resolves to exactly one unit; a fuzz campaign to
+// one per seed chunk, rejected before any is built if there would be more
+// than limit (limit > 0), so the size of a request body bounds the work
+// admission does.
 func (s *JobSpec) expand(limit int) ([]UnitSpec, error) {
 	switch s.Kind {
-	case "", "run", "sweep":
+	case "", "run":
 	case "fuzz":
 		return s.expandFuzz(limit)
 	default:
-		return nil, fmt.Errorf("%w: unknown kind %q (have run, sweep, fuzz)", ErrInvalidSpec, s.Kind)
+		return nil, fmt.Errorf("%w: unknown kind %q (have run, fuzz)", ErrInvalidSpec, s.Kind)
 	}
 	if s.Fuzz != nil {
 		return nil, fmt.Errorf("%w: fuzz parameters require kind fuzz", ErrInvalidSpec)
 	}
-
-	models := s.Models
-	if s.Model != "" {
-		models = append([]string{s.Model}, models...)
-	}
-	if len(models) == 0 {
+	if s.Model == "" {
 		return nil, fmt.Errorf("%w: no model selected", ErrInvalidSpec)
 	}
-	benches := s.Benches
-	if s.Bench != "" {
-		benches = append([]string{s.Bench}, benches...)
-	}
-	if len(benches) == 0 {
+	if s.Bench == "" {
 		return nil, fmt.Errorf("%w: no benchmark selected", ErrInvalidSpec)
 	}
-	if s.Kind != "sweep" && (len(models) > 1 || len(benches) > 1 || s.Sweep != nil) {
-		return nil, fmt.Errorf("%w: kind run takes one model and one benchmark and no sweep axes", ErrInvalidSpec)
-	}
-
-	base := s.Config.apply(core.DefaultConfig())
-	if base.MaxCycles <= 0 || base.IssueWidth <= 0 || base.CQSize <= 0 {
+	cfg := s.Config.apply(core.DefaultConfig())
+	if cfg.MaxCycles <= 0 || cfg.IssueWidth <= 0 || cfg.CQSize <= 0 {
 		return nil, fmt.Errorf("%w: max_cycles, issue_width and cq_size must be positive", ErrInvalidSpec)
 	}
-
-	// Each axis is a (label, values, setter) triple; the grid is the
-	// cartesian product of the non-empty ones.
-	type axis struct {
-		name   string
-		values []int
-		set    func(*core.Config, int)
-	}
-	var axes []axis
-	if s.Sweep != nil {
-		if len(s.Sweep.CQSizes) > 0 {
-			axes = append(axes, axis{"cq_size", s.Sweep.CQSizes,
-				func(c *core.Config, v int) { c.CQSize = v }})
-		}
-		if len(s.Sweep.FeedbackLatencies) > 0 {
-			axes = append(axes, axis{"feedback_latency", s.Sweep.FeedbackLatencies,
-				func(c *core.Config, v int) { c.FeedbackLatency = v }})
-		}
-		if len(s.Sweep.ALATCapacities) > 0 {
-			axes = append(axes, axis{"alat_capacity", s.Sweep.ALATCapacities,
-				func(c *core.Config, v int) { c.ALATCapacity = v }})
-		}
-		if len(s.Sweep.DeferThrottles) > 0 {
-			axes = append(axes, axis{"defer_throttle", s.Sweep.DeferThrottles,
-				func(c *core.Config, v int) { c.DeferThrottle = v }})
-		}
-	}
-
-	dims := []int{len(models), len(benches)}
-	for _, ax := range axes {
-		dims = append(dims, len(ax.values))
-	}
-	if err := checkUnitCount(limit, dims...); err != nil {
+	model, err := modelByName(s.Model)
+	if err != nil {
 		return nil, err
 	}
-
-	// points enumerates the grid coordinates: one []Param per point.
-	points := [][]Param{nil}
-	for _, ax := range axes {
-		var next [][]Param
-		for _, pt := range points {
-			for _, v := range ax.values {
-				p := make([]Param, len(pt), len(pt)+1)
-				copy(p, pt)
-				next = append(next, append(p, Param{ax.name, v}))
-			}
-		}
-		points = next
+	if _, err := workload.ByName(s.Bench); err != nil {
+		return nil, fmt.Errorf("%w: %v", ErrInvalidSpec, err)
 	}
-
-	setter := make(map[string]func(*core.Config, int), len(axes))
-	for _, ax := range axes {
-		setter[ax.name] = ax.set
-	}
-
-	var units []UnitSpec
-	for _, mName := range models {
-		model, err := modelByName(mName)
-		if err != nil {
-			return nil, err
-		}
-		for _, bName := range benches {
-			if _, err := workload.ByName(bName); err != nil {
-				return nil, fmt.Errorf("%w: %v", ErrInvalidSpec, err)
-			}
-			for _, pt := range points {
-				cfg := base
-				for _, p := range pt {
-					setter[p.Name](&cfg, p.Value)
-				}
-				if cfg.CQSize <= 0 {
-					return nil, fmt.Errorf("%w: swept cq_size must be positive", ErrInvalidSpec)
-				}
-				units = append(units, UnitSpec{
-					Model:     model,
-					ModelName: mName,
-					Bench:     bName,
-					Seed:      s.Seed,
-					Verify:    s.Verify,
-					Params:    pt,
-					Config:    cfg,
-				})
-			}
-		}
-	}
-	return units, nil
-}
-
-// checkUnitCount rejects a job whose unit count, the product of dims,
-// overflows int or exceeds limit (limit <= 0 means no limit).
-func checkUnitCount(limit int, dims ...int) error {
-	n := 1
-	for _, d := range dims {
-		if d != 0 && n > math.MaxInt/d {
-			return fmt.Errorf("%w: unit count overflows", ErrInvalidSpec)
-		}
-		n *= d
-	}
-	if limit > 0 && n > limit {
-		return fmt.Errorf("%w: %d units exceeds the per-job limit of %d", ErrInvalidSpec, n, limit)
-	}
-	return nil
+	return []UnitSpec{{
+		Model:     model,
+		ModelName: s.Model,
+		Bench:     s.Bench,
+		Seed:      s.Seed,
+		Verify:    s.Verify,
+		Config:    cfg,
+	}}, nil
 }

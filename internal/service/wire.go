@@ -16,23 +16,20 @@ import (
 // the same key on every node that ever sees it.
 
 // ExpandUnits resolves a JobSpec into its simulation units exactly as
-// Submit would: validation, default filling, and server-side cartesian
-// expansion of sweep grids and fuzz seed chunks. It applies no per-job unit
-// limit; Submit applies its Manager's.
+// Submit would: validation, default filling, and fuzz seed chunking. It
+// applies no per-job unit limit; Submit applies its Manager's.
 func ExpandUnits(spec JobSpec) ([]UnitSpec, error) {
 	return spec.expand(0)
 }
 
 // WireUnit is the JSON form of one fully resolved UnitSpec, carrying every
 // field that feeds the unit's cache key (model, bench, seed, verify, the
-// complete machine configuration, and the fuzz chunk, if any) plus the
-// presentation-only sweep params.
+// complete machine configuration, and the fuzz chunk, if any).
 type WireUnit struct {
 	Model  string      `json:"model"`
 	Bench  string      `json:"bench"`
 	Seed   int64       `json:"seed,omitempty"`
 	Verify bool        `json:"verify,omitempty"`
-	Params []Param     `json:"params,omitempty"`
 	Config core.Config `json:"config"`
 	Fuzz   *FuzzUnit   `json:"fuzz,omitempty"`
 }
@@ -44,7 +41,6 @@ func (u *UnitSpec) Wire() WireUnit {
 		Bench:  u.Bench,
 		Seed:   u.Seed,
 		Verify: u.Verify,
-		Params: u.Params,
 		Config: u.Config,
 		Fuzz:   u.Fuzz,
 	}
@@ -59,7 +55,6 @@ func (w WireUnit) Resolve() (UnitSpec, error) {
 		Bench:     w.Bench,
 		Seed:      w.Seed,
 		Verify:    w.Verify,
-		Params:    w.Params,
 		Config:    w.Config,
 		Fuzz:      w.Fuzz,
 	}

@@ -1,7 +1,9 @@
 package service
 
 import (
+	"bytes"
 	"encoding/json"
+	"errors"
 	"strings"
 	"testing"
 )
@@ -24,11 +26,11 @@ func expandOne(t *testing.T, spec JobSpec) UnitSpec {
 // land on the same content-addressed key, or coordinator and backend would
 // silently disagree about what is cached.
 func TestWireRoundTripPreservesKey(t *testing.T) {
+	cq48 := 48
 	specs := map[string]JobSpec{
 		"run":    {Model: "2P", Bench: "300.twolf", Seed: 9},
 		"verify": {Model: "base", Bench: "181.mcf", Verify: true},
-		"sweep": {Kind: "sweep", Model: "2P", Bench: "300.twolf",
-			Sweep: &SweepAxes{CQSizes: []int{48}}},
+		"config": {Model: "2P", Bench: "300.twolf", Config: ConfigOverrides{CQSize: &cq48}},
 		"fuzz": {Kind: "fuzz", Seed: 11,
 			Fuzz: &FuzzSpec{Programs: 100, ChunkSize: 100, Smoke: true, Shrink: true}},
 	}
@@ -85,4 +87,101 @@ func TestWireResolveRejectsInvalid(t *testing.T) {
 			}
 		})
 	}
+}
+
+// Native fuzz targets for the two request bodies a daemon decodes. Each
+// seeds its corpus with the bodies the tests above and in http_test.go post.
+
+// FuzzJobSpecDecode feeds arbitrary bytes through POST /v1/jobs' decoding
+// and expansion. Nothing may panic; an accepted spec stays within the unit
+// limit, and each of its units keeps its cache key across the wire.
+func FuzzJobSpecDecode(f *testing.F) {
+	for _, body := range []string{
+		`{"model":"2P","bench":"300.twolf"}`,
+		`{"model":"base","bench":"300.twolf"}`,
+		`{"model":"2P","bench":"300.twolf","seed":7}`,
+		`{"model":"nope","bench":"300.twolf"}`,
+		`{"model":"2P","bench":"300.twolf","bogus":1}`,
+		`{`,
+		`{"model":"2P","bench":"300.twolf","verify":true,"timeout_ms":500,"config":{"cq_size":64,"max_cycles":1000}}`,
+		`{"kind":"fuzz","fuzz":{"programs":2,"chunk_size":1}}`,
+		`{"kind":"fuzz","seed":5,"fuzz":{"programs":6,"chunk_size":2,"smoke":true}}`,
+		`{"kind":"fuzz","seed":11,"fuzz":{"programs":100,"chunk_size":100,"smoke":true,"shrink":true,"checkpoint":true}}`,
+		`{"kind":"sweep","models":["base","2P"],"benches":["300.twolf"],"sweep":{"cq_sizes":[16,64]}}`,
+		`{"kind":"fuzz","fuzz":{"programs":9223372036854775807,"chunk_size":9223372036854775806}}`,
+	} {
+		f.Add([]byte(body))
+	}
+	const limit = 64
+	f.Fuzz(func(t *testing.T, body []byte) {
+		var spec JobSpec
+		if err := decodeBody(bytes.NewReader(body), &spec); err != nil {
+			return
+		}
+		units, err := spec.expand(limit)
+		if err != nil {
+			if !errors.Is(err, ErrInvalidSpec) {
+				t.Fatalf("rejection %v is not ErrInvalidSpec", err)
+			}
+			return
+		}
+		if len(units) == 0 || len(units) > limit {
+			t.Fatalf("accepted spec expands to %d units, want 1..%d", len(units), limit)
+		}
+		for i := range units {
+			u := &units[i]
+			back, err := u.Wire().Resolve()
+			if err != nil {
+				t.Fatalf("unit %d of an accepted spec does not resolve: %v", i, err)
+			}
+			if back.Key() != u.Key() {
+				t.Fatalf("unit %d changed key across the wire", i)
+			}
+		}
+	})
+}
+
+// FuzzWireUnitDecode feeds arbitrary bytes through POST /v1/units' decoding
+// and Resolve. Nothing may panic, and a unit that resolves keeps its key
+// through a second round trip.
+func FuzzWireUnitDecode(f *testing.F) {
+	for _, spec := range []JobSpec{
+		{Model: "2P", Bench: "300.twolf", Seed: 5},
+		{Model: "base", Bench: "181.mcf", Verify: true},
+		{Kind: "fuzz", Seed: 11, Fuzz: &FuzzSpec{Programs: 100, ChunkSize: 100, Smoke: true, Shrink: true}},
+	} {
+		units, err := spec.expand(0)
+		if err != nil {
+			f.Fatal(err)
+		}
+		body, err := json.Marshal(UnitSubmission{Units: []WireUnit{units[0].Wire()}})
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(body)
+	}
+	f.Add([]byte(`{"units":[{"model":"nonsense","bench":"300.twolf","config":{}}]}`))
+	f.Add([]byte(`{"units":[{"model":"fuzz","bench":"x","config":{},"fuzz":{"seed_base":1,"programs":0}}]}`))
+	f.Fuzz(func(t *testing.T, body []byte) {
+		var sub UnitSubmission
+		if err := decodeBody(bytes.NewReader(body), &sub); err != nil {
+			return
+		}
+		for _, w := range sub.Units {
+			u, err := w.Resolve()
+			if err != nil {
+				if !errors.Is(err, ErrInvalidSpec) {
+					t.Fatalf("rejection %v is not ErrInvalidSpec", err)
+				}
+				continue
+			}
+			back, err := u.Wire().Resolve()
+			if err != nil {
+				t.Fatalf("a resolved unit no longer resolves: %v", err)
+			}
+			if back.Key() != u.Key() {
+				t.Fatal("a resolved unit changed key across the wire")
+			}
+		}
+	})
 }
