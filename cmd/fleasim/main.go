@@ -66,18 +66,9 @@ func main() {
 	)
 	flag.Parse()
 
-	var model core.Model
-	switch *modelName {
-	case "base":
-		model = core.Baseline
-	case "2P":
-		model = core.TwoPass
-	case "2Pre":
-		model = core.TwoPassRegroup
-	case "runahead":
-		model = core.Runahead
-	default:
-		fatal(fmt.Errorf("unknown model %q", *modelName))
+	model, err := core.ParseModel(*modelName)
+	if err != nil {
+		fatal(err)
 	}
 
 	cfg := core.DefaultConfig()

@@ -20,9 +20,9 @@ import (
 	"fmt"
 
 	"fleaflicker/internal/arch"
-	"fleaflicker/internal/bpred"
 	"fleaflicker/internal/checkpoint"
 	"fleaflicker/internal/isa"
+	"fleaflicker/internal/machine"
 	"fleaflicker/internal/mem"
 	"fleaflicker/internal/pipeline"
 	"fleaflicker/internal/program"
@@ -30,36 +30,9 @@ import (
 	"fleaflicker/internal/trace"
 )
 
-// Config parameterizes the machine.
-type Config struct {
-	Front      pipeline.Config
-	Mem        mem.Config
-	Bpred      bpred.Config
-	IssueWidth int
-	FUs        [isa.NumFUClasses]int
-	// MaxCycles aborts runaway simulations.
-	MaxCycles int64
-	// Arena, when non-nil, supplies the machine's DynInst storage and
-	// memory hierarchy, and the machine itself, so back-to-back
-	// simulations reuse them (see pipeline.Arena).
-	Arena *pipeline.Arena `json:"-"`
-}
-
-// DefaultConfig returns the Table 1 machine.
-func DefaultConfig() Config {
-	return Config{
-		Front:      pipeline.DefaultConfig(),
-		Mem:        mem.DefaultConfig(),
-		Bpred:      bpred.DefaultConfig(),
-		IssueWidth: 8,
-		FUs:        [isa.NumFUClasses]int{isa.ClassALU: 5, isa.ClassMEM: 3, isa.ClassFP: 3, isa.ClassBR: 3},
-		MaxCycles:  2_000_000_000,
-	}
-}
-
 // Machine is one baseline or run-ahead simulation instance.
 type Machine struct {
-	cfg  Config
+	cfg  machine.Config
 	prog *program.Program
 	fe   *pipeline.FrontEnd
 	hier *mem.Hierarchy
@@ -95,7 +68,7 @@ type Machine struct {
 
 // New builds a machine over a fresh copy of the program's memory. The
 // program must satisfy Validate for the configured widths.
-func New(cfg Config, prog *program.Program) (*Machine, error) {
+func New(cfg machine.Config, prog *program.Program) (*Machine, error) {
 	return NewWithImage(cfg, prog, prog.InitialImage())
 }
 
@@ -104,26 +77,26 @@ func New(cfg Config, prog *program.Program) (*Machine, error) {
 // machine about to RestoreSnapshot, which installs the snapshot's memory.
 // On cfg.Arena the machine is the previous baseline or run-ahead machine
 // built there, rebuilt in place, so that one must be finished.
-func NewWithImage(cfg Config, prog *program.Program, img *mem.Image) (*Machine, error) {
+func NewWithImage(cfg machine.Config, prog *program.Program, img *mem.Image) (*Machine, error) {
 	return newMachine("base", cfg, prog, img)
 }
 
 // NewRunahead builds the run-ahead comparator over memory img (see
 // NewWithImage): the baseline machine plus pre-execution episodes. An
-// episode begins when a load-use stall has more than minStall cycles left
-// and costs exitPenalty cycles on top of the front-end refill when it ends.
-func NewRunahead(cfg Config, exitPenalty, minStall int, prog *program.Program, img *mem.Image) (*Machine, error) {
+// episode begins when a load-use stall has more than cfg.RunaheadMinStall
+// cycles left and costs cfg.RunaheadExitPenalty cycles on top of the
+// front-end refill when it ends.
+func NewRunahead(cfg machine.Config, prog *program.Program, img *mem.Image) (*Machine, error) {
 	m, err := newMachine("runahead", cfg, prog, img)
 	if err != nil {
 		return nil, err
 	}
 	m.ra = pipeline.Reuse[episode](cfg.Arena)
 	*m.ra = episode{}
-	m.ra.exitPenalty, m.ra.minStall = exitPenalty, minStall
 	return m, nil
 }
 
-func newMachine(model string, cfg Config, prog *program.Program, img *mem.Image) (*Machine, error) {
+func newMachine(model string, cfg machine.Config, prog *program.Program, img *mem.Image) (*Machine, error) {
 	if err := cfg.Arena.Validate(prog, cfg.IssueWidth, cfg.FUs); err != nil {
 		return nil, fmt.Errorf("%s: %w", model, err)
 	}
@@ -223,7 +196,7 @@ func (m *Machine) step() (wake int64) {
 			m.Idle.Emit(m.tr, trace.Event{Cycle: m.now, Type: trace.EvStall, Pipe: trace.PipeA,
 				PC: g.FetchPC, Arg: int64(cls), Note: cls.String()})
 		}
-		if cls == stats.LoadStall && m.ra != nil && until-m.now > int64(m.ra.minStall) {
+		if cls == stats.LoadStall && m.ra != nil && until-m.now > int64(m.cfg.RunaheadMinStall) {
 			m.enterRunahead(g, until)
 			return m.now + 1
 		}

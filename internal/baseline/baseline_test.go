@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"fleaflicker/internal/arch"
+	"fleaflicker/internal/machine"
 	"fleaflicker/internal/progen"
 	"fleaflicker/internal/program"
 	"fleaflicker/internal/stats"
@@ -19,7 +20,7 @@ func runBoth(t *testing.T, src string) *stats.Run {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m, err := New(DefaultConfig(), p)
+	m, err := New(machine.DefaultConfig(), p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -311,7 +312,7 @@ func TestRunawayGuard(t *testing.T) {
 loop:   br loop ;;
         halt ;;
 `)
-	cfg := DefaultConfig()
+	cfg := machine.DefaultConfig()
 	cfg.MaxCycles = 10_000
 	m, err := New(cfg, p)
 	if err != nil {
@@ -328,7 +329,7 @@ func TestRejectsMalformedProgram(t *testing.T) {
         add r2 = r1, r1 ;;
         halt ;;
 `)
-	if _, err := New(DefaultConfig(), p); err == nil {
+	if _, err := New(machine.DefaultConfig(), p); err == nil {
 		t.Errorf("intra-group RAW program should be rejected")
 	}
 }
@@ -342,7 +343,7 @@ func TestIndirectBranchFuzz(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		m, err := New(DefaultConfig(), p)
+		m, err := New(machine.DefaultConfig(), p)
 		if err != nil {
 			t.Fatal(err)
 		}

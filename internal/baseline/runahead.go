@@ -22,17 +22,9 @@ import (
 // the cache and branch-predictor warming survives — which is the paper's
 // central contrast.
 
-// episode is the run-ahead machine's episode state.
+// episode is the run-ahead machine's episode state; its entry threshold and
+// exit penalty are the config's RunaheadMinStall and RunaheadExitPenalty.
 type episode struct {
-	// exitPenalty is the number of cycles charged when leaving an episode
-	// (checkpoint restore); 0 models the idealized mechanism (the
-	// front-end refill is still paid). minStall gates entry: an episode
-	// begins only when the remaining stall exceeds this many cycles, since
-	// each one costs a front-end refill at exit. Dundas entered on every
-	// L1 miss; the default only chases stalls longer than the refill.
-	exitPenalty int
-	minStall    int
-
 	active   bool
 	exitAt   int64 // when the blocking load completes
 	resumePC int32
@@ -88,7 +80,7 @@ func (m *Machine) exitRunahead() {
 			PC: m.ra.resumePC})
 	}
 	m.ra.active = false
-	m.fe.Redirect(m.ra.resumePC, m.now+int64(m.ra.exitPenalty))
+	m.fe.Redirect(m.ra.resumePC, m.now+int64(m.cfg.RunaheadExitPenalty))
 }
 
 // runaheadGroup pre-executes one issue group speculatively: poisoned or

@@ -3,6 +3,7 @@ package baseline
 import (
 	"testing"
 
+	"fleaflicker/internal/machine"
 	"fleaflicker/internal/progen"
 	"fleaflicker/internal/program"
 	"fleaflicker/internal/stats"
@@ -12,7 +13,7 @@ import (
 // parameters: no exit penalty, entry on stalls longer than 8 cycles.
 func newRA(t *testing.T, p *program.Program) *Machine {
 	t.Helper()
-	m, err := NewRunahead(DefaultConfig(), 0, 8, p, p.InitialImage())
+	m, err := NewRunahead(machine.DefaultConfig(), p, p.InitialImage())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -61,7 +62,7 @@ warm:   addi r9 = r9, -1 ;;
         add r6 = r5, r5 ;;
         halt ;;
 `)
-	bm, err := New(DefaultConfig(), p)
+	bm, err := New(machine.DefaultConfig(), p)
 	if err != nil {
 		t.Fatal(err)
 	}

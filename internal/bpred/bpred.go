@@ -5,6 +5,8 @@
 // call/return pairs.
 package bpred
 
+import "fmt"
+
 // Checkpoint captures the speculative predictor state at a prediction point
 // so it can be repaired when the branch resolves as mispredicted.
 type Checkpoint struct {
@@ -47,13 +49,22 @@ type Predictor struct {
 	Mispredicts int64
 }
 
-// New builds a predictor; panics on non-power-of-two table sizes.
-func New(cfg Config) *Predictor {
-	if cfg.PHTEntries <= 0 || cfg.PHTEntries&(cfg.PHTEntries-1) != 0 {
-		panic("bpred: PHTEntries must be a positive power of two")
+// Validate reports a table size New rejects: PHTEntries and BTBEntries
+// must be positive powers of two.
+func (c Config) Validate() error {
+	if c.PHTEntries <= 0 || c.PHTEntries&(c.PHTEntries-1) != 0 {
+		return fmt.Errorf("bpred: PHTEntries %d is not a positive power of two", c.PHTEntries)
 	}
-	if cfg.BTBEntries <= 0 || cfg.BTBEntries&(cfg.BTBEntries-1) != 0 {
-		panic("bpred: BTBEntries must be a positive power of two")
+	if c.BTBEntries <= 0 || c.BTBEntries&(c.BTBEntries-1) != 0 {
+		return fmt.Errorf("bpred: BTBEntries %d is not a positive power of two", c.BTBEntries)
+	}
+	return nil
+}
+
+// New builds a predictor; panics on a config Validate rejects.
+func New(cfg Config) *Predictor {
+	if err := cfg.Validate(); err != nil {
+		panic(err)
 	}
 	p := &Predictor{
 		cfg:       cfg,

@@ -59,7 +59,7 @@ func allocConfigs() []allocRow {
 // made. testing.AllocsPerRun is unusable here because it invokes its body
 // multiple times and a Machine can only Run once, so it reads the runtime's
 // Mallocs counter directly.
-func runAllocs(t *testing.T, m machine) (allocs uint64, instructions int64) {
+func runAllocs(t *testing.T, m timedMachine) (allocs uint64, instructions int64) {
 	t.Helper()
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)

@@ -26,11 +26,37 @@ func TestSimulateRejectsBadConfig(t *testing.T) {
 			func(c *Config) { c.IssueWidth = 1 },
 			"group at 0 has 5 instructions, exceeds issue width 1"})
 	}
+	// A coupling queue that is not positive fails the machine check; a
+	// positive one smaller than an issue group fails the two-pass machine.
 	for _, m := range []Model{TwoPass, TwoPassRegroup} {
 		for _, cq := range []int{1, 0, -1} {
+			want := fmt.Sprintf("cq_size %d outside [1, 4096]", cq)
+			if cq > 0 {
+				want = fmt.Sprintf("coupling queue (%d) smaller than one issue group (8)", cq)
+			}
 			cases = append(cases, tc{fmt.Sprintf("%s/cq=%d", m, cq), m,
-				func(c *Config) { c.CQSize = cq },
-				fmt.Sprintf("coupling queue (%d) smaller than one issue group (8)", cq)})
+				func(c *Config) { c.CQSize = cq }, want})
+		}
+	}
+	// Sizes the memory hierarchy, predictor and front end reject, or that
+	// would leave a machine unable to make progress, fail on every model
+	// before anything is built.
+	for _, m := range Models() {
+		for _, bad := range []struct {
+			name string
+			set  func(*Config)
+			want string
+		}{
+			{"l1d-line=0", func(c *Config) { c.Mem.L1D.LineBytes = 0 }, "L1D line size 0 is not a positive power of two"},
+			{"l1d-size=0", func(c *Config) { c.Mem.L1D.SizeBytes = 0 }, "L1D size/line/assoc 0/64/4 does not divide into whole sets"},
+			{"l1d-assoc=0", func(c *Config) { c.Mem.L1D.Assoc = 0 }, "L1D associativity 0 must be positive"},
+			{"l2-line=3", func(c *Config) { c.Mem.L2.LineBytes = 3 }, "L2 line size 3 is not a positive power of two"},
+			{"pht=0", func(c *Config) { c.Bpred.PHTEntries = 0 }, "PHTEntries 0 is not a positive power of two"},
+			{"btb=0", func(c *Config) { c.Bpred.BTBEntries = 0 }, "BTBEntries 0 is not a positive power of two"},
+			{"queue-cap=0", func(c *Config) { c.Front.QueueCap = 0 }, "front.queue_cap 0 outside [1, 64]"},
+			{"mshrs=0", func(c *Config) { c.Mem.MaxOutstanding = 0 }, "mem.max_outstanding 0 outside [1, 1024]"},
+		} {
+			cases = append(cases, tc{fmt.Sprintf("%s/%s", m, bad.name), m, bad.set, bad.want})
 		}
 	}
 	for _, c := range cases {

@@ -78,24 +78,10 @@ func TestUnknownModelRejected(t *testing.T) {
 	}
 }
 
-func TestConfigConversions(t *testing.T) {
-	c := DefaultConfig()
-	c.CQSize = 32
-	c.FeedbackLatency = 7
-	c.DeferThrottle = 5
-	c.StallOnAnticipable = true
-	tp := c.TwoPassConfig(true)
-	if !tp.Regroup || tp.CQSize != 32 || tp.FeedbackLatency != 7 ||
-		tp.DeferThrottle != 5 || !tp.StallOnAnticipable {
-		t.Errorf("TwoPassConfig lost fields: %+v", tp)
-	}
-	bl := c.BaselineConfig()
-	if bl.IssueWidth != 8 || bl.Mem.MemLatency != 145 {
-		t.Errorf("BaselineConfig lost fields")
-	}
-	// The run-ahead parameters reach the machine: an entry threshold no
-	// stall exceeds leaves the baseline's timing, and an exit penalty costs
-	// cycles on every episode.
+// TestRunaheadParametersReachMachine: the run-ahead machine reads its
+// parameters from the config. An entry threshold no stall exceeds leaves the
+// baseline's timing, and an exit penalty costs cycles on every episode.
+func TestRunaheadParametersReachMachine(t *testing.T) {
 	p := simProg(t)
 	cycles := func(model Model, cfg Config) int64 {
 		t.Helper()

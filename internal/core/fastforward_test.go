@@ -93,7 +93,7 @@ func TestContextPolledEvery4096Cycles(t *testing.T) {
 }
 
 // skippedCycles returns the cycles a machine fast-forwarded.
-func skippedCycles(t *testing.T, m machine) int64 {
+func skippedCycles(t *testing.T, m timedMachine) int64 {
 	switch m := m.(type) {
 	case *baseline.Machine:
 		return m.SkippedCycles

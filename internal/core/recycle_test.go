@@ -160,7 +160,7 @@ func TestRecycledMachineMatchesNew(t *testing.T) {
 			if build1.maxCycles > 0 {
 				cfg.MaxCycles = build1.maxCycles
 			}
-			newMachine := func(arena *pipeline.Arena) machine {
+			newMachine := func(arena *pipeline.Arena) timedMachine {
 				cfg.Arena = arena
 				img := prog.InitialImage()
 				if build1.resumed {

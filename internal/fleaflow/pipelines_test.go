@@ -2,7 +2,10 @@ package fleaflow
 
 import (
 	"context"
+	"crypto/sha256"
+	"encoding/hex"
 	"errors"
+	"fmt"
 	"slices"
 	"strings"
 	"testing"
@@ -110,6 +113,45 @@ func TestFigure6ReusesSuiteStages(t *testing.T) {
 	}
 	for name := range want {
 		t.Errorf("figure6 has no %s stage", name)
+	}
+}
+
+// TestFigure6StageKeysPinned pins the artifact key of every figure6 stage,
+// computed statically through TopoOrder and StageKey. The suite, sweep and
+// Figure 8 stages serialize whole machine configurations into their
+// definitions, so a change to the configuration's encoding (a renamed,
+// reordered or added field) moves these keys and orphans every stored
+// artifact. The digest covers the (name, key) pairs in topological order.
+func TestFigure6StageKeysPinned(t *testing.T) {
+	const want = "13b36a9c7a03b58ac0f61a34ff627367d1c4298d287421d83576ab1fe58264e0"
+	p := Figure6(Env{})
+	order, err := p.TopoOrder()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(order) != 24 {
+		t.Fatalf("figure6 has %d stages, want 24", len(order))
+	}
+	keys := make(map[string]string, len(order))
+	h := sha256.New()
+	for _, name := range order {
+		st := p.Stage(name)
+		deps := make(map[string]string, len(st.Deps))
+		for _, d := range st.Deps {
+			deps[d] = keys[d]
+		}
+		key, err := StageKey(st.Name, st.Def, deps)
+		if err != nil {
+			t.Fatal(err)
+		}
+		keys[name] = key
+		fmt.Fprintf(h, "%s %s\n", name, key)
+	}
+	if got := hex.EncodeToString(h.Sum(nil)); got != want {
+		for _, name := range order {
+			t.Logf("%s %s", name, keys[name])
+		}
+		t.Errorf("figure6 stage-key digest = %s, want %s", got, want)
 	}
 }
 

@@ -13,7 +13,10 @@ type CacheConfig struct {
 	Latency   int // total load-use latency when the access is served here
 }
 
-func (c CacheConfig) validate(name string) error {
+// Validate reports why the cache level called name cannot be built: a line
+// size that is not a power of two, or a size that does not divide into a
+// power-of-two number of whole sets.
+func (c CacheConfig) Validate(name string) error {
 	if c.LineBytes <= 0 || c.LineBytes&(c.LineBytes-1) != 0 {
 		return fmt.Errorf("mem: %s line size %d is not a positive power of two", name, c.LineBytes)
 	}
@@ -64,7 +67,7 @@ type cache struct {
 }
 
 func newCache(cfg CacheConfig, name string) *cache {
-	if err := cfg.validate(name); err != nil {
+	if err := cfg.Validate(name); err != nil {
 		panic(err)
 	}
 	shift := uint(0)

@@ -105,8 +105,8 @@ func (h *Hierarchy) findInflight(line uint32) *inflightFill {
 	return nil
 }
 
-// NewHierarchy builds a hierarchy; panics on invalid configuration (a
-// configuration is program input, not runtime data).
+// NewHierarchy builds a hierarchy; panics on a cache level whose
+// CacheConfig.Validate fails.
 func NewHierarchy(cfg Config) *Hierarchy {
 	return &Hierarchy{
 		cfg:      cfg,

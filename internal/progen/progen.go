@@ -21,6 +21,7 @@ import (
 	"math/rand"
 
 	"fleaflicker/internal/isa"
+	"fleaflicker/internal/machine"
 	"fleaflicker/internal/program"
 )
 
@@ -97,8 +98,8 @@ func DefaultConfig() Config {
 		ArrayBytes:     16 << 10,
 		ChainNodes:     32,
 		MaxGroup:       6,
-		IssueWidth:     8,
-		FUs:            [isa.NumFUClasses]int{isa.ClassALU: 5, isa.ClassMEM: 3, isa.ClassFP: 3, isa.ClassBR: 3},
+		IssueWidth:     machine.DefaultConfig().IssueWidth,
+		FUs:            machine.DefaultConfig().FUs,
 	}
 }
 
@@ -428,7 +429,7 @@ func (g *gen) actIndirect() {
 // machine shape; a violation is a generator bug and panics.
 func Generate(seed int64, cfg Config) *program.Program {
 	if cfg.IssueWidth <= 0 {
-		cfg.IssueWidth = 8
+		cfg.IssueWidth = machine.DefaultConfig().IssueWidth
 	}
 	if cfg.MaxGroup <= 0 || cfg.MaxGroup > cfg.IssueWidth {
 		cfg.MaxGroup = cfg.IssueWidth

@@ -19,6 +19,7 @@ import (
 	"sort"
 
 	"fleaflicker/internal/isa"
+	"fleaflicker/internal/machine"
 	"fleaflicker/internal/program"
 )
 
@@ -33,10 +34,11 @@ type Config struct {
 
 // DefaultConfig matches the Table 1 machine.
 func DefaultConfig() Config {
+	table1 := machine.DefaultConfig()
 	return Config{
-		IssueWidth:         8,
-		FUs:                [isa.NumFUClasses]int{isa.ClassALU: 5, isa.ClassMEM: 3, isa.ClassFP: 3, isa.ClassBR: 3},
-		AssumedLoadLatency: 2,
+		IssueWidth:         table1.IssueWidth,
+		FUs:                table1.FUs,
+		AssumedLoadLatency: table1.Mem.L1D.Latency,
 	}
 }
 

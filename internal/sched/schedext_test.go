@@ -5,6 +5,7 @@ import (
 
 	"fleaflicker/internal/arch"
 	"fleaflicker/internal/baseline"
+	"fleaflicker/internal/machine"
 	"fleaflicker/internal/progen"
 	"fleaflicker/internal/program"
 	"fleaflicker/internal/sched"
@@ -47,7 +48,7 @@ func TestScheduledRandomProgramsEquivalent(t *testing.T) {
 			t.Fatalf("seed %d: scheduled program diverges on arch: %s", seed, ref.State.Diff(got.State))
 		}
 
-		bm, err := baseline.New(baseline.DefaultConfig(), out)
+		bm, err := baseline.New(machine.DefaultConfig(), out)
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
@@ -58,7 +59,7 @@ func TestScheduledRandomProgramsEquivalent(t *testing.T) {
 			t.Fatalf("seed %d: baseline diverges on scheduled program: %s", seed, bm.State().Diff(ref.State))
 		}
 
-		tm, err := twopass.New(twopass.DefaultConfig(), out)
+		tm, err := twopass.New(machine.DefaultConfig(), false, out)
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
@@ -84,7 +85,7 @@ func TestScheduledProgramsRunFaster(t *testing.T) {
 	out := MustSchedule(p, DefaultConfig())
 
 	run := func(q *program.Program) int64 {
-		m, err := baseline.New(baseline.DefaultConfig(), q)
+		m, err := baseline.New(machine.DefaultConfig(), q)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -134,7 +135,7 @@ func TestIfConvertedRandomProgramsEquivalent(t *testing.T) {
 		if !ref.State.Equal(got.State) {
 			t.Fatalf("seed %d: if-convert+schedule diverges: %s", seed, ref.State.Diff(got.State))
 		}
-		tm, err := twopass.New(twopass.DefaultConfig(), out)
+		tm, err := twopass.New(machine.DefaultConfig(), false, out)
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
@@ -145,7 +146,7 @@ func TestIfConvertedRandomProgramsEquivalent(t *testing.T) {
 		if !tm.State().Equal(ref.State) {
 			t.Fatalf("seed %d: two-pass diverges on converted program: %s", seed, tm.State().Diff(ref.State))
 		}
-		bm, err := baseline.New(baseline.DefaultConfig(), out)
+		bm, err := baseline.New(machine.DefaultConfig(), out)
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}

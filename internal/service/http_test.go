@@ -545,6 +545,53 @@ func TestHTTPSubmitUnits(t *testing.T) {
 	}
 }
 
+// TestHTTPRejectsUnbuildableMachines: a unit whose machine configuration
+// the simulator cannot build (an L1D line of 0 bytes) and a job whose
+// coupling queue would size a 2^40-entry ring are answered 400 at admission,
+// and the daemon, running the real simulator, goes on to complete a valid
+// job.
+func TestHTTPRejectsUnbuildableMachines(t *testing.T) {
+	m := New(Config{Workers: 1})
+	ts := httptest.NewServer(NewServer(m))
+	t.Cleanup(func() {
+		ts.Close()
+		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+		defer cancel()
+		_ = m.Drain(ctx)
+	})
+
+	u := expandOne(t, JobSpec{Model: "2P", Bench: "300.twolf"})
+	w := u.Wire()
+	w.Config.Mem.L1D.LineBytes = 0
+	body, err := json.Marshal(UnitSubmission{Units: []WireUnit{w}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for path, body := range map[string]string{
+		"/v1/units": string(body),
+		"/v1/jobs":  `{"model":"2P","bench":"300.twolf","config":{"cq_size":1099511627776}}`,
+	} {
+		resp, err := http.Post(ts.URL+path, "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var eb errorBody
+		_ = json.NewDecoder(resp.Body).Decode(&eb)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest || eb.Error == "" {
+			t.Fatalf("%s: status %d, error %q; want 400 with an error", path, resp.StatusCode, eb.Error)
+		}
+	}
+
+	code, ack := postJob(t, ts, `{"model":"2P","bench":"300.twolf"}`)
+	if code != http.StatusAccepted {
+		t.Fatalf("valid job: status %d, want 202", code)
+	}
+	if st := getStatus(t, ts, ack.ID); st.State != "done" {
+		t.Fatalf("valid job after the rejections: state %q, error %q", st.State, st.Error)
+	}
+}
+
 // TestHTTPRejectsRemovedSweepShapes: the job and unit endpoints answer the
 // shapes of the removed sweep kind with 400 and an error body, and
 // neither admits a job.

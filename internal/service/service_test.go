@@ -470,6 +470,12 @@ func TestConcurrentMixedSubmissions(t *testing.T) {
 func TestInvalidSpecs(t *testing.T) {
 	m := New(Config{Workers: 1}, WithRunner(countingRunner(new(atomic.Int64))))
 	defer m.Drain(context.Background())
+	overrides := func(set func(*ConfigOverrides)) JobSpec {
+		s := JobSpec{Model: "2P", Bench: "300.twolf"}
+		set(&s.Config)
+		return s
+	}
+	zero, huge, zero64 := 0, 1<<40, int64(0)
 	bad := []JobSpec{
 		{},                                  // no model/bench
 		{Model: "2P"},                       // no bench
@@ -478,6 +484,12 @@ func TestInvalidSpecs(t *testing.T) {
 		{Kind: "batch", Model: "2P", Bench: "300.twolf"}, // unknown kind
 		{Kind: "sweep", Model: "2P", Bench: "300.twolf"}, // the removed sweep kind
 		{Kind: "sweep"}, // the removed sweep kind, empty
+		overrides(func(o *ConfigOverrides) { o.CQSize = &zero }),
+		overrides(func(o *ConfigOverrides) { o.IssueWidth = &zero }),
+		overrides(func(o *ConfigOverrides) { o.MaxCycles = &zero64 }),
+		// Sizes that would allocate a 2^40-entry coupling queue or ring.
+		overrides(func(o *ConfigOverrides) { o.CQSize = &huge }),
+		overrides(func(o *ConfigOverrides) { o.IssueWidth = &huge }),
 	}
 	for i, s := range bad {
 		if _, err := m.Submit(s); !errors.Is(err, ErrInvalidSpec) {

@@ -134,15 +134,13 @@ func (u *UnitSpec) Key() string {
 	return hex.EncodeToString(sum[:])
 }
 
-// modelByName resolves a wire-format model name ("base", "2P", "2Pre",
-// "runahead") to its core.Model.
+// modelByName resolves a wire-format model name to its core.Model.
 func modelByName(name string) (core.Model, error) {
-	for _, m := range core.Models() {
-		if m.String() == name {
-			return m, nil
-		}
+	m, err := core.ParseModel(name)
+	if err != nil {
+		return 0, fmt.Errorf("%w: %v (have base, 2P, 2Pre, runahead)", ErrInvalidSpec, err)
 	}
-	return 0, fmt.Errorf("%w: unknown model %q (have base, 2P, 2Pre, runahead)", ErrInvalidSpec, name)
+	return m, nil
 }
 
 // expand resolves the spec into its simulation units: validation and
@@ -168,8 +166,8 @@ func (s *JobSpec) expand(limit int) ([]UnitSpec, error) {
 		return nil, fmt.Errorf("%w: no benchmark selected", ErrInvalidSpec)
 	}
 	cfg := s.Config.apply(core.DefaultConfig())
-	if cfg.MaxCycles <= 0 || cfg.IssueWidth <= 0 || cfg.CQSize <= 0 {
-		return nil, fmt.Errorf("%w: max_cycles, issue_width and cq_size must be positive", ErrInvalidSpec)
+	if err := cfg.Validate(); err != nil {
+		return nil, fmt.Errorf("%w: %v", ErrInvalidSpec, err)
 	}
 	model, err := modelByName(s.Model)
 	if err != nil {

@@ -72,8 +72,8 @@ func (w WireUnit) Resolve() (UnitSpec, error) {
 	if _, err := workload.ByName(w.Bench); err != nil {
 		return UnitSpec{}, fmt.Errorf("%w: %v", ErrInvalidSpec, err)
 	}
-	if w.Config.MaxCycles <= 0 || w.Config.IssueWidth <= 0 || w.Config.CQSize <= 0 {
-		return UnitSpec{}, fmt.Errorf("%w: max_cycles, issue_width and cq_size must be positive", ErrInvalidSpec)
+	if err := w.Config.Validate(); err != nil {
+		return UnitSpec{}, fmt.Errorf("%w: %v", ErrInvalidSpec, err)
 	}
 	return u, nil
 }

@@ -2,10 +2,14 @@ package service
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"errors"
 	"strings"
 	"testing"
+
+	"fleaflicker/internal/core"
+	"fleaflicker/internal/program"
 )
 
 // expandOne is a helper returning the single unit a spec expands to.
@@ -72,6 +76,9 @@ func TestWireResolveRejectsInvalid(t *testing.T) {
 		"zero config": {func(w *WireUnit) {
 			w.Config.MaxCycles = 0
 		}, "max_cycles"},
+		"zero line size": {func(w *WireUnit) {
+			w.Config.Mem.L1D.LineBytes = 0
+		}, "L1D line size 0"},
 		"empty fuzz": {func(w *WireUnit) {
 			w.Fuzz = &FuzzUnit{Programs: 0}
 		}, "fuzz"},
@@ -90,7 +97,57 @@ func TestWireResolveRejectsInvalid(t *testing.T) {
 }
 
 // Native fuzz targets for the two request bodies a daemon decodes. Each
-// seeds its corpus with the bodies the tests above and in http_test.go post.
+// seeds its corpus with the bodies the tests above and in http_test.go post,
+// and with machine configurations that once crashed or over-allocated the
+// daemon.
+
+// tinyProgram touches every structure a machine configuration sizes: the
+// caches (a load, a store), the predictor (a counted loop, a call and its
+// return) and the front-end and coupling queues.
+var tinyProgram = program.MustAssemble("tiny", `
+        movi r1 = 0x10000
+        movi r2 = 0
+        movi r3 = 6 ;;
+loop:   ld4 r4 = [r1] ;;
+        add r2 = r2, r4 ;;
+        br.call r63 = leaf ;;
+        addi r3 = r3, -1 ;;
+        cmpi.ne p1 = r3, 0 ;;
+        (p1) br loop ;;
+        st4 [r1] = r2 ;;
+        halt ;;
+leaf:   addi r2 = r2, 1 ;;
+        br.ret r63 ;;
+`)
+
+// runsTiny runs tinyProgram on an accepted unit's model and machine,
+// capped at a few thousand cycles: it must finish or fail with an error,
+// never panic. Fuzz units carry no machine configuration.
+func runsTiny(t *testing.T, u *UnitSpec) {
+	t.Helper()
+	if u.Fuzz != nil {
+		return
+	}
+	cfg := u.Config
+	cfg.MaxCycles = min(cfg.MaxCycles, 5_000)
+	_, _ = core.Simulate(context.Background(), u.Model, tinyProgram, core.WithConfig(cfg))
+}
+
+// crashingConfigs are machine configurations a daemon must reject at
+// admission: each crashed a worker, ran to MaxCycles, or sized a
+// 2^40-entry structure when admitted.
+var crashingConfigs = []func(*core.Config){
+	func(c *core.Config) { c.Mem.L1D.LineBytes = 0 },
+	func(c *core.Config) { c.Mem.L1D.SizeBytes = 0 },
+	func(c *core.Config) { c.Mem.L1D.Assoc = 0 },
+	func(c *core.Config) { c.Mem.L2.LineBytes = 3 },
+	func(c *core.Config) { c.Bpred.PHTEntries = 0 },
+	func(c *core.Config) { c.Bpred.BTBEntries = 0 },
+	func(c *core.Config) { c.Front.QueueCap = 0 },
+	func(c *core.Config) { c.Mem.MaxOutstanding = 0 },
+	func(c *core.Config) { c.CQSize = 1 << 40 },
+	func(c *core.Config) { c.IssueWidth = 1 << 40 },
+}
 
 // FuzzJobSpecDecode feeds arbitrary bytes through POST /v1/jobs' decoding
 // and expansion. Nothing may panic; an accepted spec stays within the unit
@@ -109,6 +166,9 @@ func FuzzJobSpecDecode(f *testing.F) {
 		`{"kind":"fuzz","seed":11,"fuzz":{"programs":100,"chunk_size":100,"smoke":true,"shrink":true,"checkpoint":true}}`,
 		`{"kind":"sweep","models":["base","2P"],"benches":["300.twolf"],"sweep":{"cq_sizes":[16,64]}}`,
 		`{"kind":"fuzz","fuzz":{"programs":9223372036854775807,"chunk_size":9223372036854775806}}`,
+		`{"model":"2P","bench":"300.twolf","config":{"cq_size":1099511627776}}`,
+		`{"model":"base","bench":"300.twolf","config":{"issue_width":1099511627776}}`,
+		`{"model":"2Pre","bench":"300.twolf","config":{"cq_size":0,"max_cycles":0}}`,
 	} {
 		f.Add([]byte(body))
 	}
@@ -137,6 +197,7 @@ func FuzzJobSpecDecode(f *testing.F) {
 			if back.Key() != u.Key() {
 				t.Fatalf("unit %d changed key across the wire", i)
 			}
+			runsTiny(t, u)
 		}
 	})
 }
@@ -155,6 +216,19 @@ func FuzzWireUnitDecode(f *testing.F) {
 			f.Fatal(err)
 		}
 		body, err := json.Marshal(UnitSubmission{Units: []WireUnit{units[0].Wire()}})
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(body)
+	}
+	for _, set := range crashingConfigs {
+		units, err := (&JobSpec{Model: "2P", Bench: "300.twolf"}).expand(0)
+		if err != nil {
+			f.Fatal(err)
+		}
+		w := units[0].Wire()
+		set(&w.Config)
+		body, err := json.Marshal(UnitSubmission{Units: []WireUnit{w}})
 		if err != nil {
 			f.Fatal(err)
 		}
@@ -182,6 +256,7 @@ func FuzzWireUnitDecode(f *testing.F) {
 			if back.Key() != u.Key() {
 				t.Fatal("a resolved unit changed key across the wire")
 			}
+			runsTiny(t, &u)
 		}
 	})
 }

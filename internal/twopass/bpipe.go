@@ -54,7 +54,7 @@ func (m *Machine) stepB() (wake int64) {
 			m.Idle.Emit(m.tr, trace.Event{Cycle: m.now, Type: trace.EvStall, Pipe: trace.PipeB,
 				ID: first.ID, PC: first.PC, Arg: int64(cls), Note: cls.String()})
 		}
-		if m.cfg.Regroup {
+		if m.regroup {
 			until = min(until, m.regroupWake(set, ngroups))
 		}
 		return until
@@ -143,7 +143,7 @@ func (m *Machine) popHead(n int) {
 func (m *Machine) buildDispatchSet() (set pipeline.Span, ngroups int) {
 	set = m.cq.at(0).Span
 	ngroups = 1
-	if !m.cfg.Regroup {
+	if !m.regroup {
 		return set, ngroups
 	}
 	for ngroups < m.cq.len() && m.cq.at(ngroups).enq < m.now {

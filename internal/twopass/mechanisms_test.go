@@ -4,6 +4,7 @@ import (
 	"context"
 	"testing"
 
+	"fleaflicker/internal/machine"
 	"fleaflicker/internal/pipeline"
 	"fleaflicker/internal/program"
 	"fleaflicker/internal/stats"
@@ -14,7 +15,7 @@ import (
 // the A-file while an older (deferred) write to the same register is still
 // queued, and consumers must see the younger value.
 func TestAFileWAWRelaxation(t *testing.T) {
-	r := runTP(t, DefaultConfig(), `
+	r := runTP(t, machine.DefaultConfig(), `
         movi r1 = 0x40000 ;;
         ld4 r2 = [r1] ;;          // cold miss
         add r3 = r2, r2 ;;        // deferred: writes r3 "later" in B
@@ -34,7 +35,7 @@ func TestAFileWAWRelaxation(t *testing.T) {
 // names the retiring instruction; a younger A-pipe write must not be
 // clobbered by an older instruction's feedback.
 func TestFeedbackDynIDSelectivity(t *testing.T) {
-	runTP(t, DefaultConfig(), `
+	runTP(t, machine.DefaultConfig(), `
         movi r1 = 0x40000 ;;
         ld4 r2 = [r1] ;;          // cold miss
         add r3 = r2, r2 ;;        // deferred; B's feedback targets r3...
@@ -65,7 +66,7 @@ warm:   addi r9 = r9, -1 ;;
         halt ;;
 `
 	p := program.MustAssemble(t.Name(), src)
-	m, err := New(DefaultConfig(), p)
+	m, err := New(machine.DefaultConfig(), false, p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -98,7 +99,7 @@ warm:   addi r9 = r9, -1 ;;
 // §3.4: a predicated-off store must neither commit nor invalidate ALAT
 // entries, even when its predicate was deferred.
 func TestPredicatedOffDeferredStore(t *testing.T) {
-	r := runTP(t, DefaultConfig(), `
+	r := runTP(t, machine.DefaultConfig(), `
         movi r1 = 0x3000
         movi r2 = 0x40000
         movi r5 = 99 ;;
@@ -118,7 +119,7 @@ func TestPredicatedOffDeferredStore(t *testing.T) {
 // The B-pipe stall on a dangling pre-executed result (a load still in
 // flight at merge time) is classified as a load stall (Figure 4(d)).
 func TestDanglingResultClassifiedAsLoadStall(t *testing.T) {
-	r := runTP(t, DefaultConfig(), `
+	r := runTP(t, machine.DefaultConfig(), `
         movi r1 = 0x40000 ;;
         ld4 r2 = [r1] ;;          // pre-executed; dangles ~145 cycles
         add r3 = r2, r2 ;;        // deferred; B stalls on the dangle
@@ -132,7 +133,7 @@ func TestDanglingResultClassifiedAsLoadStall(t *testing.T) {
 // The paper's Figure 5 limitation: a deferred chain gets no third pipe —
 // two dependent misses inside one deferred chain serialize in the B-pipe.
 func TestDeferredChainSerializes(t *testing.T) {
-	serial := runTP(t, DefaultConfig(), `
+	serial := runTP(t, machine.DefaultConfig(), `
         .data 0x10000000
 p0v:    .word 0x10100000
         .org 0x10100000
@@ -156,9 +157,7 @@ p0v:    .word 0x10100000
 
 // Regrouping must never merge across an unresolved (deferred) producer.
 func TestRegroupRespectsDeferredProducers(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.Regroup = true
-	runTP(t, cfg, `
+	runModel(t, machine.DefaultConfig(), true, program.MustAssemble(t.Name(), `
         movi r1 = 0x40000
         movi r9 = 150 ;;
 warm:   addi r9 = r9, -1 ;;
@@ -169,7 +168,7 @@ warm:   addi r9 = r9, -1 ;;
         add r4 = r3, r3 ;;        // consumer: must not merge past r3
         add r5 = r4, r4 ;;
         halt ;;
-`)
+`))
 	// Correctness is the assertion: a bad merge would let r4 read a stale
 	// r3 and diverge from the reference executor.
 }

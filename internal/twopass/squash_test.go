@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"fleaflicker/internal/isa"
+	"fleaflicker/internal/machine"
 	"fleaflicker/internal/mem"
 	"fleaflicker/internal/pipeline"
 	"fleaflicker/internal/program"
@@ -27,13 +28,13 @@ func (m *Machine) testGroupInsts(i int) []*pipeline.DynInst {
 
 // newSquashMachine builds a two-pass machine whose coupling queue the tests
 // populate by hand. The program is a placeholder; the machine never runs.
-func newSquashMachine(t *testing.T, cfg Config) *Machine {
+func newSquashMachine(t *testing.T, cfg machine.Config) *Machine {
 	t.Helper()
 	p, err := program.Assemble(t.Name(), "        halt ;;\n")
 	if err != nil {
 		t.Fatal(err)
 	}
-	m, err := New(cfg, p)
+	m, err := New(cfg, false, p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,7 +110,7 @@ func wantIDs(t *testing.T, m *Machine, want ...uint64) {
 }
 
 func TestSquashCQFromGroupBoundary(t *testing.T) {
-	m := newSquashMachine(t, DefaultConfig())
+	m := newSquashMachine(t, machine.DefaultConfig())
 	enq(m, 0, 1, "aaa")
 	enq(m, 1, 4, "aa")
 	enq(m, 2, 6, "a")
@@ -121,7 +122,7 @@ func TestSquashCQFromGroupBoundary(t *testing.T) {
 }
 
 func TestSquashCQFromMidGroup(t *testing.T) {
-	m := newSquashMachine(t, DefaultConfig())
+	m := newSquashMachine(t, machine.DefaultConfig())
 	enq(m, 0, 1, "aaa")
 	enq(m, 1, 4, "aaa")
 	m.squashCQFrom(5) // splits the second group
@@ -138,7 +139,7 @@ func TestSquashCQFromRemovesEmptiedTailGroup(t *testing.T) {
 	// When the first squashed instruction is the first of its group, the
 	// group must be removed entirely, never left behind empty: the B-pipe
 	// treats every queued group as non-empty.
-	m := newSquashMachine(t, DefaultConfig())
+	m := newSquashMachine(t, machine.DefaultConfig())
 	enq(m, 0, 1, "aa")
 	enq(m, 1, 3, "aa")
 	m.squashCQFrom(3)
@@ -154,7 +155,7 @@ func TestSquashCQFromRemovesEmptiedTailGroup(t *testing.T) {
 }
 
 func TestSquashCQFromAll(t *testing.T) {
-	m := newSquashMachine(t, DefaultConfig())
+	m := newSquashMachine(t, machine.DefaultConfig())
 	enq(m, 0, 1, "aa")
 	enq(m, 1, 3, "a")
 	m.squashCQFrom(1)
@@ -165,7 +166,7 @@ func TestSquashCQFromAll(t *testing.T) {
 }
 
 func TestSquashCQFromBeyondTailIsNoop(t *testing.T) {
-	m := newSquashMachine(t, DefaultConfig())
+	m := newSquashMachine(t, machine.DefaultConfig())
 	enq(m, 0, 1, "aa")
 	m.squashCQFrom(100)
 	wantIDs(t, m, 1, 2)
@@ -174,7 +175,7 @@ func TestSquashCQFromBeyondTailIsNoop(t *testing.T) {
 func TestSquashCQFromUncountBookkeeping(t *testing.T) {
 	// Deferred instructions (and deferred stores) being squashed must give
 	// back their occupancy counts; retained ones must keep theirs.
-	m := newSquashMachine(t, DefaultConfig())
+	m := newSquashMachine(t, machine.DefaultConfig())
 	enq(m, 0, 1, "aA") // ID 2: deferred ALU, survives
 	enq(m, 1, 3, "SaB")
 	if m.deferred != 3 || m.deferredStores != 1 {
@@ -191,7 +192,7 @@ func TestSquashCQFromUncountBookkeeping(t *testing.T) {
 }
 
 func TestSquashCQFromDropsCheckpointsOfSquashedBranches(t *testing.T) {
-	cfg := DefaultConfig()
+	cfg := machine.DefaultConfig()
 	cfg.CheckpointRepair = true
 	m := newSquashMachine(t, cfg)
 	enq(m, 0, 1, "B")
@@ -216,7 +217,7 @@ func TestSquashCQFromDropsCheckpointsOfSquashedBranches(t *testing.T) {
 }
 
 func TestSquashCQFromFlushesStoreBufferAndALAT(t *testing.T) {
-	m := newSquashMachine(t, DefaultConfig())
+	m := newSquashMachine(t, machine.DefaultConfig())
 	enq(m, 0, 1, "as") // ID 2 is a store with a buffer entry
 	enq(m, 1, 3, "a")
 	enq(m, 2, 4, "s") // ID 4: squashed store

@@ -28,86 +28,15 @@ import (
 	"fmt"
 
 	"fleaflicker/internal/arch"
-	"fleaflicker/internal/bpred"
 	"fleaflicker/internal/checkpoint"
 	"fleaflicker/internal/isa"
+	"fleaflicker/internal/machine"
 	"fleaflicker/internal/mem"
 	"fleaflicker/internal/pipeline"
 	"fleaflicker/internal/program"
 	"fleaflicker/internal/stats"
 	"fleaflicker/internal/trace"
 )
-
-// Config parameterizes the machine.
-type Config struct {
-	Front      pipeline.Config
-	Mem        mem.Config
-	Bpred      bpred.Config
-	IssueWidth int
-	FUs        [isa.NumFUClasses]int
-
-	// CQSize is the coupling-queue capacity in instructions (Table 1: 64).
-	CQSize int
-	// SBSize bounds the speculative store buffer; a full buffer stalls
-	// A-pipe dispatch of further stores (0 = unbounded, the paper's
-	// "almost ubiquitous" idealization).
-	SBSize int
-	// ALATCapacity bounds the two-pass ALAT; 0 models the paper's perfect
-	// ALAT (no capacity conflicts).
-	ALATCapacity int
-	// FeedbackLatency is the extra delay, in cycles, for a B-pipe
-	// retirement to update the A-file (Figure 8). Negative disables the
-	// feedback path entirely (the paper's "inf").
-	FeedbackLatency int
-	// Regroup enables instruction regrouping at B-pipe dequeue (2Pre):
-	// adjacent queue groups whose cross dependences were satisfied by
-	// pre-execution issue together.
-	Regroup bool
-	// DeferThrottle, when positive, stalls A-pipe dispatch while more
-	// than this many deferred instructions sit in the coupling queue (the
-	// paper's §3.5/§6 future-work moderation mechanism).
-	DeferThrottle int
-	// StallOnAnticipable makes the A-pipe stall (rather than defer) when
-	// the only blocking operands are valid results of fixed-latency
-	// non-load producers still in flight — the mitigation §4 suggests for
-	// 175.vpr's floating-point deferral pathology.
-	StallOnAnticipable bool
-	// ConflictPredictor enables a store-wait predictor in the spirit of
-	// the Alpha 21264 the paper cites in §3.4: a load whose PC previously
-	// caused a store-conflict flush is deferred whenever ambiguous
-	// (deferred) stores are in the queue, trading pre-execution for
-	// avoided flushes.
-	ConflictPredictor bool
-	// CheckpointRepair enables §3.6's alternative recovery scheme: the
-	// A-file is checkpointed when a branch defers, so a B-DET
-	// misprediction restores it in one cycle instead of copying the
-	// speculative entries from the B-file at RepairBandwidth registers
-	// per cycle ("faster branch prediction recovery at a higher register
-	// file implementation cost").
-	CheckpointRepair bool
-
-	MaxCycles int64
-
-	// Arena, when non-nil, supplies the machine's DynInst storage and
-	// memory hierarchy, and the machine itself, so back-to-back
-	// simulations reuse them (see pipeline.Arena).
-	Arena *pipeline.Arena `json:"-"`
-}
-
-// DefaultConfig returns the Table 1 two-pass machine (2P).
-func DefaultConfig() Config {
-	return Config{
-		Front:           pipeline.DefaultConfig(),
-		Mem:             mem.DefaultConfig(),
-		Bpred:           bpred.DefaultConfig(),
-		IssueWidth:      8,
-		FUs:             [isa.NumFUClasses]int{isa.ClassALU: 5, isa.ClassMEM: 3, isa.ClassFP: 3, isa.ClassBR: 3},
-		CQSize:          64,
-		ALATCapacity:    0,
-		FeedbackLatency: 0,
-		MaxCycles:       2_000_000_000,
-	}
-}
 
 // aEntry is one A-file register: a value plus the Valid bit (V), Speculative
 // bit (S) and last-writer dynamic ID tag (DynID) of §3.3, and the cycle the
@@ -200,10 +129,14 @@ func (q *cqRing) truncate(n int) { q.count = n }
 
 // Machine is one two-pass simulation instance.
 type Machine struct {
-	cfg  Config
-	prog *program.Program
-	fe   *pipeline.FrontEnd
-	hier *mem.Hierarchy
+	cfg machine.Config
+	// regroup enables instruction regrouping at B-pipe dequeue (2Pre):
+	// adjacent queue groups whose cross dependences were satisfied by
+	// pre-execution issue together.
+	regroup bool
+	prog    *program.Program
+	fe      *pipeline.FrontEnd
+	hier    *mem.Hierarchy
 
 	// A-pipe state.
 	afile   [isa.NumRegs]aEntry
@@ -258,9 +191,10 @@ type Machine struct {
 	pipeline.Idle
 }
 
-// New builds a machine over a fresh copy of the program's memory.
-func New(cfg Config, prog *program.Program) (*Machine, error) {
-	return NewWithImage(cfg, prog, prog.InitialImage())
+// New builds a machine over a fresh copy of the program's memory; regroup
+// selects 2Pre over 2P.
+func New(cfg machine.Config, regroup bool, prog *program.Program) (*Machine, error) {
+	return NewWithImage(cfg, regroup, prog, prog.InitialImage())
 }
 
 // NewWithImage builds a machine whose memory starts as img, which the
@@ -268,7 +202,7 @@ func New(cfg Config, prog *program.Program) (*Machine, error) {
 // machine about to RestoreSnapshot, which installs the snapshot's memory.
 // On cfg.Arena the machine is the previous two-pass machine built there,
 // rebuilt in place, so that one must be finished.
-func NewWithImage(cfg Config, prog *program.Program, img *mem.Image) (*Machine, error) {
+func NewWithImage(cfg machine.Config, regroup bool, prog *program.Program, img *mem.Image) (*Machine, error) {
 	if err := cfg.Arena.Validate(prog, cfg.IssueWidth, cfg.FUs); err != nil {
 		return nil, fmt.Errorf("twopass: %w", err)
 	}
@@ -285,6 +219,7 @@ func NewWithImage(cfg Config, prog *program.Program, img *mem.Image) (*Machine, 
 	groups := m.cq.groups
 	*m = Machine{}
 	m.cfg = cfg
+	m.regroup = regroup
 	m.prog = prog
 	// Past the fetch queue the machine holds the coupling queue and the
 	// group the A-pipe dispatches.
@@ -304,7 +239,7 @@ func NewWithImage(cfg Config, prog *program.Program, img *mem.Image) (*Machine, 
 		m.afile[r] = aEntry{valid: true}
 	}
 	model := "2P"
-	if cfg.Regroup {
+	if regroup {
 		model = "2Pre"
 	}
 	m.col = pipeline.Reuse[stats.Collector](cfg.Arena)

@@ -8,6 +8,7 @@ import (
 
 	"fleaflicker/internal/arch"
 	"fleaflicker/internal/baseline"
+	"fleaflicker/internal/machine"
 	"fleaflicker/internal/progen"
 	"fleaflicker/internal/program"
 	"fleaflicker/internal/stats"
@@ -15,7 +16,7 @@ import (
 
 // runTP simulates src on a two-pass machine with the given config and
 // verifies architectural equivalence with the reference executor.
-func runTP(t *testing.T, cfg Config, src string) *stats.Run {
+func runTP(t *testing.T, cfg machine.Config, src string) *stats.Run {
 	t.Helper()
 	p, err := program.Assemble(t.Name(), src)
 	if err != nil {
@@ -24,14 +25,21 @@ func runTP(t *testing.T, cfg Config, src string) *stats.Run {
 	return runProg(t, cfg, p)
 }
 
-// runProg simulates p on a two-pass machine with cfg and checks its final
+// runProg simulates p on the 2P machine with cfg (see runModel).
+func runProg(t *testing.T, cfg machine.Config, p *program.Program) *stats.Run {
+	t.Helper()
+	return runModel(t, cfg, false, p)
+}
+
+// runModel simulates p on a two-pass machine with cfg, regrouping (2Pre) if
+// regroup is set, and checks its final
 // state and retired-instruction count against the reference executor. The
 // timed run is capped at cyclesPerRefInstruction cycles per reference
 // instruction plus cyclesSlack: far above what a correct machine needs (at
 // most about 90 on the five-instruction hand-written programs, about 4 on
 // generated ones), so a livelock fails in milliseconds instead of spinning
 // to the default MaxCycles.
-func runProg(t *testing.T, cfg Config, p *program.Program) *stats.Run {
+func runModel(t *testing.T, cfg machine.Config, regroup bool, p *program.Program) *stats.Run {
 	t.Helper()
 	const cyclesPerRefInstruction, cyclesSlack = 50, 5_000
 	ref, err := arch.Run(p, 50_000_000)
@@ -39,7 +47,7 @@ func runProg(t *testing.T, cfg Config, p *program.Program) *stats.Run {
 		t.Fatal(err)
 	}
 	cfg.MaxCycles = cyclesPerRefInstruction*ref.Instructions + cyclesSlack
-	m, err := New(cfg, p)
+	m, err := New(cfg, regroup, p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -73,7 +81,7 @@ loop:   add r1 = r1, r2
 `
 
 func TestSumLoopMatchesReference(t *testing.T) {
-	r := runTP(t, DefaultConfig(), sumLoop)
+	r := runTP(t, machine.DefaultConfig(), sumLoop)
 	if r.Cycles <= 0 {
 		t.Errorf("no cycles recorded")
 	}
@@ -87,13 +95,11 @@ func TestSumLoopMatchesReference(t *testing.T) {
 }
 
 func TestRegroupMatchesReference(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.Regroup = true
-	runTP(t, cfg, sumLoop)
+	runModel(t, machine.DefaultConfig(), true, program.MustAssemble(t.Name(), sumLoop))
 }
 
 func TestPredicationAndStores(t *testing.T) {
-	runTP(t, DefaultConfig(), `
+	runTP(t, machine.DefaultConfig(), `
         movi r1 = 5
         movi r2 = 7
         movi r10 = 0x2000 ;;
@@ -142,7 +148,7 @@ warm:   addi r9 = r9, -1 ;;        // warm the I-cache and branch predictor
         halt ;;
 `
 	p := program.MustAssemble(t.Name(), src)
-	bm, err := baseline.New(baseline.DefaultConfig(), p)
+	bm, err := baseline.New(machine.DefaultConfig(), p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -150,7 +156,7 @@ warm:   addi r9 = r9, -1 ;;        // warm the I-cache and branch predictor
 	if err != nil {
 		t.Fatal(err)
 	}
-	tr := runProg(t, DefaultConfig(), p)
+	tr := runProg(t, machine.DefaultConfig(), p)
 	if tr.Deferred == 0 {
 		t.Errorf("nothing was deferred")
 	}
@@ -181,12 +187,12 @@ warm:   addi r9 = r9, -1 ;;
         halt ;;
 `
 	p := program.MustAssemble(t.Name(), src)
-	bm, _ := baseline.New(baseline.DefaultConfig(), p)
+	bm, _ := baseline.New(machine.DefaultConfig(), p)
 	br, err := bm.Run()
 	if err != nil {
 		t.Fatal(err)
 	}
-	tr := runProg(t, DefaultConfig(), p)
+	tr := runProg(t, machine.DefaultConfig(), p)
 	// Baseline serializes the two ~145-cycle misses; two-pass overlaps.
 	if br.Cycles-tr.Cycles < 100 {
 		t.Errorf("misses did not overlap: baseline %d, two-pass %d", br.Cycles, tr.Cycles)
@@ -201,7 +207,7 @@ func TestStoreConflictFlushRecovers(t *testing.T) {
 	// unknown address; a younger load to the same location pre-executes
 	// with the stale value, and the ALAT forces a flush. Architectural
 	// state must still be exact.
-	r := runTP(t, DefaultConfig(), `
+	r := runTP(t, machine.DefaultConfig(), `
         .data 0x10000000
 slot:   .word 1111
 ptr:    .word 0x10000000
@@ -225,7 +231,7 @@ ptr:    .word 0x10000000
 func TestKnownAddressUnknownDataDefersLoad(t *testing.T) {
 	// A store with a known address but deferred data defers an
 	// overlapping younger load rather than conflicting (§3.4).
-	r := runTP(t, DefaultConfig(), `
+	r := runTP(t, machine.DefaultConfig(), `
         movi r1 = 0x3000
         movi r2 = 0x40000 ;;
         ld4 r3 = [r2] ;;         // cold miss: the store DATA
@@ -245,7 +251,7 @@ func TestKnownAddressUnknownDataDefersLoad(t *testing.T) {
 func TestStoreForwardingInA(t *testing.T) {
 	// An A-pipe load after an A-pipe store to the same address forwards
 	// from the store buffer (no flush, correct value).
-	r := runTP(t, DefaultConfig(), `
+	r := runTP(t, machine.DefaultConfig(), `
         movi r1 = 0x3000
         movi r2 = 77 ;;
         st4 [r1] = r2 ;;
@@ -263,7 +269,7 @@ func TestBDetMispredictFlush(t *testing.T) {
 	// A branch whose predicate depends on a missing load defers its
 	// misprediction detection to B-DET; wrong-path A-pipe results must be
 	// rolled back.
-	r := runTP(t, DefaultConfig(), `
+	r := runTP(t, machine.DefaultConfig(), `
         .data 0x10000000
 flag:   .word 1
         .text
@@ -287,7 +293,7 @@ func TestBDetMispredictRollsBackAFile(t *testing.T) {
 	// load from memory. After warmup the predictor predicts taken; on the
 	// final iteration it mispredicts, and wrong-path A-pipe writes to r7
 	// must be repaired from the B-file.
-	runTP(t, DefaultConfig(), `
+	runTP(t, machine.DefaultConfig(), `
         .data 0x10000000
 count:  .word 30
         .text
@@ -309,7 +315,7 @@ loop:   ld4 r3 = [r1] ;;
 func TestAPipeStallClassAppears(t *testing.T) {
 	// Back-to-back dependent single-instruction groups keep the queue at
 	// one group: the B-pipe repeatedly waits on the one-cycle-ahead rule.
-	r := runTP(t, DefaultConfig(), `
+	r := runTP(t, machine.DefaultConfig(), `
         movi r1 = 1 ;;
         add r2 = r1, r1 ;;
         add r3 = r2, r2 ;;
@@ -355,8 +361,8 @@ loop:   add r6 = r5, r9 ;;        // reads last iteration's r5
         halt ;;
 `
 	p := program.MustAssemble(t.Name(), src)
-	with := DefaultConfig()
-	without := DefaultConfig()
+	with := machine.DefaultConfig()
+	without := machine.DefaultConfig()
 	without.FeedbackLatency = -1
 	rWith := runProg(t, with, p)
 	rWithout := runProg(t, without, p)
@@ -370,7 +376,7 @@ func TestFeedbackLatencyMonotonic(t *testing.T) {
 	p := progen.Generate(7, progen.DefaultConfig())
 	var deferred []int64
 	for _, lat := range []int{0, 4, 16} {
-		cfg := DefaultConfig()
+		cfg := machine.DefaultConfig()
 		cfg.FeedbackLatency = lat
 		r := runProg(t, cfg, p)
 		deferred = append(deferred, r.Deferred)
@@ -382,19 +388,19 @@ func TestFeedbackLatencyMonotonic(t *testing.T) {
 
 func TestCouplingQueueBoundRespected(t *testing.T) {
 	// With a tiny queue the machine still runs correctly.
-	cfg := DefaultConfig()
+	cfg := machine.DefaultConfig()
 	cfg.CQSize = 8
 	runTP(t, cfg, sumLoop)
 }
 
 func TestDeferThrottle(t *testing.T) {
-	cfg := DefaultConfig()
+	cfg := machine.DefaultConfig()
 	cfg.DeferThrottle = 4
 	runTP(t, cfg, sumLoop)
 }
 
 func TestStallOnAnticipable(t *testing.T) {
-	cfg := DefaultConfig()
+	cfg := machine.DefaultConfig()
 	cfg.StallOnAnticipable = true
 	r := runTP(t, cfg, `
         movi r1 = 3 ;;
@@ -411,7 +417,7 @@ func TestStallOnAnticipable(t *testing.T) {
 }
 
 func TestFiniteALATFalsePositivesStillCorrect(t *testing.T) {
-	cfg := DefaultConfig()
+	cfg := machine.DefaultConfig()
 	cfg.ALATCapacity = 2 // absurdly small: many false conflicts
 	p := progen.Generate(3, progen.DefaultConfig())
 	r := runProg(t, cfg, p)
@@ -472,10 +478,8 @@ outer:  cmpi.ne p2 = r50, 0 ;;
         halt ;;
 `
 	p := program.MustAssemble(t.Name(), src)
-	plain := runProg(t, DefaultConfig(), p)
-	re := DefaultConfig()
-	re.Regroup = true
-	regrouped := runProg(t, re, p)
+	plain := runProg(t, machine.DefaultConfig(), p)
+	regrouped := runModel(t, machine.DefaultConfig(), true, p)
 	if regrouped.Regrouped == 0 {
 		t.Fatalf("regrouper removed no stop bits")
 	}
@@ -486,7 +490,7 @@ outer:  cmpi.ne p2 = r50, 0 ;;
 
 func TestMispredictSplitRecorded(t *testing.T) {
 	p := progen.Generate(11, progen.DefaultConfig())
-	r := runProg(t, DefaultConfig(), p)
+	r := runProg(t, machine.DefaultConfig(), p)
 	if r.MispredictsA+r.MispredictsB == 0 {
 		t.Errorf("random program produced no mispredictions at all")
 	}
@@ -496,25 +500,30 @@ func TestMispredictSplitRecorded(t *testing.T) {
 // architectural state on the reference executor and the two-pass machine
 // under many configurations.
 func TestRandomProgramEquivalence(t *testing.T) {
-	cfgs := map[string]func() Config{
-		"2P":       DefaultConfig,
-		"2Pre":     func() Config { c := DefaultConfig(); c.Regroup = true; return c },
-		"noFB":     func() Config { c := DefaultConfig(); c.FeedbackLatency = -1; return c },
-		"fb8":      func() Config { c := DefaultConfig(); c.FeedbackLatency = 8; return c },
-		"tinyCQ":   func() Config { c := DefaultConfig(); c.CQSize = 8; return c },
-		"tinyALAT": func() Config { c := DefaultConfig(); c.ALATCapacity = 4; return c },
-		"throttle": func() Config { c := DefaultConfig(); c.DeferThrottle = 8; return c },
-		"antic":    func() Config { c := DefaultConfig(); c.StallOnAnticipable = true; return c },
+	cfgs := map[string]struct {
+		regroup bool
+		set     func(*machine.Config)
+	}{
+		"2P":       {false, func(*machine.Config) {}},
+		"2Pre":     {true, func(*machine.Config) {}},
+		"noFB":     {false, func(c *machine.Config) { c.FeedbackLatency = -1 }},
+		"fb8":      {false, func(c *machine.Config) { c.FeedbackLatency = 8 }},
+		"tinyCQ":   {false, func(c *machine.Config) { c.CQSize = 8 }},
+		"tinyALAT": {false, func(c *machine.Config) { c.ALATCapacity = 4 }},
+		"throttle": {false, func(c *machine.Config) { c.DeferThrottle = 8 }},
+		"antic":    {false, func(c *machine.Config) { c.StallOnAnticipable = true }},
 	}
 	seeds := []int64{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12}
 	if testing.Short() {
 		seeds = seeds[:4]
 	}
-	for name, mk := range cfgs {
+	for name, c := range cfgs {
 		t.Run(name, func(t *testing.T) {
+			cfg := machine.DefaultConfig()
+			c.set(&cfg)
 			for _, seed := range seeds {
 				p := progen.Generate(seed, progen.DefaultConfig())
-				r := runProg(t, mk(), p)
+				r := runModel(t, cfg, c.regroup, p)
 				if err := r.CheckInvariants(); err != nil {
 					t.Errorf("seed %d: %v", seed, err)
 				}
@@ -532,10 +541,7 @@ func TestRandomProgramEquivalenceStressed(t *testing.T) {
 	gcfg.ArrayBytes = 4 << 20 // blow out the L3
 	gcfg.OuterTrips = 20
 	for seed := int64(20); seed < 26; seed++ {
-		p := progen.Generate(seed, gcfg)
-		cfg := DefaultConfig()
-		cfg.Regroup = seed%2 == 0
-		runProg(t, cfg, p)
+		runModel(t, machine.DefaultConfig(), seed%2 == 0, progen.Generate(seed, gcfg))
 	}
 }
 
@@ -543,7 +549,7 @@ func TestRandomProgramEquivalenceStressed(t *testing.T) {
 func TestInvariantsAcrossSeeds(t *testing.T) {
 	for seed := int64(30); seed < 34; seed++ {
 		p := progen.Generate(seed, progen.DefaultConfig())
-		r := runProg(t, DefaultConfig(), p)
+		r := runProg(t, machine.DefaultConfig(), p)
 		var sum int64
 		for _, c := range r.ByClass {
 			sum += c
@@ -560,7 +566,7 @@ func TestTwoPassBeatsBaselineOnMissHeavyCode(t *testing.T) {
 	gcfg.ArrayBytes = 8 << 20
 	gcfg.OuterTrips = 30
 	p := progen.Generate(42, gcfg)
-	bm, err := baseline.New(baseline.DefaultConfig(), p)
+	bm, err := baseline.New(machine.DefaultConfig(), p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -568,7 +574,7 @@ func TestTwoPassBeatsBaselineOnMissHeavyCode(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tr := runProg(t, DefaultConfig(), p)
+	tr := runProg(t, machine.DefaultConfig(), p)
 	if tr.Cycles >= br.Cycles {
 		t.Errorf("two-pass (%d) not faster than baseline (%d) on miss-heavy code",
 			tr.Cycles, br.Cycles)
@@ -579,16 +585,16 @@ func TestTwoPassBeatsBaselineOnMissHeavyCode(t *testing.T) {
 
 func TestRejectsBadConfig(t *testing.T) {
 	p := program.MustAssemble("ok", "halt ;;")
-	cfg := DefaultConfig()
+	cfg := machine.DefaultConfig()
 	cfg.CQSize = 2
-	if _, err := New(cfg, p); err == nil || !strings.Contains(err.Error(), "coupling queue") {
+	if _, err := New(cfg, false, p); err == nil || !strings.Contains(err.Error(), "coupling queue") {
 		t.Errorf("tiny CQ should be rejected: %v", err)
 	}
 }
 
 func TestScalarStatsPresence(t *testing.T) {
 	p := progen.Generate(55, progen.DefaultConfig())
-	r := runProg(t, DefaultConfig(), p)
+	r := runProg(t, machine.DefaultConfig(), p)
 	if r.StoresTotal == 0 {
 		t.Errorf("no stores recorded")
 	}
@@ -607,7 +613,7 @@ func TestCheckpointRepairEquivalence(t *testing.T) {
 	// §3.6's alternative recovery must be architecturally transparent.
 	for seed := int64(60); seed < 66; seed++ {
 		p := progen.Generate(seed, progen.DefaultConfig())
-		cfg := DefaultConfig()
+		cfg := machine.DefaultConfig()
 		cfg.CheckpointRepair = true
 		runProg(t, cfg, p)
 	}
@@ -649,8 +655,8 @@ join:   addi r3 = r3, -1 ;;
 	for i := 0; i < 128; i++ {
 		p.Data.WriteU32(uint32(0x10000000+i*4), rng.Uint32())
 	}
-	slow := runProg(t, DefaultConfig(), p)
-	fast := DefaultConfig()
+	slow := runProg(t, machine.DefaultConfig(), p)
+	fast := machine.DefaultConfig()
 	fast.CheckpointRepair = true
 	quick := runProg(t, fast, p)
 	if quick.MispredictsB == 0 {
@@ -665,7 +671,7 @@ join:   addi r3 = r3, -1 ;;
 }
 
 func TestStoreBufferCapEquivalence(t *testing.T) {
-	cfg := DefaultConfig()
+	cfg := machine.DefaultConfig()
 	cfg.SBSize = 2 // absurdly small: store bursts spill to the B-pipe
 	var totalDeferred int64
 	for seed := int64(70); seed < 74; seed++ {
@@ -726,8 +732,8 @@ loop:   ld4 r3 = [r7] ;;          // cold miss: pointer arrives late
 	for i := 0; i < 30; i++ {
 		p.Data.WriteU32(uint32(0x11000000+i*4096), 0x10000000)
 	}
-	plain := runProg(t, DefaultConfig(), p)
-	pred := DefaultConfig()
+	plain := runProg(t, machine.DefaultConfig(), p)
+	pred := machine.DefaultConfig()
 	pred.ConflictPredictor = true
 	predicted := runProg(t, pred, p)
 	if plain.ConflictFlushes < 5 {
@@ -742,7 +748,7 @@ loop:   ld4 r3 = [r7] ;;          // cold miss: pointer arrives late
 }
 
 func TestConflictPredictorEquivalence(t *testing.T) {
-	cfg := DefaultConfig()
+	cfg := machine.DefaultConfig()
 	cfg.ConflictPredictor = true
 	for seed := int64(80); seed < 84; seed++ {
 		runProg(t, cfg, progen.Generate(seed, progen.DefaultConfig()))
@@ -755,18 +761,17 @@ func TestConflictPredictorEquivalence(t *testing.T) {
 func TestIndirectBranchFuzz(t *testing.T) {
 	gcfg := progen.DefaultConfig()
 	gcfg.WeightIndirect = 3
-	cfgs := []Config{DefaultConfig()}
-	re := DefaultConfig()
-	re.Regroup = true
-	cfgs = append(cfgs, re)
-	small := DefaultConfig()
+	small := machine.DefaultConfig()
 	small.CQSize = 8
 	small.ALATCapacity = 4
-	cfgs = append(cfgs, small)
+	cfgs := []struct {
+		cfg     machine.Config
+		regroup bool
+	}{{machine.DefaultConfig(), false}, {machine.DefaultConfig(), true}, {small, false}}
 	for seed := int64(90); seed < 96; seed++ {
 		p := progen.Generate(seed, gcfg)
-		for ci, cfg := range cfgs {
-			r := runProg(t, cfg, p)
+		for ci, c := range cfgs {
+			r := runModel(t, c.cfg, c.regroup, p)
 			if ci == 0 && r.MispredictsA+r.MispredictsB == 0 {
 				t.Logf("seed %d: no mispredictions (unusual but legal)", seed)
 			}

@@ -5,7 +5,7 @@ import (
 
 	"fleaflicker/internal/arch"
 	"fleaflicker/internal/baseline"
-	"fleaflicker/internal/isa"
+	"fleaflicker/internal/machine"
 	"fleaflicker/internal/twopass"
 )
 
@@ -39,12 +39,12 @@ func TestByName(t *testing.T) {
 }
 
 func TestKernelsValidateAndTerminate(t *testing.T) {
-	fus := [isa.NumFUClasses]int{isa.ClassALU: 5, isa.ClassMEM: 3, isa.ClassFP: 3, isa.ClassBR: 3}
+	table1 := machine.DefaultConfig()
 	for _, b := range Suite() {
 		b := b
 		t.Run(b.Name, func(t *testing.T) {
 			p := b.Program()
-			if err := p.Validate(8, fus); err != nil {
+			if err := p.Validate(table1.IssueWidth, table1.FUs); err != nil {
 				t.Fatalf("validate: %v", err)
 			}
 			r, err := arch.Run(p, 5_000_000)
@@ -79,7 +79,7 @@ func TestKernelsEquivalentAcrossMachines(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			bm, err := baseline.New(baseline.DefaultConfig(), p)
+			bm, err := baseline.New(machine.DefaultConfig(), p)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -90,9 +90,7 @@ func TestKernelsEquivalentAcrossMachines(t *testing.T) {
 				t.Fatalf("baseline diverges: %s", bm.State().Diff(ref.State))
 			}
 			for _, regroup := range []bool{false, true} {
-				cfg := twopass.DefaultConfig()
-				cfg.Regroup = regroup
-				tm, err := twopass.New(cfg, p)
+				tm, err := twopass.New(machine.DefaultConfig(), regroup, p)
 				if err != nil {
 					t.Fatal(err)
 				}
