@@ -94,11 +94,11 @@ fuzz-smoke:
 # cluster-smoke is the distributed-tier gate, run under the race detector:
 # three in-process fleasimd backends behind a consistent-hash coordinator
 # shard a 2000-program differential fuzz campaign (zero divergences, every
-# backend executes chunks), a retuned second coordinator must serve the full
-# re-run from federated caches (nonzero peer hits, zero fresh simulations),
-# killing a backend mid-campaign must re-route its chunks with zero errors,
-# and the capacity model must show >= 1.5x speedup of three backends over
-# one.
+# backend executes chunks), a second coordinator over the same ring re-runs
+# it from the owners' caches (fresh simulations at most the steals of the
+# two runs), killing a backend mid-campaign must re-route its chunks with
+# zero errors, and the capacity model must show >= 1.5x speedup of three
+# backends over one.
 cluster-smoke:
 	FLEA_CLUSTER_PROGRAMS=2000 $(GO) test -race -count=1 \
 		-run='^(TestClusterSmokeCampaign|TestClusterKillBackendMidCampaign|TestClusterSpeedup|TestClusterStealVsComplete|TestClusterBackendDiesMidJob)$$' \

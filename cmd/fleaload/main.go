@@ -221,12 +221,11 @@ func reportCluster(cl *client.Client) {
 	if err := cl.GetJSON(context.Background(), "/clusterz", &cz); err != nil {
 		return
 	}
-	fmt.Printf("  cluster: %d backends, %d routed, %d stolen, %d rerouted, %d peer hits, %d dup drops\n",
+	fmt.Printf("  cluster: %d backends, %d routed, %d stolen, %d rerouted, %d dup drops\n",
 		len(cz.Backends),
 		cz.Coordinator["cluster.units.routed"],
 		cz.Coordinator["cluster.units.stolen"],
 		cz.Coordinator["cluster.units.rerouted"],
-		cz.Coordinator["cluster.federation.peer_hits"],
 		cz.Coordinator["cluster.federation.duplicate_drops"])
 	for _, b := range cz.Backends {
 		state := "up"

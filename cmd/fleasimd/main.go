@@ -19,16 +19,15 @@
 //	POST /v1/units           submit pre-resolved units (coordinator dispatch)
 //	GET  /v1/jobs/{id}       job status and per-unit results
 //	GET  /v1/jobs/{id}/events  SSE progress stream
-//	GET  /v1/cache/{key}     cache-federation peer lookup
 //	GET  /healthz            liveness (503 while draining)
 //	GET  /metricsz           counters, gauges and job-latency quantiles
 //
 // Coordinator mode (-coordinator) runs the same job manager — admission
 // queue, result cache, job records — but executes each unit on one of a set
-// of backend fleasimd daemons: it routes units by consistent hashing, asks
-// the backends' caches before simulating, health-checks membership and
-// steals queued work from stragglers. It takes -backends, -membership,
-// -replicas and -probe-interval, which a backend rejects:
+// of backend fleasimd daemons: it routes each unit by consistent hashing to
+// the backend that owns its key, whose own result cache serves a repeat,
+// health-checks membership and steals queued work from stragglers. It takes
+// -backends, -membership and -probe-interval, which a backend rejects:
 //
 //	fleasimd -coordinator -backends host1:8080,host2:8080,host3:8080
 //	fleasimd -coordinator -membership members.txt   # one URL per line
@@ -74,7 +73,6 @@ func main() {
 		coordinator = flag.Bool("coordinator", false, "serve as a cluster coordinator instead of a backend")
 		backends    = flag.String("backends", "", "coordinator: comma-separated backend URLs")
 		membership  = flag.String("membership", "", "coordinator: file with one backend URL per line (# comments)")
-		replicas    = flag.Int("replicas", 0, "coordinator: virtual nodes per backend on the hash ring (0 = default)")
 		probeEvery  = flag.Duration("probe-interval", time.Second, "coordinator: health-probe interval")
 	)
 	flag.Parse()
@@ -95,7 +93,6 @@ func main() {
 		if err == nil {
 			err = runCoordinator(*addr, svcCfg, cluster.Config{
 				Backends:      members,
-				Replicas:      *replicas,
 				ProbeInterval: *probeEvery,
 			}, *drainTimeout)
 		}
@@ -114,7 +111,6 @@ var coordinatorOnly = map[string]bool{
 	"workers":        false,
 	"backends":       true,
 	"membership":     true,
-	"replicas":       true,
 	"probe-interval": true,
 }
 

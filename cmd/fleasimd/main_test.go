@@ -54,16 +54,15 @@ func TestCheckModeFlagsRejectsOtherMode(t *testing.T) {
 		wantErr     string
 	}{
 		{[]string{"-workers", "2", "-queue-depth", "8"}, false, ""},
-		{[]string{"-backends", "h:1", "-replicas", "8", "-cache", "16"}, true, ""},
+		{[]string{"-backends", "h:1", "-cache", "16"}, true, ""},
 		{[]string{"-workers", "2"}, true, "-workers does not apply with -coordinator"},
 		{[]string{"-backends", "h:1"}, false, "-backends applies only with -coordinator"},
 		{[]string{"-membership", "m.txt"}, false, "-membership applies only with -coordinator"},
-		{[]string{"-replicas", "8"}, false, "-replicas applies only with -coordinator"},
 		{[]string{"-probe-interval", "2s"}, false, "-probe-interval applies only with -coordinator"},
 	}
 	for _, c := range cases {
 		fs := flag.NewFlagSet("fleasimd", flag.ContinueOnError)
-		for _, name := range []string{"workers", "queue-depth", "cache", "backends", "membership", "replicas", "probe-interval"} {
+		for _, name := range []string{"workers", "queue-depth", "cache", "backends", "membership", "probe-interval"} {
 			fs.String(name, "", "")
 		}
 		if err := fs.Parse(c.args); err != nil {

@@ -2,12 +2,12 @@
 // service. A Coordinator is a service.Manager — the daemon's admission,
 // coalescing result cache and job reporting, unchanged — whose executor
 // runs each claimed unit on a backend instead of a local worker: it
-// consistent-hash-routes content-addressed units (JobSpec expansion is the
-// backend code, so both sides agree on every cache key), asks peer caches
-// before simulating (a result computed anywhere in the cluster is computed
-// once), health-checks membership with mark-down/mark-up, re-routes work
-// lost to dead nodes, and steals queued units from stragglers when a
-// dispatch slot goes idle.
+// consistent-hash-routes content-addressed units to their ring owner
+// (JobSpec expansion is the backend code, so both sides agree on every
+// cache key, and the owner's own result cache serves a repeat),
+// health-checks membership with mark-down/mark-up, re-routes work lost to
+// dead nodes, and steals queued units from stragglers when a dispatch slot
+// goes idle.
 //
 // Placement and steal-victim choice are pure functions of membership and
 // queue state, and no wall-clock value feeds any decision (timers pace
@@ -35,9 +35,6 @@ var ErrNoBackends = fmt.Errorf("cluster: no live backends (%w)", service.ErrUnav
 type Config struct {
 	// Backends are the member base URLs (order defines backend indices).
 	Backends []string
-	// Replicas is the virtual-node count per backend on the hash ring
-	// (default 64).
-	Replicas int
 	// SlotsPerBackend is how many units the coordinator keeps in flight per
 	// backend (default 4): enough to cover submit+poll latency, small enough
 	// that queue depth — the steal signal — stays visible coordinator-side.
@@ -61,15 +58,9 @@ type Config struct {
 	// at its default, a persistently full backend stalls a unit at most ~20s
 	// instead of requeueing it forever).
 	MaxBackoffsPerUnit int
-	// DisablePeerLookup skips the federation peer probe, so every claimed
-	// unit is dispatched to its backend (default false: probe peers first).
-	DisablePeerLookup bool
 }
 
 func (c Config) withDefaults() Config {
-	if c.Replicas <= 0 {
-		c.Replicas = defaultReplicas
-	}
 	if c.SlotsPerBackend <= 0 {
 		c.SlotsPerBackend = 4
 	}
@@ -98,8 +89,8 @@ func (c Config) withDefaults() Config {
 }
 
 // Coordinator is the cluster control plane: a service.Manager for
-// admission, caching and jobs, plus placement, dispatch, federation, health
-// and stealing over a static membership.
+// admission, caching and jobs, plus placement, dispatch, health and
+// stealing over a static membership.
 type Coordinator struct {
 	*service.Manager
 
@@ -127,7 +118,7 @@ func New(svcCfg service.Config, cfg Config) (*Coordinator, error) {
 	for i, u := range cfg.Backends {
 		c.clients[i] = client.New(u)
 	}
-	c.ring = newRing(c.Backends(), cfg.Replicas)
+	c.ring = newRing(c.Backends(), defaultReplicas)
 	c.ctx, c.cancel = context.WithCancel(context.Background())
 	c.Manager = service.New(svcCfg, service.WithExecutor(
 		func(resolved service.Config, reg *metrics.Registry) service.Executor {
@@ -221,34 +212,17 @@ func (c *Coordinator) dispatchSlot(b int) {
 	}
 }
 
-// execute runs one task attempt on backend b: federation peer lookup first,
-// then submit + poll, with backpressure backoff and failure re-routing.
+// execute runs one task attempt on backend b: submit + poll, with
+// backpressure backoff and failure re-routing. A unit b already computed is
+// a hit in b's own admission cache.
 func (c *Coordinator) execute(b int, t *unitTask) {
 	ctx := t.Ctx
-	outcome := taskAbandoned
-	defer func() { c.sched.taskDone(b, outcome) }()
+	executed := false
+	defer func() { c.sched.taskDone(b, executed) }()
 
 	if ctx.Err() != nil {
 		c.failTask(t, ctx.Err())
 		return
-	}
-
-	// Federation: ask the other live backends for the result before
-	// simulating. The executing backend's own cache needs no probe — its
-	// admission path serves hits anyway.
-	if !c.cfg.DisablePeerLookup {
-		for _, p := range t.prefs {
-			if p == b || !c.sched.isUp(p) {
-				continue
-			}
-			c.met.peerLookups.Inc()
-			if res, ok := c.clients[p].CacheLookup(ctx, t.Key()); ok {
-				c.met.peerHits.Inc()
-				c.finishTask(t, res, nil, c.met.unitsCompleted)
-				outcome = taskPeerServed
-				return
-			}
-		}
 	}
 
 	loc, err := c.clients[b].SubmitUnits(ctx, []service.WireUnit{t.Spec.Wire()}, t.TimeoutMS)
@@ -272,7 +246,7 @@ func (c *Coordinator) execute(b int, t *unitTask) {
 		return
 	}
 	c.finishTask(t, st.Units[0].Result, nil, c.met.unitsCompleted)
-	outcome = taskExecuted
+	executed = true
 }
 
 // retryTask handles a failed attempt: backpressure waits and retries the

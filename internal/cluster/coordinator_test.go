@@ -145,7 +145,7 @@ func TestClusterAllBackendsDown(t *testing.T) {
 
 // TestClusterBackendDiesMidJob holds the first executions open, kills a
 // backend with units in flight, and checks the job still completes with
-// every unit stored exactly once in the federated cache.
+// every unit stored exactly once in the coordinator's cache.
 func TestClusterBackendDiesMidJob(t *testing.T) {
 	var executions atomic.Int64
 	l, err := StartLocal(3, service.Config{Workers: 1}, fastProbes(Config{}),
@@ -192,8 +192,7 @@ func TestClusterBackendDiesMidJob(t *testing.T) {
 func TestClusterStealVsComplete(t *testing.T) {
 	var executions atomic.Int64
 	l, err := StartLocal(3, service.Config{Workers: 1}, fastProbes(Config{
-		SlotsPerBackend:   1,
-		DisablePeerLookup: true,
+		SlotsPerBackend: 1,
 	}), stubRunner(&executions, 3*time.Millisecond))
 	if err != nil {
 		t.Fatalf("StartLocal: %v", err)
@@ -271,12 +270,21 @@ func TestFinishTaskFirstWriterWins(t *testing.T) {
 	if got := c.met.fedDupDrops.Value(); got != 1 {
 		t.Fatalf("duplicate drops = %d, want 1", got)
 	}
-	stored, ok := m.CachedResult(task.Key())
-	if !ok || stored != resA {
-		t.Fatalf("stored result = %+v, want the first completion %+v", stored, resA)
-	}
 	if st := job.Status(); len(st.Units) != 1 || st.Units[0].Result != resA {
 		t.Fatalf("job reports %+v, want the first completion", st.Units)
+	}
+	// The cache stores the first completion: resubmitting the spec is a
+	// hit that reports resA.
+	again, err := m.Submit(service.JobSpec{Model: "2P", Bench: "300.twolf", Seed: 1})
+	if err != nil {
+		t.Fatalf("resubmit: %v", err)
+	}
+	waitClusterDone(t, again)
+	if len(rec.tasks) != 1 {
+		t.Fatalf("resubmission claimed a task; want a cache hit")
+	}
+	if st := again.Status(); len(st.Units) != 1 || !st.Units[0].Cached || st.Units[0].Result != resA {
+		t.Fatalf("resubmission reports %+v, want the cached first completion", st.Units)
 	}
 }
 
@@ -298,92 +306,13 @@ func TestExecutorManagerHasNoWorkerMetrics(t *testing.T) {
 	}
 }
 
-// TestClusterFederationPeerHit seeds a result on a non-owner backend and
-// checks the coordinator finds it through the peer lookup instead of
-// scheduling a fresh simulation on the owner.
-func TestClusterFederationPeerHit(t *testing.T) {
-	var executions atomic.Int64
-	l, err := StartLocal(3, service.Config{Workers: 1}, fastProbes(Config{}),
-		stubRunner(&executions, 0))
-	if err != nil {
-		t.Fatalf("StartLocal: %v", err)
-	}
-	defer l.Close()
-
-	spec := service.JobSpec{Model: "2P", Bench: "300.twolf", Seed: 42}
-	units, err := service.ExpandUnits(spec)
-	if err != nil || len(units) != 1 {
-		t.Fatalf("expand: %v (%d units)", err, len(units))
-	}
-	key := units[0].Key()
-	prefs := l.Coordinator.ring.preference(key)
-
-	// Execute the unit directly on the second-preference backend, bypassing
-	// the coordinator — the position a steal or a past membership change
-	// would leave the result in.
-	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-	defer cancel()
-	seeder := l.Coordinator.clients[prefs[1]]
-	loc, err := seeder.SubmitUnits(ctx, []service.WireUnit{units[0].Wire()}, 0)
-	if err != nil {
-		t.Fatalf("seeding %s: %v", seeder.ID(), err)
-	}
-	if _, err := seeder.WaitJob(ctx, loc, 2*time.Millisecond); err != nil {
-		t.Fatalf("seed job: %v", err)
-	}
-	if got := executions.Load(); got != 1 {
-		t.Fatalf("seed executions = %d, want 1", got)
-	}
-
-	job, err := l.Coordinator.Submit(spec)
-	if err != nil {
-		t.Fatalf("submit: %v", err)
-	}
-	waitClusterDone(t, job)
-	if job.State() != service.JobDone {
-		t.Fatalf("job state = %v, want done (err: %v)", job.State(), job.Err())
-	}
-	met := l.Coordinator.met
-	if met.peerHits.Value() == 0 {
-		t.Fatalf("peer hits = 0, want >0 (result was cached on %s)", seeder.ID())
-	}
-	if got := executions.Load(); got != 1 {
-		t.Fatalf("executions = %d, want 1 (peer hit must not re-execute)", got)
-	}
-	st := job.Status()
-	if st.Units[0].Result == nil || st.Units[0].Result.Key != key {
-		t.Fatalf("unit result missing or wrong key: %+v", st.Units[0].Result)
-	}
-	// The per-backend accounting must not book the peer hit as a simulation:
-	// executed[] counts real runs only, peer_served[] the federation serves.
-	// taskDone runs on the slot after the entry seals, so poll briefly.
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		var simulated, served int64
-		for _, b := range l.Coordinator.sched.snapshot() {
-			simulated += b.Executed
-			served += b.PeerServed
-		}
-		if simulated != 0 {
-			t.Fatalf("snapshot executed = %d, want 0 (peer hit booked as a simulation)", simulated)
-		}
-		if served == 1 {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("snapshot peer_served = %d, want 1", served)
-		}
-		time.Sleep(time.Millisecond)
-	}
-}
-
 // TestClusterBackpressureRetries fills tiny backend queues and checks the
 // coordinator absorbs 429s with the machine-readable retry hint instead of
 // failing units.
 func TestClusterBackpressureRetries(t *testing.T) {
 	var executions atomic.Int64
 	l, err := StartLocal(2, service.Config{Workers: 1, QueueDepth: 2},
-		fastProbes(Config{SlotsPerBackend: 4, MaxBackoff: 20 * time.Millisecond, DisablePeerLookup: true}),
+		fastProbes(Config{SlotsPerBackend: 4, MaxBackoff: 20 * time.Millisecond}),
 		stubRunner(&executions, 5*time.Millisecond))
 	if err != nil {
 		t.Fatalf("StartLocal: %v", err)
@@ -526,7 +455,6 @@ func TestClusterBackpressureCapFailsUnit(t *testing.T) {
 			SlotsPerBackend:    4,
 			MaxBackoff:         5 * time.Millisecond,
 			MaxBackoffsPerUnit: 2,
-			DisablePeerLookup:  true,
 		}),
 		stubRunner(&executions, 50*time.Millisecond))
 	if err != nil {

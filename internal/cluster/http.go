@@ -14,8 +14,11 @@ type BackendStatus struct {
 	Up       bool   `json:"up"`
 	Queued   int    `json:"queued"`
 	Inflight int    `json:"inflight"`
-	// Executed counts units actually simulated on this backend; PeerServed
-	// counts units its slots completed from a peer's cache instead.
+	// Executed counts units this backend completed for the coordinator (a
+	// hit in the backend's own cache included); Stolen counts units its
+	// slots took from another backend's queue. PeerServed is always 0: the
+	// coordinator asks no peer cache, and the field stays only because
+	// perfbench decodes it.
 	Executed   int64 `json:"executed"`
 	PeerServed int64 `json:"peer_served"`
 	Stolen     int64 `json:"stolen"`
@@ -29,10 +32,9 @@ type BackendStatus struct {
 
 // NewServer serves a Coordinator: the daemon's job API from
 // service.NewServer — POST /v1/jobs and /v1/units, GET /v1/jobs/{id} and
-// its /events stream, /v1/cache/{key} and /metricsz — so clients like
-// fleaload need no special casing, plus GET /clusterz for the per-backend
-// routing and federation breakdown and a /healthz that also reports
-// backend liveness.
+// its /events stream and /metricsz — so clients like fleaload need no
+// special casing, plus GET /clusterz for the per-backend routing breakdown
+// and a /healthz that also reports backend liveness.
 func NewServer(c *Coordinator) http.Handler {
 	mux := http.NewServeMux()
 	mux.Handle("/", service.NewServer(c.Manager))
@@ -95,7 +97,7 @@ func (c *Coordinator) handleClusterz(w http.ResponseWriter, r *http.Request) {
 	service.WriteJSON(w, http.StatusOK, clusterzReport{
 		Backends:    statuses,
 		RingPoints:  len(c.ring.points),
-		Replicas:    c.cfg.Replicas,
+		Replicas:    defaultReplicas,
 		Draining:    c.Draining(),
 		Coordinator: flat,
 	})

@@ -21,14 +21,10 @@ const (
 	MetricUnitsRerouted  = "cluster.units.rerouted"
 	MetricUnitBackoffs   = "cluster.units.backoffs"
 
-	// Federation: peer_lookups/peer_hits count GET /v1/cache probes the
-	// coordinator issued against backends before scheduling fresh work;
-	// duplicate_drops counts late completions dropped by first-writer-wins.
-	// The coordinator's own cache reports as the daemon's does, under
-	// service.cache.*.
+	// duplicate_drops counts late completions dropped by first-writer-wins
+	// (a re-routed or stolen unit finished twice). The coordinator's own
+	// cache reports as the daemon's does, under service.cache.*.
 	MetricFedDupDrops = "cluster.federation.duplicate_drops"
-	MetricPeerLookups = "cluster.federation.peer_lookups"
-	MetricPeerHits    = "cluster.federation.peer_hits"
 
 	MetricMarkdowns = "cluster.backends.markdowns"
 	MetricMarkups   = "cluster.backends.markups"
@@ -54,8 +50,6 @@ type clusterMetrics struct {
 	unitBackoffs   *metrics.SharedCounter
 
 	fedDupDrops *metrics.SharedCounter
-	peerLookups *metrics.SharedCounter
-	peerHits    *metrics.SharedCounter
 
 	markdowns *metrics.SharedCounter
 	markups   *metrics.SharedCounter
@@ -75,8 +69,6 @@ func newClusterMetrics(reg *metrics.Registry) *clusterMetrics {
 		unitsRerouted:  reg.SharedCounter(MetricUnitsRerouted),
 		unitBackoffs:   reg.SharedCounter(MetricUnitBackoffs),
 		fedDupDrops:    reg.SharedCounter(MetricFedDupDrops),
-		peerLookups:    reg.SharedCounter(MetricPeerLookups),
-		peerHits:       reg.SharedCounter(MetricPeerHits),
 		markdowns:      reg.SharedCounter(MetricMarkdowns),
 		markups:        reg.SharedCounter(MetricMarkups),
 		backendsUp:     reg.SharedGauge(GaugeBackendsUp),

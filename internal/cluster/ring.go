@@ -8,12 +8,13 @@ import (
 )
 
 // ring is the consistent-hash placement structure: each backend projects
-// Replicas virtual points onto a 64-bit circle, and a unit key is owned by
-// the backend whose point follows the key's hash. Placement is a pure
-// function of (membership, replicas, key): every coordinator over the same
-// membership file routes every key identically, and adding or removing one
-// backend moves only the keys whose arcs it owned — the property that keeps
-// the backends' local result caches warm across membership changes.
+// defaultReplicas virtual points onto a 64-bit circle, and a unit key is
+// owned by the backend whose point follows the key's hash. The replica
+// count is fixed, so placement is a pure function of (membership, key):
+// every coordinator over the same membership file routes every key to the
+// backend that already cached it, and adding or removing one backend moves
+// only the keys whose arcs it owned — the property that keeps the
+// backends' local result caches warm across membership changes.
 //
 // The ring is immutable after construction. Liveness is not ring state:
 // a down backend keeps its points and lookups simply skip it via the
@@ -31,16 +32,14 @@ type ringPoint struct {
 	backend int
 }
 
-// defaultReplicas is the virtual-node count per backend. 64 points per
-// backend keeps the expected per-backend load within a few percent of even
-// for small clusters.
+// defaultReplicas is the virtual-node count per backend of every
+// coordinator's ring. 64 points per backend keeps the expected per-backend
+// load within a few percent of even for small clusters.
 const defaultReplicas = 64
 
-// newRing builds the ring over n backends identified by their ids.
+// newRing builds the ring over the backends identified by ids, with
+// replicas virtual points each (coordinators pass defaultReplicas).
 func newRing(ids []string, replicas int) *ring {
-	if replicas <= 0 {
-		replicas = defaultReplicas
-	}
 	r := &ring{
 		points:   make([]ringPoint, 0, len(ids)*replicas),
 		backends: len(ids),

@@ -78,8 +78,8 @@ func TestRingBalance(t *testing.T) {
 	}
 }
 
-// TestRingRemapMinimality checks the consistent-hashing property the cache
-// federation depends on: removing one backend only moves the keys it owned,
+// TestRingRemapMinimality checks the consistent-hashing property owner
+// caching depends on: removing one backend only moves the keys it owned,
 // so the survivors' local caches stay warm across membership changes.
 func TestRingRemapMinimality(t *testing.T) {
 	ids := testIDs(4)

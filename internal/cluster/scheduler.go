@@ -38,25 +38,11 @@ type scheduler struct {
 	probeOKs   []int // consecutive successful probes per backend
 	inflight   []int
 	queued     int     // total across queues
-	executed   []int64 // units actually simulated per backend
-	peerServed []int64 // units this backend's slots served from a peer's cache
+	executed   []int64 // units completed by a submission to this backend
 	stolen     []int64 // units this backend's slots stole from others
 	closed     bool    // intake refused; queued tasks still drain
 	stopped    bool    // dispatch over: next yields nil, requeue refuses
 }
-
-// taskOutcome is how a dispatch slot retired a task, for the per-backend
-// accounting /clusterz reports.
-type taskOutcome int
-
-const (
-	// taskAbandoned: failed, re-routed or requeued — not completed here.
-	taskAbandoned taskOutcome = iota
-	// taskExecuted: simulated on this backend.
-	taskExecuted
-	// taskPeerServed: completed from a federation peer's cache, no simulation.
-	taskPeerServed
-)
 
 func newScheduler(n int, met *clusterMetrics) *scheduler {
 	s := &scheduler{
@@ -68,7 +54,6 @@ func newScheduler(n int, met *clusterMetrics) *scheduler {
 		probeOKs:   make([]int, n),
 		inflight:   make([]int, n),
 		executed:   make([]int64, n),
-		peerServed: make([]int64, n),
 		stolen:     make([]int64, n),
 	}
 	for i := range s.wake {
@@ -220,27 +205,16 @@ func (s *scheduler) taskPoppedLocked(b int) {
 	s.met.inflight.Add(1)
 }
 
-// taskDone retires a task from backend b's in-flight accounting. Simulated
-// and peer-served completions count separately so /clusterz's executed[]
-// reflects only real simulations on b.
-func (s *scheduler) taskDone(b int, outcome taskOutcome) {
+// taskDone retires a task from backend b's in-flight accounting, counting
+// it in /clusterz's executed[] when b completed it.
+func (s *scheduler) taskDone(b int, executed bool) {
 	s.mu.Lock()
 	s.inflight[b]--
-	switch outcome {
-	case taskExecuted:
+	if executed {
 		s.executed[b]++
-	case taskPeerServed:
-		s.peerServed[b]++
 	}
 	s.mu.Unlock()
 	s.met.inflight.Add(-1)
-}
-
-// isUp reports whether backend b is currently marked up.
-func (s *scheduler) isUp(b int) bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.up[b]
 }
 
 // noteProbe feeds one health-probe outcome into the mark-down/mark-up state
@@ -295,12 +269,11 @@ func (s *scheduler) snapshot() []BackendStatus {
 	out := make([]BackendStatus, len(s.queues))
 	for i := range s.queues {
 		out[i] = BackendStatus{
-			Up:         s.up[i],
-			Queued:     len(s.queues[i]),
-			Inflight:   s.inflight[i],
-			Executed:   s.executed[i],
-			PeerServed: s.peerServed[i],
-			Stolen:     s.stolen[i],
+			Up:       s.up[i],
+			Queued:   len(s.queues[i]),
+			Inflight: s.inflight[i],
+			Executed: s.executed[i],
+			Stolen:   s.stolen[i],
 		}
 	}
 	return out

@@ -7,6 +7,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"strconv"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -74,9 +75,10 @@ func backendExecutions(l *Local) (per []int64, total int64) {
 // TestClusterSmokeCampaign is the cluster-smoke acceptance drive: a real
 // (not stubbed) sharded differential fuzz campaign over three in-process
 // backends — zero divergences, every backend does real work — then a second
-// coordinator with a different ring-replica tuning over the same backends
-// re-runs the campaign and must serve the remapped units from its peers'
-// caches: nonzero peer hits, zero new simulations.
+// coordinator over the same backends re-runs the campaign. Its ring is the
+// first one's, so every unit goes back to the backend that already cached
+// it, unless a steal moved the unit in one run or the other: the re-run's
+// fresh simulations are bounded by the two coordinators' steals.
 func TestClusterSmokeCampaign(t *testing.T) {
 	programs := smokePrograms(t)
 	l, err := StartLocal(3, service.Config{Workers: 1}, patientProbes(Config{}))
@@ -105,12 +107,10 @@ func TestClusterSmokeCampaign(t *testing.T) {
 		}
 	}
 
-	// Second coordinator, same membership, retuned ring (32 replicas instead
-	// of 64): a fraction of keys remap to a different owner, exactly the
-	// situation cache federation exists for. Every remapped unit must be
-	// served by a peer lookup, every unmoved unit by its backend's own
-	// cache — zero fresh simulations either way.
-	c2, err := New(service.Config{}, patientProbes(Config{Backends: l.URLs(), Replicas: 32}))
+	// Second coordinator, same membership and so the same ring. A unit
+	// misses its executing backend's cache only when a steal placed it on
+	// another backend in the first run or in this one.
+	c2, err := New(service.Config{}, patientProbes(Config{Backends: l.URLs()}))
 	if err != nil {
 		t.Fatalf("second coordinator: %v", err)
 	}
@@ -122,13 +122,12 @@ func TestClusterSmokeCampaign(t *testing.T) {
 	waitClusterDone(t, job2)
 	assertCleanCampaign(t, job2, programs)
 
-	if hits := c2.met.peerHits.Value(); hits == 0 {
-		t.Fatalf("peer hits = 0 after ring retune; want >0 (lookups=%d)",
-			c2.met.peerLookups.Value())
-	}
-	if _, totalAfter := backendExecutions(l); totalAfter != totalBefore {
-		t.Fatalf("re-run executed %d fresh chunks; want 0 (federation must serve them)",
-			totalAfter-totalBefore)
+	_, totalAfter := backendExecutions(l)
+	fresh := totalAfter - totalBefore
+	stolen := l.Coordinator.met.unitsStolen.Value() + c2.met.unitsStolen.Value()
+	t.Logf("re-run: %d fresh chunks of %d, %d steals across the two runs", fresh, chunks, stolen)
+	if fresh > stolen {
+		t.Fatalf("re-run executed %d fresh chunks; want at most the %d steals of the two runs", fresh, stolen)
 	}
 }
 
@@ -169,7 +168,7 @@ func TestClusterKillBackendMidCampaign(t *testing.T) {
 	if met.unitsRerouted.Value() == 0 {
 		t.Fatalf("no chunks rerouted despite the mid-campaign kill")
 	}
-	if got := met.unitsCompleted.Value() + met.peerHits.Value(); got < 45 {
+	if got := met.unitsCompleted.Value(); got < 45 {
 		t.Fatalf("completions = %d, want >= 45", got)
 	}
 }
@@ -194,7 +193,7 @@ func TestClusterSpeedup(t *testing.T) {
 	})
 	campaign := func(backends int) time.Duration {
 		l, err := StartLocal(backends, service.Config{Workers: 1},
-			fastProbes(Config{DisablePeerLookup: true}), runner)
+			fastProbes(Config{}), runner)
 		if err != nil {
 			t.Fatalf("StartLocal(%d): %v", backends, err)
 		}
@@ -270,6 +269,55 @@ func TestClusterzEndpoint(t *testing.T) {
 	getJSONFrom(t, srv, "/metricsz?format=json", &mz)
 	if mz.Counters[service.MetricJobsCompleted] != 1 {
 		t.Fatalf("metricsz %s = %d, want 1", service.MetricJobsCompleted, mz.Counters[service.MetricJobsCompleted])
+	}
+}
+
+// TestCacheLookupEndpointRemoved: neither a backend daemon nor the
+// coordinator serves GET /v1/cache/{key}, not even for a key they hold —
+// a unit goes to its ring owner, whose own admission cache answers a
+// repeat — and a job submitted after the refused lookups still completes.
+func TestCacheLookupEndpointRemoved(t *testing.T) {
+	var executions atomic.Int64
+	l, err := StartLocal(2, service.Config{Workers: 1}, fastProbes(Config{}), stubRunner(&executions, 0))
+	if err != nil {
+		t.Fatalf("StartLocal: %v", err)
+	}
+	defer l.Close()
+	run := func(seed int64) string {
+		t.Helper()
+		job, err := l.Coordinator.Submit(service.JobSpec{Model: "2P", Bench: "300.twolf", Seed: seed})
+		if err != nil {
+			t.Fatalf("submit seed %d: %v", seed, err)
+		}
+		waitClusterDone(t, job)
+		if job.State() != service.JobDone {
+			t.Fatalf("seed %d: state %v, want done (err: %v)", seed, job.State(), job.Err())
+		}
+		return job.Status().Units[0].Key
+	}
+	path := "/v1/cache/" + run(6) // cached on the owner and the coordinator
+
+	refused := func(who string, code int) {
+		t.Helper()
+		if code != http.StatusNotFound && code != http.StatusMethodNotAllowed {
+			t.Errorf("%s GET %s: status %d, want 404 or 405", who, path, code)
+		}
+	}
+	for _, u := range l.URLs() {
+		resp, err := http.Get(u + path)
+		if err != nil {
+			t.Fatalf("backend %s GET %s: %v", u, path, err)
+		}
+		resp.Body.Close()
+		refused("backend "+u, resp.StatusCode)
+	}
+	w := httptest.NewRecorder()
+	NewServer(l.Coordinator).ServeHTTP(w, httptest.NewRequest("GET", path, nil))
+	refused("coordinator", w.Code)
+
+	run(7)
+	if n := executions.Load(); n != 2 {
+		t.Fatalf("executions = %d, want 2 (one per job)", n)
 	}
 }
 

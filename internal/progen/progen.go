@@ -431,6 +431,9 @@ func Generate(seed int64, cfg Config) *program.Program {
 	if cfg.IssueWidth <= 0 {
 		cfg.IssueWidth = machine.DefaultConfig().IssueWidth
 	}
+	if cfg.FUs == ([isa.NumFUClasses]int{}) {
+		cfg.FUs = machine.DefaultConfig().FUs
+	}
 	if cfg.MaxGroup <= 0 || cfg.MaxGroup > cfg.IssueWidth {
 		cfg.MaxGroup = cfg.IssueWidth
 	}

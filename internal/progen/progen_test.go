@@ -10,6 +10,7 @@ import (
 
 	"fleaflicker/internal/arch"
 	"fleaflicker/internal/isa"
+	"fleaflicker/internal/machine"
 )
 
 // TestGeneratedProgramsValidateAndHalt runs DefaultConfig's programs, and
@@ -107,6 +108,22 @@ func TestOpCoverageFloor(t *testing.T) {
 	for _, op := range want {
 		if !seen[op] {
 			t.Errorf("seeds 0-499 never emit %s", op)
+		}
+	}
+}
+
+// TestZeroFUsMeanTable1 checks the documented default of Config.FUs: with
+// the FU mix zeroed and groups of up to eight instructions, every program
+// still fits the Table 1 FU mix.
+func TestZeroFUsMeanTable1(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.FUs = [isa.NumFUClasses]int{}
+	cfg.MaxGroup = 8
+	table1 := machine.DefaultConfig()
+	for seed := int64(0); seed < 200; seed++ {
+		p := Generate(seed, cfg)
+		if err := p.Validate(table1.IssueWidth, table1.FUs); err != nil {
+			t.Fatalf("seed %d: %v", seed, err)
 		}
 	}
 }

@@ -99,22 +99,6 @@ func (c *resultCache) acquire(key string) (e *entry, claimed bool) {
 	return e, true
 }
 
-// peek returns the completed result stored under key without claiming it:
-// the read-only lookup cache federation peers issue before scheduling a
-// fresh simulation. In-flight and failed entries report a miss.
-func (c *resultCache) peek(key string) (*UnitResult, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	e, ok := c.entries[key]
-	if !ok || !e.completed() || e.err != nil {
-		return nil, false
-	}
-	if e.elem != nil {
-		c.lru.MoveToFront(e.elem)
-	}
-	return e.result, true
-}
-
 // abandon rolls back a claim whose task the executor refused (queue full,
 // no live backends). Only the submission that claimed the entry may abandon
 // it, and only while it still holds the manager's submitMu — that exclusion

@@ -1,8 +1,8 @@
 // Package client is the one fleasimd HTTP client in the repository. The
 // wire idioms it owns — job and unit submission, terminal-state polling, the
 // 429/503 backpressure protocol with its machine-readable retry hint (the
-// retryAfterSeconds body field, then the Retry-After header), the
-// cache-federation peer lookup, and the /metricsz scrape — used to be
+// retryAfterSeconds body field, then the Retry-After header) and the
+// /metricsz scrape — used to be
 // duplicated between cmd/fleaload and the cluster coordinator's backend
 // handles, which meant a wire change (the retry-hint rename, once) had to be
 // fixed in two parsers. The load harness and the coordinator
@@ -304,17 +304,6 @@ func (c *Client) WaitJob(ctx context.Context, location string, poll time.Duratio
 		case <-ticker.C:
 		}
 	}
-}
-
-// CacheLookup asks the server's result cache for a completed result under
-// key: the federation peer lookup. ok=false covers both a miss and any
-// transport error — a failed lookup only costs a fresh simulation.
-func (c *Client) CacheLookup(ctx context.Context, key string) (*service.UnitResult, bool) {
-	var res service.UnitResult
-	if err := c.GetJSON(ctx, "/v1/cache/"+key, &res); err != nil {
-		return nil, false
-	}
-	return &res, true
 }
 
 // ScrapeMetrics pulls the server's /metricsz snapshot (counters and gauges).

@@ -19,7 +19,6 @@ const maxBodyBytes = 1 << 20
 //	POST /v1/units           submit pre-resolved units (coordinator dispatch)
 //	GET  /v1/jobs/{id}       status + per-unit stats payload
 //	GET  /v1/jobs/{id}/events  SSE progress stream
-//	GET  /v1/cache/{key}     cache-federation peer lookup by unit key
 //	GET  /healthz            liveness (503 while draining)
 //	GET  /metricsz           metrics registry + job-latency quantiles
 type Server struct {
@@ -34,7 +33,6 @@ func NewServer(m *Manager) *Server {
 	s.mux.HandleFunc("POST /v1/units", s.handleSubmitUnits)
 	s.mux.HandleFunc("GET /v1/jobs/{id}", s.handleJob)
 	s.mux.HandleFunc("GET /v1/jobs/{id}/events", s.handleEvents)
-	s.mux.HandleFunc("GET /v1/cache/{key}", s.handleCacheLookup)
 	s.mux.HandleFunc("GET /healthz", s.handleHealth)
 	s.mux.HandleFunc("GET /metricsz", s.handleMetrics)
 	return s
@@ -162,21 +160,6 @@ func (s *Server) handleSubmitUnits(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	writeAck(w, job)
-}
-
-// handleCacheLookup serves the cache-federation peer lookup: the completed
-// result stored under a unit key, or 404. A coordinator asks here before
-// scheduling a fresh simulation, so a result computed on any node is
-// computed once.
-func (s *Server) handleCacheLookup(w http.ResponseWriter, r *http.Request) {
-	s.m.met.cachePeerLookups.Inc()
-	res, ok := s.m.CachedResult(r.PathValue("key"))
-	if !ok {
-		WriteJSON(w, http.StatusNotFound, errorBody{Error: "no completed result under that key"})
-		return
-	}
-	s.m.met.cachePeerHits.Inc()
-	WriteJSON(w, http.StatusOK, res)
 }
 
 // handleJob reports one job's status and (as units finish) results.

@@ -639,53 +639,6 @@ func TestHTTPRejectsRemovedSweepShapes(t *testing.T) {
 	}
 }
 
-// TestHTTPCacheLookup is the federation peer-lookup contract: 404 before
-// the unit has a completed result, the exact UnitResult afterwards, and
-// both outcomes counted.
-func TestHTTPCacheLookup(t *testing.T) {
-	m, ts := newTestServer(t, Config{Workers: 1})
-
-	units, err := ExpandUnits(JobSpec{Model: "2P", Bench: "300.twolf", Seed: 6})
-	if err != nil {
-		t.Fatalf("expand: %v", err)
-	}
-	key := units[0].Key()
-
-	resp, err := http.Get(ts.URL + "/v1/cache/" + key)
-	if err != nil {
-		t.Fatal(err)
-	}
-	io.Copy(io.Discard, resp.Body)
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusNotFound {
-		t.Fatalf("cold lookup: status = %d, want 404", resp.StatusCode)
-	}
-
-	_, ack := postJob(t, ts, `{"model":"2P","bench":"300.twolf","seed":6}`)
-	getStatus(t, ts, ack.ID)
-
-	resp, err = http.Get(ts.URL + "/v1/cache/" + key)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var res UnitResult
-	err = json.NewDecoder(resp.Body).Decode(&res)
-	resp.Body.Close()
-	if err != nil || resp.StatusCode != http.StatusOK {
-		t.Fatalf("warm lookup: status = %d err = %v, want 200", resp.StatusCode, err)
-	}
-	if res.Key != key || res.Run == nil {
-		t.Fatalf("warm lookup result = %+v, want key %s with run", res, key)
-	}
-	counters, _ := m.Registry().Snapshot()
-	if got := counters[MetricCachePeerLookups]; got != 2 {
-		t.Fatalf("peer lookups = %d, want 2", got)
-	}
-	if got := counters[MetricCachePeerHits]; got != 1 {
-		t.Fatalf("peer hits = %d, want 1", got)
-	}
-}
-
 // TestCacheHitRatioGauge checks the hit-ratio gauge tracks the served-
 // without-fresh-run fraction in permille.
 func TestCacheHitRatioGauge(t *testing.T) {

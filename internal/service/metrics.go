@@ -17,15 +17,10 @@ const (
 	MetricCacheMisses    = "service.cache.misses"
 	MetricCacheCoalesced = "service.cache.coalesced"
 	MetricCacheEvictions = "service.cache.evictions"
-	// MetricCachePeerLookups / MetricCachePeerHits count GET /v1/cache/{key}
-	// federation probes served by this backend (hits = a result another node
-	// did not have to recompute).
-	MetricCachePeerLookups = "service.cache.peer_lookups"
-	MetricCachePeerHits    = "service.cache.peer_hits"
-	GaugeQueueDepth        = "service.queue.depth"
-	GaugeWorkersBusy       = "service.workers.busy"
-	GaugeJobsActive        = "service.jobs.active"
-	GaugeCacheEntries      = "service.cache.entries"
+	GaugeQueueDepth      = "service.queue.depth"
+	GaugeWorkersBusy     = "service.workers.busy"
+	GaugeJobsActive      = "service.jobs.active"
+	GaugeCacheEntries    = "service.cache.entries"
 	// GaugeCacheHitRatio is the served-without-fresh-run ratio, in permille
 	// ((hits+coalesced)*1000 / lookups), kept current on every cache acquire
 	// so /metricsz and /clusterz read it without scraping logs.
@@ -57,12 +52,10 @@ type serviceMetrics struct {
 	jobsFailed    *metrics.SharedCounter
 	jobsRejected  *metrics.SharedCounter
 
-	cacheHits        *metrics.SharedCounter
-	cacheMisses      *metrics.SharedCounter
-	cacheCoalesced   *metrics.SharedCounter
-	cacheEvictions   *metrics.SharedCounter
-	cachePeerLookups *metrics.SharedCounter
-	cachePeerHits    *metrics.SharedCounter
+	cacheHits      *metrics.SharedCounter
+	cacheMisses    *metrics.SharedCounter
+	cacheCoalesced *metrics.SharedCounter
+	cacheEvictions *metrics.SharedCounter
 
 	refComputed *metrics.SharedCounter
 	refReused   *metrics.SharedCounter
@@ -85,21 +78,19 @@ func (sm *serviceMetrics) updateHitRatio() {
 
 func newServiceMetrics(reg *metrics.Registry) *serviceMetrics {
 	return &serviceMetrics{
-		jobsSubmitted:    reg.SharedCounter(MetricJobsSubmitted),
-		jobsCompleted:    reg.SharedCounter(MetricJobsCompleted),
-		jobsFailed:       reg.SharedCounter(MetricJobsFailed),
-		jobsRejected:     reg.SharedCounter(MetricJobsRejected),
-		cacheHits:        reg.SharedCounter(MetricCacheHits),
-		cacheMisses:      reg.SharedCounter(MetricCacheMisses),
-		cacheCoalesced:   reg.SharedCounter(MetricCacheCoalesced),
-		cacheEvictions:   reg.SharedCounter(MetricCacheEvictions),
-		cachePeerLookups: reg.SharedCounter(MetricCachePeerLookups),
-		cachePeerHits:    reg.SharedCounter(MetricCachePeerHits),
-		refComputed:      reg.SharedCounter(MetricReferenceComputed),
-		refReused:        reg.SharedCounter(MetricReferenceReused),
-		queueDepth:       reg.SharedGauge(GaugeQueueDepth),
-		jobsActive:       reg.SharedGauge(GaugeJobsActive),
-		cacheEntries:     reg.SharedGauge(GaugeCacheEntries),
-		cacheHitRatio:    reg.SharedGauge(GaugeCacheHitRatio),
+		jobsSubmitted:  reg.SharedCounter(MetricJobsSubmitted),
+		jobsCompleted:  reg.SharedCounter(MetricJobsCompleted),
+		jobsFailed:     reg.SharedCounter(MetricJobsFailed),
+		jobsRejected:   reg.SharedCounter(MetricJobsRejected),
+		cacheHits:      reg.SharedCounter(MetricCacheHits),
+		cacheMisses:    reg.SharedCounter(MetricCacheMisses),
+		cacheCoalesced: reg.SharedCounter(MetricCacheCoalesced),
+		cacheEvictions: reg.SharedCounter(MetricCacheEvictions),
+		refComputed:    reg.SharedCounter(MetricReferenceComputed),
+		refReused:      reg.SharedCounter(MetricReferenceReused),
+		queueDepth:     reg.SharedGauge(GaugeQueueDepth),
+		jobsActive:     reg.SharedGauge(GaugeJobsActive),
+		cacheEntries:   reg.SharedGauge(GaugeCacheEntries),
+		cacheHitRatio:  reg.SharedGauge(GaugeCacheHitRatio),
 	}
 }

@@ -208,13 +208,6 @@ func (m *Manager) Draining() bool {
 // in the local worker pool, or queued across a coordinator's backends.
 func (m *Manager) QueueDepth() int { return int(m.met.queueDepth.Value()) }
 
-// CachedResult returns the completed result stored under key, if any —
-// the cache-federation peer-lookup hook behind GET /v1/cache/{key}. It
-// never claims the key or triggers an execution.
-func (m *Manager) CachedResult(key string) (*UnitResult, bool) {
-	return m.cache.peek(key)
-}
-
 // simulate is the default runner: it simulates one unit through the library
 // façade, verifying a verified unit against its benchmark's shared reference.
 func (m *Manager) simulate(ctx context.Context, u UnitSpec) (*stats.Run, error) {

@@ -551,9 +551,9 @@ func TestUnitKeyStability(t *testing.T) {
 		t.Fatal("verify change should alter the key")
 	}
 
-	// The keys are pinned byte for byte: daemon cache hits and cluster
-	// federation both match results by key, so any change to the key's
-	// encoding silently orphans every stored result.
+	// The keys are pinned byte for byte: daemon and coordinator cache hits
+	// both match results by key, so any change to the key's encoding
+	// silently orphans every stored result.
 	cq16 := 16
 	for name, tc := range map[string]struct {
 		spec JobSpec

@@ -113,19 +113,11 @@ type UnitSpec struct {
 }
 
 // Key returns the unit's content-addressed cache key: a SHA-256 over the
-// canonical encoding of everything that determines the simulation's output
-// (model, benchmark, seed, verification, and the fully resolved machine
-// configuration).
+// JSON wire form, which carries everything that determines the
+// simulation's output (model, benchmark, seed, verification, the fully
+// resolved machine configuration, and the fuzz chunk, if any).
 func (u *UnitSpec) Key() string {
-	payload := struct {
-		Model  string      `json:"model"`
-		Bench  string      `json:"bench"`
-		Seed   int64       `json:"seed"`
-		Verify bool        `json:"verify"`
-		Config core.Config `json:"config"`
-		Fuzz   *FuzzUnit   `json:"fuzz,omitempty"`
-	}{u.ModelName, u.Bench, u.Seed, u.Verify, u.Config, u.Fuzz}
-	b, err := json.Marshal(payload)
+	b, err := json.Marshal(u.Wire())
 	if err != nil {
 		// core.Config is plain data; Marshal cannot fail on it.
 		panic(fmt.Sprintf("service: unit key encoding: %v", err))

@@ -11,9 +11,10 @@ import (
 // coordinator is a Manager, so it expands a JobSpec with the exact same code
 // a backend would use, ships each resolved unit to a backend in wire form
 // (WireUnit, POST /v1/units), and the backend reconstructs a UnitSpec whose
-// content-addressed Key() is byte-identical to the coordinator's — which is
-// what makes cache federation sound: the same logical simulation hashes to
-// the same key on every node that ever sees it.
+// content-addressed Key() is byte-identical to the coordinator's. The key
+// is a hash of that wire form, so the same logical simulation has the same
+// key on every node that sees it: a backend's own cache deduplicates a unit
+// whichever coordinator sends it, and the coordinator routes by that key.
 
 // ExpandUnits resolves a JobSpec into its simulation units exactly as
 // Submit would: validation, default filling, and fuzz seed chunking. It
@@ -24,12 +25,14 @@ func ExpandUnits(spec JobSpec) ([]UnitSpec, error) {
 
 // WireUnit is the JSON form of one fully resolved UnitSpec, carrying every
 // field that feeds the unit's cache key (model, bench, seed, verify, the
-// complete machine configuration, and the fuzz chunk, if any).
+// complete machine configuration, and the fuzz chunk, if any). Its encoding
+// is the preimage of UnitSpec.Key, so no field may be added, reordered or
+// retagged without re-keying every cached result.
 type WireUnit struct {
 	Model  string      `json:"model"`
 	Bench  string      `json:"bench"`
-	Seed   int64       `json:"seed,omitempty"`
-	Verify bool        `json:"verify,omitempty"`
+	Seed   int64       `json:"seed"`
+	Verify bool        `json:"verify"`
 	Config core.Config `json:"config"`
 	Fuzz   *FuzzUnit   `json:"fuzz,omitempty"`
 }
@@ -61,6 +64,12 @@ func (w WireUnit) Resolve() (UnitSpec, error) {
 	if w.Fuzz != nil {
 		if w.Fuzz.Programs <= 0 {
 			return UnitSpec{}, fmt.Errorf("%w: fuzz unit requires programs > 0", ErrInvalidSpec)
+		}
+		// A fuzz chunk runs no configured machine, but its Config enters
+		// the key: anything but the zero value expandFuzz gives it would
+		// cache one chunk under many keys.
+		if w.Config != (core.Config{}) {
+			return UnitSpec{}, fmt.Errorf("%w: fuzz unit takes no machine configuration", ErrInvalidSpec)
 		}
 		return u, nil
 	}

@@ -25,10 +25,10 @@ func expandOne(t *testing.T, spec JobSpec) UnitSpec {
 	return units[0]
 }
 
-// TestWireRoundTripPreservesKey is the soundness condition of cache
-// federation: a unit shipped to another node as JSON and resolved there must
-// land on the same content-addressed key, or coordinator and backend would
-// silently disagree about what is cached.
+// TestWireRoundTripPreservesKey is the soundness condition of dispatch: a
+// unit shipped to another node as JSON and resolved there must land on the
+// same content-addressed key, or coordinator and backend would silently
+// disagree about what is cached.
 func TestWireRoundTripPreservesKey(t *testing.T) {
 	cq48 := 48
 	specs := map[string]JobSpec{
@@ -66,6 +66,11 @@ func TestWireRoundTripPreservesKey(t *testing.T) {
 func TestWireResolveRejectsInvalid(t *testing.T) {
 	validUnit := expandOne(t, JobSpec{Model: "2P", Bench: "300.twolf"})
 	valid := validUnit.Wire()
+	fuzzUnit := expandOne(t, JobSpec{Kind: "fuzz", Fuzz: &FuzzSpec{Programs: 10}})
+	fuzz := fuzzUnit.Wire()
+	if _, err := fuzz.Resolve(); err != nil {
+		t.Fatalf("an expanded fuzz unit does not resolve: %v", err)
+	}
 
 	cases := map[string]struct {
 		mutate func(*WireUnit)
@@ -82,6 +87,14 @@ func TestWireResolveRejectsInvalid(t *testing.T) {
 		"empty fuzz": {func(w *WireUnit) {
 			w.Fuzz = &FuzzUnit{Programs: 0}
 		}, "fuzz"},
+		"fuzz with cq_size 2^40": {func(w *WireUnit) {
+			w.Model, w.Bench, w.Fuzz = fuzz.Model, fuzz.Bench, fuzz.Fuzz
+			w.Config.CQSize = 1 << 40
+		}, "fuzz unit takes no machine configuration"},
+		"fuzz with zero line size": {func(w *WireUnit) {
+			w.Model, w.Bench, w.Fuzz = fuzz.Model, fuzz.Bench, fuzz.Fuzz
+			w.Config.Mem.L1D.LineBytes = 0
+		}, "fuzz unit takes no machine configuration"},
 	}
 	for name, tc := range cases {
 		t.Run(name, func(t *testing.T) {
